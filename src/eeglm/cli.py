@@ -10,7 +10,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .config import parse_override, resolve_config
-from .errors import DataError, EeglmError, NumericError, TransportError, UsageError
+from .errors import DataError, EeglmError, UsageError
 from .evaluate import evaluate_checkpoint
 from .profiler import PROFILE_KEYS
 from .quantizer import save_tokens
@@ -261,21 +261,9 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"command {args.command!r} needs --out")
         cfg = _resolve(args)
         return COMMANDS[args.command](args, cfg)
-    except UsageError as e:
+    except EeglmError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except TransportError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 5
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except EeglmError as e:  # pragma: no cover - base-class fallback
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return e.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

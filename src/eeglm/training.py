@@ -1,4 +1,4 @@
-"""Stage runners for the three training phases, plus checkpoint/resume plumbing."""
+"""The three training stages as specs run by one loop, plus checkpoint/resume plumbing."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -141,17 +142,23 @@ def build_model(cfg: dict) -> PipelineModel:
     )
 
 
+def _load_into(model: PipelineModel, arrays: dict[str, np.ndarray], stage: str) -> None:
+    """Give a freshly built model the parameter layout of a `stage` checkpoint
+    and load its arrays; a loaded codebook needs no k-means warm start."""
+    if stage != "vq":
+        lora = model.cfg["lora"]
+        model.backbone.apply_lora(lora["rank"], lora["alpha"], np.random.default_rng(0))
+    assign_parameters(model.named_parameters(), arrays, strict=True)
+    model.quantizer._warmed = True
+
+
 def load_model(checkpoint_path: str | Path) -> tuple[PipelineModel, dict]:
     """Rebuild a model bundle from a stage checkpoint."""
     arrays, meta = load_checkpoint(checkpoint_path)
     if "config" not in meta or "stage" not in meta:
         raise DataError(f"checkpoint {checkpoint_path} lacks stage/config metadata")
     model = build_model(meta["config"])
-    if meta["stage"] in ("cpt", "sft"):
-        lora = meta["config"]["lora"]
-        model.backbone.apply_lora(lora["rank"], lora["alpha"], np.random.default_rng(0))
-    assign_parameters(model.named_parameters(), arrays, strict=True)
-    model.quantizer._warmed = True
+    _load_into(model, arrays, meta["stage"])
     return model, meta
 
 
@@ -251,11 +258,19 @@ def prepare_sequences(
 # ---------------------------------------------------------------------------
 
 class MetricsLogger:
-    """Append-only per-step CSV with round-trip-exact float columns."""
+    """Append-only per-step CSV with round-trip-exact float columns.
 
-    def __init__(self, path: str | Path, append: bool = False):
+    When appending to an existing log, rows past step `keep_through` (logged
+    after the checkpoint a run resumes from) are dropped first.
+    """
+
+    def __init__(self, path: str | Path, append: bool = False, keep_through: int | None = None):
         self.path = Path(path)
         fresh = not (append and self.path.exists())
+        if not fresh and keep_through is not None:
+            lines = self.path.read_bytes().splitlines(keepends=True)
+            kept = [row for row in lines[1:] if int(row.split(b",", 1)[0]) <= keep_through]
+            self.path.write_bytes(b"".join(lines[:1] + kept))
         self._fh = open(self.path, "w" if fresh else "a", newline="")
         self._writer = csv.writer(self._fh)
         if fresh:
@@ -269,14 +284,6 @@ class MetricsLogger:
 
     def close(self):
         self._fh.close()
-
-
-def prepare_run_dir(out_dir: str | Path, cfg: dict) -> Path:
-    run = Path(out_dir)
-    (run / "checkpoints").mkdir(parents=True, exist_ok=True)
-    (run / "artifacts").mkdir(parents=True, exist_ok=True)
-    (run / "config.json").write_text(json.dumps(cfg, indent=2))
-    return run
 
 
 def save_stage_checkpoint(
@@ -319,234 +326,143 @@ def find_latest_checkpoint(run_dir: str | Path) -> tuple[Path, dict] | None:
     return best[1], meta
 
 
-def _restore_optimizer(opt: AdamW, arrays: dict[str, np.ndarray], opt_step: int) -> None:
-    opt.load_state(
-        {
-            "step": opt_step,
-            "m": {k: arrays[f"opt.m/{k}"] for k in opt.params if f"opt.m/{k}" in arrays},
-            "v": {k: arrays[f"opt.v/{k}"] for k in opt.params if f"opt.v/{k}" in arrays},
-        }
-    )
+# ---------------------------------------------------------------------------
+# stage specs: what differs between the three stages
+# ---------------------------------------------------------------------------
 
+class StageSpec:
+    """What one training stage adds to the loop that every stage shares.
 
-def _write_summary(run_dir: Path, summary: dict) -> None:
-    (run_dir / "artifacts" / "summary.json").write_text(json.dumps(summary, indent=2))
+    Each stage defines `open(model, rng)`, which freezes or opens parameters
+    and returns the trainable dict and its lr scales (`rng` draws the stage's
+    fresh adapter; it is None on resume, where the checkpoint holds it), and
+    `step(model, item)`, which returns the loss of one item and its
+    (total, text, eeg, orth) log columns. A spec is built per run, so its
+    hooks may keep state between calls.
+    """
 
+    name = ""
+    parent: str | None = None  # the stage train.init_from must name
+    lora_salt = 0  # salts the rng of the adapter a stage opens
+    supervised = False
+    avg_keys: tuple[str, ...] = ()  # log columns averaged per epoch; () keeps the total only
 
-def _named_grads(trainable: dict[str, Tensor], grads: dict) -> dict[str, np.ndarray]:
-    return {k: grads[v] for k, v in trainable.items()}
+    def __init__(self, cfg: dict):
+        self.cfg = cfg
+
+    def prepare(self, model: PipelineModel, corpus: list) -> list:
+        return prepare_sequences(model, corpus, with_answer=self.supervised)
+
+    def order(self, items: list, rng: np.random.Generator) -> np.ndarray:
+        return rng.permutation(len(items))
+
+    def end_epoch(self, model: PipelineModel, rng: np.random.Generator) -> dict:
+        """Extra metadata for the epoch checkpoint."""
+        return {}
+
+    def summary(self, epoch_avgs: list, last: dict) -> dict:
+        """Extra summary entries; `last` is the newest checkpoint's metadata
+        (at least `epoch_avg_loss` and the `end_epoch` extras)."""
+        return {}
 
 
 # ---------------------------------------------------------------------------
 # stage 1: reconstruction + quantization
 # ---------------------------------------------------------------------------
 
-def run_vq_stage(cfg: dict, run_dir: str | Path, resume: bool = False) -> dict:
+class VqStage(StageSpec):
     """Train encoder, reconstruction heads and codebook on raw containers."""
-    run = prepare_run_dir(run_dir, cfg)
-    corpus = load_corpus(cfg["data"]["train_dir"])
-    model = build_model(cfg)
-    model.refiner.freeze()
-    model.backbone.freeze()
 
-    samples = []
-    for _, rec, _ in corpus:
-        ps = patch(rec, cfg["data"]["patch_len"])
-        c, p, w = ps.data.shape
-        samples.append(
-            (
-                ps.data,
-                ps.data.reshape(c * p, w),
-                dft_target(ps).magnitudes.reshape(c * p, w // 2 + 1),
-            )
-        )
+    name = "vq"
 
-    start_epoch, step = 0, 0
-    health: dict = {}
-    latest = find_latest_checkpoint(run) if resume else None
-    trainable = model.trainable_parameters()
-    opt_cfg = cfg["optimizer"]
-    opt = AdamW(
-        trainable,
-        lr=opt_cfg["lr"],
-        betas=tuple(opt_cfg["betas"]),
-        eps=opt_cfg["eps"],
-        weight_decay=opt_cfg["weight_decay"],
-        lr_scales={n: opt_cfg["recon_lr_scale"] for n in trainable if n.startswith("recon.")},
-    )
-    epoch_avgs: list[float] = []
-    if latest is not None:
-        path, meta = latest
-        arrays, _ = load_checkpoint(path)
-        assign_parameters(model.named_parameters(), arrays, strict=True)
-        model.quantizer._warmed = True
-        _restore_optimizer(opt, arrays, meta["opt_step"])
-        start_epoch, step = meta["epoch"] + 1, meta["step"]
-        epoch_avgs = list(meta.get("epoch_avg_loss", []))
-        health = meta.get("codebook_health", {})
-    elif cfg["quantizer"]["kmeans_warm_start"]:
-        rows = []
-        for patches, _, _ in samples:
-            enc = model.encoder(patches)
-            c, p, e = enc.h_eeg.shape
-            rows.append(model.quantizer.down(ad.reshape(enc.h_eeg, (c * p, e))).data)
-        model.quantizer.warm_start(np.concatenate(rows), np.random.default_rng(cfg["seed"]))
+    def open(self, model, rng):
+        model.refiner.freeze()
+        model.backbone.freeze()
+        trainable = model.trainable_parameters()
+        scale = self.cfg["optimizer"]["recon_lr_scale"]
+        return trainable, {n: scale for n in trainable if n.startswith("recon.")}
 
-    logger = MetricsLogger(run / "metrics.csv", append=latest is not None)
-    total_steps = cfg["train"]["epochs"] * len(samples)
-    beta = cfg["quantizer"]["beta"]
-    try:
-        for epoch in range(start_epoch, cfg["train"]["epochs"]):
-            rng_e = np.random.default_rng([cfg["seed"], epoch])
-            order = rng_e.permutation(len(samples))
-            epoch_sum, pool = 0.0, []
-            for i in order:
-                patches, x_rows, f_rows = samples[i]
-                with Graph():
-                    enc = model.encoder(patches)
-                    _, z_up, h_down, z_q = model.quantizer(enc.h_eeg)
-                    x_hat, f_hat = model.recon(z_up)
-                    loss = loss_dsha(x_rows, x_hat, f_rows, f_hat, h_down, z_q, beta)
-                    grads = backward(loss, wrt=list(trainable.values()))
-                named = clip_global_norm(_named_grads(trainable, grads), opt_cfg["clip_norm"])
-                lr_t = cosine_schedule(
-                    step,
-                    total_steps,
-                    opt_cfg["lr"],
-                    cfg["schedule"]["warmup_steps"],
-                    cfg["schedule"]["min_lr"],
-                )
-                opt.step(named, lr=lr_t)
-                step += 1
-                lt = float(loss.data)
-                logger.log(step, lt, 0.0, lt, 0.0, lr_t)
-                epoch_sum += lt
-                pool.append(h_down.data)
-            health = codebook_health(model.quantizer.epoch_counts.copy())
-            model.quantizer.end_epoch(np.concatenate(pool), rng_e)
-            epoch_avgs.append(epoch_sum / len(samples))
-            save_stage_checkpoint(
-                run, model, opt, "vq", epoch, step,
-                {"epoch_avg_loss": epoch_avgs, "codebook_health": health},
-            )
-    finally:
-        logger.close()
-    summary = {
-        "stage": "vq",
-        "epochs": cfg["train"]["epochs"],
-        "steps": step,
-        "epoch_avg_loss": epoch_avgs,
-        "final_over_first": epoch_avgs[-1] / epoch_avgs[0] if epoch_avgs[0] else 0.0,
-        "codebook_health": health,
-    }
-    _write_summary(run, summary)
-    return summary
+    def prepare(self, model, corpus):
+        samples = []
+        for _, rec, _ in corpus:
+            ps = patch(rec, self.cfg["data"]["patch_len"])
+            c, p, w = ps.data.shape
+            mags = dft_target(ps).magnitudes.reshape(c * p, w // 2 + 1)
+            samples.append((ps.data, ps.data.reshape(c * p, w), mags))
+        if not model.quantizer._warmed:
+            rows = []
+            for patches, _, _ in samples:
+                enc = model.encoder(patches)
+                c, p, e = enc.h_eeg.shape
+                rows.append(model.quantizer.down(ad.reshape(enc.h_eeg, (c * p, e))).data)
+            model.quantizer.warm_start(np.concatenate(rows), np.random.default_rng(self.cfg["seed"]))
+        self.pool: list[np.ndarray] = []
+        return samples
+
+    def step(self, model, item):
+        patches, x_rows, f_rows = item
+        enc = model.encoder(patches)
+        _, z_up, h_down, z_q = model.quantizer(enc.h_eeg)
+        x_hat, f_hat = model.recon(z_up)
+        loss = loss_dsha(x_rows, x_hat, f_rows, f_hat, h_down, z_q, self.cfg["quantizer"]["beta"])
+        self.pool.append(h_down.data)
+        lt = float(loss.data)
+        return loss, (lt, 0.0, lt, 0.0)
+
+    def end_epoch(self, model, rng):
+        health = codebook_health(model.quantizer.epoch_counts.copy())
+        model.quantizer.end_epoch(np.concatenate(self.pool), rng)
+        self.pool = []
+        return {"codebook_health": health}
+
+    def summary(self, epoch_avgs, last):
+        return {
+            "final_over_first": epoch_avgs[-1] / epoch_avgs[0] if epoch_avgs[0] else 0.0,
+            "codebook_health": last.get("codebook_health", {}),
+        }
 
 
 # ---------------------------------------------------------------------------
 # stage 2: continued pretraining over hybrid sequences
 # ---------------------------------------------------------------------------
 
-def _cpt_structure(model: PipelineModel, rng: np.random.Generator) -> None:
-    """Freeze the signal stages, adapt the backbone, open the expansion set."""
-    model.encoder.freeze()
-    model.recon.freeze()
-    model.quantizer.freeze()
-    lora = model.cfg["lora"]
-    model.backbone.apply_lora(lora["rank"], lora["alpha"], rng)
-    for tensor in model.backbone.expansion_parameters().values():
-        tensor.requires_grad = True
+def _open_adapter(model: PipelineModel, rng: np.random.Generator | None) -> None:
+    """Freeze the signal stages, open the refiner, and attach a fresh backbone
+    adapter drawn from `rng` (None keeps the adapter the model was loaded with)."""
+    for mod in (model.encoder, model.recon, model.quantizer):
+        mod.freeze()
+    if rng is not None:
+        lora = model.cfg["lora"]
+        model.backbone.apply_lora(lora["rank"], lora["alpha"], rng)
     model.refiner.unfreeze()
 
 
-def run_cpt_stage(cfg: dict, run_dir: str | Path, resume: bool = False) -> dict:
+def _cpt_structure(model: PipelineModel, rng: np.random.Generator | None) -> None:
+    """Freeze the signal stages, adapt the backbone, open the expansion set."""
+    _open_adapter(model, rng)
+    for tensor in model.backbone.expansion_parameters().values():
+        tensor.requires_grad = True
+
+
+class CptStage(StageSpec):
     """Next-token pretraining with the orthogonality penalty on frozen tokens."""
-    run = prepare_run_dir(run_dir, cfg)
-    corpus = load_corpus(cfg["data"]["train_dir"])
-    model = build_model(cfg)
-    lora_rng = np.random.default_rng([cfg["seed"], 7])
 
-    latest = find_latest_checkpoint(run) if resume else None
-    start_epoch, step = 0, 0
-    epoch_avgs: list[dict] = []
-    if latest is not None:
-        path, meta = latest
-        arrays, _ = load_checkpoint(path)
-        _cpt_structure(model, lora_rng)
-        assign_parameters(model.named_parameters(), arrays, strict=True)
-        start_epoch, step = meta["epoch"] + 1, meta["step"]
-        epoch_avgs = list(meta.get("epoch_avg_loss", []))
-    else:
-        init_from = cfg["train"]["init_from"]
-        if not init_from:
-            raise ConfigError("cpt stage needs train.init_from pointing at a vq checkpoint")
-        arrays, init_meta = load_checkpoint(init_from)
-        if init_meta.get("stage") != "vq":
-            raise ConfigError(
-                f"cpt stage must start from a vq checkpoint, got stage "
-                f"{init_meta.get('stage')!r}"
-            )
-        assign_parameters(model.named_parameters(), arrays, strict=True)
-        _cpt_structure(model, lora_rng)
-    model.quantizer._warmed = True
+    name, parent, lora_salt = "cpt", "vq", 7
+    avg_keys = ("total", "text", "eeg", "orth")
 
-    prepared = prepare_sequences(model, corpus, with_answer=False)
-    trainable = model.trainable_parameters()
-    opt_cfg = cfg["optimizer"]
-    opt = AdamW(
-        trainable,
-        lr=opt_cfg["lr"],
-        betas=tuple(opt_cfg["betas"]),
-        eps=opt_cfg["eps"],
-        weight_decay=opt_cfg["weight_decay"],
-    )
-    if latest is not None:
-        _restore_optimizer(opt, arrays, meta["opt_step"])
+    def open(self, model, rng):
+        _cpt_structure(model, rng)
+        return model.trainable_parameters(), {}
 
-    logger = MetricsLogger(run / "metrics.csv", append=latest is not None)
-    total_steps = cfg["train"]["epochs"] * len(prepared)
-    lam = cfg["train"]["lambda_orth"]
-    try:
-        for epoch in range(start_epoch, cfg["train"]["epochs"]):
-            order = np.random.default_rng([cfg["seed"], epoch]).permutation(len(prepared))
-            sums = {"total": 0.0, "text": 0.0, "eeg": 0.0, "orth": 0.0}
-            for i in order:
-                item = prepared[i]
-                with Graph():
-                    experts = model.refiner(item.h_text, item.z_q)
-                    text_l, eeg_l = loss_ntp(item.seq, model.backbone, sem=experts.s_sem)
-                    orth = model.refiner.orth_loss()
-                    total = loss_cpt(text_l, eeg_l, orth, lam)
-                    grads = backward(total, wrt=list(trainable.values()))
-                named = clip_global_norm(_named_grads(trainable, grads), opt_cfg["clip_norm"])
-                lr_t = cosine_schedule(
-                    step,
-                    total_steps,
-                    opt_cfg["lr"],
-                    cfg["schedule"]["warmup_steps"],
-                    cfg["schedule"]["min_lr"],
-                )
-                opt.step(named, lr=lr_t)
-                step += 1
-                vals = (float(total.data), float(text_l.data), float(eeg_l.data), float(orth.data))
-                logger.log(step, *vals, lr_t)
-                for key, v in zip(("total", "text", "eeg", "orth"), vals):
-                    sums[key] += v
-            epoch_avgs.append({k: v / len(prepared) for k, v in sums.items()})
-            save_stage_checkpoint(
-                run, model, opt, "cpt", epoch, step, {"epoch_avg_loss": epoch_avgs}
-            )
-    finally:
-        logger.close()
-    summary = {
-        "stage": "cpt",
-        "epochs": cfg["train"]["epochs"],
-        "steps": step,
-        "epoch_avg_loss": epoch_avgs,
-        "uniform_eeg_nll": float(np.log(cfg["quantizer"]["num_codes"])),
-    }
-    _write_summary(run, summary)
-    return summary
+    def step(self, model, item):
+        experts = model.refiner(item.h_text, item.z_q)
+        text_l, eeg_l = loss_ntp(item.seq, model.backbone, sem=experts.s_sem)
+        orth = model.refiner.orth_loss()
+        total = loss_cpt(text_l, eeg_l, orth, self.cfg["train"]["lambda_orth"])
+        return total, (float(total.data), float(text_l.data), float(eeg_l.data), float(orth.data))
+
+    def summary(self, epoch_avgs, last):
+        return {"uniform_eeg_nll": float(np.log(self.cfg["quantizer"]["num_codes"]))}
 
 
 # ---------------------------------------------------------------------------
@@ -578,18 +494,15 @@ class TrainingPlan:
 def decoupled_finetune_setup(
     model: PipelineModel,
     base_lr: float,
-    rng: np.random.Generator,
-    merge_previous: bool = True,
+    rng: np.random.Generator | None,
 ) -> TrainingPlan:
     """Fold the old adapter, freeze everything, then open a fresh adapter at
-    `base_lr` and the refiner at its configured fraction of it."""
-    if merge_previous:
+    `base_lr` and the refiner at its configured fraction of it. With `rng`
+    None (a resumed run, whose checkpoint holds the merged weights) the
+    attached adapter is opened instead."""
+    if rng is not None:
         model.backbone.merge_adapters()
-    for mod in (model.encoder, model.recon, model.quantizer, model.refiner):
-        mod.freeze()
-    lora = model.cfg["lora"]
-    model.backbone.apply_lora(lora["rank"], lora["alpha"], rng)
-    model.refiner.unfreeze()
+    _open_adapter(model, rng)
     named = model.named_parameters()
     adapter = tuple(n for n, t in named.items() if "lora_a" in n or "lora_b" in n)
     refiner = tuple(n for n in named if n.startswith("refiner."))
@@ -614,106 +527,130 @@ def balanced_order(
     return rng.choice(n, size=n, replace=True, p=weights / weights.sum())
 
 
-def run_sft_stage(cfg: dict, run_dir: str | Path, resume: bool = False) -> dict:
+class SftStage(StageSpec):
     """Answer-only fine-tuning with a fresh adapter and a slow refiner."""
-    run = prepare_run_dir(run_dir, cfg)
-    corpus = load_corpus(cfg["data"]["train_dir"], require_labels=True)
+
+    name, parent, lora_salt, supervised = "sft", "cpt", 11, True
+
+    def open(self, model, rng):
+        self.plan = decoupled_finetune_setup(model, self.cfg["optimizer"]["lr"], rng)
+        return self.plan.trainable(model), self.plan.lr_scales()
+
+    def order(self, items, rng):
+        labels = [item.label for item in items]
+        return balanced_order(labels, rng, self.cfg["train"]["class_balancing"])
+
+    def step(self, model, item):
+        experts = model.refiner(item.h_text, item.z_q)
+        loss = loss_sft(item.seq, model.backbone, sem=experts.s_sem)
+        lt = float(loss.data)
+        return loss, (lt, lt, 0.0, 0.0)
+
+    def end_epoch(self, model, rng):
+        return {"plan": dict(self.plan.group_lrs)}
+
+    def summary(self, epoch_avgs, last):
+        return {"plan": self.plan.group_lrs}
+
+
+# ---------------------------------------------------------------------------
+# the stage loop
+# ---------------------------------------------------------------------------
+
+def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bool = False) -> dict:
+    """Run one stage's spec through the shared loop, writing into `run_dir`.
+
+    A fresh run starts from the checkpoint named by train.init_from, which
+    must come from the stage's parent; with `resume` the run continues from
+    its own newest checkpoint, which must come from the same stage.
+    """
+    spec = spec_cls(cfg)
+    run = Path(run_dir)
+    corpus = load_corpus(cfg["data"]["train_dir"], require_labels=spec.supervised)
     model = build_model(cfg)
-    lora_rng = np.random.default_rng([cfg["seed"], 11])
-    base_lr = cfg["optimizer"]["lr"]
-
     latest = find_latest_checkpoint(run) if resume else None
-    start_epoch, step = 0, 0
-    epoch_avgs: list[float] = []
-    if latest is not None:
-        path, meta = latest
-        arrays, _ = load_checkpoint(path)
-        plan = decoupled_finetune_setup(model, base_lr, lora_rng, merge_previous=False)
-        assign_parameters(model.named_parameters(), arrays, strict=True)
-        start_epoch, step = meta["epoch"] + 1, meta["step"]
-        epoch_avgs = list(meta.get("epoch_avg_loss", []))
-    else:
-        init_from = cfg["train"]["init_from"]
-        if not init_from:
-            raise ConfigError("sft stage needs train.init_from pointing at a cpt checkpoint")
-        arrays, init_meta = load_checkpoint(init_from)
-        if init_meta.get("stage") != "cpt":
-            raise ConfigError(
-                f"sft stage must start from a cpt checkpoint, got stage "
-                f"{init_meta.get('stage')!r}"
-            )
-        lora = cfg["lora"]
-        model.backbone.apply_lora(lora["rank"], lora["alpha"], np.random.default_rng(0))
-        assign_parameters(model.named_parameters(), arrays, strict=True)
-        plan = decoupled_finetune_setup(model, base_lr, lora_rng, merge_previous=True)
-    model.quantizer._warmed = True
-
-    prepared = prepare_sequences(model, corpus, with_answer=True)
-    trainable = plan.trainable(model)
+    resumed = latest is not None
+    # a resumed run continues its own checkpoint, a fresh one its parent's
+    source, want = (latest[0], spec.name) if resumed else (cfg["train"]["init_from"], spec.parent)
+    arrays, meta = load_checkpoint(source) if want and source else ({}, {})
+    if meta.get("stage") != want:
+        where = "the run's newest checkpoint" if resumed else "train.init_from"
+        got = f"stage {meta.get('stage')!r} in {source}" if source else "no checkpoint"
+        raise ConfigError(
+            f"{spec.name} stage must start from a {want} checkpoint ({where}), got {got}"
+        )
+    if meta:
+        _load_into(model, arrays, want)
+    for sub in ("checkpoints", "artifacts"):
+        (run / sub).mkdir(parents=True, exist_ok=True)
+    (run / "config.json").write_text(json.dumps(cfg, indent=2))
+    rng = None if resumed else np.random.default_rng([cfg["seed"], spec.lora_salt])
+    trainable, lr_scales = spec.open(model, rng)
     opt_cfg = cfg["optimizer"]
     opt = AdamW(
         trainable,
-        lr=base_lr,
+        lr=opt_cfg["lr"],
         betas=tuple(opt_cfg["betas"]),
         eps=opt_cfg["eps"],
         weight_decay=opt_cfg["weight_decay"],
-        lr_scales=plan.lr_scales(),
+        lr_scales=lr_scales,
     )
-    if latest is not None:
-        _restore_optimizer(opt, arrays, meta["opt_step"])
+    start_epoch, step, epoch_avgs, last = 0, 0, [], {}
+    if resumed:
+        opt.load_state(
+            {
+                "step": meta["opt_step"],
+                "m": {k: arrays[f"opt.m/{k}"] for k in opt.params if f"opt.m/{k}" in arrays},
+                "v": {k: arrays[f"opt.v/{k}"] for k in opt.params if f"opt.v/{k}" in arrays},
+            }
+        )
+        start_epoch, step, last = meta["epoch"] + 1, meta["step"], meta
+        epoch_avgs = list(meta.get("epoch_avg_loss", []))
+    items = spec.prepare(model, corpus)
 
-    logger = MetricsLogger(run / "metrics.csv", append=latest is not None)
-    total_steps = cfg["train"]["epochs"] * len(prepared)
-    labels = [item.label for item in prepared]
+    logger = MetricsLogger(run / "metrics.csv", append=resumed, keep_through=step)
+    total_steps = cfg["train"]["epochs"] * len(items)
     try:
         for epoch in range(start_epoch, cfg["train"]["epochs"]):
-            order = balanced_order(
-                labels,
-                np.random.default_rng([cfg["seed"], epoch]),
-                cfg["train"]["class_balancing"],
-            )
-            epoch_sum = 0.0
-            for i in order:
-                item = prepared[i]
+            rng_e = np.random.default_rng([cfg["seed"], epoch])
+            sums = [0.0] * 4
+            for i in spec.order(items, rng_e):
                 with Graph():
-                    experts = model.refiner(item.h_text, item.z_q)
-                    loss = loss_sft(item.seq, model.backbone, sem=experts.s_sem)
+                    loss, vals = spec.step(model, items[i])
                     grads = backward(loss, wrt=list(trainable.values()))
-                named = clip_global_norm(_named_grads(trainable, grads), opt_cfg["clip_norm"])
+                named = clip_global_norm(
+                    {k: grads[v] for k, v in trainable.items()}, opt_cfg["clip_norm"]
+                )
                 lr_t = cosine_schedule(
                     step,
                     total_steps,
-                    base_lr,
+                    opt_cfg["lr"],
                     cfg["schedule"]["warmup_steps"],
                     cfg["schedule"]["min_lr"],
                 )
                 opt.step(named, lr=lr_t)
                 step += 1
-                lt = float(loss.data)
-                logger.log(step, lt, lt, 0.0, 0.0, lr_t)
-                epoch_sum += lt
-            epoch_avgs.append(epoch_sum / len(order))
-            save_stage_checkpoint(
-                run, model, opt, "sft", epoch, step,
-                {
-                    "epoch_avg_loss": epoch_avgs,
-                    "plan": {k: v for k, v in plan.group_lrs.items()},
-                },
-            )
+                logger.log(step, *vals, lr_t)
+                sums = [s + v for s, v in zip(sums, vals)]
+            avgs = [s / len(items) for s in sums]
+            epoch_avgs.append(dict(zip(spec.avg_keys, avgs)) if spec.avg_keys else avgs[0])
+            last = {"epoch_avg_loss": epoch_avgs, **spec.end_epoch(model, rng_e)}
+            save_stage_checkpoint(run, model, opt, spec.name, epoch, step, last)
     finally:
         logger.close()
     summary = {
-        "stage": "sft",
+        "stage": spec.name,
         "epochs": cfg["train"]["epochs"],
         "steps": step,
         "epoch_avg_loss": epoch_avgs,
-        "plan": plan.group_lrs,
+        **spec.summary(epoch_avgs, last),
     }
-    _write_summary(run, summary)
+    (run / "artifacts" / "summary.json").write_text(json.dumps(summary, indent=2))
     return summary
 
 
-STAGE_RUNNERS = {"vq": run_vq_stage, "cpt": run_cpt_stage, "sft": run_sft_stage}
+STAGE_RUNNERS = {spec.name: partial(_train, spec) for spec in (VqStage, CptStage, SftStage)}
+run_vq_stage, run_cpt_stage, run_sft_stage = STAGE_RUNNERS.values()
 
 
 def run_stage(cfg: dict, run_dir: str | Path, resume: bool = False) -> dict:

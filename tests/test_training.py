@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import copy
 import csv
+import shutil
 
 import numpy as np
 import pytest
 
+from eeglm import training
 from eeglm.checkpoint import load_checkpoint, save_checkpoint
 from eeglm.config import resolve_config
 from eeglm.errors import ConfigError, DataError, MontageError
@@ -202,15 +204,51 @@ def test_vq_loss_decreases(tmp_path, data_dir):
     assert 0 <= health["dead_entries"] < 8
 
 
-def test_vq_resume_continues_step_counter(tmp_path, data_dir):
+@pytest.mark.parametrize("stage", ["vq", "cpt", "sft"])
+def test_resume_continues_step_counter(tmp_path, chain, stage):
+    _, cfg_vq, cfg_cpt, cfg_sft = chain
+    cfg = copy.deepcopy({"vq": cfg_vq, "cpt": cfg_cpt, "sft": cfg_sft}[stage])
     run = tmp_path / "run"
-    run_vq_stage(toy_cfg(data_dir, train={"epochs": 2}), run)
-    run_vq_stage(toy_cfg(data_dir, train={"epochs": 4}), run, resume=True)
+    cfg["train"]["epochs"] = 2
+    STAGE_RUNNERS[stage](cfg, run)
+    cfg["train"]["epochs"] = 4
+    STAGE_RUNNERS[stage](cfg, run, resume=True)
     _, rows = read_metrics(run / "metrics.csv")
     assert [int(r[0]) for r in rows] == list(range(1, 17))
     path, meta = find_latest_checkpoint(run)
     assert path.name == "epoch_0003"
     assert meta["step"] == 16 and meta["epoch"] == 3
+
+
+def test_resume_drops_rows_logged_after_the_checkpoint(tmp_path, data_dir, monkeypatch):
+    # crash after epoch 1's steps are logged but before its checkpoint is written
+    run = tmp_path / "run"
+    real_save = training.save_stage_checkpoint
+
+    def crash_at_epoch_1(run_dir, model, opt, stage, epoch, step, extra):
+        if epoch == 1:
+            raise RuntimeError("interrupted")
+        return real_save(run_dir, model, opt, stage, epoch, step, extra)
+
+    monkeypatch.setattr(training, "save_stage_checkpoint", crash_at_epoch_1)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run_vq_stage(toy_cfg(data_dir, train={"epochs": 3}), run)
+    _, rows = read_metrics(run / "metrics.csv")
+    assert [int(r[0]) for r in rows] == list(range(1, 9))
+    monkeypatch.setattr(training, "save_stage_checkpoint", real_save)
+    run_vq_stage(toy_cfg(data_dir, train={"epochs": 3}), run, resume=True)
+    _, rows = read_metrics(run / "metrics.csv")
+    assert [int(r[0]) for r in rows] == list(range(1, 13))
+
+
+def test_resume_refuses_another_stages_checkpoint(tmp_path, chain):
+    root, _, _, cfg_sft = chain
+    run = tmp_path / "run"
+    shutil.copytree(root / "cpt", run)
+    with pytest.raises(ConfigError, match="sft stage must start from a sft checkpoint"):
+        run_sft_stage(copy.deepcopy(cfg_sft), run, resume=True)
+    assert sorted(p.name for p in (run / "checkpoints").iterdir()) == ["epoch_0000", "epoch_0001"]
+    assert (run / "config.json").read_text() == (root / "cpt" / "config.json").read_text()
 
 
 def test_find_latest_skips_incomplete_checkpoints(tmp_path, data_dir):
