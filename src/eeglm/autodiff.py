@@ -1,10 +1,17 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 A `Graph` is an append-only tape recording every differentiable operation
-executed while it is the active context. `backward` walks the tape once in
+executed while it is the active context. A tape lives for one `with Graph()`
+block: on exit the graph drops its nodes, so the step's intermediate tensors
+are freed by reference counting as soon as nothing else holds them, and
+`backward` must run inside the block. `backward` walks the tape once in
 reverse construction order, accumulating vector-Jacobian products additively
 at fan-out points. There is no higher-order differentiation: gradients are
 plain numpy arrays, not tensors on a tape.
+
+`linear` and `attention` are fused primitives: each records one node whose
+vjp replays, in the same order, the numpy expressions of the chain of
+smaller ops it stands for.
 
 Operations validate shapes eagerly and raise instead of producing NaN/Inf;
 every completed operation leaves only finite values behind.
@@ -29,12 +36,18 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class Graph:
-    """Append-only tape of recorded operations, used as a context manager."""
+    """Append-only tape of recorded operations, used as a context manager.
+
+    The tape lives for one `with` block. On exit `nodes` becomes None, which
+    releases every recorded node and, with them, the intermediate tensors
+    only the tape kept alive; `backward` on a loss from a released graph
+    raises. Call `backward` (and read `len(graph)`) inside the block.
+    """
 
     __slots__ = ("nodes",)
 
     def __init__(self) -> None:
-        self.nodes: list[_Node] = []
+        self.nodes: list[_Node] | None = []
 
     def __enter__(self) -> "Graph":
         _GRAPH_STACK.append(self)
@@ -44,9 +57,10 @@ class Graph:
         popped = _GRAPH_STACK.pop()
         if popped is not self:  # pragma: no cover - misuse guard
             raise RuntimeError("graph context stack corrupted")
+        self.nodes = None
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.nodes) if self.nodes is not None else 0
 
 
 class _Node:
@@ -58,6 +72,13 @@ class _Node:
         self.vjp = vjp
 
 
+def _all_finite(arr: Array) -> bool:
+    """Exact finiteness test with a fast path: a finite sum means every value
+    is finite; only a non-finite sum (a NaN or inf, or an overflow of finite
+    values) pays for the elementwise check."""
+    return math.isfinite(arr.sum()) or bool(np.isfinite(arr).all())
+
+
 def _active_graph() -> Graph | None:
     return _GRAPH_STACK[-1] if _GRAPH_STACK else None
 
@@ -65,11 +86,11 @@ def _active_graph() -> Graph | None:
 class Tensor:
     """A dense float64 array plus a flag marking it as differentiable."""
 
-    __slots__ = ("data", "requires_grad", "graph")
+    __slots__ = ("data", "requires_grad", "graph", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise NumericError("tensor initialised with non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -77,7 +98,7 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: Array) -> "Tensor":
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise NumericError("operation produced non-finite values")
         t = cls.__new__(cls)
         t.data = arr
@@ -180,6 +201,11 @@ def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, 
     grads: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
     graph = loss.graph
     if graph is not None:
+        if graph.nodes is None:
+            raise RuntimeError(
+                "backward called after the loss's Graph exited and released its tape; "
+                "call backward inside the `with Graph()` block"
+            )
         for node in reversed(graph.nodes):
             gout = grads.get(node.out)
             if gout is None:
@@ -452,22 +478,75 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
+def _weight_grad(x: Array, g: Array, w: Tensor) -> Array | None:
+    """Gradient of x @ w.T with respect to w (None when w is frozen), summed
+    over x's leading axes as the matmul and transpose vjps sum it."""
+    if not w.requires_grad:
+        return None
+    return np.transpose(_unbroadcast(np.matmul(_swap_last(x), g), w.data.shape[::-1]))
+
+
+def linear(x, w, b=None, lora: tuple[Tensor, Tensor, float] | None = None) -> Tensor:
+    """x @ w.T (+ scale * (x @ a.T) @ lora_b.T) (+ b) as one tape node.
+
+    `lora` is (a, lora_b, scale) for a low-rank adapter on the weight. The
+    values and gradients are those of the unfused chain of matmul,
+    transpose, mul and add nodes, computed by the same numpy expressions in
+    the same order.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    if x.data.ndim < 2 or w.data.ndim != 2:
+        raise ShapeError(f"linear needs >=2-D x and 2-D w, got {x.data.shape} and {w.data.shape}")
+    if x.data.shape[-1] != w.data.shape[1]:
+        raise ShapeError(f"linear mismatch: x {x.data.shape} vs weight {w.data.shape}")
+    y = np.matmul(x.data, np.transpose(w.data))
+    # x enters twice with an adapter, once per product; listing it twice
+    # keeps the adapter's share accumulated first, as in the unfused chain
+    inputs: tuple[Tensor, ...] = (x, w)
+    if lora is not None:
+        a, lb, scale = lora
+        low = np.matmul(x.data, np.transpose(a.data))
+        y = y + np.matmul(low, np.transpose(lb.data)) * scale
+        inputs = (x, a, lb) + inputs
+    if b is not None:
+        b = as_tensor(b)
+        y = y + b.data
+        inputs = inputs + (b,)
+    out = Tensor._wrap(y)
+
+    def vjp(g: Array):
+        grads: list[Array | None] = []
+        if lora is not None:
+            gt = g * scale
+            glow = np.matmul(gt, lb.data) if x.requires_grad or a.requires_grad else None
+            gx_lora = np.matmul(glow, a.data) if x.requires_grad else None
+            grads += [gx_lora, _weight_grad(x.data, glow, a), _weight_grad(low, gt, lb)]
+        gx = np.matmul(g, w.data) if x.requires_grad else None
+        grads += [gx, _weight_grad(x.data, g, w)]
+        if b is not None:
+            grads.append(_unbroadcast(g, b.data.shape))
+        return grads
+
+    return _record(out, inputs, vjp)
+
+
 # ---------------------------------------------------------------------------
 # normalisation and attention helpers
 # ---------------------------------------------------------------------------
 
+def _softmax_data(x: Array, axis: int) -> Array:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_vjp(y: Array, g: Array, axis: int) -> Array:
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor._wrap(y)
-
-    def vjp(g: Array):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
-
-    return _record(out, (a,), vjp)
+    out = Tensor._wrap(_softmax_data(a.data, axis))
+    return _record(out, (a,), lambda g: (_softmax_vjp(out.data, g, axis),))
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
@@ -481,6 +560,45 @@ def log_softmax(a, axis: int = -1) -> Tensor:
         return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
 
     return _record(out, (a,), vjp)
+
+
+def attention(q, k, v, scale: float, causal: bool = False) -> tuple[Tensor, Array]:
+    """Scaled dot-product attention as one tape node.
+
+    q is (..., Tq, D), k and v are (..., Tk, D) with the same leading (head)
+    axes. Returns the mixed values (..., Tq, D) and the softmax weights
+    (..., Tq, Tk) as a plain array. With `causal`, query i sees keys j <= i
+    (a -1e9 additive mask). The vjp works from the saved softmax output, as
+    FlashAttention's backward does (Dao et al. 2022), without tiling, and
+    replays the numpy expressions of the unfused matmul, transpose, mul,
+    add, softmax and matmul chain.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if (
+        q.data.ndim < 2
+        or k.data.shape != v.data.shape
+        or q.data.shape[:-2] != k.data.shape[:-2]
+        or q.data.shape[-1] != k.data.shape[-1]
+    ):
+        raise ShapeError(
+            f"attention shapes do not fit: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}"
+        )
+    scores = np.matmul(q.data, _swap_last(k.data)) * scale
+    if causal:
+        scores = scores + np.triu(np.full(scores.shape[-2:], -1e9), k=1)
+    weights = _softmax_data(scores, -1)
+    out = Tensor._wrap(np.matmul(weights, v.data))
+
+    def vjp(g: Array):
+        gv = np.matmul(_swap_last(weights), g) if v.requires_grad else None
+        if not (q.requires_grad or k.requires_grad):
+            return None, None, gv
+        gs = _softmax_vjp(weights, np.matmul(g, _swap_last(v.data)), -1) * scale
+        gq = np.matmul(gs, k.data) if q.requires_grad else None
+        gk = _swap_last(np.matmul(_swap_last(q.data), gs)) if k.requires_grad else None
+        return gq, gk, gv
+
+    return _record(out, (q, k, v), vjp), weights
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:

@@ -101,7 +101,7 @@ class ToyBackbone(Module):
         x = self.ln_f(x)
         if self.head is not None:
             return self.head(x)
-        return ad.matmul(x, ad.transpose(self.tok_emb.table))
+        return ad.linear(x, self.tok_emb.table)
 
     # -- adapter management --------------------------------------------------
 

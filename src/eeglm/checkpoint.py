@@ -45,13 +45,22 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict 
     os.replace(tmp_manifest, root / MANIFEST)
 
 
+def _read_manifest(root: Path) -> dict:
+    try:
+        return json.loads((root / MANIFEST).read_text())
+    except (OSError, json.JSONDecodeError) as e:
+        raise DataError(f"cannot read checkpoint manifest in {root}: {e}") from e
+
+
+def load_meta(path: str | Path) -> dict:
+    """A checkpoint's metadata, read from its manifest alone."""
+    return _read_manifest(Path(path)).get("meta", {})
+
+
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint directory back as float64 arrays plus metadata."""
     root = Path(path)
-    try:
-        manifest = json.loads((root / MANIFEST).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read checkpoint manifest in {root}: {e}") from e
+    manifest = _read_manifest(root)
     try:
         raw = (root / WEIGHTS).read_bytes()
     except OSError as e:

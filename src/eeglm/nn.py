@@ -90,13 +90,8 @@ class Linear(Module):
         return self.w.data + self._lora_scale * (self.lora_b.data @ self.lora_a.data)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = ad.matmul(x, ad.transpose(self.w))
-        if self.lora_a is not None:
-            low = ad.matmul(x, ad.transpose(self.lora_a))
-            y = ad.add(y, ad.mul(ad.matmul(low, ad.transpose(self.lora_b)), self._lora_scale))
-        if self.b is not None:
-            y = ad.add(y, self.b)
-        return y
+        lora = None if self.lora_a is None else (self.lora_a, self.lora_b, self._lora_scale)
+        return ad.linear(x, self.w, self.b, lora)
 
 
 class LayerNorm(Module):
@@ -153,13 +148,8 @@ class MultiHeadAttention(Module):
         q = split(self.wq(query), tq)
         k = split(self.wk(key_value), tk)
         v = split(self.wv(key_value), tk)
-        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-        if causal:
-            mask = np.triu(np.full((tq, tk), -1e9), k=1)
-            scores = ad.add(scores, mask)
-        attn = ad.softmax(scores, axis=-1)
-        self.last_attention = attn.data.mean(axis=0)
-        mixed = ad.matmul(attn, v)
+        mixed, weights = ad.attention(q, k, v, 1.0 / math.sqrt(dh), causal)
+        self.last_attention = weights.mean(axis=0)
         out = ad.reshape(ad.transpose(mixed, (1, 0, 2)), (tq, e))
         return self.wo(out)
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph, Tensor, backward
 from .backbone import BackboneConfig, ToyBackbone
-from .checkpoint import assign_parameters, load_checkpoint, save_checkpoint
+from .checkpoint import assign_parameters, load_checkpoint, load_meta, save_checkpoint
 from .encoder import DualStreamEncoder, EncoderConfig
 from .errors import ConfigError, DataError, MontageError
 from .losses import ReconstructionHeads, loss_cpt, loss_dsha, loss_ntp, loss_sft
@@ -309,7 +309,9 @@ def save_stage_checkpoint(
 
 
 def find_latest_checkpoint(run_dir: str | Path) -> tuple[Path, dict] | None:
-    """Newest complete epoch checkpoint under run_dir/checkpoints, if any."""
+    """Newest complete epoch checkpoint under run_dir/checkpoints, if any,
+    with its metadata; only the manifest is read (a manifest is written last,
+    so its presence means the checkpoint is complete)."""
     ckpt_root = Path(run_dir) / "checkpoints"
     if not ckpt_root.is_dir():
         return None
@@ -322,8 +324,7 @@ def find_latest_checkpoint(run_dir: str | Path) -> tuple[Path, dict] | None:
                 best = (idx, entry)
     if best is None:
         return None
-    _, meta = load_checkpoint(best[1])
-    return best[1], meta
+    return best[1], load_meta(best[1])
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +619,10 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
                 with Graph():
                     loss, vals = spec.step(model, items[i])
                     grads = backward(loss, wrt=list(trainable.values()))
-                named = clip_global_norm(
-                    {k: grads[v] for k, v in trainable.items()}, opt_cfg["clip_norm"]
-                )
+                    # keep only the parameters' gradients, so the step's
+                    # intermediates go with the tape when the block exits
+                    grads = {k: grads[v] for k, v in trainable.items()}
+                named = clip_global_norm(grads, opt_cfg["clip_norm"])
                 lr_t = cosine_schedule(
                     step,
                     total_steps,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,22 @@ def test_non_finite_construction_rejected():
         ad.Tensor([1.0, np.inf])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected_at_construction_and_by_ops(bad):
+    with pytest.raises(NumericError):
+        ad.Tensor([[1.0, 2.0], [bad, 3.0]])
+    with pytest.raises(NumericError):  # the check every op's output passes
+        ad.Tensor._wrap(np.array([[0.0, bad], [1.0, 2.0]]))
+
+
+def test_finite_values_whose_sum_overflows_are_accepted():
+    # the fast path sums the values; the sum overflows, the values do not
+    with np.errstate(over="ignore"):
+        x = ad.Tensor([1e308, 1e308])
+        y = ad.mul(x, 1.0)
+    np.testing.assert_array_equal(y.data, [1e308, 1e308])
+
+
 def test_division_by_zero_raises_instead_of_inf():
     with pytest.raises(NumericError):
         ad.div(t([1.0]), t([0.0]))
@@ -137,6 +156,32 @@ def test_straight_through_passes_values_and_reroutes_gradient():
     np.testing.assert_allclose(out.data, [10.0, 20.0])
     np.testing.assert_allclose(grads[h], [20.0, 40.0])  # d(sum z^2)/dz routed to h
     np.testing.assert_allclose(grads[z], [0.0, 0.0])
+
+
+def test_backward_after_graph_exit_raises():
+    w = t([1.0, 2.0])
+    with ad.Graph():
+        loss = ad.sum_(ad.mul(w, w))
+    with pytest.raises(RuntimeError, match="Graph exited"):
+        ad.backward(loss, wrt=[w])
+
+
+def test_tape_freed_when_graph_exits():
+    w = t(np.ones((3, 3)))
+    gc.disable()
+    try:
+        with ad.Graph() as graph:
+            hidden = ad.tanh(ad.matmul(w, w))
+            ref = weakref.ref(hidden)
+            loss = ad.sum_(hidden)
+            del hidden
+            grad = ad.backward(loss, wrt=[w])[w]
+            assert len(graph) == 3 and ref() is not None
+        # the intermediate was held only by the tape; no cyclic GC needed
+        assert ref() is None and len(graph) == 0
+    finally:
+        gc.enable()
+    assert grad.shape == (3, 3)
 
 
 def test_detach_blocks_gradient():
@@ -297,3 +342,112 @@ def test_relative_error_helper():
     # zero-gradient entries tolerate finite-difference noise at global scale
     assert relative_error(np.array([1.0, 0.0]), np.array([1.0, 1e-9])) < 1e-8
     assert relative_error(np.array([1.0, 1.0]), np.array([1.0, 1.5])) > 0.3
+
+
+# ---------------------------------------------------------------------------
+# fused primitives: linear and attention
+# ---------------------------------------------------------------------------
+
+def _linear_inputs(x_shape, bias, lora, seed):
+    rng = np.random.default_rng(seed)
+    ts = [t(rng.uniform(-1, 1, x_shape)), t(rng.uniform(-1, 1, (3, x_shape[-1])))]
+    if bias:
+        ts.append(t(rng.uniform(-1, 1, (3,))))
+    if lora:
+        ts += [t(rng.uniform(-1, 1, (2, x_shape[-1]))), t(rng.uniform(-1, 1, (3, 2)))]
+    return ts
+
+
+def _linear_fn(bias, lora):
+    def fn(ts):
+        b = ts[2] if bias else None
+        adapter = (ts[-2], ts[-1], 0.7) if lora else None
+        out = ad.linear(ts[0], ts[1], b, adapter)
+        return ad.sum_(ad.mul(out, out))
+
+    return fn
+
+
+@pytest.mark.parametrize("x_shape", [(4, 5), (2, 4, 5)])
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("lora", [True, False])
+def test_fd_linear(x_shape, bias, lora):
+    inputs = _linear_inputs(x_shape, bias, lora, seed=30)
+    err = check_gradients(_linear_fn(bias, lora), inputs)
+    assert err < 1e-6, f"relative error {err}"
+
+
+def test_linear_is_one_node_with_the_unfused_chain_numbers():
+    x, w, b, a, lb = _linear_inputs((2, 4, 5), True, True, seed=31)
+
+    def unfused(ts):
+        x, w, b, a, lb = ts
+        y = ad.matmul(x, ad.transpose(w))
+        low = ad.matmul(x, ad.transpose(a))
+        y = ad.add(y, ad.mul(ad.matmul(low, ad.transpose(lb)), 0.7))
+        return ad.sum_(ad.tanh(ad.add(y, b)))
+
+    def fused(ts):
+        x, w, b, a, lb = ts
+        return ad.sum_(ad.tanh(ad.linear(x, w, b, (a, lb, 0.7))))
+
+    results = []
+    for fn in (unfused, fused):
+        with ad.Graph() as graph:
+            loss = fn([x, w, b, a, lb])
+            grads = ad.backward(loss, wrt=[x, w, b, a, lb])
+            results.append((len(graph), loss.data, [grads[p] for p in (x, w, b, a, lb)]))
+    (n_unfused, l1, g1), (n_fused, l2, g2) = results
+    assert (n_unfused, n_fused) == (11, 3)
+    assert np.array_equal(l1, l2)
+    for ga, gb in zip(g1, g2):
+        assert np.array_equal(ga, gb)
+
+
+def test_linear_shape_mismatch_names_both_shapes():
+    with pytest.raises(ShapeError, match=r"\(4, 5\).*\(3, 6\)"):
+        ad.linear(t(np.zeros((4, 5))), t(np.zeros((3, 6))))
+
+
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("tq,tk", [(3, 5), (4, 4)])
+def test_fd_attention(causal, tq, tk):
+    def fn(ts):
+        out, _ = ad.attention(ts[0], ts[1], ts[2], 0.5, causal)
+        return ad.sum_(ad.mul(out, ts[3]))
+
+    _fd_case(fn, [(2, tq, 3), (2, tk, 3), (2, tk, 3), (2, tq, 3)], seed=32)
+
+
+def test_attention_is_one_node_with_the_unfused_chain_numbers():
+    rng = np.random.default_rng(33)
+    q, k, v = (t(rng.uniform(-1, 1, (2, n, 4))) for n in (5, 5, 5))
+    mask = np.triu(np.full((5, 5), -1e9), k=1)
+
+    def unfused():
+        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 0.5)
+        attn = ad.softmax(ad.add(scores, mask), axis=-1)
+        return ad.matmul(attn, v), attn.data
+
+    def fused():
+        return ad.attention(q, k, v, 0.5, causal=True)
+
+    results = []
+    for fn in (unfused, fused):
+        with ad.Graph() as graph:
+            out, weights = fn()
+            loss = ad.sum_(ad.tanh(out))
+            grads = ad.backward(loss, wrt=[q, k, v])
+            results.append((len(graph), weights, loss.data, [grads[p] for p in (q, k, v)]))
+    (n_unfused, w1, l1, g1), (n_fused, w2, l2, g2) = results
+    assert (n_unfused, n_fused) == (8, 3)
+    assert np.array_equal(w1, w2) and np.array_equal(l1, l2)
+    for ga, gb in zip(g1, g2):
+        assert np.array_equal(ga, gb)
+    # causal: no query attends to a later key
+    assert np.all(np.triu(w2, k=1) < 1e-300)
+
+
+def test_attention_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError):
+        ad.attention(t(np.zeros((2, 3, 4))), t(np.zeros((2, 5, 3))), t(np.zeros((2, 5, 3))), 1.0)

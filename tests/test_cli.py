@@ -268,6 +268,30 @@ def test_train_resume_extends_run(env, tmp_path):
     assert steps == list(range(1, 9))
 
 
+def test_train_resume_reads_the_checkpoint_once(env, tmp_path, monkeypatch):
+    from eeglm import training
+
+    run = tmp_path / "run"
+    base = env["base"]
+    assert main(base + [
+        "--out", str(run), "train", "--stage", "vq",
+        "--data", str(env["data"]), "--epochs", "1",
+    ]) == 0
+    loaded = []
+    real_load = training.load_checkpoint
+
+    def counting_load(path):
+        loaded.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(training, "load_checkpoint", counting_load)
+    assert main(base + [
+        "--out", str(run), "train", "--stage", "vq",
+        "--data", str(env["data"]), "--epochs", "2", "--resume",
+    ]) == 0
+    assert loaded == [run / "checkpoints" / "epoch_0000"]
+
+
 def test_train_missing_data_exits_3(env, tmp_path):
     rc = main(env["base"] + [
         "--out", str(tmp_path / "run"), "train", "--stage", "vq",
