@@ -390,10 +390,8 @@ def slice_(a, key) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def take(a, indices, axis: int = 0) -> Tensor:
+def take(a, indices) -> Tensor:
     """Row gather along axis 0 with duplicate-aware backward."""
-    if axis != 0:
-        raise ShapeError("take supports axis=0 only")
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
     out = Tensor._wrap(a.data[idx])

@@ -138,16 +138,8 @@ class ToyBackbone(Module):
             layer.attach_lora(rank, alpha, rng)
 
     def merge_adapters(self) -> None:
-        for block in self.blocks:
-            for layer in (
-                block.attn.wq,
-                block.attn.wk,
-                block.attn.wv,
-                block.attn.wo,
-                block.ffn.fc1,
-                block.ffn.fc2,
-            ):
-                layer.merge_lora()
+        for layer in self._target_layers(LORA_TARGETS):
+            layer.merge_lora()
 
     def adapter_parameters(self) -> dict[str, Tensor]:
         return {

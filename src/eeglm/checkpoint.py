@@ -47,9 +47,12 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict 
 
 def _read_manifest(root: Path) -> dict:
     try:
-        return json.loads((root / MANIFEST).read_text())
+        manifest = json.loads((root / MANIFEST).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(f"cannot read checkpoint manifest in {root}: {e}") from e
+    if not isinstance(manifest, dict):
+        raise DataError(f"checkpoint manifest in {root} is not a JSON object")
+    return manifest
 
 
 def load_meta(path: str | Path) -> dict:
@@ -67,12 +70,15 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         raise DataError(f"cannot read checkpoint weights in {root}: {e}") from e
     arrays: dict[str, np.ndarray] = {}
     for entry in manifest.get("params", []):
-        name, shape, offset = entry["name"], tuple(entry["shape"]), int(entry["offset"])
+        try:
+            name, shape, offset = entry["name"], tuple(entry["shape"]), int(entry["offset"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"checkpoint {root}: malformed manifest entry {entry!r}") from e
         count = int(np.prod(shape)) if shape else 1
         end = offset + 4 * count
-        if end > len(raw):
+        if offset < 0 or end > len(raw):
             raise DataError(
-                f"checkpoint {root}: entry {name!r} extends to byte {end}, "
+                f"checkpoint {root}: entry {name!r} spans bytes {offset} to {end}, "
                 f"file holds {len(raw)}"
             )
         flat = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
@@ -80,14 +86,12 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, manifest.get("meta", {})
 
 
-def assign_parameters(params: dict[str, "object"], arrays: dict[str, np.ndarray], strict: bool = True) -> None:
-    """Copy checkpoint arrays into an in-memory named-parameter dict."""
+def assign_parameters(params: dict[str, "object"], arrays: dict[str, np.ndarray]) -> None:
+    """Copy checkpoint arrays into an in-memory named-parameter dict (all of them)."""
     missing = [k for k in params if k not in arrays]
-    if strict and missing:
+    if missing:
         raise DataError(f"checkpoint missing parameters: {missing[:5]}{'...' if len(missing) > 5 else ''}")
     for name, tensor in params.items():
-        if name not in arrays:
-            continue
         arr = arrays[name]
         if tuple(tensor.data.shape) != tuple(arr.shape):
             raise DataError(

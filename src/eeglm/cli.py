@@ -17,7 +17,7 @@ from .quantizer import save_tokens
 from .refiner import attention_rows
 from .signal_io import WORK_FS, load_recording, preprocess, save_container
 from .synth import make_dataset
-from .training import load_model, make_llm_client, profile_recording, run_stage
+from .training import load_model, make_llm_client, profile_recording, profile_signal, run_stage
 
 ATTN_HEADER = ("expert", "channel", "patch", "weight")
 
@@ -81,25 +81,18 @@ def cmd_tokenize(args, cfg: dict) -> int:
 def cmd_profile(args, cfg: dict) -> int:
     from .signal_io import load_container
     from .topology import build_hierarchy, get_montage
-    from .profiler import TaskMeta, build_prompt, extract_features, generate_profile, verbalize
 
     rec = load_container(args.container)
     hier = build_hierarchy(get_montage(cfg["data"]["montage"]))
-    features = extract_features(rec, hier)
-    meta = TaskMeta(
-        sample_name=args.sample_name or Path(args.container).name,
-        dataset_name=cfg["data"]["dataset_name"],
-        task_logic=cfg["data"]["task_description"],
-        num_channels=rec.n_channels,
-        num_samples=rec.n_samples,
+    name = args.sample_name or Path(args.container).name
+    features, prompt, result = profile_signal(
+        rec, hier, cfg["data"], name, make_llm_client(cfg["llm"])
     )
-    prompt = build_prompt(meta, verbalize(features), tuple(cfg["data"]["classes"]))
-    result = generate_profile(prompt, make_llm_client(cfg["llm"]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "prompt.txt").write_text(prompt)
     (out / "features.json").write_text(json.dumps(asdict(features), indent=2, default=float))
-    record = dict(zip(PROFILE_KEYS, result.profile.as_tuple()))
+    record = result.profile.to_dict()
     record["_retries"] = result.retries
     (out / "profile.json").write_text(json.dumps(record, indent=2))
     _echo_config(out, cfg)

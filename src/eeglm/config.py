@@ -63,8 +63,21 @@ DEFAULTS: dict = {
 STAGES = ("vq", "cpt", "sft")
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    """Recursively overlay `override` onto `base`, rejecting unknown keys."""
+def _fits(default, value) -> bool:
+    """Whether `value` has the type of `default`: bool is never a number, an
+    int may stand for a float, a null default takes a string or null, and
+    list elements take the type of the default's elements."""
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
+    if isinstance(default, float) and not isinstance(value, bool):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
+def _merge(base: dict, override: dict, path: str = "", defaults: dict = DEFAULTS) -> dict:
+    """Recursively overlay `override` onto `base`, rejecting unknown keys and mistyped values."""
     out = dict(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -73,7 +86,11 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {where!r} must be a table, got {value!r}")
-            out[key] = _merge(base[key], value, where)
+            out[key] = _merge(base[key], value, where, defaults[key])
+        elif not _fits(defaults[key], value):
+            raise ConfigError(
+                f"config key {where!r} must match the type of {defaults[key]!r}, got {value!r}"
+            )
         else:
             out[key] = value
     return out
@@ -130,6 +147,8 @@ def validate_config(cfg: dict) -> None:
     for name, value in positive:
         if value <= 0:
             raise ConfigError(f"{name} must be positive, got {value}")
+    if len(cfg["optimizer"]["betas"]) != 2:
+        raise ConfigError(f"optimizer.betas must hold two numbers, got {cfg['optimizer']['betas']}")
     if not 0.0 <= cfg["train"]["lambda_orth"]:
         raise ConfigError(f"train.lambda_orth must be >= 0, got {cfg['train']['lambda_orth']}")
     if cfg["llm"]["mode"] not in ("stub", "http"):

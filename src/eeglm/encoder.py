@@ -106,10 +106,6 @@ def _flat(level: Tensor) -> Tensor:
     return ad.reshape(level, (n * p, e))
 
 
-def _unflat(tokens: Tensor, n: int, p: int, e: int) -> Tensor:
-    return ad.reshape(tokens, (n, p, e))
-
-
 class DualStreamEncoder(Module):
     """Hierarchy-pooled dual-stream attention encoder producing H_EEG."""
 
@@ -184,7 +180,7 @@ class DualStreamEncoder(Module):
         # channel-broadcast mean of the intermediate levels 2..4
         ones = Tensor(np.ones((c, 1)))
         g_broad = ad.reshape(ad.matmul(ones, ad.reshape(g, (1, p * e))), (c, p, e))
-        l_full = _unflat(l, c, p, e)
+        l_full = ad.reshape(l, (c, p, e))
         fused = self.fuse_proj(ad.concat([g_broad, l_full], axis=-1))
         h_eeg = ad.add(fused, self.broadcast_mean_234(levels, p, e))
         return EncoderOutput(h_eeg=h_eeg, features=feats, levels=levels, g_hist=g_hist, l_hist=l_hist)

@@ -14,10 +14,6 @@ class MetricError(DataError):
     """Metric preconditions violated (missing class, degenerate batch...)."""
 
 
-# counts F1 0/0 -> 0 fallbacks so silent degenerate scores remain visible
-ZERO_DIV_WARNINGS = {"count": 0}
-
-
 @dataclass(frozen=True)
 class EvalBatch:
     """True labels, predicted labels and optional per-class scores."""
@@ -163,7 +159,6 @@ def weighted_f1(batch: EvalBatch) -> float:
         fn = mat[c, :].sum() - tp
         denom = 2 * tp + fp + fn
         if denom == 0.0:
-            ZERO_DIV_WARNINGS["count"] += 1
             f1 = 0.0
         else:
             f1 = 2 * tp / denom

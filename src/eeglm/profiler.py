@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 import scipy.signal as sps
@@ -14,6 +14,8 @@ from .signal_io import FREQ_BANDS, Recording
 from .topology import BthHierarchy
 
 DEFAULT_TOP_K = 3
+MAX_RETRIES = 2  # re-asks after a malformed completion
+MAX_TOKENS = 1024  # completion budget sent with each HTTP request
 WELCH_SECONDS = 2.0
 SPAN_LOW = 0.5
 SPAN_HIGH = 100.0
@@ -133,14 +135,7 @@ class SemanticProfile:
         return dict(zip(PROFILE_KEYS, self.as_tuple()))
 
     def as_tuple(self) -> tuple[str, ...]:
-        return (
-            self.task_description,
-            self.prior_knowledge,
-            self.physical_features,
-            self.spatial_features,
-            self.quality_notes,
-            self.summary,
-        )
+        return astuple(self)
 
     @staticmethod
     def from_dict(record: dict) -> "SemanticProfile":
@@ -257,15 +252,13 @@ def spatial_summary(
     return tuple(regions), top
 
 
-def extract_features(
-    rec: Recording, hier: BthHierarchy, k: int = DEFAULT_TOP_K
-) -> PhysicalFeatures:
+def extract_features(rec: Recording, hier: BthHierarchy) -> PhysicalFeatures:
     """Run the temporal, spectral, and spatial operators over a recording."""
     channel_stats = {lab: temporal_stats(row) for lab, row in zip(rec.channels, rec.data)}
     channel_spectra = {
         lab: spectral_stats(row, rec.fs) for lab, row in zip(rec.channels, rec.data)
     }
-    regions, top = spatial_summary(rec, hier, k)
+    regions, top = spatial_summary(rec, hier)
     degenerate = tuple(
         lab
         for lab in rec.channels
@@ -464,18 +457,16 @@ class HttpClient(LlmClient):
         model: str = "",
         token_env: str = "EEGLM_LLM_TOKEN",
         timeout: float = 30.0,
-        max_tokens: int = 1024,
     ):
         self.endpoint = endpoint
         self.model = model
         self.token_env = token_env
         self.timeout = timeout
-        self.max_tokens = max_tokens
 
     def complete(self, prompt: str) -> str:
         import requests
 
-        body = {"prompt": prompt, "max_tokens": self.max_tokens, "temperature": 0}
+        body = {"prompt": prompt, "max_tokens": MAX_TOKENS, "temperature": 0}
         if self.model:
             body["model"] = self.model
         headers = {"Content-Type": "application/json"}
@@ -528,14 +519,12 @@ def parse_profile(text: str) -> SemanticProfile:
     return SemanticProfile.from_dict(record)
 
 
-def generate_profile(
-    prompt: str, client: LlmClient, max_retries: int = 2
-) -> ProfileResult:
+def generate_profile(prompt: str, client: LlmClient) -> ProfileResult:
     """Send the prompt, parse the reply, and re-ask on malformed output."""
     current = prompt
     last_error = ""
     raw = ""
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         raw = client.complete(current)
         try:
             return ProfileResult(parse_profile(raw), retries=attempt, raw=raw)
@@ -543,5 +532,5 @@ def generate_profile(
             last_error = str(exc)
             current = prompt + "\n\n" + REASK_SUFFIX
     raise DataError(
-        f"profile output stayed malformed after {max_retries} retries: {last_error}"
+        f"profile output stayed malformed after {MAX_RETRIES} retries: {last_error}"
     )

@@ -19,6 +19,8 @@ from .autodiff import Tensor
 from .errors import DataError, ShapeError
 from .nn import Linear, Module
 
+KMEANS_ITERS = 10  # Lloyd iterations of the codebook warm start
+
 
 @dataclass(frozen=True)
 class QuantizerConfig:
@@ -93,7 +95,7 @@ class VectorQuantizer(Module):
     def quantize_rows(self, rows: np.ndarray) -> np.ndarray:
         return nearest_indices(rows, self.codebook.data)
 
-    def warm_start(self, rows: np.ndarray, rng: np.random.Generator, iters: int = 10) -> None:
+    def warm_start(self, rows: np.ndarray, rng: np.random.Generator) -> None:
         """Optional k-means initialisation of the codebook from sample rows.
 
         Seeding follows the k-means++ rule; clusters that empty out are
@@ -112,7 +114,7 @@ class VectorQuantizer(Module):
             probs = d2 / d2.sum() if d2.sum() > 0 else np.full(rows.shape[0], 1.0 / rows.shape[0])
             centers[j] = rows[rng.choice(rows.shape[0], p=probs)]
             d2 = np.minimum(d2, np.sum((rows - centers[j]) ** 2, axis=1))
-        for _ in range(iters):
+        for _ in range(KMEANS_ITERS):
             assign = nearest_indices(rows, centers)
             dist = np.linalg.norm(rows - centers[assign], axis=1)
             for j in range(n):
@@ -164,7 +166,7 @@ class VectorQuantizer(Module):
         return revived
 
 
-def codebook_health(counts: np.ndarray, unused_epochs: np.ndarray | None = None) -> dict:
+def codebook_health(counts: np.ndarray) -> dict:
     """Usage perplexity exp(entropy) and dead-entry count from usage counts."""
     counts = np.asarray(counts, dtype=np.float64)
     total = counts.sum()
@@ -173,13 +175,10 @@ def codebook_health(counts: np.ndarray, unused_epochs: np.ndarray | None = None)
     probs = counts / total
     nz = probs[probs > 0]
     entropy = -np.sum(nz * np.log(nz))
-    report = {
+    return {
         "perplexity": float(np.exp(entropy)),
         "dead_entries": int(np.sum(counts == 0)),
     }
-    if unused_epochs is not None:
-        report["stale_entries"] = int(np.sum(unused_epochs > 0))
-    return report
 
 
 # ---------------------------------------------------------------------------

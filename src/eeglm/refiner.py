@@ -12,6 +12,8 @@ from .errors import ConfigError, NumericError, ShapeError
 from .hashing import fnv1a_64
 from .nn import FeedForward, LayerNorm, Module, MultiHeadAttention
 
+N_HASHES = 4  # hashed slots each word adds to its embedding row
+
 
 @dataclass(frozen=True)
 class RefinerConfig:
@@ -42,21 +44,18 @@ class ExpertSummary:
 class HashedTextEmbedder:
     """Deterministic per-word hashed embedding: one L2-normalized row per word."""
 
-    def __init__(self, embed_dim: int, n_hashes: int = 4):
+    def __init__(self, embed_dim: int):
         if embed_dim < 1:
             raise ConfigError(f"embedding dim must be >= 1, got {embed_dim}")
-        if n_hashes < 1:
-            raise ConfigError(f"hash count must be >= 1, got {n_hashes}")
         self.embed_dim = embed_dim
-        self.n_hashes = n_hashes
 
     def embed(self, text: str) -> np.ndarray:
         words = text.lower().split()
         rows = np.zeros((len(words), self.embed_dim))
         for i, word in enumerate(words):
-            for seed in range(self.n_hashes):
+            for seed in range(N_HASHES):
                 rows[i, fnv1a_64(f"{seed}:{word}") % self.embed_dim] += 1.0
-        rows /= self.n_hashes
+        rows /= N_HASHES
         norms = np.linalg.norm(rows, axis=1, keepdims=True)
         return rows / np.maximum(norms, 1e-12)
 

@@ -116,7 +116,10 @@ def load_container(path: str | Path) -> Recording:
     if manifest["dtype"] != "f32le":
         raise DataError(f"unsupported dtype {manifest['dtype']!r} in {manifest_path}")
     channels = tuple(str(c) for c in manifest["channels"])
-    samples = int(manifest["samples"])
+    try:
+        samples, fs = int(manifest["samples"]), float(manifest["fs"])
+    except (TypeError, ValueError) as e:
+        raise DataError(f"manifest {manifest_path}: samples and fs must be numbers: {e}") from e
     try:
         raw = np.fromfile(bin_path, dtype="<f4")
     except OSError as e:
@@ -129,7 +132,7 @@ def load_container(path: str | Path) -> Recording:
         )
     data = raw.astype(np.float64).reshape(len(channels), samples)
     _check_finite(data, str(bin_path))
-    return Recording(channels=channels, fs=float(manifest["fs"]), data=data)
+    return Recording(channels=channels, fs=fs, data=data)
 
 
 def save_container(rec: Recording, path: str | Path, extra_meta: dict | None = None) -> None:

@@ -199,6 +199,8 @@ def _expand_assignments(
         if lab not in raw:
             raise MontageError(f"unknown electrode label {lab!r}: no assignment present")
         entry = raw[lab]
+        if not isinstance(entry, dict) or "band" not in entry or "zone" not in entry:
+            raise MontageError(f"assignment of electrode {lab!r} needs 'band' and 'zone'")
         band = str(entry["band"]).lower()
         if band not in BANDS:
             raise MontageError(f"electrode {lab!r} has unknown band {entry['band']!r}")
@@ -232,7 +234,10 @@ def load_montage(path: str | Path) -> Montage:
     if "labels" not in payload or "assignments" not in payload:
         raise MontageError(f"montage file {path} needs 'labels' and 'assignments'")
     labels = [str(x) for x in payload["labels"]]
-    region = _expand_assignments(labels, payload["assignments"])
+    try:
+        region = _expand_assignments(labels, payload["assignments"])
+    except MontageError as e:
+        raise MontageError(f"montage file {path}: {e}") from None
     return Montage(labels=tuple(labels), region_map=region)
 
 

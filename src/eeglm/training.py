@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph, Tensor, backward
 from .backbone import BackboneConfig, ToyBackbone
-from .checkpoint import assign_parameters, load_checkpoint, load_meta, save_checkpoint
+from .checkpoint import MANIFEST, assign_parameters, load_checkpoint, load_meta, save_checkpoint
 from .encoder import DualStreamEncoder, EncoderConfig
 from .errors import ConfigError, DataError, MontageError
 from .losses import ReconstructionHeads, loss_cpt, loss_dsha, loss_ntp, loss_sft
@@ -36,6 +36,7 @@ from .refiner import HashedTextEmbedder, RefinerConfig, SemanticRefiner
 from .sequences import HybridSequence, VocabSpec, WhitespaceTokenizer, assemble_sequence
 from .signal_io import Recording, dft_target, patch
 from .synth import load_corpus
+from .topology import BthHierarchy
 
 CSV_COLUMNS = ("step", "loss_total", "loss_text", "loss_eeg", "loss_orth", "lr")
 
@@ -91,39 +92,15 @@ def build_model(cfg: dict) -> PipelineModel:
     """Construct the full bundle from a resolved config, seeded by cfg['seed']."""
     rng = np.random.default_rng(cfg["seed"])
     enc_cfg = EncoderConfig(
-        embed_dim=cfg["encoder"]["embed_dim"],
-        n_heads=cfg["encoder"]["n_heads"],
-        ffn_mult=cfg["encoder"]["ffn_mult"],
-        patch_len=cfg["data"]["patch_len"],
-        max_patches=cfg["encoder"]["max_patches"],
-        montage=cfg["data"]["montage"],
+        **cfg["encoder"], patch_len=cfg["data"]["patch_len"], montage=cfg["data"]["montage"]
     )
-    q_cfg = QuantizerConfig(
-        num_codes=cfg["quantizer"]["num_codes"],
-        code_dim=cfg["quantizer"]["code_dim"],
-        beta=cfg["quantizer"]["beta"],
-        kmeans_warm_start=cfg["quantizer"]["kmeans_warm_start"],
-        revival_epochs=cfg["quantizer"]["revival_epochs"],
-    )
+    q_cfg = QuantizerConfig(**cfg["quantizer"])
     # the refiner attends over codebook rows and its summary rows feed the
     # backbone's continuous bridge, so both widths equal the code width
-    ref_cfg = RefinerConfig(
-        n_experts=cfg["refiner"]["n_experts"],
-        embed_dim=q_cfg.code_dim,
-        n_heads=cfg["refiner"]["n_heads"],
-        ffn_mult=cfg["refiner"]["ffn_mult"],
-    )
-    vocab = VocabSpec(v_text=cfg["backbone"]["v_text"], n_codes=q_cfg.num_codes)
-    bb_cfg = BackboneConfig(
-        vocab=vocab,
-        n_layers=cfg["backbone"]["n_layers"],
-        embed_dim=cfg["backbone"]["embed_dim"],
-        n_heads=cfg["backbone"]["n_heads"],
-        ffn_mult=cfg["backbone"]["ffn_mult"],
-        max_len=cfg["backbone"]["max_len"],
-        sem_dim=q_cfg.code_dim,
-        tied_head=cfg["backbone"]["tied_head"],
-    )
+    ref_cfg = RefinerConfig(**cfg["refiner"], embed_dim=q_cfg.code_dim)
+    bb = dict(cfg["backbone"])
+    vocab = VocabSpec(v_text=bb.pop("v_text"), n_codes=q_cfg.num_codes)
+    bb_cfg = BackboneConfig(vocab=vocab, sem_dim=q_cfg.code_dim, **bb)
     encoder = DualStreamEncoder(enc_cfg, rng)
     recon = ReconstructionHeads(enc_cfg.embed_dim, cfg["data"]["patch_len"], rng)
     quantizer = VectorQuantizer(q_cfg, enc_cfg.embed_dim, rng)
@@ -146,9 +123,8 @@ def _load_into(model: PipelineModel, arrays: dict[str, np.ndarray], stage: str) 
     """Give a freshly built model the parameter layout of a `stage` checkpoint
     and load its arrays; a loaded codebook needs no k-means warm start."""
     if stage != "vq":
-        lora = model.cfg["lora"]
-        model.backbone.apply_lora(lora["rank"], lora["alpha"], np.random.default_rng(0))
-    assign_parameters(model.named_parameters(), arrays, strict=True)
+        model.backbone.apply_lora(**model.cfg["lora"], rng=np.random.default_rng(0))
+    assign_parameters(model.named_parameters(), arrays)
     model.quantizer._warmed = True
 
 
@@ -169,11 +145,7 @@ def load_model(checkpoint_path: str | Path) -> tuple[PipelineModel, dict]:
 def make_llm_client(llm_cfg: dict) -> LlmClient:
     if llm_cfg["mode"] == "stub":
         return StubClient()
-    return HttpClient(
-        endpoint=llm_cfg["endpoint"],
-        model=llm_cfg["model"],
-        token_env=llm_cfg["token_env"],
-    )
+    return HttpClient(**{k: v for k, v in llm_cfg.items() if k != "mode"})
 
 
 def profile_recording(
@@ -182,9 +154,19 @@ def profile_recording(
     sample_name: str,
     client: LlmClient,
 ) -> tuple[PhysicalFeatures, str, ProfileResult]:
+    """`profile_signal` over the model's hierarchy and data config."""
+    return profile_signal(rec, model.encoder.hierarchy, model.cfg["data"], sample_name, client)
+
+
+def profile_signal(
+    rec: Recording,
+    hier: BthHierarchy,
+    data_cfg: dict,
+    sample_name: str,
+    client: LlmClient,
+) -> tuple[PhysicalFeatures, str, ProfileResult]:
     """Deterministic features -> label-free prompt -> structured profile."""
-    data_cfg = model.cfg["data"]
-    features = extract_features(rec, model.encoder.hierarchy)
+    features = extract_features(rec, hier)
     meta = TaskMeta(
         sample_name=sample_name,
         dataset_name=data_cfg["dataset_name"],
@@ -291,10 +273,8 @@ def save_stage_checkpoint(
 ) -> Path:
     arrays = {name: t.data for name, t in model.named_parameters().items()}
     state = opt.export_state()
-    for pname, arr in state["m"].items():
-        arrays[f"opt.m/{pname}"] = arr
-    for pname, arr in state["v"].items():
-        arrays[f"opt.v/{pname}"] = arr
+    for key in ("m", "v"):
+        arrays.update({f"opt.{key}/{pname}": arr for pname, arr in state[key].items()})
     meta = {
         "stage": stage,
         "epoch": epoch,
@@ -318,7 +298,7 @@ def find_latest_checkpoint(run_dir: str | Path) -> tuple[Path, dict] | None:
     best: tuple[int, Path] | None = None
     for entry in ckpt_root.iterdir():
         m = re.fullmatch(r"epoch_(\d+)", entry.name)
-        if m and (entry / "manifest.json").is_file():
+        if m and (entry / MANIFEST).is_file():
             idx = int(m.group(1))
             if best is None or idx > best[0]:
                 best = (idx, entry)
@@ -433,8 +413,7 @@ def _open_adapter(model: PipelineModel, rng: np.random.Generator | None) -> None
     for mod in (model.encoder, model.recon, model.quantizer):
         mod.freeze()
     if rng is not None:
-        lora = model.cfg["lora"]
-        model.backbone.apply_lora(lora["rank"], lora["alpha"], rng)
+        model.backbone.apply_lora(**model.cfg["lora"], rng=rng)
     model.refiner.unfreeze()
 
 
@@ -505,7 +484,7 @@ def decoupled_finetune_setup(
         model.backbone.merge_adapters()
     _open_adapter(model, rng)
     named = model.named_parameters()
-    adapter = tuple(n for n, t in named.items() if "lora_a" in n or "lora_b" in n)
+    adapter = tuple(f"backbone.{n}" for n in model.backbone.adapter_parameters())
     refiner = tuple(n for n in named if n.startswith("refiner."))
     frozen = tuple(n for n in named if n not in adapter and n not in refiner)
     return TrainingPlan(
@@ -598,13 +577,11 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
     )
     start_epoch, step, epoch_avgs, last = 0, 0, [], {}
     if resumed:
-        opt.load_state(
-            {
-                "step": meta["opt_step"],
-                "m": {k: arrays[f"opt.m/{k}"] for k in opt.params if f"opt.m/{k}" in arrays},
-                "v": {k: arrays[f"opt.v/{k}"] for k in opt.params if f"opt.v/{k}" in arrays},
-            }
-        )
+        moments = {
+            key: {k: arrays[f"opt.{key}/{k}"] for k in opt.params if f"opt.{key}/{k}" in arrays}
+            for key in ("m", "v")
+        }
+        opt.load_state({"step": meta["opt_step"], **moments})
         start_epoch, step, last = meta["epoch"] + 1, meta["step"], meta
         epoch_avgs = list(meta.get("epoch_avg_loss", []))
     items = spec.prepare(model, corpus)
@@ -623,13 +600,7 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
                     # intermediates go with the tape when the block exits
                     grads = {k: grads[v] for k, v in trainable.items()}
                 named = clip_global_norm(grads, opt_cfg["clip_norm"])
-                lr_t = cosine_schedule(
-                    step,
-                    total_steps,
-                    opt_cfg["lr"],
-                    cfg["schedule"]["warmup_steps"],
-                    cfg["schedule"]["min_lr"],
-                )
+                lr_t = cosine_schedule(step, total_steps, opt_cfg["lr"], **cfg["schedule"])
                 opt.step(named, lr=lr_t)
                 step += 1
                 logger.log(step, *vals, lr_t)

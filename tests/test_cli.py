@@ -11,8 +11,11 @@ import pytest
 from eeglm.checkpoint import load_checkpoint, save_checkpoint
 from eeglm.cli import ATTN_HEADER, main
 from eeglm.evaluate import BINARY_METRICS
+from eeglm.profiler import StubClient
 from eeglm.quantizer import load_tokens
+from eeglm.signal_io import load_container
 from eeglm.synth import make_dataset
+from eeglm.training import load_model, profile_recording
 
 TOY_CONFIG = {
     "data": {"montage": "synthetic-2", "classes": ["class-a", "class-b"]},
@@ -107,6 +110,92 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+README_SET = [
+    "--set", 'data.montage="synthetic-4"', "--set", "quantizer.num_codes=32",
+    "--set", "quantizer.code_dim=8", "--set", "optimizer.lr=0.003",
+    "--set", "schedule.warmup_steps=20",
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, code",
+    [
+        (["--set", 'train.epochs="abc"'], 2),
+        (["--set", "optimizer.lr=null"], 2),
+        (["--set", "train.epochs=2.5"], 2),
+        (["--set", "train.epochs=true"], 2),  # bool is never a number
+        (["--set", 'train.lambda_orth="a"'], 2),
+        (["--set", 'optimizer.betas="x"'], 2),
+        (["--set", "optimizer.betas=[0.9]"], 2),
+        (["--set", "optimizer.betas=[0.9, true]"], 2),
+        (["--set", "data.classes=[1, 2]"], 2),
+        (["--set", "data.montage=4"], 2),
+        (["--set", "quantizer.kmeans_warm_start=1"], 2),
+        (README_SET, 0),
+        (["--set", "optimizer.lr=1"], 0),  # an int stands for a float
+        (["--set", "train.init_from=null"], 0),
+    ],
+)
+def test_config_values_need_their_defaults_type(tmp_path, overrides, code):
+    rc = main(overrides + [
+        "--out", str(tmp_path / "ds"), "synth", "--per-class", "1", "--montage", "synthetic-2",
+    ])
+    assert rc == code
+
+
+def _montage_without_zone(root):
+    path = root / "montage.json"
+    path.write_text(json.dumps({"labels": ["A"], "assignments": {"A": {"band": "central"}}}))
+    return ["synth", "--per-class", "1", "--montage", str(path)]
+
+
+def _container_with_bad_samples(root):
+    make_dataset(root / "ds", n_per_class=1, classes=("class-a",), montage="synthetic-2", seed=0)
+    manifest = root / "ds" / "sample_0000" / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "samples": "many"}))
+    return ["preprocess", str(manifest.parent)]
+
+
+def _checkpoint_manifest(edit):
+    def build(root, env):
+        ckpt = root / "ckpt"
+        arrays, meta = load_checkpoint(env["ckpt_vq"])
+        save_checkpoint(ckpt, arrays, meta)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        (ckpt / "manifest.json").write_text(json.dumps(edit(manifest)))
+        return ["train", "--stage", "cpt", "--data", str(env["data"]), "--init-from", str(ckpt)]
+
+    return build
+
+
+def _drop_first_offset(manifest):
+    del manifest["params"][0]["offset"]
+    return manifest
+
+
+def _negative_first_offset(manifest):
+    manifest["params"][0]["offset"] = -4
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        lambda root, env: _montage_without_zone(root),
+        lambda root, env: _container_with_bad_samples(root),
+        _checkpoint_manifest(lambda manifest: [manifest]),
+        _checkpoint_manifest(_drop_first_offset),
+        _checkpoint_manifest(_negative_first_offset),
+    ],
+    ids=["montage-without-zone", "samples-not-a-number", "manifest-is-a-list",
+         "entry-without-offset", "negative-offset"],
+)
+def test_malformed_json_files_exit_3(env, tmp_path, capsys, make_args):
+    args = make_args(tmp_path, env)
+    assert main(env["base"] + ["--out", str(tmp_path / "out")] + args) == 3
+    assert str(tmp_path) in capsys.readouterr().err  # the message names the file
 
 
 # -- preprocess ---------------------------------------------------------------
@@ -220,6 +309,20 @@ def test_profile_outputs_and_determinism(env, tmp_path):
     assert profile["_retries"] == 0
     features = json.loads((outs[0] / "features.json").read_text())
     assert set(features["channel_spectra"]) == {"X0", "X1"}
+
+
+def test_profile_command_matches_profile_recording(env, tmp_path):
+    sample = env["data"] / "sample_0000"
+    out = tmp_path / "p"
+    assert main(env["base"] + ["--out", str(out), "profile", "--container", str(sample)]) == 0
+    model, _ = load_model(env["ckpt_vq"])
+    _, prompt, result = profile_recording(
+        load_container(sample), model, sample.name, StubClient()
+    )
+    assert (out / "prompt.txt").read_text() == prompt
+    record = json.loads((out / "profile.json").read_text())
+    assert record.pop("_retries") == result.retries
+    assert record == result.profile.to_dict()
 
 
 def test_profile_label_leak_exits_2(env, tmp_path, capsys):

@@ -101,6 +101,24 @@ def test_out_of_range_eeg_ids_rejected():
         assemble_sequence([0], None, [50], VOCAB)
 
 
+@pytest.mark.parametrize(
+    "text, eeg, instr, answer",
+    [
+        ([-3], [0], None, None),  # negative text id
+        ([-1], [0], None, None),  # text id equal to the sem-slot marker
+        ([0], [-1], None, None),  # negative signal id
+        ([0], [-101], None, None),  # signal id shifted onto the sem-slot marker
+        ([0], [0], [100], [1]),  # instruction id past the text vocabulary
+        ([0], [0], [-2], [1]),  # negative instruction id
+        ([0], [0], [1], [100]),  # answer id past the text vocabulary
+        ([0], [0], [1], [-5]),  # negative answer id
+    ],
+)
+def test_ids_outside_their_span_range_rejected(text, eeg, instr, answer):
+    with pytest.raises(AssemblyError):
+        assemble_sequence(text, None, eeg, VOCAB, instruction_ids=instr, answer_ids=answer)
+
+
 def test_sem_rows_must_match_span():
     ids = np.array([VOCAB.bos, 1, VOCAB.sep, SEM_SLOT, VOCAB.sep, 105, VOCAB.eos])
     with pytest.raises(AssemblyError, match="sem"):
