@@ -87,7 +87,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def assign_parameters(params: dict[str, "object"], arrays: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint arrays into an in-memory named-parameter dict (all of them)."""
+    """Copy checkpoint arrays, in place, into an in-memory named-parameter dict (all of them)."""
     missing = [k for k in params if k not in arrays]
     if missing:
         raise DataError(f"checkpoint missing parameters: {missing[:5]}{'...' if len(missing) > 5 else ''}")
@@ -98,4 +98,4 @@ def assign_parameters(params: dict[str, "object"], arrays: dict[str, np.ndarray]
                 f"checkpoint shape mismatch for {name!r}: "
                 f"model {tensor.data.shape} vs file {arr.shape}"
             )
-        tensor.data = arr.copy()
+        tensor.data[...] = arr

@@ -75,11 +75,11 @@ class Linear(Module):
         self._lora_scale = alpha / rank
 
     def merge_lora(self) -> None:
-        """Fold the adapter into the base weight and drop it."""
+        """Fold the adapter into the base weight, in place, and drop it."""
         if self.lora_a is None:
             return
         delta = self._lora_scale * (self.lora_b.data @ self.lora_a.data)
-        self.w.data = self.w.data + delta
+        self.w.data += delta
         self.lora_a = None
         self.lora_b = None
         self._lora_scale = 0.0

@@ -9,52 +9,17 @@ import numpy as np
 from .autodiff import Array, Tensor
 
 
-def adamw_step(
-    params: dict[str, Tensor],
-    grads: dict[str, Array],
-    state: dict,
-    *,
-    lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-    lr_scales: dict[str, float] | None = None,
-) -> None:
-    """Apply one bias-corrected AdamW update in place.
+class AdamW:
+    """Bias-corrected AdamW, the one owner of a stage's parameters and moments.
 
     Weight decay is decoupled from the moment estimates:
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p).
-    `state` carries {"step": int, "m": {name: arr}, "v": {name: arr}} and is
-    mutated; missing moment slots are created as zeros.
+    The parameters, in dict order, are copied into one contiguous f64 buffer
+    `flat`, and each `Tensor.data` becomes a view of it; `m`, `v` and the
+    per-element `lr_scales` have the same length. Write a parameter in place
+    (`t.data[...] = x`), never rebind it (`t.data = x`): a rebound tensor has
+    left the buffer, so the optimizer neither reads nor moves it.
     """
-    b1, b2 = betas
-    state["step"] = state.get("step", 0) + 1
-    t = state["step"]
-    m_all = state.setdefault("m", {})
-    v_all = state.setdefault("v", {})
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        m = m_all.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v_all[name] = np.zeros_like(p.data)
-        v = v_all[name]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        m_all[name] = m
-        v_all[name] = v
-        m_hat = m / bc1
-        v_hat = v / bc2
-        step_lr = lr * (lr_scales.get(name, 1.0) if lr_scales else 1.0)
-        p.data = p.data - step_lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.data)
-
-
-class AdamW:
-    """Stateful wrapper around `adamw_step` over a named parameter dict."""
 
     def __init__(
         self,
@@ -70,35 +35,66 @@ class AdamW:
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self.lr_scales = dict(lr_scales) if lr_scales else {}
-        self.state: dict = {"step": 0, "m": {}, "v": {}}
+        self.t = 0  # steps taken
+        sizes = [p.data.size for p in self.params.values()]
+        self._cuts = np.cumsum(sizes)[:-1]
+        scales = lr_scales or {}
+        self.lr_scales = np.repeat([scales.get(name, 1.0) for name in self.params], sizes)
+        # one allocation: the parameters, their moments and the step's two work buffers
+        self.flat, self.m, self.v, self._grad, self._scratch = np.zeros((5, sum(sizes)))
+        for name, view in self._views(self.flat).items():
+            view[...] = self.params[name].data
+            self.params[name].data = view
+        self._grad_views = self._views(self._grad)
+
+    def _views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
+        parts = np.split(buf, self._cuts)
+        return {name: part.reshape(p.shape) for (name, p), part in zip(self.params.items(), parts)}
 
     def step(self, grads: dict[str, Array], lr: float | None = None) -> None:
-        adamw_step(
-            self.params,
-            grads,
-            self.state,
-            lr=self.lr if lr is None else lr,
-            betas=self.betas,
-            eps=self.eps,
-            weight_decay=self.weight_decay,
-            lr_scales=self.lr_scales or None,
-        )
+        """Update every parameter in one in-place pass; a name missing from
+        `grads` has a zero gradient. Each line below is one factor or addend
+        of the per-tensor expression, so the result is the same to the bit."""
+        for name, view in self._grad_views.items():
+            view[...] = grads.get(name, 0.0)
+        lr = self.lr if lr is None else lr
+        b1, b2 = self.betas
+        self.t += 1
+        g, s, m, v = self._grad, self._scratch, self.m, self.v  # g ends as the update
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=s)
+        m += s  # m = b1 * m + (1 - b1) * g
+        np.multiply(g, g, out=s)
+        s *= 1.0 - b2
+        v *= b2
+        v += s  # v = b2 * v + (1 - b2) * g * g
+        np.divide(m, 1.0 - b1**self.t, out=g)  # m_hat
+        np.divide(v, 1.0 - b2**self.t, out=s)  # v_hat
+        np.sqrt(s, out=s)
+        s += self.eps
+        g /= s
+        np.multiply(self.flat, self.weight_decay, out=s)
+        g += s
+        np.multiply(self.lr_scales, lr, out=s)
+        g *= s
+        self.flat -= g
 
     # ---- checkpoint support ----
-    def export_state(self) -> dict:
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """Views of the moments keyed `opt.m/<name>`, then `opt.v/<name>`, in
+        parameter order: the names a checkpoint stores them under."""
         return {
-            "step": self.state["step"],
-            "m": {k: v for k, v in self.state["m"].items()},
-            "v": {k: v for k, v in self.state["v"].items()},
+            f"opt.{key}/{name}": view
+            for key, buf in (("m", self.m), ("v", self.v))
+            for name, view in self._views(buf).items()
         }
 
-    def load_state(self, state: dict) -> None:
-        self.state = {
-            "step": int(state["step"]),
-            "m": {k: np.asarray(v, dtype=np.float64) for k, v in state["m"].items()},
-            "v": {k: np.asarray(v, dtype=np.float64) for k, v in state["v"].items()},
-        }
+    def load_state(self, step: int, arrays: dict[str, np.ndarray]) -> None:
+        """Resume after `step` steps with the moments `arrays` holds under the
+        `state_arrays` names; a moment missing there restarts at zero."""
+        self.t = int(step)
+        for key, view in self.state_arrays().items():
+            view[...] = arrays.get(key, 0.0)
 
 
 def clip_global_norm(grads: dict[str, Array], max_norm: float) -> dict[str, Array]:

@@ -125,7 +125,7 @@ class VectorQuantizer(Module):
                     far = int(np.argmax(dist))
                     centers[j] = rows[far]
                     dist[far] = 0.0
-        self.codebook.data = centers
+        self.codebook.data[...] = centers  # in place: the optimizer owns the codebook
         self._warmed = True
 
     def __call__(self, h_eeg: Tensor) -> tuple[TokenSequence, Tensor, Tensor, Tensor]:

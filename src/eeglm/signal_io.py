@@ -110,11 +110,15 @@ def load_container(path: str | Path) -> Recording:
         manifest = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(f"cannot read manifest {manifest_path}: {e}") from e
+    if not isinstance(manifest, dict):
+        raise DataError(f"manifest {manifest_path} is not a JSON object")
     for key in ("channels", "fs", "dtype", "samples"):
         if key not in manifest:
             raise DataError(f"manifest {manifest_path} missing field {key!r}")
     if manifest["dtype"] != "f32le":
         raise DataError(f"unsupported dtype {manifest['dtype']!r} in {manifest_path}")
+    if not isinstance(manifest["channels"], list):
+        raise DataError(f"manifest {manifest_path}: 'channels' must be a list")
     channels = tuple(str(c) for c in manifest["channels"])
     try:
         samples, fs = int(manifest["samples"]), float(manifest["fs"])

@@ -231,8 +231,10 @@ def load_montage(path: str | Path) -> Montage:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise MontageError(f"cannot read montage file {path}: {e}") from e
-    if "labels" not in payload or "assignments" not in payload:
-        raise MontageError(f"montage file {path} needs 'labels' and 'assignments'")
+    if not isinstance(payload, dict) or "labels" not in payload or "assignments" not in payload:
+        raise MontageError(f"montage file {path} needs an object with 'labels' and 'assignments'")
+    if not isinstance(payload["labels"], list) or not isinstance(payload["assignments"], dict):
+        raise MontageError(f"montage file {path}: 'labels' must be a list, 'assignments' an object")
     labels = [str(x) for x in payload["labels"]]
     try:
         region = _expand_assignments(labels, payload["assignments"])

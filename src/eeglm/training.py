@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -272,14 +272,12 @@ def save_stage_checkpoint(
     run_dir: Path, model: PipelineModel, opt: AdamW, stage: str, epoch: int, step: int, extra: dict
 ) -> Path:
     arrays = {name: t.data for name, t in model.named_parameters().items()}
-    state = opt.export_state()
-    for key in ("m", "v"):
-        arrays.update({f"opt.{key}/{pname}": arr for pname, arr in state[key].items()})
+    arrays.update(opt.state_arrays())
     meta = {
         "stage": stage,
         "epoch": epoch,
         "step": step,
-        "opt_step": state["step"],
+        "opt_step": opt.t,
         "config": model.cfg,
     }
     meta.update(extra)
@@ -455,7 +453,6 @@ class TrainingPlan:
 
     group_lrs: dict[str, float]
     group_params: dict[str, tuple[str, ...]]
-    frozen: tuple[str, ...] = field(repr=False)
 
     def trainable(self, model: PipelineModel) -> dict[str, Tensor]:
         named = model.named_parameters()
@@ -486,11 +483,9 @@ def decoupled_finetune_setup(
     named = model.named_parameters()
     adapter = tuple(f"backbone.{n}" for n in model.backbone.adapter_parameters())
     refiner = tuple(n for n in named if n.startswith("refiner."))
-    frozen = tuple(n for n in named if n not in adapter and n not in refiner)
     return TrainingPlan(
         group_lrs={"adapter": base_lr, "refiner": model.cfg["train"]["star_lr_scale"] * base_lr},
         group_params={"adapter": adapter, "refiner": refiner},
-        frozen=frozen,
     )
 
 
@@ -567,21 +562,11 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
     rng = None if resumed else np.random.default_rng([cfg["seed"], spec.lora_salt])
     trainable, lr_scales = spec.open(model, rng)
     opt_cfg = cfg["optimizer"]
-    opt = AdamW(
-        trainable,
-        lr=opt_cfg["lr"],
-        betas=tuple(opt_cfg["betas"]),
-        eps=opt_cfg["eps"],
-        weight_decay=opt_cfg["weight_decay"],
-        lr_scales=lr_scales,
-    )
+    hyper = {k: opt_cfg[k] for k in ("lr", "betas", "eps", "weight_decay")}
+    opt = AdamW(trainable, lr_scales=lr_scales, **hyper)
     start_epoch, step, epoch_avgs, last = 0, 0, [], {}
     if resumed:
-        moments = {
-            key: {k: arrays[f"opt.{key}/{k}"] for k in opt.params if f"opt.{key}/{k}" in arrays}
-            for key in ("m", "v")
-        }
-        opt.load_state({"step": meta["opt_step"], **moments})
+        opt.load_state(meta["opt_step"], arrays)
         start_epoch, step, last = meta["epoch"] + 1, meta["step"], meta
         epoch_avgs = list(meta.get("epoch_avg_loss", []))
     items = spec.prepare(model, corpus)

@@ -198,6 +198,44 @@ def test_malformed_json_files_exit_3(env, tmp_path, capsys, make_args):
     assert str(tmp_path) in capsys.readouterr().err  # the message names the file
 
 
+def _montage_file(payload):
+    def build(root):
+        path = root / "montage.json"
+        path.write_text(json.dumps(payload))
+        return ["synth", "--per-class", "1", "--montage", str(path)]
+
+    return build
+
+
+def _container_manifest(edit):
+    def build(root):
+        make_dataset(root / "ds", n_per_class=1, classes=("class-a",), montage="synthetic-2", seed=0)
+        manifest = root / "ds" / "sample_0000" / "manifest.json"
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        return ["preprocess", str(manifest.parent)]
+
+    return build
+
+
+_TWO_ASSIGNED = {"A": {"band": "central", "zone": "left"}, "B": {"band": "central", "zone": "right"}}
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        _montage_file({"labels": "AB", "assignments": _TWO_ASSIGNED}),
+        _montage_file(["labels", "assignments"]),
+        _container_manifest(lambda manifest: {**manifest, "channels": "AB"}),
+        _container_manifest(list),  # a JSON array of the manifest's key names
+    ],
+    ids=["montage-labels-a-string", "montage-is-a-list", "channels-a-string", "manifest-is-a-list"],
+)
+def test_montage_and_container_files_need_objects_and_lists(env, tmp_path, capsys, make_args):
+    args = make_args(tmp_path)
+    assert main(env["base"] + ["--out", str(tmp_path / "out")] + args) == 3
+    assert str(tmp_path) in capsys.readouterr().err  # the message names the file
+
+
 # -- preprocess ---------------------------------------------------------------
 
 

@@ -5,20 +5,21 @@ from __future__ import annotations
 import numpy as np
 
 from eeglm.autodiff import Graph, Tensor, backward, mul, sub, sum_
-from eeglm.optim import AdamW, adamw_step, clip_global_norm, cosine_schedule
+from eeglm.checkpoint import assign_parameters
+from eeglm.nn import Linear
+from eeglm.optim import AdamW, clip_global_norm, cosine_schedule
+from eeglm.quantizer import QuantizerConfig, VectorQuantizer
 
 
 def test_zero_grad_no_decay_leaves_params_unchanged():
     p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    state = {"step": 0, "m": {}, "v": {}}
-    adamw_step({"p": p}, {"p": np.zeros(3)}, state, lr=0.5, weight_decay=0.0)
+    AdamW({"p": p}, lr=0.5, weight_decay=0.0).step({"p": np.zeros(3)})
     np.testing.assert_allclose(p.data, [1.0, -2.0, 3.0])
 
 
 def test_decoupled_decay_shrinks_by_factor():
     p = Tensor(np.array([2.0, -4.0]), requires_grad=True)
-    state = {"step": 0, "m": {}, "v": {}}
-    adamw_step({"p": p}, {"p": np.zeros(2)}, state, lr=1.0, weight_decay=0.1)
+    AdamW({"p": p}, lr=1.0, weight_decay=0.1).step({"p": np.zeros(2)})
     np.testing.assert_allclose(p.data, [2.0 * 0.9, -4.0 * 0.9])
 
 
@@ -37,8 +38,7 @@ def test_quadratic_convergence():
 def test_bias_correction_first_step_size():
     # with bias correction the very first step has magnitude ~lr regardless of betas
     p = Tensor(np.array([0.0]), requires_grad=True)
-    state = {"step": 0, "m": {}, "v": {}}
-    adamw_step({"p": p}, {"p": np.array([0.5])}, state, lr=0.01)
+    AdamW({"p": p}, lr=0.01).step({"p": np.array([0.5])})
     assert abs(abs(float(p.data[0])) - 0.01) < 1e-6
 
 
@@ -46,8 +46,7 @@ def test_lr_scales_apply_per_parameter():
     a = Tensor(np.array([0.0]), requires_grad=True)
     b = Tensor(np.array([0.0]), requires_grad=True)
     grads = {"a": np.array([1.0]), "b": np.array([1.0])}
-    state = {"step": 0, "m": {}, "v": {}}
-    adamw_step({"a": a, "b": b}, grads, state, lr=0.1, lr_scales={"b": 0.1})
+    AdamW({"a": a, "b": b}, lr=0.1, lr_scales={"b": 0.1}).step(grads)
     assert abs(float(a.data[0])) > abs(float(b.data[0])) * 5
 
 
@@ -74,8 +73,92 @@ def test_optimizer_state_roundtrip():
     p = Tensor(np.array([1.0]), requires_grad=True)
     opt = AdamW({"p": p}, lr=0.1)
     opt.step({"p": np.array([0.3])})
-    snap = opt.export_state()
+    snap = {k: v.copy() for k, v in opt.state_arrays().items()}
     opt2 = AdamW({"p": p}, lr=0.1)
-    opt2.load_state(snap)
-    assert opt2.state["step"] == 1
-    np.testing.assert_allclose(opt2.state["m"]["p"], opt.state["m"]["p"])
+    opt2.load_state(opt.t, snap)
+    assert opt2.t == 1
+    np.testing.assert_allclose(opt2.state_arrays()["opt.m/p"], opt.state_arrays()["opt.m/p"])
+
+
+
+def _reference_adamw(params, grads, state, lr, betas, eps, weight_decay, lr_scales):
+    """The per-tensor AdamW update, one tensor at a time."""
+    b1, b2 = betas
+    state["t"] += 1
+    t = state["t"]
+    for name, p in params.items():
+        g = grads.get(name, np.zeros_like(p))
+        m = b1 * state["m"].get(name, np.zeros_like(p)) + (1.0 - b1) * g
+        v = b2 * state["v"].get(name, np.zeros_like(p)) + (1.0 - b2) * (g * g)
+        state["m"][name], state["v"][name] = m, v
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        step_lr = lr * lr_scales.get(name, 1.0)
+        params[name] = p - step_lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p)
+
+
+def test_flat_update_matches_per_tensor_reference_bit_for_bit():
+    rng = np.random.default_rng(3)
+    shapes = {"w": (4, 3), "b": (4,), "scaled": (2, 5), "idle": (3,), "t": (3, 6)}
+    init = {n: rng.standard_normal(s) for n, s in shapes.items()}
+    tensors = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
+    hyper = dict(betas=(0.9, 0.98), eps=1e-8, weight_decay=0.01, lr_scales={"scaled": 0.3})
+    opt = AdamW(tensors, lr=0.1, **hyper)
+    ref = dict(init)
+    state = {"t": 0, "m": {}, "v": {}}
+    for step in range(3):
+        grads = {n: rng.standard_normal(s) for n, s in shapes.items() if n != "idle"}
+        grads["t"] = rng.standard_normal((6, 3)).T  # a non-contiguous gradient
+        lr = 0.1 / (step + 1)
+        opt.step(grads, lr=lr)
+        _reference_adamw(ref, grads, state, lr, **hyper)
+    moments = opt.state_arrays()
+    for name in shapes:
+        np.testing.assert_array_equal(tensors[name].data, ref[name])
+        np.testing.assert_array_equal(moments[f"opt.m/{name}"], state["m"][name])
+        np.testing.assert_array_equal(moments[f"opt.v/{name}"], state["v"][name])
+    assert not np.array_equal(tensors["idle"].data, init["idle"])  # decay moves it
+
+
+def test_state_arrays_resume_gives_the_same_next_step():
+    rng = np.random.default_rng(5)
+    shapes = {"a": (3, 2), "b": (4,)}
+    first = {n: Tensor(rng.standard_normal(s), requires_grad=True) for n, s in shapes.items()}
+    hyper = dict(lr=0.05, weight_decay=0.1, lr_scales={"b": 2.0})
+    opt = AdamW(first, **hyper)
+    for _ in range(2):
+        opt.step({n: rng.standard_normal(s) for n, s in shapes.items()})
+    keys = list(opt.state_arrays())
+    assert keys == ["opt.m/a", "opt.m/b", "opt.v/a", "opt.v/b"]
+    saved = {k: v.copy() for k, v in opt.state_arrays().items()}
+    second = {n: Tensor(t.data.copy(), requires_grad=True) for n, t in first.items()}
+    fresh = AdamW(second, **hyper)
+    fresh.load_state(opt.t, saved)
+    grads = {n: rng.standard_normal(s) for n, s in shapes.items()}
+    opt.step(grads)
+    fresh.step(grads)
+    np.testing.assert_array_equal(fresh.flat, opt.flat)
+    np.testing.assert_array_equal(fresh.m, opt.m)
+    np.testing.assert_array_equal(fresh.v, opt.v)
+
+
+def test_parameters_written_in_place_stay_in_the_buffer():
+    rng = np.random.default_rng(0)
+    quant = VectorQuantizer(QuantizerConfig(num_codes=4, code_dim=3, kmeans_warm_start=True), 5, rng)
+    lin = Linear(3, 2, rng)
+    lin.attach_lora(1, 1.0, rng)
+    lin.lora_b.data[...] = 1.0
+    params = {"codebook": quant.codebook, "w": lin.w, "b": lin.b}
+    opt = AdamW(params, lr=0.1)
+    quant.warm_start(rng.standard_normal((20, 3)), rng)
+    before_assign = {n: t.data.copy() for n, t in params.items()}
+    assign_parameters(params, {n: a + 1.0 for n, a in before_assign.items()})
+    w_before = lin.w.data.copy()
+    lin.merge_lora()
+    assert not np.array_equal(lin.w.data, w_before)
+    for t in params.values():
+        assert np.shares_memory(t.data, opt.flat)
+    before = {n: t.data.copy() for n, t in params.items()}
+    opt.step({n: np.ones_like(t.data) for n, t in params.items()})
+    for name, t in params.items():
+        assert np.all(t.data != before[name])
