@@ -532,19 +532,12 @@ def linear(x, w, b=None, lora: tuple[Tensor, Tensor, float] | None = None) -> Te
 # normalisation and attention helpers
 # ---------------------------------------------------------------------------
 
-def _softmax_data(x: Array, axis: int) -> Array:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _softmax_vjp(y: Array, g: Array, axis: int) -> Array:
-    return y * (g - (g * y).sum(axis=axis, keepdims=True))
-
-
 def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
-    out = Tensor._wrap(_softmax_data(a.data, axis))
-    return _record(out, (a,), lambda g: (_softmax_vjp(out.data, g, axis),))
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+    out = Tensor._wrap(y)
+    return _record(out, (a,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
@@ -560,16 +553,34 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def attention(q, k, v, scale: float, causal: bool = False) -> tuple[Tensor, Array]:
+_CAUSAL_MASK = np.zeros((0, 0))
+
+
+def _causal_mask(n: int) -> Array:
+    """Read-only (n', n') additive mask, n' >= n: -1e9 above the diagonal,
+    0 elsewhere. One array is cached and grown on demand; callers slice it."""
+    global _CAUSAL_MASK
+    if _CAUSAL_MASK.shape[0] < n:
+        _CAUSAL_MASK = np.triu(np.full((n, n), -1e9), k=1)
+        _CAUSAL_MASK.setflags(write=False)
+    return _CAUSAL_MASK
+
+
+def attention(
+    q, k, v, scale: float, causal: bool = False, positions=None
+) -> tuple[Tensor, Array]:
     """Scaled dot-product attention as one tape node.
 
     q is (..., Tq, D), k and v are (..., Tk, D) with the same leading (head)
     axes. Returns the mixed values (..., Tq, D) and the softmax weights
-    (..., Tq, Tk) as a plain array. With `causal`, query i sees keys j <= i
-    (a -1e9 additive mask). The vjp works from the saved softmax output, as
-    FlashAttention's backward does (Dao et al. 2022), without tiling, and
-    replays the numpy expressions of the unfused matmul, transpose, mul,
-    add, softmax and matmul chain.
+    (..., Tq, Tk) as a plain array. With `causal`, the query at position p
+    sees keys j <= p (a -1e9 additive mask); `positions` gives the Tq query
+    positions, 0..Tq-1 by default, so a subset of a sequence's queries can
+    attend to all of its keys. The vjp works from the saved softmax output,
+    as FlashAttention's backward does (Dao et al. 2022), without tiling. The
+    softmax and its vjp run in place on one (..., Tq, Tk) buffer each, with
+    the same IEEE operations, in the same order, as the unfused matmul,
+    transpose, mul, add, softmax and matmul chain.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if (
@@ -581,22 +592,37 @@ def attention(q, k, v, scale: float, causal: bool = False) -> tuple[Tensor, Arra
         raise ShapeError(
             f"attention shapes do not fit: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}"
         )
-    scores = np.matmul(q.data, _swap_last(k.data)) * scale
+    tq, tk = q.data.shape[-2], k.data.shape[-2]
+    w = np.matmul(q.data, _swap_last(k.data))
+    w *= scale
     if causal:
-        scores = scores + np.triu(np.full(scores.shape[-2:], -1e9), k=1)
-    weights = _softmax_data(scores, -1)
-    out = Tensor._wrap(np.matmul(weights, v.data))
+        if positions is None:
+            w += _causal_mask(max(tq, tk))[:tq, :tk]
+        else:
+            pos = np.asarray(positions, dtype=np.int64)
+            if pos.shape != (tq,) or (tq and (pos.min() < 0 or pos.max() >= tk)):
+                raise ShapeError(
+                    f"attention needs {tq} query positions in [0, {tk}), got {pos.tolist()}"
+                )
+            w += _causal_mask(tk)[pos, :tk]
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    out = Tensor._wrap(np.matmul(w, v.data))
 
     def vjp(g: Array):
-        gv = np.matmul(_swap_last(weights), g) if v.requires_grad else None
+        gv = np.matmul(_swap_last(w), g) if v.requires_grad else None
         if not (q.requires_grad or k.requires_grad):
             return None, None, gv
-        gs = _softmax_vjp(weights, np.matmul(g, _swap_last(v.data)), -1) * scale
+        gs = np.matmul(g, _swap_last(v.data))
+        gs -= (gs * w).sum(axis=-1, keepdims=True)
+        gs *= w
+        gs *= scale
         gq = np.matmul(gs, k.data) if q.requires_grad else None
         gk = _swap_last(np.matmul(_swap_last(q.data), gs)) if k.requires_grad else None
         return gq, gk, gv
 
-    return _record(out, (q, k, v), vjp), weights
+    return _record(out, (q, k, v), vjp), w
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:

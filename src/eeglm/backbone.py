@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .nn import Embedding, FeedForward, LayerNorm, Linear, Module, MultiHeadAttention
 from .sequences import HybridSequence, VocabSpec
 
@@ -46,9 +46,13 @@ class TransformerBlock(Module):
         self.ln2 = LayerNorm(dim)
         self.ffn = FeedForward(dim, dim * ffn_mult, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        normed = self.ln1(x)
-        x = ad.add(x, self.attn(normed, normed, causal=True))
+    def __call__(self, x: Tensor, rows: np.ndarray | None = None) -> Tensor:
+        """Block output at every position, or only at the positions `rows`
+        (keys and values still cover every position)."""
+        normed = query = self.ln1(x)
+        if rows is not None:
+            x, query = ad.take(x, rows), ad.take(normed, rows)
+        x = ad.add(x, self.attn(query, normed, causal=True, positions=rows))
         return ad.add(x, self.ffn(self.ln2(x)))
 
 
@@ -94,11 +98,24 @@ class ToyBackbone(Module):
             x = self.tok_emb(seq.ids)
         return ad.add(x, ad.slice_(self.pos_emb, slice(0, n)))
 
-    def logits(self, seq: HybridSequence, sem: Tensor | None = None) -> Tensor:
+    def logits(
+        self, seq: HybridSequence, sem: Tensor | None = None, rows=None
+    ) -> Tensor:
+        """Next-token logits, one row per position of `seq`, or one row per
+        entry of `rows` (positions, in the order given). Every block but the
+        last runs over every position; the last computes its keys and values
+        over every position and the rest only on `rows`, as do `ln_f` and
+        the head."""
         x = self.embed_sequence(seq, sem)
-        for block in self.blocks:
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.int64)
+            if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= seq.length)):
+                raise ShapeError(
+                    f"logit rows must be positions in [0, {seq.length}), got {rows.tolist()}"
+                )
+        for block in self.blocks[:-1]:
             x = block(x)
-        x = self.ln_f(x)
+        x = self.ln_f(self.blocks[-1](x, rows))
         if self.head is not None:
             return self.head(x)
         return ad.linear(x, self.tok_emb.table)

@@ -21,8 +21,8 @@ def label_probabilities(
 ) -> dict[str, float]:
     """Next-token probabilities at the answer slot, renormalized over labels."""
     experts = model.refiner(item.h_text, item.z_q)
-    logits = model.backbone.logits(item.seq, sem=experts.s_sem)
-    row = logits.data[item.seq.spans["answer"][0] - 1]
+    slot = item.seq.spans["answer"][0] - 1
+    row = model.backbone.logits(item.seq, sem=experts.s_sem, rows=[slot]).data[0]
     labels = list(label_tokens)
     scores = np.array([row[label_tokens[lab]] for lab in labels])
     scores = np.exp(scores - scores.max())

@@ -78,14 +78,15 @@ def check_directional(
 
     analytic = sum(float(np.sum(grads[t] * d)) for t, d in zip(live, direction))
 
+    # written in place, never rebound: an optimizer may own these buffers
     originals = [t.data.copy() for t in live]
     for t, d, o in zip(live, direction, originals):
-        t.data = o + h * d
+        t.data[...] = o + h * d
     f_plus = float(fn(inputs).data)
     for t, d, o in zip(live, direction, originals):
-        t.data = o - h * d
+        t.data[...] = o - h * d
     f_minus = float(fn(inputs).data)
     for t, o in zip(live, originals):
-        t.data = o
+        t.data[...] = o
     numeric = (f_plus - f_minus) / (2.0 * h)
     return relative_error(np.asarray(analytic), np.asarray(numeric))

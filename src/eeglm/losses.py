@@ -39,23 +39,51 @@ def loss_dsha(x, x_hat, x_fre, x_fre_hat, h, z_q, beta: float = 0.25) -> Tensor:
     )
 
 
+def span_rows(seq: HybridSequence, span: str) -> np.ndarray:
+    """Positions whose logits predict the tokens of `span` (each token is
+    predicted from the position before it); empty for an absent span."""
+    s, e = seq.spans.get(span, (0, 0))
+    return np.arange(s - 1, max(e, s) - 1)
+
+
 def span_nll(logits: Tensor, seq: HybridSequence, span: str) -> Tensor:
-    """Mean NLL of span tokens, each predicted from the preceding position."""
+    """Mean NLL of span tokens, each predicted from the preceding position.
+
+    `logits` holds one row per position of `seq`, or only the rows
+    `span_rows(seq, span)` in that order (what `ToyBackbone.logits` returns
+    for those rows).
+    """
     s, e = seq.spans.get(span, (0, 0))
     if e <= s:
         return Tensor(np.float64(0.0))
-    positions = np.arange(s, e)
+    if logits.shape[0] == seq.length:
+        rows = span_rows(seq, span)
+    elif logits.shape[0] == e - s:
+        rows = np.arange(e - s)
+    else:
+        raise ShapeError(
+            f"{span} span of {e - s} tokens needs {seq.length} or {e - s} logit rows, "
+            f"got {logits.shape[0]}"
+        )
     log_probs = ad.log_softmax(logits, axis=-1)
-    picked = ad.pick(log_probs, positions - 1, seq.ids[positions])
+    picked = ad.pick(log_probs, rows, seq.ids[s:e])
     return ad.neg(ad.mean(picked))
 
 
 def loss_ntp(
     seq: HybridSequence, backbone: ToyBackbone, sem: Tensor | None = None
 ) -> tuple[Tensor, Tensor]:
-    """Text-span and signal-span next-token losses on one hybrid sequence."""
-    logits = backbone.logits(seq, sem)
-    return span_nll(logits, seq, "text"), span_nll(logits, seq, "eeg")
+    """Text-span and signal-span next-token losses on one hybrid sequence.
+
+    The backbone computes only the rows the two spans read: the text rows,
+    then the signal rows."""
+    text, eeg = span_rows(seq, "text"), span_rows(seq, "eeg")
+    logits = backbone.logits(seq, sem, rows=np.concatenate([text, eeg]))
+    n = text.size
+    return (
+        span_nll(ad.slice_(logits, slice(0, n)), seq, "text"),
+        span_nll(ad.slice_(logits, slice(n, None)), seq, "eeg"),
+    )
 
 
 def loss_cpt(text_loss, eeg_loss, orth, lambda_orth: float = 0.1) -> Tensor:
@@ -68,7 +96,7 @@ def loss_cpt(text_loss, eeg_loss, orth, lambda_orth: float = 0.1) -> Tensor:
 
 def loss_sft(seq: HybridSequence, backbone: ToyBackbone, sem: Tensor | None = None) -> Tensor:
     """Answer-only instruction loss; everything else is context."""
-    s, e = seq.spans.get("answer", (0, 0))
-    if e <= s:
+    rows = span_rows(seq, "answer")
+    if rows.size == 0:
         raise AssemblyError("SFT loss needs a non-empty answer span")
-    return span_nll(backbone.logits(seq, sem), seq, "answer")
+    return span_nll(backbone.logits(seq, sem, rows=rows), seq, "answer")

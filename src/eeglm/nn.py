@@ -119,7 +119,10 @@ class MultiHeadAttention(Module):
     """Scaled-dot-product attention over 2-D (tokens x features) inputs.
 
     `last_attention` stores the most recent head-averaged weight matrix
-    (queries x keys) as a plain array for exports and tests.
+    (queries x keys) as a plain array for exports and tests. `positions`
+    gives the causal positions of the query rows when they are a subset of
+    the keys' positions; the backbone's last block passes the rows a loss
+    reads, so there `last_attention` has one row per read row.
     """
 
     def __init__(self, dim: int, n_heads: int, rng: np.random.Generator):
@@ -133,7 +136,9 @@ class MultiHeadAttention(Module):
         self.head_dim = dim // n_heads
         self.last_attention: np.ndarray | None = None
 
-    def __call__(self, query: Tensor, key_value: Tensor, causal: bool = False) -> Tensor:
+    def __call__(
+        self, query: Tensor, key_value: Tensor, causal: bool = False, positions=None
+    ) -> Tensor:
         if query.ndim != 2 or key_value.ndim != 2:
             raise ShapeError(
                 f"attention expects 2-D token matrices, got {query.shape} and {key_value.shape}"
@@ -148,7 +153,7 @@ class MultiHeadAttention(Module):
         q = split(self.wq(query), tq)
         k = split(self.wk(key_value), tk)
         v = split(self.wv(key_value), tk)
-        mixed, weights = ad.attention(q, k, v, 1.0 / math.sqrt(dh), causal)
+        mixed, weights = ad.attention(q, k, v, 1.0 / math.sqrt(dh), causal, positions)
         self.last_attention = weights.mean(axis=0)
         out = ad.reshape(ad.transpose(mixed, (1, 0, 2)), (tq, e))
         return self.wo(out)

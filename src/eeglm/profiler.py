@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Sequence
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -224,9 +225,15 @@ def spectral_stats(x: np.ndarray, fs: float) -> SpectralStats:
 
 
 def spatial_summary(
-    rec: Recording, hier: BthHierarchy, k: int = DEFAULT_TOP_K
+    rec: Recording,
+    hier: BthHierarchy,
+    k: int = DEFAULT_TOP_K,
+    stats: Sequence[TemporalStats] | None = None,
 ) -> tuple[tuple[RegionStats, ...], tuple[ChannelRank, ...]]:
-    """Region-level aggregates plus the Top-K channels by signal variance."""
+    """Region-level aggregates plus the Top-K channels by signal variance.
+
+    `stats` are the channels' temporal statistics in channel order when the
+    caller already has them; they are computed otherwise."""
     if k < 1:
         raise ConfigError(f"top-k channel count must be >= 1, got {k}")
     if rec.channels != hier.montage.labels:
@@ -235,7 +242,8 @@ def spatial_summary(
             f"montage ({hier.montage.n_channels} channels); configure the "
             f"montage the recording was made with"
         )
-    stats = [temporal_stats(row) for row in rec.data]
+    if stats is None:
+        stats = [temporal_stats(row) for row in rec.data]
     stat_rows = np.array(
         [[s.mean, s.std, s.energy, s.peak_to_peak, s.kurtosis] for s in stats]
     )
@@ -254,11 +262,12 @@ def spatial_summary(
 
 def extract_features(rec: Recording, hier: BthHierarchy) -> PhysicalFeatures:
     """Run the temporal, spectral, and spatial operators over a recording."""
-    channel_stats = {lab: temporal_stats(row) for lab, row in zip(rec.channels, rec.data)}
+    stats = [temporal_stats(row) for row in rec.data]
+    channel_stats = dict(zip(rec.channels, stats))
     channel_spectra = {
         lab: spectral_stats(row, rec.fs) for lab, row in zip(rec.channels, rec.data)
     }
-    regions, top = spatial_summary(rec, hier)
+    regions, top = spatial_summary(rec, hier, stats=stats)
     degenerate = tuple(
         lab
         for lab in rec.channels

@@ -448,6 +448,38 @@ def test_attention_is_one_node_with_the_unfused_chain_numbers():
     assert np.all(np.triu(w2, k=1) < 1e-300)
 
 
+def test_fd_attention_query_subset():
+    # causal, fewer queries than keys, positions not contiguous and not sorted
+    positions = [4, 1, 3]
+
+    def fn(ts):
+        out, _ = ad.attention(ts[0], ts[1], ts[2], 0.5, causal=True, positions=positions)
+        return ad.sum_(ad.mul(out, ts[3]))
+
+    _fd_case(fn, [(2, 3, 3), (2, 6, 3), (2, 6, 3), (2, 3, 3)], seed=34)
+
+
+def test_attention_query_subset_equals_those_rows_of_the_full_causal_attention():
+    rng = np.random.default_rng(35)
+    q, k, v = (t(rng.uniform(-1, 1, (2, 6, 4))) for _ in range(3))
+    positions = np.array([5, 0, 2])
+    full, w_full = ad.attention(q, k, v, 0.5, causal=True)
+    sub, w_sub = ad.attention(t(q.data[:, positions]), k, v, 0.5, causal=True, positions=positions)
+    # the same query rows and mask rows; BLAS may order a row subset's sums differently
+    np.testing.assert_allclose(w_sub, w_full[:, positions], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sub.data, full.data[:, positions], rtol=0, atol=1e-15)
+    # with every position given, the result is the default causal attention
+    _, w_all = ad.attention(q, k, v, 0.5, causal=True, positions=np.arange(6))
+    assert np.array_equal(w_all, w_full)
+
+
+def test_attention_rejects_positions_outside_the_keys():
+    q, kv = t(np.zeros((2, 2, 4))), t(np.zeros((2, 3, 4)))
+    for bad in ([0, 3], [-1, 0], [0]):
+        with pytest.raises(ShapeError, match="query positions"):
+            ad.attention(q, kv, kv, 1.0, causal=True, positions=bad)
+
+
 def test_attention_rejects_mismatched_shapes():
     with pytest.raises(ShapeError):
         ad.attention(t(np.zeros((2, 3, 4))), t(np.zeros((2, 5, 3))), t(np.zeros((2, 5, 3))), 1.0)

@@ -8,7 +8,7 @@ import pytest
 from eeglm import autodiff as ad
 from eeglm.autodiff import Graph, Tensor, backward
 from eeglm.backbone import BackboneConfig, ToyBackbone
-from eeglm.errors import AssemblyError, ConfigError
+from eeglm.errors import AssemblyError, ConfigError, ShapeError
 from eeglm.gradcheck import check_directional
 from eeglm.losses import loss_cpt, loss_dsha, loss_ntp, loss_sft, span_nll
 from eeglm.optim import AdamW
@@ -335,3 +335,155 @@ def test_merge_adapters_preserves_forward(rng):
     with Graph():
         after = model.logits(seq).data
     np.testing.assert_allclose(after, before, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# logits on the rows a loss reads
+# ---------------------------------------------------------------------------
+
+
+TIED = BackboneConfig(
+    vocab=VOCAB, n_layers=2, embed_dim=16, n_heads=2, ffn_mult=2, max_len=48,
+    sem_dim=6, tied_head=True,
+)
+
+
+def _linear_chain(layer, x):
+    return ad.add(ad.matmul(x, ad.transpose(layer.w)), layer.b)
+
+
+def _attention_chain(attn, x):
+    t, e = x.shape
+    h, dh = attn.n_heads, attn.head_dim
+
+    def split(y):
+        return ad.transpose(ad.reshape(y, (t, h, dh)), (1, 0, 2))
+
+    q, k, v = (split(_linear_chain(lin, x)) for lin in (attn.wq, attn.wk, attn.wv))
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
+    weights = ad.softmax(ad.add(scores, np.triu(np.full((t, t), -1e9), k=1)), axis=-1)
+    mixed = ad.reshape(ad.transpose(ad.matmul(weights, v), (1, 0, 2)), (t, e))
+    return _linear_chain(attn.wo, mixed)
+
+
+def _norm_chain(ln, x):
+    return ad.layer_norm(x, ln.gamma, ln.beta, ln.eps)
+
+
+def unfused_logits(model, seq):
+    """The full-row forward as a chain of unfused ops, every position."""
+    x = model.embed_sequence(seq)
+    for block in model.blocks:
+        x = ad.add(x, _attention_chain(block.attn, _norm_chain(block.ln1, x)))
+        hidden = ad.gelu(_linear_chain(block.ffn.fc1, _norm_chain(block.ln2, x)))
+        x = ad.add(x, _linear_chain(block.ffn.fc2, hidden))
+    x = _norm_chain(model.ln_f, x)
+    if model.head is None:
+        return ad.matmul(x, ad.transpose(model.tok_emb.table))
+    return ad.matmul(x, ad.transpose(model.head.w))
+
+
+@pytest.mark.parametrize("cfg", [CFG, TIED], ids=["head", "tied"])
+def test_logits_without_rows_equal_the_unfused_chain_bit_for_bit(rng, cfg):
+    model = make_backbone(cfg, seed=20)
+    seq = demo_sequence(rng, answer=True)
+    with Graph():
+        fused = model.logits(seq).data
+        chain = unfused_logits(model, seq).data
+    assert np.array_equal(fused, chain)
+
+
+@pytest.mark.parametrize("cfg", [CFG, TIED], ids=["head", "tied"])
+def test_logits_on_rows_equal_those_rows_of_the_full_logits(rng, cfg):
+    model = make_backbone(cfg, seed=21)
+    seq = demo_sequence(rng, answer=True)
+    rows = np.array([seq.length - 2, 0, 5, 6, 11])
+    with Graph():
+        full = model.logits(seq).data
+        part = model.logits(seq, rows=rows).data
+        one = model.logits(seq, rows=[7]).data
+    assert part.shape == (rows.size, VOCAB.v_total)
+    np.testing.assert_allclose(part, full[rows], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(one, full[[7]], rtol=0, atol=1e-12)
+    # the last block's attention holds one row per query it computed
+    assert model.blocks[-1].attn.last_attention.shape == (1, seq.length)
+
+
+def test_logits_rows_outside_the_sequence_rejected(rng):
+    model = make_backbone()
+    seq = demo_sequence(rng)
+    for bad in ([seq.length], [-1], [[0, 1]]):
+        with pytest.raises(ShapeError, match="logit rows"):
+            with Graph():
+                model.logits(seq, rows=bad)
+
+
+def _full_row_nll(logits, seq, span):
+    s, e = seq.spans[span]
+    log_probs = ad.log_softmax(logits, axis=-1)
+    return ad.neg(ad.mean(ad.pick(log_probs, np.arange(s - 1, e - 1), seq.ids[s:e])))
+
+
+def _values_and_grads(fn, wrt):
+    """The three span losses of `fn` and the gradients of their sum."""
+    with Graph():
+        text, eeg, answer = fn()
+        grads = backward(ad.add(ad.add(text, eeg), answer), wrt=list(wrt.values()))
+    return [float(v.data) for v in (text, eeg, answer)], {n: grads[p] for n, p in wrt.items()}
+
+
+@pytest.mark.parametrize("cfg", [CFG, TIED], ids=["head", "tied"])
+def test_row_losses_match_a_full_row_reference(rng, cfg):
+    model = make_backbone(cfg, seed=22)
+    model.apply_lora(rank=2, alpha=4.0, rng=np.random.default_rng(23))
+    for p in model.adapter_parameters().values():
+        p.data[...] = 0.1 * rng.standard_normal(p.data.shape)
+    model.unfreeze()
+    seq = demo_sequence(rng, answer=True)
+    sem = Tensor(seq.sem, requires_grad=True)
+
+    def reference():
+        logits = model.logits(seq, sem)
+        return [_full_row_nll(logits, seq, span) for span in ("text", "eeg", "answer")]
+
+    def rows_path():
+        return [*loss_ntp(seq, model, sem), loss_sft(seq, model, sem)]
+
+    wrt = {**model.trainable_parameters(), "sem": sem}
+    (ref_vals, ref_grads), (vals, grads) = (
+        _values_and_grads(fn, wrt) for fn in (reference, rows_path)
+    )
+    np.testing.assert_allclose(vals, ref_vals, rtol=1e-12, atol=0)
+    # relative to the largest gradient: some are zero up to rounding (a key bias)
+    scale = max(np.abs(g).max() for g in ref_grads.values())
+    for name, g in ref_grads.items():
+        assert np.abs(grads[name] - g).max() <= 1e-12 * scale, name
+    assert np.abs(ref_grads["blocks.1.attn.wq.w"]).max() > 0
+
+
+def test_span_nll_rejects_logits_of_another_row_count(rng):
+    model = make_backbone()
+    seq = demo_sequence(rng)
+    with Graph():
+        logits = model.logits(seq, rows=[1, 2])
+        with pytest.raises(ShapeError, match="logit rows"):
+            span_nll(logits, seq, "eeg")
+
+
+def test_two_block_backbone_gradients_through_the_rows_path(rng):
+    cfg = BackboneConfig(
+        vocab=VocabSpec(v_text=10, n_codes=5),
+        n_layers=2, embed_dim=8, n_heads=2, ffn_mult=2, max_len=24, sem_dim=4, tied_head=True,
+    )
+    model = ToyBackbone(cfg, np.random.default_rng(24))
+    seq = assemble_sequence(
+        [1, 2, 3], rng.standard_normal((2, 4)), [0, 3, 1], cfg.vocab,
+        instruction_ids=[4, 5], answer_ids=[6, 7],
+    )
+    params = list(model.trainable_parameters().values())
+
+    def loss_fn(_):
+        text_loss, eeg_loss = loss_ntp(seq, model)
+        return ad.add(ad.add(text_loss, eeg_loss), loss_sft(seq, model))
+
+    assert check_directional(loss_fn, params, rng) < 1e-4

@@ -6,6 +6,7 @@ import numpy as np
 
 from eeglm.autodiff import Graph, Tensor, backward, mul, sub, sum_
 from eeglm.checkpoint import assign_parameters
+from eeglm.gradcheck import check_directional
 from eeglm.nn import Linear
 from eeglm.optim import AdamW, clip_global_norm, cosine_schedule
 from eeglm.quantizer import QuantizerConfig, VectorQuantizer
@@ -162,3 +163,16 @@ def test_parameters_written_in_place_stay_in_the_buffer():
     opt.step({n: np.ones_like(t.data) for n, t in params.items()})
     for name, t in params.items():
         assert np.all(t.data != before[name])
+
+
+def test_directional_check_leaves_parameters_in_the_buffer():
+    rng = np.random.default_rng(1)
+    p = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    opt = AdamW({"p": p}, lr=0.1)
+    before = p.data.copy()
+    err = check_directional(lambda ts: sum_(mul(ts[0], ts[0])), [p], rng)
+    assert err < 1e-6
+    assert np.shares_memory(p.data, opt.flat)
+    np.testing.assert_array_equal(p.data, before)
+    opt.step({"p": np.ones_like(p.data)})
+    assert np.all(p.data != before)

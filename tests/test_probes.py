@@ -7,6 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from eeglm import evaluate, training
+from eeglm.autodiff import Graph
+from eeglm.config import resolve_config
+from eeglm.synth import load_corpus, make_dataset
+
 PROBES = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
 
 
@@ -35,3 +40,37 @@ EXTRA_TARGETS = (
 )
 def test_patched_attribute_resolves(target, attr):
     assert callable(getattr(probes._resolve(target), attr))
+
+
+def test_traced_losses_read_every_row_the_backbone_computes(tmp_path):
+    make_dataset(tmp_path, n_per_class=1, classes=("class-a", "class-b"),
+                 montage="synthetic-2", seconds=2.0, seed=3)
+    cfg = resolve_config(None, [{
+        "data": {"montage": "synthetic-2", "classes": ["class-a", "class-b"],
+                 "train_dir": str(tmp_path)},
+        "encoder": {"embed_dim": 8, "ffn_mult": 2, "max_patches": 8},
+        "quantizer": {"num_codes": 8, "code_dim": 4},
+        "refiner": {"n_experts": 2},
+        "backbone": {"v_text": 64, "n_layers": 2, "embed_dim": 16, "n_heads": 2,
+                     "ffn_mult": 2, "max_len": 192},
+    }])
+    model = training.build_model(cfg)
+    items = training.prepare_sequences(model, load_corpus(tmp_path), with_answer=True)
+    tokens = model.tokenizer.ensure_distinct(cfg["data"]["classes"])
+
+    tracer = probes.Tracer()
+    tracer.install()
+    try:
+        for item in items:
+            with Graph():
+                training.loss_ntp(item.seq, model.backbone)
+                training.loss_sft(item.seq, model.backbone)
+            evaluate.label_probabilities(model, item, tokens)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert counts["backbone.logits.calls"] == 3 * len(items)
+    assert counts["backbone.rows_read"] > 0
+    assert counts["backbone.rows_read"] == counts["backbone.rows_computed"]
+    # uninstalled: the module attributes are the originals again
+    assert training.loss_ntp.__module__ == "eeglm.losses"

@@ -198,6 +198,25 @@ def test_top_k_clamps_to_channel_count():
     assert len(top) == 3
 
 
+def test_extract_features_computes_each_temporal_stat_once(monkeypatch):
+    import eeglm.profiler as profiler
+
+    calls = []
+
+    def counted(x):
+        calls.append(np.asarray(x).size)
+        return temporal_stats(x)
+
+    monkeypatch.setattr(profiler, "temporal_stats", counted)
+    rng = np.random.default_rng(0)
+    rec = Recording(channels=tiny_montage(4).labels, fs=200.0, data=rng.standard_normal((4, 800)))
+    feats = extract_features(rec, build_hierarchy(tiny_montage(4)))
+    # one per channel plus one over the whole recording
+    assert sorted(calls) == [800] * 4 + [3200]
+    regions, top = spatial_summary(rec, build_hierarchy(tiny_montage(4)))
+    assert feats.region_stats == regions and feats.top_channels == top
+
+
 def test_spatial_summary_rejects_foreign_montage():
     rec = variance_tuned_recording([1.0, 2.0, 3.0])
     hier = build_hierarchy(tiny_montage(4))
