@@ -1,4 +1,5 @@
-"""Run the README quick start and the other subcommands, then hash every file.
+"""Run the README quick start, a stopped and resumed copy of its training,
+and the other subcommands, then hash every file.
 
 Usage, from the root of an eeglm checkout::
 
@@ -6,10 +7,14 @@ Usage, from the root of an eeglm checkout::
 
 Every command goes through ``eeglm.cli.main`` inside the empty directory
 OUT, with the relative paths the README uses, so two checkouts write the
-same files under the same names. The commands' own output goes to stderr.
-If a command fails, the script stops with its exit code. Otherwise it prints
-``sha256  relpath`` for every file under OUT, sorted by path, so that
-``diff`` of two listings shows whether two checkouts write the same bytes.
+same files under the same names. The resumed copy stops vq, cpt and sft
+after 7, 3 and 4 epochs and ``--resume``s them to the README's 20, 8 and 10,
+in run directories of its own (``resume-vq``, ``resume-cpt``,
+``resume-sft``), each stage starting from the resumed one before it. The
+commands' own output goes to stderr. If a command fails, the script stops
+with its exit code. Otherwise it prints ``sha256  relpath`` for every file
+under OUT, sorted by path, so that ``diff`` of two listings shows whether
+two checkouts write the same bytes.
 Compare listings made at the same BLAS thread count.
 """
 
@@ -40,6 +45,19 @@ QUICK_START = (
     " --checkpoint run-sft/checkpoints/epoch_0009 --data eval-data",
 )
 
+RESUMED = (
+    "--seed 7 --out resume-vq  $SET train --stage vq  --data train-data --epochs 7",
+    "--seed 7 --out resume-vq  $SET train --stage vq  --data train-data --epochs 20 --resume",
+    "--seed 7 --out resume-cpt $SET train --stage cpt --data train-data --epochs 3"
+    " --init-from resume-vq/checkpoints/epoch_0019",
+    "--seed 7 --out resume-cpt $SET train --stage cpt --data train-data --epochs 8"
+    " --init-from resume-vq/checkpoints/epoch_0019 --resume",
+    "--seed 7 --out resume-sft $SET train --stage sft --data train-data --epochs 4"
+    " --init-from resume-cpt/checkpoints/epoch_0007",
+    "--seed 7 --out resume-sft $SET train --stage sft --data train-data --epochs 10"
+    " --init-from resume-cpt/checkpoints/epoch_0007 --resume",
+)
+
 OTHER_COMMANDS = (
     "--out clean preprocess train-data/sample_0000",
     "--out tokens.txt tokenize --container clean"
@@ -54,7 +72,7 @@ OTHER_COMMANDS = (
 
 def run_commands(out: Path) -> int:
     """Run every command inside `out`; the first non-zero exit code, or 0."""
-    for line in QUICK_START + OTHER_COMMANDS:
+    for line in QUICK_START + RESUMED + OTHER_COMMANDS:
         argv = line.replace("$SET", SET).split()
         with redirect_stdout(sys.stderr):
             code = main(argv)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_json_object
 
 MANIFEST = "manifest.json"
 WEIGHTS = "weights.bin"
@@ -45,25 +45,15 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict 
     os.replace(tmp_manifest, root / MANIFEST)
 
 
-def _read_manifest(root: Path) -> dict:
-    try:
-        manifest = json.loads((root / MANIFEST).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read checkpoint manifest in {root}: {e}") from e
-    if not isinstance(manifest, dict):
-        raise DataError(f"checkpoint manifest in {root} is not a JSON object")
-    return manifest
-
-
 def load_meta(path: str | Path) -> dict:
     """A checkpoint's metadata, read from its manifest alone."""
-    return _read_manifest(Path(path)).get("meta", {})
+    return read_json_object(Path(path) / MANIFEST, DataError, "checkpoint manifest").get("meta", {})
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint directory back as float64 arrays plus metadata."""
     root = Path(path)
-    manifest = _read_manifest(root)
+    manifest = read_json_object(root / MANIFEST, DataError, "checkpoint manifest")
     try:
         raw = (root / WEIGHTS).read_bytes()
     except OSError as e:

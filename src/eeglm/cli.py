@@ -10,7 +10,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .config import parse_override, resolve_config
-from .errors import DataError, EeglmError, UsageError
+from .errors import DataError, EeglmError, UsageError, read_json_object
 from .evaluate import evaluate_checkpoint
 from .profiler import PROFILE_KEYS
 from .quantizer import save_tokens
@@ -121,10 +121,7 @@ def cmd_attn_export(args, cfg: dict) -> int:
     rec = load_container(args.container)
     tokens, z_q = model.tokenize_recording(rec)
     if args.profile:
-        try:
-            record = json.loads(Path(args.profile).read_text())
-        except (OSError, json.JSONDecodeError) as e:
-            raise DataError(f"cannot read profile file {args.profile}: {e}") from e
+        record = read_json_object(args.profile, DataError, "profile file")
         text = " ".join(str(record[k]) for k in PROFILE_KEYS if k in record)
         if not text.strip():
             raise DataError(f"profile file {args.profile} holds none of the expected keys")

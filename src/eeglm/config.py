@@ -6,7 +6,7 @@ import copy
 import json
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_json_object
 
 DEFAULTS: dict = {
     "seed": 0,
@@ -98,13 +98,7 @@ def _merge(base: dict, override: dict, path: str = "", defaults: dict = DEFAULTS
 
 def load_config_file(path: str | Path) -> dict:
     """Read a JSON config file into a plain dict."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from e
-    if not isinstance(payload, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return payload
+    return read_json_object(path, ConfigError, "config file")
 
 
 def parse_override(spec: str) -> dict:

@@ -1,10 +1,14 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the JSON-file reader
+that raises it.
 
 Each error family maps to a stable CLI exit code so shell callers can
 branch on failure class without parsing messages.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 
 class EeglmError(Exception):
@@ -51,3 +55,15 @@ class NumericError(EeglmError):
 
 class ShapeError(NumericError):
     """Operand shapes incompatible for the requested operation."""
+
+
+def read_json_object(path: str | Path, error: type[EeglmError], what: str) -> dict:
+    """The JSON object in the file `path`. An unreadable file, malformed JSON
+    or any other JSON value raises `error`, naming the file as `what`."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as e:
+        raise error(f"cannot read {what} {path}: {e}") from e
+    if not isinstance(payload, dict):
+        raise error(f"{what} {path} is not a JSON object")
+    return payload

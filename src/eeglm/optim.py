@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from .autodiff import Array, Tensor
+from .errors import DataError
 
 
 class AdamW:
@@ -91,10 +92,19 @@ class AdamW:
 
     def load_state(self, step: int, arrays: dict[str, np.ndarray]) -> None:
         """Resume after `step` steps with the moments `arrays` holds under the
-        `state_arrays` names; a moment missing there restarts at zero."""
+        `state_arrays` names. A moment that is missing or of another shape,
+        or one stored for a parameter this optimizer does not own, raises
+        `DataError`: the arrays come from a run that trained another set."""
+        state = self.state_arrays()
+        for key in arrays:
+            if key.startswith("opt.") and key not in state:
+                raise DataError(f"optimizer state {key!r} is for a parameter not trained here")
+        for key, view in state.items():
+            if key not in arrays or np.shape(arrays[key]) != view.shape:
+                got = np.shape(arrays[key]) if key in arrays else "nothing"
+                raise DataError(f"optimizer state {key!r}: expected shape {view.shape}, got {got}")
+            view[...] = arrays[key]
         self.t = int(step)
-        for key, view in self.state_arrays().items():
-            view[...] = arrays.get(key, 0.0)
 
 
 def clip_global_norm(grads: dict[str, Array], max_norm: float) -> dict[str, Array]:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy import signal as sps
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_json_object
 
 WORK_FS = 200.0
 DEFAULT_BAND = (0.1, 75.0)
@@ -106,12 +106,7 @@ def load_container(path: str | Path) -> Recording:
     root = Path(path)
     manifest_path = root / "manifest.json"
     bin_path = root / "signal.bin"
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read manifest {manifest_path}: {e}") from e
-    if not isinstance(manifest, dict):
-        raise DataError(f"manifest {manifest_path} is not a JSON object")
+    manifest = read_json_object(manifest_path, DataError, "manifest")
     for key in ("channels", "fs", "dtype", "samples"):
         if key not in manifest:
             raise DataError(f"manifest {manifest_path} missing field {key!r}")

@@ -9,13 +9,12 @@ each group; broadcasting copies a group feature back to its members.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import MontageError
+from .errors import MontageError, read_json_object
 
 BANDS = ("anterior", "central", "posterior")
 SIDES = ("left", "mid", "right")
@@ -227,12 +226,9 @@ def builtin_montage() -> Montage:
 
 def load_montage(path: str | Path) -> Montage:
     """Load a montage from a JSON file with `labels` and `assignments`."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise MontageError(f"cannot read montage file {path}: {e}") from e
-    if not isinstance(payload, dict) or "labels" not in payload or "assignments" not in payload:
-        raise MontageError(f"montage file {path} needs an object with 'labels' and 'assignments'")
+    payload = read_json_object(path, MontageError, "montage file")
+    if "labels" not in payload or "assignments" not in payload:
+        raise MontageError(f"montage file {path} needs 'labels' and 'assignments'")
     if not isinstance(payload["labels"], list) or not isinstance(payload["assignments"], dict):
         raise MontageError(f"montage file {path}: 'labels' must be a list, 'assignments' an object")
     labels = [str(x) for x in payload["labels"]]

@@ -8,6 +8,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -71,9 +72,6 @@ class PipelineModel:
             out.update(mod.named_parameters(prefix))
         return out
 
-    def trainable_parameters(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.named_parameters().items() if v.requires_grad}
-
     def tokenize_recording(self, rec: Recording) -> tuple[TokenSequence, np.ndarray]:
         """Patch -> encode -> quantize one recording (no gradients recorded)."""
         montage = self.encoder.hierarchy.montage
@@ -119,10 +117,15 @@ def build_model(cfg: dict) -> PipelineModel:
     )
 
 
-def _load_into(model: PipelineModel, arrays: dict[str, np.ndarray], stage: str) -> None:
-    """Give a freshly built model the parameter layout of a `stage` checkpoint
-    and load its arrays; a loaded codebook needs no k-means warm start."""
-    if stage != "vq":
+def _is_adapter(name: str) -> bool:
+    return "lora_a" in name or "lora_b" in name
+
+
+def _load_into(model: PipelineModel, arrays: dict[str, np.ndarray]) -> None:
+    """Give a freshly built model the parameter layout `arrays` were saved
+    from (a backbone adapter when they hold adapter entries) and load them;
+    a loaded codebook needs no k-means warm start."""
+    if any(map(_is_adapter, arrays)):
         model.backbone.apply_lora(**model.cfg["lora"], rng=np.random.default_rng(0))
     assign_parameters(model.named_parameters(), arrays)
     model.quantizer._warmed = True
@@ -134,7 +137,7 @@ def load_model(checkpoint_path: str | Path) -> tuple[PipelineModel, dict]:
     if "config" not in meta or "stage" not in meta:
         raise DataError(f"checkpoint {checkpoint_path} lacks stage/config metadata")
     model = build_model(meta["config"])
-    _load_into(model, arrays, meta["stage"])
+    _load_into(model, arrays)
     return model, meta
 
 
@@ -309,25 +312,47 @@ def find_latest_checkpoint(run_dir: str | Path) -> tuple[Path, dict] | None:
 # stage specs: what differs between the three stages
 # ---------------------------------------------------------------------------
 
+def _under(prefix: str) -> Callable[[str], bool]:
+    return lambda name: name.startswith(prefix)
+
+
 class StageSpec:
     """What one training stage adds to the loop that every stage shares.
 
-    Each stage defines `open(model, rng)`, which freezes or opens parameters
-    and returns the trainable dict and its lr scales (`rng` draws the stage's
-    fresh adapter; it is None on resume, where the checkpoint holds it), and
-    `step(model, item)`, which returns the loss of one item and its
-    (total, text, eeg, orth) log columns. A spec is built per run, so its
-    hooks may keep state between calls.
+    Each stage declares `groups(model)`, what it trains as ordered
+    (membership, lr scale) pairs over parameter names, and `step(model,
+    item)`, which returns the loss of one item and its (total, text, eeg,
+    orth) log columns. A spec is built per run, so its hooks may keep state
+    between calls.
     """
 
     name = ""
     parent: str | None = None  # the stage train.init_from must name
-    lora_salt = 0  # salts the rng of the adapter a stage opens
+    lora_salt = 0  # nonzero: the stage trains a fresh adapter, its rng salted by this
     supervised = False
     avg_keys: tuple[str, ...] = ()  # log columns averaged per epoch; () keeps the total only
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
+
+    def open(self, model: PipelineModel, fresh: bool) -> tuple[dict[str, Tensor], dict[str, float]]:
+        """Freeze every parameter outside `groups` and return the trainable
+        dict (group by group, each in parameter order) with its lr scales.
+        A fresh start of a stage with a `lora_salt` first folds the adapter
+        the model was loaded with and attaches a new one; a resumed run
+        keeps the adapter its checkpoint holds."""
+        if fresh and self.lora_salt:
+            model.backbone.merge_adapters()
+            rng = np.random.default_rng([self.cfg["seed"], self.lora_salt])
+            model.backbone.apply_lora(**self.cfg["lora"], rng=rng)
+        named = model.named_parameters()
+        trainable, scales = {}, {}
+        for member, scale in self.groups(model):
+            for name in filter(member, named):
+                trainable[name], scales[name] = named[name], scale
+        for name, tensor in named.items():
+            tensor.requires_grad = name in trainable
+        return trainable, scales
 
     def prepare(self, model: PipelineModel, corpus: list) -> list:
         return prepare_sequences(model, corpus, with_answer=self.supervised)
@@ -354,12 +379,9 @@ class VqStage(StageSpec):
 
     name = "vq"
 
-    def open(self, model, rng):
-        model.refiner.freeze()
-        model.backbone.freeze()
-        trainable = model.trainable_parameters()
-        scale = self.cfg["optimizer"]["recon_lr_scale"]
-        return trainable, {n: scale for n in trainable if n.startswith("recon.")}
+    def groups(self, model):
+        recon = self.cfg["optimizer"]["recon_lr_scale"]
+        return [(_under("encoder."), 1.0), (_under("recon."), recon), (_under("quant."), 1.0)]
 
     def prepare(self, model, corpus):
         samples = []
@@ -405,32 +427,15 @@ class VqStage(StageSpec):
 # stage 2: continued pretraining over hybrid sequences
 # ---------------------------------------------------------------------------
 
-def _open_adapter(model: PipelineModel, rng: np.random.Generator | None) -> None:
-    """Freeze the signal stages, open the refiner, and attach a fresh backbone
-    adapter drawn from `rng` (None keeps the adapter the model was loaded with)."""
-    for mod in (model.encoder, model.recon, model.quantizer):
-        mod.freeze()
-    if rng is not None:
-        model.backbone.apply_lora(**model.cfg["lora"], rng=rng)
-    model.refiner.unfreeze()
-
-
-def _cpt_structure(model: PipelineModel, rng: np.random.Generator | None) -> None:
-    """Freeze the signal stages, adapt the backbone, open the expansion set."""
-    _open_adapter(model, rng)
-    for tensor in model.backbone.expansion_parameters().values():
-        tensor.requires_grad = True
-
-
 class CptStage(StageSpec):
     """Next-token pretraining with the orthogonality penalty on frozen tokens."""
 
     name, parent, lora_salt = "cpt", "vq", 7
     avg_keys = ("total", "text", "eeg", "orth")
 
-    def open(self, model, rng):
-        _cpt_structure(model, rng)
-        return model.trainable_parameters(), {}
+    def groups(self, model):
+        expansion = {f"backbone.{n}" for n in model.backbone.expansion_parameters()}
+        return [(_under("refiner."), 1.0), (lambda n: _is_adapter(n) or n in expansion, 1.0)]
 
     def step(self, model, item):
         experts = model.refiner(item.h_text, item.z_q)
@@ -446,48 +451,6 @@ class CptStage(StageSpec):
 # ---------------------------------------------------------------------------
 # stage 3: decoupled supervised fine-tuning
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TrainingPlan:
-    """Which parameter groups train at which learning rate; the rest freeze."""
-
-    group_lrs: dict[str, float]
-    group_params: dict[str, tuple[str, ...]]
-
-    def trainable(self, model: PipelineModel) -> dict[str, Tensor]:
-        named = model.named_parameters()
-        return {n: named[n] for names in self.group_params.values() for n in names}
-
-    def lr_scales(self) -> dict[str, float]:
-        base = self.group_lrs["adapter"]
-        return {
-            name: lr / base
-            for group, lr in self.group_lrs.items()
-            for name in self.group_params[group]
-            if lr != base
-        }
-
-
-def decoupled_finetune_setup(
-    model: PipelineModel,
-    base_lr: float,
-    rng: np.random.Generator | None,
-) -> TrainingPlan:
-    """Fold the old adapter, freeze everything, then open a fresh adapter at
-    `base_lr` and the refiner at its configured fraction of it. With `rng`
-    None (a resumed run, whose checkpoint holds the merged weights) the
-    attached adapter is opened instead."""
-    if rng is not None:
-        model.backbone.merge_adapters()
-    _open_adapter(model, rng)
-    named = model.named_parameters()
-    adapter = tuple(f"backbone.{n}" for n in model.backbone.adapter_parameters())
-    refiner = tuple(n for n in named if n.startswith("refiner."))
-    return TrainingPlan(
-        group_lrs={"adapter": base_lr, "refiner": model.cfg["train"]["star_lr_scale"] * base_lr},
-        group_params={"adapter": adapter, "refiner": refiner},
-    )
-
 
 def balanced_order(
     labels: list[str], rng: np.random.Generator, balance: bool
@@ -507,9 +470,15 @@ class SftStage(StageSpec):
 
     name, parent, lora_salt, supervised = "sft", "cpt", 11, True
 
-    def open(self, model, rng):
-        self.plan = decoupled_finetune_setup(model, self.cfg["optimizer"]["lr"], rng)
-        return self.plan.trainable(model), self.plan.lr_scales()
+    def __init__(self, cfg: dict):
+        super().__init__(cfg)
+        lr = cfg["optimizer"]["lr"]
+        self.plan = {"adapter": lr, "refiner": cfg["train"]["star_lr_scale"] * lr}
+
+    def groups(self, model):
+        # the refiner's scale is the plan's ratio, train.star_lr_scale up to rounding
+        star = self.plan["refiner"] / self.plan["adapter"]
+        return [(_is_adapter, 1.0), (_under("refiner."), star)]
 
     def order(self, items, rng):
         labels = [item.label for item in items]
@@ -522,10 +491,10 @@ class SftStage(StageSpec):
         return loss, (lt, lt, 0.0, 0.0)
 
     def end_epoch(self, model, rng):
-        return {"plan": dict(self.plan.group_lrs)}
+        return {"plan": dict(self.plan)}
 
     def summary(self, epoch_avgs, last):
-        return {"plan": self.plan.group_lrs}
+        return {"plan": self.plan}
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +524,8 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
             f"{spec.name} stage must start from a {want} checkpoint ({where}), got {got}"
         )
     if meta:
-        _load_into(model, arrays, want)
-    for sub in ("checkpoints", "artifacts"):
-        (run / sub).mkdir(parents=True, exist_ok=True)
-    (run / "config.json").write_text(json.dumps(cfg, indent=2))
-    rng = None if resumed else np.random.default_rng([cfg["seed"], spec.lora_salt])
-    trainable, lr_scales = spec.open(model, rng)
+        _load_into(model, arrays)
+    trainable, lr_scales = spec.open(model, fresh=not resumed)
     opt_cfg = cfg["optimizer"]
     hyper = {k: opt_cfg[k] for k in ("lr", "betas", "eps", "weight_decay")}
     opt = AdamW(trainable, lr_scales=lr_scales, **hyper)
@@ -569,6 +534,9 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
         opt.load_state(meta["opt_step"], arrays)
         start_epoch, step, last = meta["epoch"] + 1, meta["step"], meta
         epoch_avgs = list(meta.get("epoch_avg_loss", []))
+    for sub in ("checkpoints", "artifacts"):
+        (run / sub).mkdir(parents=True, exist_ok=True)
+    (run / "config.json").write_text(json.dumps(cfg, indent=2))
     items = spec.prepare(model, corpus)
 
     logger = MetricsLogger(run / "metrics.csv", append=resumed, keep_through=step)

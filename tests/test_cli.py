@@ -525,3 +525,16 @@ def test_attn_export_bad_profile_exits_3(env, tmp_path):
         "--profile", str(empty),
     ])
     assert rc == 3
+
+
+@pytest.mark.parametrize("payload", ["Feature Summary", 7], ids=["string", "number"])
+def test_attn_export_profile_must_be_an_object(env, tmp_path, capsys, payload):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(payload))
+    rc = main(env["base"] + [
+        "--out", str(tmp_path / "x.csv"), "attn-export",
+        "--checkpoint", str(env["ckpt_sft"]), "--container", str(env["data"] / "sample_0000"),
+        "--profile", str(profile),
+    ])
+    assert rc == 3
+    assert str(profile) in capsys.readouterr().err

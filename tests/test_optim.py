@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from eeglm.autodiff import Graph, Tensor, backward, mul, sub, sum_
 from eeglm.checkpoint import assign_parameters
+from eeglm.errors import DataError
 from eeglm.gradcheck import check_directional
 from eeglm.nn import Linear
 from eeglm.optim import AdamW, clip_global_norm, cosine_schedule
@@ -119,6 +121,24 @@ def test_flat_update_matches_per_tensor_reference_bit_for_bit():
         np.testing.assert_array_equal(moments[f"opt.m/{name}"], state["m"][name])
         np.testing.assert_array_equal(moments[f"opt.v/{name}"], state["v"][name])
     assert not np.array_equal(tensors["idle"].data, init["idle"])  # decay moves it
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda state: state.pop("opt.v/a"), "opt.v/a"),
+        (lambda state: state.update({"opt.m/a": np.full(1, 0.5)}), "opt.m/a"),
+        (lambda state: state.update({"opt.m/c": np.zeros(2)}), "opt.m/c"),
+    ],
+    ids=["missing", "broadcastable-shape", "foreign-parameter"],
+)
+def test_load_state_refuses_moments_of_another_trainable_set(edit, named):
+    params = {n: Tensor(np.ones(s), requires_grad=True) for n, s in (("a", (3, 2)), ("b", (4,)))}
+    opt = AdamW(params, lr=0.1)
+    state = {k: v.copy() for k, v in opt.state_arrays().items()}
+    edit(state)
+    with pytest.raises(DataError, match=repr(named)):
+        AdamW(params, lr=0.1).load_state(3, state)
 
 
 def test_state_arrays_resume_gives_the_same_next_step():

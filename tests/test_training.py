@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import json
 import shutil
 
 import numpy as np
@@ -20,10 +21,11 @@ from eeglm.training import (
     CSV_COLUMNS,
     MetricsLogger,
     STAGE_RUNNERS,
-    _cpt_structure,
+    CptStage,
+    SftStage,
+    VqStage,
     balanced_order,
     build_model,
-    decoupled_finetune_setup,
     find_latest_checkpoint,
     load_model,
     prepare_sequences,
@@ -220,6 +222,52 @@ def test_resume_continues_step_counter(tmp_path, chain, stage):
     assert meta["step"] == 16 and meta["epoch"] == 3
 
 
+def _moment_names(checkpoint):
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    return [e["name"] for e in manifest["params"] if e["name"].startswith("opt.")]
+
+
+@pytest.mark.parametrize("stage", ["vq", "cpt", "sft"])
+def test_resume_opens_the_fresh_starts_trainable_set(tmp_path, chain, stage):
+    _, cfg_vq, cfg_cpt, cfg_sft = chain
+    cfg = copy.deepcopy({"vq": cfg_vq, "cpt": cfg_cpt, "sft": cfg_sft}[stage])
+    spec_cls = {"vq": VqStage, "cpt": CptStage, "sft": SftStage}[stage]
+    run = tmp_path / "run"
+    cfg["train"]["epochs"] = 1
+    STAGE_RUNNERS[stage](cfg, run)
+    cfg["train"]["epochs"] = 2
+    STAGE_RUNNERS[stage](cfg, run, resume=True)
+    first, second = (run / "checkpoints" / f"epoch_{e:04d}" for e in (0, 1))
+    moments = _moment_names(first)
+    assert moments and _moment_names(second) == moments
+
+    fresh_model = build_model(cfg)
+    if cfg["train"]["init_from"]:
+        training._load_into(fresh_model, load_checkpoint(cfg["train"]["init_from"])[0])
+    fresh, fresh_scales = spec_cls(cfg).open(fresh_model, fresh=True)
+    resumed_model = build_model(cfg)
+    training._load_into(resumed_model, load_checkpoint(first)[0])
+    resumed, resumed_scales = spec_cls(cfg).open(resumed_model, fresh=False)
+    assert list(resumed_scales.items()) == list(fresh_scales.items())
+    assert list(resumed) == list(fresh) == [n[len("opt.m/"):] for n in moments[: len(fresh)]]
+
+
+def test_resume_refuses_moments_of_another_trainable_set(tmp_path, data_dir, monkeypatch):
+    run = tmp_path / "run"
+    run_vq_stage(toy_cfg(data_dir, train={"epochs": 1}), run)
+    config_before = (run / "config.json").read_text()
+    real_groups = VqStage.groups
+
+    def groups_with_refiner(self, model):
+        return real_groups(self, model) + [(lambda n: n.startswith("refiner."), 1.0)]
+
+    monkeypatch.setattr(VqStage, "groups", groups_with_refiner)
+    with pytest.raises(DataError, match=r"'opt\.m/refiner\."):
+        run_vq_stage(toy_cfg(data_dir, train={"epochs": 2}), run, resume=True)
+    assert (run / "config.json").read_text() == config_before
+    assert sorted(p.name for p in (run / "checkpoints").iterdir()) == ["epoch_0000"]
+
+
 def test_resume_drops_rows_logged_after_the_checkpoint(tmp_path, data_dir, monkeypatch):
     # crash after epoch 1's steps are logged but before its checkpoint is written
     run = tmp_path / "run"
@@ -275,9 +323,9 @@ def test_load_model_round_trip(chain):
 
 
 def test_cpt_structure_opens_exactly_adapters_expansion_refiner(data_dir):
-    model = build_model(toy_cfg(data_dir))
-    _cpt_structure(model, np.random.default_rng(0))
-    trainable = set(model.trainable_parameters())
+    cfg = toy_cfg(data_dir)
+    model = build_model(cfg)
+    trainable = set(CptStage(cfg).open(model, fresh=True)[0])
     expansion = {f"backbone.{n}" for n in model.backbone.expansion_parameters()}
     named = model.named_parameters()
     adapters = {n for n in named if "lora_a" in n or "lora_b" in n}
@@ -337,14 +385,14 @@ def test_cpt_summary_reports_uniform_baseline(chain):
 def test_finetune_plan_contract(chain, data_dir):
     root, _, _, _ = chain
     model, _ = load_model(root / "cpt" / "checkpoints" / "epoch_0001")
-    plan = decoupled_finetune_setup(model, 2e-3, np.random.default_rng(0))
-    assert plan.group_lrs == {"adapter": 2e-3, "refiner": pytest.approx(2e-4)}
-    trainable = plan.trainable(model)
+    spec = SftStage(toy_cfg(data_dir, optimizer={"lr": 2e-3}))
+    trainable, scales = spec.open(model, fresh=True)
+    assert spec.plan == {"adapter": 2e-3, "refiner": pytest.approx(2e-4)}
     named = model.named_parameters()
     assert set(trainable) == {
         n for n in named if "lora_" in n or n.startswith("refiner.")
     }
-    scales = plan.lr_scales()
+    scales = {n: s for n, s in scales.items() if s != 1.0}
     assert set(scales) == {n for n in named if n.startswith("refiner.")}
     assert all(s == pytest.approx(0.1) for s in scales.values())
     for name, t in named.items():
@@ -357,7 +405,7 @@ def test_finetune_merges_previous_adapter(chain):
     wq = model.backbone.blocks[0].attn.wq
     base_before = wq.w.data.copy()
     assert np.abs(wq.lora_b.data).max() > 0  # cpt actually trained the adapter
-    decoupled_finetune_setup(model, 1e-3, np.random.default_rng(0))
+    SftStage(model.cfg).open(model, fresh=True)
     assert np.abs(wq.w.data - base_before).max() > 0  # old adapter folded in
     assert np.all(wq.lora_b.data == 0.0)  # fresh adapter starts at zero
 
@@ -366,9 +414,8 @@ def test_refiner_moves_at_a_tenth_of_adapter_rate(chain):
     # with unit gradients everywhere, AdamW moves each weight by ~lr * scale
     root, _, _, _ = chain
     model, _ = load_model(root / "cpt" / "checkpoints" / "epoch_0001")
-    plan = decoupled_finetune_setup(model, 1e-3, np.random.default_rng(0))
-    trainable = plan.trainable(model)
-    opt = AdamW(trainable, lr=1e-3, lr_scales=plan.lr_scales())
+    trainable, scales = SftStage(model.cfg).open(model, fresh=True)
+    opt = AdamW(trainable, lr=1e-3, lr_scales=scales)
     before = {n: t.data.copy() for n, t in trainable.items()}
     opt.step({n: np.ones_like(t.data) for n, t in trainable.items()}, lr=1e-3)
     deltas = {n: np.abs(t.data - before[n]).max() for n, t in trainable.items()}
