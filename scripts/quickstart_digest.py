@@ -15,7 +15,10 @@ commands' own output goes to stderr. If a command fails, the script stops
 with its exit code. Otherwise it prints ``sha256  relpath`` for every file
 under OUT, sorted by path, so that ``diff`` of two listings shows whether
 two checkouts write the same bytes.
-Compare listings made at the same BLAS thread count.
+
+Some products' bytes depend on the BLAS thread count, so the script sets
+``OPENBLAS_NUM_THREADS=1`` before it imports eeglm, unless the caller set
+it, and prints ``OPENBLAS_NUM_THREADS=<value>`` as the listing's first line.
 """
 
 from __future__ import annotations
@@ -26,7 +29,10 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from eeglm.cli import main
+# before numpy loads: OpenBLAS reads its thread count once, at import
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from eeglm.cli import main  # noqa: E402
 
 # the README's SET, split on whitespace as the shell splits an unquoted $SET
 SET = """--set data.montage="synthetic-4" --set quantizer.num_codes=32
@@ -100,6 +106,7 @@ def run(argv: list[str]) -> int:
         print(f"{out} is not empty", file=sys.stderr)
         return 2
     os.chdir(out)
+    print(f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}", flush=True)
     code = run_commands(out)
     if code != 0:
         return code

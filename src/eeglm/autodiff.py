@@ -11,7 +11,10 @@ plain numpy arrays, not tensors on a tape.
 
 `linear` and `attention` are fused primitives: each records one node whose
 vjp replays, in the same order, the numpy expressions of the chain of
-smaller ops it stands for.
+smaller ops it stands for. `attention` takes (tokens, features) matrices
+and splits the features into heads, and merges the heads back, with numpy
+reshapes and transposes inside its node, so the tape records no view op
+for the head layout.
 
 Operations validate shapes eagerly and raise instead of producing NaN/Inf;
 every completed operation leaves only finite values behind.
@@ -567,33 +570,49 @@ def _causal_mask(n: int) -> Array:
 
 
 def attention(
-    q, k, v, scale: float, causal: bool = False, positions=None
+    q, k, v, n_heads: int, causal: bool = False, positions=None
 ) -> tuple[Tensor, Array]:
-    """Scaled dot-product attention as one tape node.
+    """Multi-head scaled dot-product attention as one tape node.
 
-    q is (..., Tq, D), k and v are (..., Tk, D) with the same leading (head)
-    axes. Returns the mixed values (..., Tq, D) and the softmax weights
-    (..., Tq, Tk) as a plain array. With `causal`, the query at position p
-    sees keys j <= p (a -1e9 additive mask); `positions` gives the Tq query
-    positions, 0..Tq-1 by default, so a subset of a sequence's queries can
-    attend to all of its keys. The vjp works from the saved softmax output,
-    as FlashAttention's backward does (Dao et al. 2022), without tiling. The
-    softmax and its vjp run in place on one (..., Tq, Tk) buffer each, with
-    the same IEEE operations, in the same order, as the unfused matmul,
-    transpose, mul, add, softmax and matmul chain.
+    q is (Tq, E), k and v are (Tk, E); E splits into `n_heads` heads of
+    width E/n_heads, scaled by 1/sqrt(E/n_heads). Returns the heads' mixed
+    values merged back to (Tq, E) and the softmax weights (n_heads, Tq, Tk)
+    as a plain array. With `causal`, the query at position p sees keys
+    j <= p (a -1e9 additive mask); `positions` gives the Tq query positions,
+    0..Tq-1 by default, so a subset of a sequence's queries can attend to
+    all of its keys. The vjp works from the saved softmax output, as
+    FlashAttention's backward does (Dao et al. 2022), without tiling. The
+    softmax and its vjp run in place on one (n_heads, Tq, Tk) buffer each;
+    forward and vjp apply the same IEEE operations, in the same order, as
+    the unfused chain that splits the heads with reshape and transpose,
+    then runs matmul, mul, add, softmax and matmul and merges them back.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if (
-        q.data.ndim < 2
+        q.data.ndim != 2
+        or k.data.ndim != 2
         or k.data.shape != v.data.shape
-        or q.data.shape[:-2] != k.data.shape[:-2]
-        or q.data.shape[-1] != k.data.shape[-1]
+        or q.data.shape[1] != k.data.shape[1]
+        or n_heads < 1
+        or q.data.shape[1] % n_heads != 0
     ):
         raise ShapeError(
-            f"attention shapes do not fit: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}"
+            f"attention over {n_heads} heads needs 2-D q (Tq, E) and k, v (Tk, E) "
+            f"with E divisible by the heads; got q {q.data.shape}, k {k.data.shape}, "
+            f"v {v.data.shape}"
         )
-    tq, tk = q.data.shape[-2], k.data.shape[-2]
-    w = np.matmul(q.data, _swap_last(k.data))
+    (tq, e), tk = q.data.shape, k.data.shape[0]
+    dh = e // n_heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(x: Array, t: int) -> Array:
+        return np.transpose(x.reshape((t, n_heads, dh)), (1, 0, 2))
+
+    def merge(x: Array, t: int) -> Array:
+        return np.transpose(x, (1, 0, 2)).reshape((t, e))
+
+    qh, kh, vh = split(q.data, tq), split(k.data, tk), split(v.data, tk)
+    w = np.matmul(qh, _swap_last(kh))
     w *= scale
     if causal:
         if positions is None:
@@ -608,18 +627,19 @@ def attention(
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
-    out = Tensor._wrap(np.matmul(w, v.data))
+    out = Tensor._wrap(merge(np.matmul(w, vh), tq))
 
     def vjp(g: Array):
-        gv = np.matmul(_swap_last(w), g) if v.requires_grad else None
+        g = split(g, tq)
+        gv = merge(np.matmul(_swap_last(w), g), tk) if v.requires_grad else None
         if not (q.requires_grad or k.requires_grad):
             return None, None, gv
-        gs = np.matmul(g, _swap_last(v.data))
+        gs = np.matmul(g, _swap_last(vh))
         gs -= (gs * w).sum(axis=-1, keepdims=True)
         gs *= w
         gs *= scale
-        gq = np.matmul(gs, k.data) if q.requires_grad else None
-        gk = _swap_last(np.matmul(_swap_last(q.data), gs)) if k.requires_grad else None
+        gq = merge(np.matmul(gs, kh), tq) if q.requires_grad else None
+        gk = merge(_swap_last(np.matmul(_swap_last(qh), gs)), tk) if k.requires_grad else None
         return gq, gk, gv
 
     return _record(out, (q, k, v), vjp), w

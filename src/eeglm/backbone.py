@@ -31,10 +31,6 @@ class BackboneConfig:
     def __post_init__(self):
         if self.n_layers < 1:
             raise ConfigError(f"backbone needs >= 1 layer, got {self.n_layers}")
-        if self.embed_dim % self.n_heads != 0:
-            raise ConfigError(
-                f"embed dim {self.embed_dim} not divisible by {self.n_heads} heads"
-            )
 
 
 class TransformerBlock(Module):
@@ -157,13 +153,6 @@ class ToyBackbone(Module):
     def merge_adapters(self) -> None:
         for layer in self._target_layers(LORA_TARGETS):
             layer.merge_lora()
-
-    def adapter_parameters(self) -> dict[str, Tensor]:
-        return {
-            name: p
-            for name, p in self.named_parameters().items()
-            if "lora_a" in name or "lora_b" in name
-        }
 
     def expansion_parameters(self) -> dict[str, Tensor]:
         """Embedding/positional/head/sem-bridge/norm weights trained alongside

@@ -76,7 +76,8 @@ class TemporalEmbedder(Module):
 
 
 class CsaBlock(Module):
-    """Cross-scale attention step: FFN(LN(attn(q, kv) + q))."""
+    """Cross-scale attention step: FFN(LN(attn(q, kv) + q)); called as
+    `block(x, x)` it is a stream-final self-attention step."""
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
         self.attn = MultiHeadAttention(cfg.embed_dim, cfg.n_heads, rng)
@@ -86,19 +87,6 @@ class CsaBlock(Module):
     def __call__(self, query: Tensor, key_value: Tensor) -> Tensor:
         mixed = self.attn(query, key_value)
         return self.ffn(self.ln(ad.add(mixed, query)))
-
-
-class SelfBlock(Module):
-    """Stream-final step: FFN(LN(MSA(x) + x))."""
-
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
-        self.attn = MultiHeadAttention(cfg.embed_dim, cfg.n_heads, rng)
-        self.ln = LayerNorm(cfg.embed_dim)
-        self.ffn = FeedForward(cfg.embed_dim, cfg.ffn_mult * cfg.embed_dim, rng)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        mixed = self.attn(x, x)
-        return self.ffn(self.ln(ad.add(mixed, x)))
 
 
 def _flat(level: Tensor) -> Tensor:
@@ -117,8 +105,8 @@ class DualStreamEncoder(Module):
         # four unshared cross-scale blocks per stream (levels 5 - 1 steps)
         self.global_blocks = [CsaBlock(cfg, rng) for _ in range(4)]
         self.local_blocks = [CsaBlock(cfg, rng) for _ in range(4)]
-        self.global_final = SelfBlock(cfg, rng)
-        self.local_final = SelfBlock(cfg, rng)
+        self.global_final = CsaBlock(cfg, rng)
+        self.local_final = CsaBlock(cfg, rng)
         self.fuse_proj = Linear(2 * cfg.embed_dim, cfg.embed_dim, rng)
 
     def pool_levels(self, features: Tensor) -> list[Tensor]:
@@ -170,8 +158,8 @@ class DualStreamEncoder(Module):
             l = block(l, _flat(coarser))
             l_hist.append(l)
 
-        g = self.global_final(g)
-        l = self.local_final(l)
+        g = self.global_final(g, g)
+        l = self.local_final(l, l)
         g_hist.append(g)
         l_hist.append(l)
 

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 
 class Module:
@@ -31,16 +29,9 @@ class Module:
                         out[f"{key}.{i}"] = item
         return out
 
-    def trainable_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return {k: v for k, v in self.named_parameters(prefix).items() if v.requires_grad}
-
     def freeze(self) -> None:
         for p in self.named_parameters().values():
             p.requires_grad = False
-
-    def unfreeze(self) -> None:
-        for p in self.named_parameters().values():
-            p.requires_grad = True
 
 
 class Linear(Module):
@@ -126,37 +117,24 @@ class MultiHeadAttention(Module):
     """
 
     def __init__(self, dim: int, n_heads: int, rng: np.random.Generator):
-        if dim % n_heads != 0:
+        if n_heads < 1 or dim % n_heads != 0:
             raise ConfigError(f"feature dim {dim} not divisible by {n_heads} heads")
         self.wq = Linear(dim, dim, rng)
         self.wk = Linear(dim, dim, rng)
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
         self.n_heads = n_heads
-        self.head_dim = dim // n_heads
         self.last_attention: np.ndarray | None = None
 
     def __call__(
         self, query: Tensor, key_value: Tensor, causal: bool = False, positions=None
     ) -> Tensor:
-        if query.ndim != 2 or key_value.ndim != 2:
-            raise ShapeError(
-                f"attention expects 2-D token matrices, got {query.shape} and {key_value.shape}"
-            )
-        tq, e = query.shape
-        tk = key_value.shape[0]
-        h, dh = self.n_heads, self.head_dim
-
-        def split(x: Tensor, t: int) -> Tensor:
-            return ad.transpose(ad.reshape(x, (t, h, dh)), (1, 0, 2))
-
-        q = split(self.wq(query), tq)
-        k = split(self.wk(key_value), tk)
-        v = split(self.wv(key_value), tk)
-        mixed, weights = ad.attention(q, k, v, 1.0 / math.sqrt(dh), causal, positions)
+        mixed, weights = ad.attention(
+            self.wq(query), self.wk(key_value), self.wv(key_value),
+            self.n_heads, causal, positions,
+        )
         self.last_attention = weights.mean(axis=0)
-        out = ad.reshape(ad.transpose(mixed, (1, 0, 2)), (tq, e))
-        return self.wo(out)
+        return self.wo(mixed)
 
 
 class Embedding(Module):

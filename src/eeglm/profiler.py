@@ -500,12 +500,12 @@ class HttpClient(LlmClient):
             if isinstance(payload.get("text"), str):
                 return payload["text"]
             choices = payload.get("choices")
-            if isinstance(choices, list) and choices:
+            if isinstance(choices, list) and choices and isinstance(choices[0], dict):
                 first = choices[0]
                 if isinstance(first.get("text"), str):
                     return first["text"]
-                message = first.get("message", {})
-                if isinstance(message.get("content"), str):
+                message = first.get("message")
+                if isinstance(message, dict) and isinstance(message.get("content"), str):
                     return message["content"]
         raise TransportError("profile endpoint response has no completion text")
 

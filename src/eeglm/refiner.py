@@ -27,10 +27,6 @@ class RefinerConfig:
     def __post_init__(self):
         if self.n_experts < 1:
             raise ConfigError(f"need at least one latent expert, got {self.n_experts}")
-        if self.embed_dim % self.n_heads != 0:
-            raise ConfigError(
-                f"embed dim {self.embed_dim} not divisible by {self.n_heads} heads"
-            )
 
 
 @dataclass(frozen=True)

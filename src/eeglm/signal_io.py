@@ -54,8 +54,8 @@ class Recording:
             raise DataError("recording holds no samples")
         if len(set(self.channels)) != len(self.channels):
             raise DataError("channel labels must be unique")
-        if self.fs <= 0:
-            raise DataError(f"sampling rate must be positive, got {self.fs}")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise DataError(f"sampling rate must be positive and finite, got {self.fs}")
         object.__setattr__(self, "data", arr)
 
     @property
@@ -206,8 +206,8 @@ def resample(rec: Recording, target_fs: float) -> Recording:
     Output length is floor(T * target_fs / fs); equal rates short-circuit to
     the identity.
     """
-    if target_fs <= 0:
-        raise ConfigError(f"target sampling rate must be positive, got {target_fs}")
+    if not (math.isfinite(target_fs) and target_fs > 0):
+        raise ConfigError(f"target sampling rate must be positive and finite, got {target_fs}")
     if target_fs == rec.fs:
         return rec
     frac = Fraction(target_fs / rec.fs).limit_denominator(1000)

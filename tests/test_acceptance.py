@@ -118,7 +118,7 @@ def _make_encoder(seed):
 
 def _case_dual_stream(seed):
     enc, x, rng = _make_encoder(seed)
-    params = list(enc.trainable_parameters().values())
+    params = [p for p in enc.named_parameters().values() if p.requires_grad]
     return check_directional(lambda _: _sq(enc(x).h_eeg), params, rng)
 
 
@@ -156,7 +156,7 @@ def _case_refiner_calibrate(seed):
     rng = np.random.default_rng(seed)
     ref = SemanticRefiner(REF_TOY, rng)
     h_text = Tensor(rng.standard_normal((int(rng.integers(1, 5)), 8)), requires_grad=True)
-    params = list(ref.trainable_parameters().values()) + [h_text]
+    params = [p for p in ref.named_parameters().values() if p.requires_grad] + [h_text]
     return check_directional(lambda _: _sq(ref.calibrate(h_text)), params, rng)
 
 
@@ -165,7 +165,7 @@ def _case_refiner_aggregate(seed):
     ref = SemanticRefiner(REF_TOY, rng)
     q_in = Tensor(rng.standard_normal((2, 8)), requires_grad=True)
     z_q = rng.standard_normal((int(rng.integers(2, 7)), 8))
-    params = list(ref.trainable_parameters().values()) + [q_in]
+    params = [p for p in ref.named_parameters().values() if p.requires_grad] + [q_in]
     return check_directional(lambda _: _sq(ref.aggregate(q_in, z_q)[0]), params, rng)
 
 
@@ -173,7 +173,7 @@ def _case_refiner_project(seed):
     rng = np.random.default_rng(seed)
     ref = SemanticRefiner(REF_TOY, rng)
     o_star = Tensor(rng.standard_normal((2, 8)), requires_grad=True)
-    params = list(ref.trainable_parameters().values()) + [o_star]
+    params = [p for p in ref.named_parameters().values() if p.requires_grad] + [o_star]
     return check_directional(lambda _: _sq(ref.project(o_star)), params, rng)
 
 
@@ -197,7 +197,7 @@ def _toy_backbone(seed, rng):
 def _case_backbone(seed):
     rng = np.random.default_rng(seed)
     model, seq = _toy_backbone(seed, rng)
-    params = list(model.trainable_parameters().values())
+    params = [p for p in model.named_parameters().values() if p.requires_grad]
 
     def fn(_):
         text_l, eeg_l = loss_ntp(seq, model)

@@ -11,6 +11,7 @@ import pytest
 from eeglm import autodiff as ad
 from eeglm.errors import NumericError, ShapeError
 from eeglm.gradcheck import check_gradients, relative_error
+from eeglm.nn import MultiHeadAttention
 
 
 def t(data, rg=True):
@@ -412,25 +413,34 @@ def test_linear_shape_mismatch_names_both_shapes():
 @pytest.mark.parametrize("causal", [False, True])
 @pytest.mark.parametrize("tq,tk", [(3, 5), (4, 4)])
 def test_fd_attention(causal, tq, tk):
-    def fn(ts):
-        out, _ = ad.attention(ts[0], ts[1], ts[2], 0.5, causal)
-        return ad.sum_(ad.mul(out, ts[3]))
+    for n_heads in (1, 2):
+        def fn(ts):
+            out, _ = ad.attention(ts[0], ts[1], ts[2], n_heads, causal)
+            return ad.sum_(ad.mul(out, ts[3]))
 
-    _fd_case(fn, [(2, tq, 3), (2, tk, 3), (2, tk, 3), (2, tq, 3)], seed=32)
+        _fd_case(fn, [(tq, 6), (tk, 6), (tk, 6), (tq, 6)], seed=32)
+
+
+def _split_heads(x, h):
+    """The head split as view nodes: (T, E) -> (h, T, E/h)."""
+    n, e = x.shape
+    return ad.transpose(ad.reshape(x, (n, h, e // h)), (1, 0, 2))
 
 
 def test_attention_is_one_node_with_the_unfused_chain_numbers():
     rng = np.random.default_rng(33)
-    q, k, v = (t(rng.uniform(-1, 1, (2, n, 4))) for n in (5, 5, 5))
+    q, k, v = (t(rng.uniform(-1, 1, (n, 8))) for n in (5, 5, 5))
     mask = np.triu(np.full((5, 5), -1e9), k=1)
 
     def unfused():
-        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 0.5)
+        qh, kh, vh = (_split_heads(x, 2) for x in (q, k, v))
+        scores = ad.mul(ad.matmul(qh, ad.transpose(kh, (0, 2, 1))), 0.5)
         attn = ad.softmax(ad.add(scores, mask), axis=-1)
-        return ad.matmul(attn, v), attn.data
+        mixed = ad.reshape(ad.transpose(ad.matmul(attn, vh), (1, 0, 2)), (5, 8))
+        return mixed, attn.data
 
     def fused():
-        return ad.attention(q, k, v, 0.5, causal=True)
+        return ad.attention(q, k, v, 2, causal=True)
 
     results = []
     for fn in (unfused, fused):
@@ -440,7 +450,7 @@ def test_attention_is_one_node_with_the_unfused_chain_numbers():
             grads = ad.backward(loss, wrt=[q, k, v])
             results.append((len(graph), weights, loss.data, [grads[p] for p in (q, k, v)]))
     (n_unfused, w1, l1, g1), (n_fused, w2, l2, g2) = results
-    assert (n_unfused, n_fused) == (8, 3)
+    assert (n_unfused, n_fused) == (16, 3)
     assert np.array_equal(w1, w2) and np.array_equal(l1, l2)
     for ga, gb in zip(g1, g2):
         assert np.array_equal(ga, gb)
@@ -451,35 +461,61 @@ def test_attention_is_one_node_with_the_unfused_chain_numbers():
 def test_fd_attention_query_subset():
     # causal, fewer queries than keys, positions not contiguous and not sorted
     positions = [4, 1, 3]
+    for n_heads in (1, 2):
+        def fn(ts):
+            out, _ = ad.attention(ts[0], ts[1], ts[2], n_heads, causal=True, positions=positions)
+            return ad.sum_(ad.mul(out, ts[3]))
 
-    def fn(ts):
-        out, _ = ad.attention(ts[0], ts[1], ts[2], 0.5, causal=True, positions=positions)
-        return ad.sum_(ad.mul(out, ts[3]))
-
-    _fd_case(fn, [(2, 3, 3), (2, 6, 3), (2, 6, 3), (2, 3, 3)], seed=34)
+        _fd_case(fn, [(3, 6), (6, 6), (6, 6), (3, 6)], seed=34)
 
 
 def test_attention_query_subset_equals_those_rows_of_the_full_causal_attention():
     rng = np.random.default_rng(35)
-    q, k, v = (t(rng.uniform(-1, 1, (2, 6, 4))) for _ in range(3))
+    q, k, v = (t(rng.uniform(-1, 1, (6, 8))) for _ in range(3))
     positions = np.array([5, 0, 2])
-    full, w_full = ad.attention(q, k, v, 0.5, causal=True)
-    sub, w_sub = ad.attention(t(q.data[:, positions]), k, v, 0.5, causal=True, positions=positions)
+    full, w_full = ad.attention(q, k, v, 2, causal=True)
+    sub, w_sub = ad.attention(t(q.data[positions]), k, v, 2, causal=True, positions=positions)
     # the same query rows and mask rows; BLAS may order a row subset's sums differently
     np.testing.assert_allclose(w_sub, w_full[:, positions], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(sub.data, full.data[:, positions], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sub.data, full.data[positions], rtol=0, atol=1e-15)
     # with every position given, the result is the default causal attention
-    _, w_all = ad.attention(q, k, v, 0.5, causal=True, positions=np.arange(6))
+    _, w_all = ad.attention(q, k, v, 2, causal=True, positions=np.arange(6))
     assert np.array_equal(w_all, w_full)
 
 
 def test_attention_rejects_positions_outside_the_keys():
-    q, kv = t(np.zeros((2, 2, 4))), t(np.zeros((2, 3, 4)))
+    q, kv = t(np.zeros((2, 8))), t(np.zeros((3, 8)))
     for bad in ([0, 3], [-1, 0], [0]):
         with pytest.raises(ShapeError, match="query positions"):
-            ad.attention(q, kv, kv, 1.0, causal=True, positions=bad)
+            ad.attention(q, kv, kv, 2, causal=True, positions=bad)
 
 
 def test_attention_rejects_mismatched_shapes():
     with pytest.raises(ShapeError):
-        ad.attention(t(np.zeros((2, 3, 4))), t(np.zeros((2, 5, 3))), t(np.zeros((2, 5, 3))), 1.0)
+        ad.attention(t(np.zeros((3, 4))), t(np.zeros((5, 3))), t(np.zeros((5, 3))), 1)
+
+
+@pytest.mark.parametrize(
+    "shapes, n_heads",
+    [
+        (((2, 3, 4), (2, 5, 4), (2, 5, 4)), 1),  # leading head axes are not an input layout
+        (((6,), (5, 6), (5, 6)), 1),
+        (((3, 6), (5, 6), (5, 6)), 4),  # 6 features do not split into 4 heads
+        (((3, 6), (5, 6), (5, 6)), 0),
+    ],
+    ids=["3-d", "1-d-query", "indivisible", "no-heads"],
+)
+def test_attention_needs_token_matrices_that_split_into_the_heads(shapes, n_heads):
+    q, k, v = (t(np.zeros(s)) for s in shapes)
+    with pytest.raises(ShapeError, match=f"{n_heads} heads"):
+        ad.attention(q, k, v, n_heads)
+
+
+def test_multi_head_attention_records_four_linears_and_one_attention():
+    rng = np.random.default_rng(36)
+    attn = MultiHeadAttention(8, 2, rng)
+    query, key_value = t(rng.uniform(-1, 1, (3, 8))), t(rng.uniform(-1, 1, (5, 8)))
+    with ad.Graph() as graph:
+        attn(query, key_value)
+        ops = [node.vjp.__qualname__.split(".")[0] for node in graph.nodes]
+    assert ops == ["linear", "linear", "linear", "attention", "linear"]

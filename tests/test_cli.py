@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -287,6 +288,51 @@ def test_preprocess_nonfinite_csv_exits_3(env, tmp_path):
     assert rc == 3
 
 
+def _container_with_fs(fs, command):
+    def build(root, env):
+        sample = root / "sample"
+        shutil.copytree(env["data"] / "sample_0000", sample)
+        manifest = sample / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "fs": fs}))
+        if command == "profile":
+            return ["profile", "--container", str(sample)]
+        return ["preprocess", str(sample)]
+
+    return build
+
+
+def _csv_with(*flags):
+    def build(root, env):
+        path = root / "rec.csv"
+        rows = (f"{i / 250},{np.sin(i / 10)},{np.cos(i / 10)}\n" for i in range(500))
+        path.write_text("t,X0,X1\n" + "".join(rows))
+        return ["preprocess", str(path), *flags]
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "make_args, code",
+    [
+        (_container_with_fs(float("nan"), "preprocess"), 3),
+        (_container_with_fs(float("inf"), "preprocess"), 3),
+        (_container_with_fs(float("nan"), "profile"), 3),
+        (_container_with_fs(float("inf"), "profile"), 3),
+        (_csv_with("--fs", "nan"), 3),
+        (_csv_with("--fs", "inf"), 3),
+        (_csv_with("--fs", "250", "--target-fs", "nan"), 2),
+        (_csv_with("--fs", "250", "--target-fs", "inf"), 2),
+    ],
+    ids=["manifest-nan-preprocess", "manifest-inf-preprocess", "manifest-nan-profile",
+         "manifest-inf-profile", "csv-fs-nan", "csv-fs-inf", "target-fs-nan", "target-fs-inf"],
+)
+def test_nonfinite_sampling_rate_exits_with_its_code(env, tmp_path, capsys, make_args, code):
+    args = make_args(tmp_path, env)
+    assert main(env["base"] + ["--out", str(tmp_path / "out")] + args) == code
+    assert "sampling rate must be positive and finite" in capsys.readouterr().err
+
+
+
 # -- tokenize -----------------------------------------------------------------
 
 
@@ -439,6 +485,22 @@ def test_train_missing_data_exits_3(env, tmp_path):
         "--data", str(tmp_path / "absent"),
     ])
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "override, heads",
+    [("encoder.n_heads=3", 3), ("refiner.n_heads=3", 3), ("backbone.n_heads=3", 3),
+     ("encoder.n_heads=0", 0)],
+)
+def test_train_refuses_heads_that_do_not_split_the_features(env, tmp_path, capsys, override, heads):
+    run = tmp_path / "run"
+    rc = main(env["base"] + [
+        "--out", str(run), "--set", override, "train", "--stage", "vq", "--data", str(env["data"]),
+    ])
+    assert rc == 2
+    assert f"not divisible by {heads} heads" in capsys.readouterr().err
+    assert not run.exists()
+
 
 
 def test_eval_report_shape(env, tmp_path, capsys):

@@ -166,8 +166,8 @@ def test_patch_permutation_equivariance():
     l = ad.reshape(levels[4], (3 * 4, 8))
     for block, coarser in zip(enc.local_blocks, levels[3::-1]):
         l = block(l, ad.reshape(coarser, (coarser.shape[0] * 4, 8)))
-    g = enc.global_final(g)
-    l = enc.local_final(l)
+    g = enc.global_final(g, g)
+    l = enc.local_final(l, l)
 
     g_base = base.g_hist[-1].data.reshape(1, 4, 8)
     l_base = base.l_hist[-1].data.reshape(3, 4, 8)
@@ -225,7 +225,7 @@ def test_full_encoder_gradcheck():
     hier = build_hierarchy(tiny_montage(3))
     enc = DualStreamEncoder(TOY, rng, hierarchy=hier)
     x = rng.uniform(-1, 1, (3, 2, 40))
-    params = list(enc.trainable_parameters().values())
+    params = [p for p in enc.named_parameters().values() if p.requires_grad]
 
     def fn(_):
         out = enc(x)

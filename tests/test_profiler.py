@@ -473,3 +473,27 @@ def test_http_client_unreachable_raises_transport_error():
     client = HttpClient("http://127.0.0.1:9/", timeout=0.5)
     with pytest.raises(TransportError):
         client.complete("hello")
+
+
+class _Reply:
+    status_code = 200
+    text = ""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def json(self):
+        return self.payload
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"choices": ["text"]}, {"choices": [{"message": "hi"}]}, {"choices": [{"message": None}]}],
+    ids=["choice-a-string", "message-a-string", "message-null"],
+)
+def test_http_client_malformed_reply_raises_transport_error(monkeypatch, payload):
+    import requests
+
+    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: _Reply(payload))
+    with pytest.raises(TransportError, match="response has no completion text"):
+        HttpClient("http://127.0.0.1:9/").complete("hello")

@@ -66,7 +66,7 @@ def test_calibrate_rejects_width_mismatch():
 def test_calibrate_gradients_match_finite_differences(rng):
     ref = make_refiner(seed=3)
     h_text = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
-    params = list(ref.trainable_parameters().values()) + [h_text]
+    params = [p for p in ref.named_parameters().values() if p.requires_grad] + [h_text]
 
     def loss_fn(_):
         q_calib = ref.calibrate(h_text)
@@ -155,7 +155,7 @@ def test_project_preserves_extent(rng):
 def test_project_gradients_match_finite_differences(rng):
     ref = make_refiner(seed=7)
     o_star = Tensor(rng.standard_normal((2, 8)), requires_grad=True)
-    params = list(ref.trainable_parameters().values()) + [o_star]
+    params = [p for p in ref.named_parameters().values() if p.requires_grad] + [o_star]
 
     def loss_fn(_):
         return ad.sum_(ad.mul(ref.project(o_star), ref.project(o_star)))
