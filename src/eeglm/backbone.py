@@ -12,25 +12,19 @@ from .errors import ConfigError, ShapeError
 from .nn import Embedding, FeedForward, LayerNorm, Linear, Module, MultiHeadAttention
 from .sequences import HybridSequence, VocabSpec
 
-LORA_TARGETS = ("wq", "wk", "wv", "wo", "fc1", "fc2")
-
 
 @dataclass(frozen=True)
 class BackboneConfig:
     """Sizes for the toy autoregressive language model."""
 
     vocab: VocabSpec
-    n_layers: int = 2
-    embed_dim: int = 64
-    n_heads: int = 4
-    ffn_mult: int = 4
-    max_len: int = 256
-    sem_dim: int = 16
-    tied_head: bool = False
-
-    def __post_init__(self):
-        if self.n_layers < 1:
-            raise ConfigError(f"backbone needs >= 1 layer, got {self.n_layers}")
+    n_layers: int
+    embed_dim: int
+    n_heads: int
+    ffn_mult: int
+    max_len: int
+    sem_dim: int
+    tied_head: bool
 
 
 class TransformerBlock(Module):
@@ -118,40 +112,22 @@ class ToyBackbone(Module):
 
     # -- adapter management --------------------------------------------------
 
-    def _target_layers(self, targets: tuple[str, ...]) -> list[Linear]:
-        unknown = [t for t in targets if t not in LORA_TARGETS]
-        if unknown:
-            raise ConfigError(
-                f"unknown adapter targets {unknown}; valid names are {list(LORA_TARGETS)}"
-            )
-        layers = []
-        for block in self.blocks:
-            table = {
-                "wq": block.attn.wq,
-                "wk": block.attn.wk,
-                "wv": block.attn.wv,
-                "wo": block.attn.wo,
-                "fc1": block.ffn.fc1,
-                "fc2": block.ffn.fc2,
-            }
-            layers.extend(table[t] for t in targets)
-        return layers
+    def _adapted_layers(self) -> list[Linear]:
+        """Each block's four attention projections and two FFN layers, in block order."""
+        return [
+            layer
+            for b in self.blocks
+            for layer in (b.attn.wq, b.attn.wk, b.attn.wv, b.attn.wo, b.ffn.fc1, b.ffn.fc2)
+        ]
 
-    def apply_lora(
-        self,
-        rank: int,
-        alpha: float,
-        rng: np.random.Generator,
-        targets: tuple[str, ...] = LORA_TARGETS,
-    ) -> None:
+    def apply_lora(self, rank: int, alpha: float, rng: np.random.Generator) -> None:
         """Freeze the backbone and attach trainable low-rank adapters."""
-        layers = self._target_layers(targets)
         self.freeze()
-        for layer in layers:
+        for layer in self._adapted_layers():
             layer.attach_lora(rank, alpha, rng)
 
     def merge_adapters(self) -> None:
-        for layer in self._target_layers(LORA_TARGETS):
+        for layer in self._adapted_layers():
             layer.merge_lora()
 
     def expansion_parameters(self) -> dict[str, Tensor]:

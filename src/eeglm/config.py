@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 
 from .errors import ConfigError, read_json_object
@@ -122,29 +123,45 @@ def parse_override(spec: str) -> dict:
     return node
 
 
+# The bound of each numeric config value (of each element, for a list). Unbounded: the
+# n_heads keys (MultiHeadAttention checks them) and clip_norm (<= 0 turns clipping off).
+BOUNDS = {
+    ">= 0": "seed quantizer.beta optimizer.weight_decay schedule.warmup_steps schedule.min_lr "
+    "train.lambda_orth",
+    ">= 1": "data.patch_len encoder.embed_dim encoder.ffn_mult encoder.max_patches quantizer.num_codes "
+    "quantizer.code_dim quantizer.revival_epochs refiner.n_experts refiner.ffn_mult backbone.n_layers "
+    "backbone.embed_dim backbone.ffn_mult backbone.max_len lora.rank train.epochs",
+    ">= 2": "backbone.v_text",
+    "> 0": "lora.alpha optimizer.lr optimizer.eps optimizer.recon_lr_scale train.star_lr_scale",
+    "in [0, 1)": "optimizer.betas",
+}
+_HOLDS = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,
+          "> 0": lambda v: v > 0, "in [0, 1)": lambda v: 0 <= v < 1}
+_BOUND_OF = {key: bound for bound, keys in BOUNDS.items() for key in keys.split()}
+
+
+def leaves(cfg: dict, path: str = ""):
+    """(dotted key, value) for every entry of `cfg` that is not a table."""
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{path}{key}.")
+        else:
+            yield path + key, value
+
+
 def validate_config(cfg: dict) -> None:
-    """Reject structurally valid configs with impossible settings."""
+    """Reject impossible settings: a number not finite or out of its bound, and more."""
     if cfg["stage"] not in STAGES:
         raise ConfigError(f"stage must be one of {STAGES}, got {cfg['stage']!r}")
-    positive = [
-        ("data.patch_len", cfg["data"]["patch_len"]),
-        ("encoder.embed_dim", cfg["encoder"]["embed_dim"]),
-        ("quantizer.num_codes", cfg["quantizer"]["num_codes"]),
-        ("quantizer.code_dim", cfg["quantizer"]["code_dim"]),
-        ("refiner.n_experts", cfg["refiner"]["n_experts"]),
-        ("backbone.v_text", cfg["backbone"]["v_text"]),
-        ("backbone.n_layers", cfg["backbone"]["n_layers"]),
-        ("lora.rank", cfg["lora"]["rank"]),
-        ("optimizer.lr", cfg["optimizer"]["lr"]),
-        ("train.epochs", cfg["train"]["epochs"]),
-    ]
-    for name, value in positive:
-        if value <= 0:
-            raise ConfigError(f"{name} must be positive, got {value}")
+    for key, value in leaves(cfg):
+        numbers = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+            raise ConfigError(f"{key} must be finite, got {value}")
+        bound = _BOUND_OF.get(key)
+        if bound and not all(map(_HOLDS[bound], numbers)):
+            raise ConfigError(f"{key} must be {bound}, got {value}")
     if len(cfg["optimizer"]["betas"]) != 2:
         raise ConfigError(f"optimizer.betas must hold two numbers, got {cfg['optimizer']['betas']}")
-    if not 0.0 <= cfg["train"]["lambda_orth"]:
-        raise ConfigError(f"train.lambda_orth must be >= 0, got {cfg['train']['lambda_orth']}")
     if cfg["llm"]["mode"] not in ("stub", "http"):
         raise ConfigError(f"llm.mode must be 'stub' or 'http', got {cfg['llm']['mode']!r}")
     if cfg["llm"]["mode"] == "http" and not cfg["llm"]["endpoint"]:

@@ -25,12 +25,12 @@ from .topology import BthHierarchy, build_hierarchy, get_montage
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    embed_dim: int = 16
-    n_heads: int = 2
-    ffn_mult: int = 4
-    patch_len: int = 200
-    max_patches: int = 64
-    montage: str | None = None
+    embed_dim: int
+    n_heads: int
+    ffn_mult: int
+    patch_len: int
+    max_patches: int
+    montage: str | None
 
     def conv_out_len(self) -> int:
         l1 = (self.patch_len + 2 * 7 - 15) // 8 + 1

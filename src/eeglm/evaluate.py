@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .metrics import EvalBatch, evaluate
+from . import metrics
+from .metrics import EvalBatch
 from .synth import load_corpus
 from .training import PipelineModel, PreparedSequence, load_model, prepare_sequences
 
@@ -82,13 +83,12 @@ def evaluate_checkpoint(
     y_pred = np.array([index[row["prediction"]] for row in per_sample])
     scores = np.array([[row["probabilities"][c] for c in order] for row in per_sample])
     batch = EvalBatch(y_true=y_true, y_pred=y_pred, scores=scores)
-    raw = evaluate(batch)
     wanted = BINARY_METRICS if len(classes) == 2 else MULTICLASS_METRICS
     report = {
         "task": model.cfg["data"]["dataset_name"],
         "n_samples": len(per_sample),
         "classes": order,
-        "metrics": {k: raw[k] for k in wanted},
+        "metrics": {k: getattr(metrics, k)(batch) for k in wanted},
         "per_sample": per_sample,
     }
     if positive is not None:

@@ -164,21 +164,3 @@ def weighted_f1(batch: EvalBatch) -> float:
             f1 = 2 * tp / denom
         total += (mat[c, :].sum() / n) * f1
     return float(total)
-
-
-def evaluate(batch: EvalBatch) -> dict:
-    """Task-shaped report: binary batches get threshold-free metrics,
-    multiclass batches get agreement metrics."""
-    n_classes = batch.n_classes
-    report: dict = {
-        "n_samples": int(batch.y_true.size),
-        "n_classes": int(n_classes),
-    }
-    report["balanced_accuracy"] = balanced_accuracy(batch)
-    if n_classes == 2 and batch.scores is not None:
-        report["auroc"] = auroc(batch)
-        report["auc_pr"] = auc_pr(batch)
-    else:
-        report["cohens_kappa"] = cohens_kappa(batch)
-        report["weighted_f1"] = weighted_f1(batch)
-    return report

@@ -57,8 +57,6 @@ class Linear(Module):
         return self.w.shape[0]
 
     def attach_lora(self, rank: int, alpha: float, rng: np.random.Generator) -> None:
-        if rank < 1:
-            raise ConfigError(f"adapter rank must be >= 1, got {rank}")
         if self.lora_a is not None:
             raise ConfigError("adapter already attached")
         self.lora_a = ad.parameter((rank, self.in_dim), rng, fan_in=self.in_dim)
@@ -74,11 +72,6 @@ class Linear(Module):
         self.lora_a = None
         self.lora_b = None
         self._lora_scale = 0.0
-
-    def effective_weight(self) -> np.ndarray:
-        if self.lora_a is None:
-            return self.w.data
-        return self.w.data + self._lora_scale * (self.lora_b.data @ self.lora_a.data)
 
     def __call__(self, x: Tensor) -> Tensor:
         lora = None if self.lora_a is None else (self.lora_a, self.lora_b, self._lora_scale)
@@ -143,7 +136,3 @@ class Embedding(Module):
 
     def __call__(self, ids) -> Tensor:
         return ad.take(self.table, np.asarray(ids, dtype=np.int64))
-
-    @property
-    def num(self) -> int:
-        return self.table.shape[0]

@@ -24,11 +24,11 @@ KMEANS_ITERS = 10  # Lloyd iterations of the codebook warm start
 
 @dataclass(frozen=True)
 class QuantizerConfig:
-    num_codes: int = 8192
-    code_dim: int = 128
-    beta: float = 0.25
-    kmeans_warm_start: bool = False
-    revival_epochs: int = 2
+    num_codes: int
+    code_dim: int
+    beta: float
+    kmeans_warm_start: bool
+    revival_epochs: int
 
 
 @dataclass(frozen=True)

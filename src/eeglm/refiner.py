@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 from .hashing import fnv1a_64
 from .nn import FeedForward, LayerNorm, Module, MultiHeadAttention
 
@@ -19,14 +19,10 @@ N_HASHES = 4  # hashed slots each word adds to its embedding row
 class RefinerConfig:
     """Sizes for the latent-expert refiner."""
 
-    n_experts: int = 16
-    embed_dim: int = 16
-    n_heads: int = 8
-    ffn_mult: int = 4
-
-    def __post_init__(self):
-        if self.n_experts < 1:
-            raise ConfigError(f"need at least one latent expert, got {self.n_experts}")
+    n_experts: int
+    embed_dim: int
+    n_heads: int
+    ffn_mult: int
 
 
 @dataclass(frozen=True)
@@ -41,8 +37,6 @@ class HashedTextEmbedder:
     """Deterministic per-word hashed embedding: one L2-normalized row per word."""
 
     def __init__(self, embed_dim: int):
-        if embed_dim < 1:
-            raise ConfigError(f"embedding dim must be >= 1, got {embed_dim}")
         self.embed_dim = embed_dim
 
     def embed(self, text: str) -> np.ndarray:

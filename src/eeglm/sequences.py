@@ -16,14 +16,8 @@ SEM_SLOT = -1  # placeholder id at positions carrying continuous embeddings
 class VocabSpec:
     """Partition of the expanded vocabulary: text ids, signal ids, markers."""
 
-    v_text: int = 512
-    n_codes: int = 8192
-
-    def __post_init__(self):
-        if self.v_text < 2:
-            raise ConfigError(f"text vocabulary must hold >= 2 ids, got {self.v_text}")
-        if self.n_codes < 1:
-            raise ConfigError(f"need at least one signal code, got {self.n_codes}")
+    v_text: int
+    n_codes: int
 
     @property
     def eeg_offset(self) -> int:
@@ -49,9 +43,7 @@ class VocabSpec:
 class WhitespaceTokenizer:
     """Hash words into a fixed text vocabulary; id 0 stays reserved."""
 
-    def __init__(self, vocab_size: int = 512):
-        if vocab_size < 2:
-            raise ConfigError(f"tokenizer vocabulary must be >= 2, got {vocab_size}")
+    def __init__(self, vocab_size: int):
         self.vocab_size = vocab_size
 
     def encode(self, text: str) -> np.ndarray:
@@ -173,15 +165,3 @@ def assemble_sequence(
     ids = np.concatenate(parts)
     sem_arr = None if sem is None else np.asarray(sem, dtype=np.float64)
     return HybridSequence(ids=ids, sem=sem_arr, spans=spans, vocab=vocab)
-
-
-def decode_sequence(seq: HybridSequence) -> dict[str, np.ndarray]:
-    """Recover the original id groups (signal ids with the offset removed)."""
-    out: dict[str, np.ndarray] = {}
-    for name in ("text", "instr", "answer"):
-        if name in seq.spans:
-            s, e = seq.spans[name]
-            out[name] = seq.ids[s:e].copy()
-    s, e = seq.spans["eeg"]
-    out["eeg"] = seq.ids[s:e] - seq.vocab.eeg_offset
-    return out

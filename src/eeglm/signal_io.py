@@ -21,7 +21,6 @@ from .errors import ConfigError, DataError, read_json_object
 
 WORK_FS = 200.0
 DEFAULT_BAND = (0.1, 75.0)
-DEFAULT_PATCH = 200
 
 # canonical EEG frequency bands (Hz)
 FREQ_BANDS = {
@@ -72,13 +71,9 @@ class PatchedSignal:
     """C x P x W non-overlapping segments of a recording."""
 
     data: np.ndarray = field(repr=False)
-    window: int = DEFAULT_PATCH
+    window: int
     channels: tuple[str, ...] = ()
     fs: float = WORK_FS
-
-    @property
-    def n_patches(self) -> int:
-        return int(self.data.shape[1])
 
 
 @dataclass(frozen=True)
@@ -288,10 +283,8 @@ def preprocess(
 # patching and spectra
 # ---------------------------------------------------------------------------
 
-def patch(rec: Recording, window: int = DEFAULT_PATCH) -> PatchedSignal:
+def patch(rec: Recording, window: int) -> PatchedSignal:
     """Cut each channel into floor(T/W) non-overlapping length-W segments."""
-    if window < 1:
-        raise ConfigError(f"patch length must be >= 1, got {window}")
     t = rec.n_samples
     p = t // window
     if p == 0:

@@ -70,12 +70,6 @@ class Montage:
     def n_channels(self) -> int:
         return len(self.labels)
 
-    def channel_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise MontageError(f"unknown electrode label {label!r}") from None
-
 
 @dataclass(frozen=True)
 class BthHierarchy:
@@ -85,10 +79,6 @@ class BthHierarchy:
     # levels[i] is a tuple of groups; each group is a tuple of channel indices
     levels: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
     group_names: tuple[tuple[str, ...], ...] = field(repr=False)
-
-    @property
-    def sizes(self) -> list[int]:
-        return [len(level) for level in self.levels]
 
     def mean_matrix(self, level: int) -> np.ndarray:
         """Row-stochastic (n_level x C) matrix averaging member channels."""

@@ -16,6 +16,7 @@ from . import autodiff as ad
 from .autodiff import Graph, Tensor, backward
 from .backbone import BackboneConfig, ToyBackbone
 from .checkpoint import MANIFEST, assign_parameters, load_checkpoint, load_meta, save_checkpoint
+from .config import resolve_config
 from .encoder import DualStreamEncoder, EncoderConfig
 from .errors import ConfigError, DataError, MontageError
 from .losses import ReconstructionHeads, loss_cpt, loss_dsha, loss_ntp, loss_sft
@@ -132,11 +133,15 @@ def _load_into(model: PipelineModel, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_model(checkpoint_path: str | Path) -> tuple[PipelineModel, dict]:
-    """Rebuild a model bundle from a stage checkpoint."""
+    """Rebuild a model bundle from a stage checkpoint, whose stored config is
+    resolved like a config file (a refused one raises DataError)."""
     arrays, meta = load_checkpoint(checkpoint_path)
-    if "config" not in meta or "stage" not in meta:
+    if not isinstance(meta.get("config"), dict) or "stage" not in meta:
         raise DataError(f"checkpoint {checkpoint_path} lacks stage/config metadata")
-    model = build_model(meta["config"])
+    try:
+        model = build_model(resolve_config(overrides=[meta["config"]]))
+    except ConfigError as e:
+        raise DataError(f"checkpoint {checkpoint_path} holds a bad config: {e}") from e
     _load_into(model, arrays)
     return model, meta
 

@@ -9,7 +9,3 @@ import pytest
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)

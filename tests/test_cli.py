@@ -11,6 +11,7 @@ import pytest
 
 from eeglm.checkpoint import load_checkpoint, save_checkpoint
 from eeglm.cli import ATTN_HEADER, main
+from eeglm.config import DEFAULTS
 from eeglm.evaluate import BINARY_METRICS
 from eeglm.profiler import StubClient
 from eeglm.quantizer import load_tokens
@@ -500,6 +501,103 @@ def test_train_refuses_heads_that_do_not_split_the_features(env, tmp_path, capsy
     assert rc == 2
     assert f"not divisible by {heads} heads" in capsys.readouterr().err
     assert not run.exists()
+
+
+# Each case ended in a traceback, trained without complaint, or failed (exit
+# 5) after writing its run directory before every number had its bound.
+OUT_OF_BOUNDS = [
+    ("vq", ["--set", "refiner.ffn_mult=-1"], "refiner.ffn_mult"),
+    ("vq", ["--seed", "-1"], "seed"),
+    ("vq", ["--set", "encoder.ffn_mult=0"], "encoder.ffn_mult"),
+    ("vq", ["--set", "optimizer.eps=-1"], "optimizer.eps"),
+    ("vq", ["--set", "optimizer.betas=[2,0.5]"], "optimizer.betas"),
+    ("vq", ["--set", "schedule.warmup_steps=-5"], "schedule.warmup_steps"),
+    ("vq", ["--set", "quantizer.beta=-1"], "quantizer.beta"),
+    ("vq", ["--set", "quantizer.revival_epochs=0"], "quantizer.revival_epochs"),
+    ("vq", ["--set", "backbone.max_len=0"], "backbone.max_len"),
+    ("vq", ["--set", "backbone.embed_dim=0"], "backbone.embed_dim"),
+    ("vq", ["--set", "lora.alpha=-3"], "lora.alpha"),
+    ("vq", ["--set", "train.star_lr_scale=-1"], "train.star_lr_scale"),
+    ("vq", ["--set", "optimizer.recon_lr_scale=0"], "optimizer.recon_lr_scale"),
+    ("vq", ["--set", "schedule.min_lr=-1"], "schedule.min_lr"),
+    ("vq", ["--set", "train.lambda_orth=Infinity"], "train.lambda_orth"),
+    ("vq", ["--set", "optimizer.lr=NaN"], "optimizer.lr"),
+    ("vq", ["--set", "optimizer.clip_norm=NaN"], "optimizer.clip_norm"),
+    ("vq", ["--set", "quantizer.beta=NaN"], "quantizer.beta"),
+    ("cpt", ["--set", "optimizer.betas=[0.9,1.0]"], "optimizer.betas"),
+]
+
+
+@pytest.mark.parametrize(
+    "stage, args, key", OUT_OF_BOUNDS, ids=[" ".join(a) for _, a, _ in OUT_OF_BOUNDS]
+)
+def test_train_refuses_config_values_outside_their_bounds(env, tmp_path, capsys, stage, args, key):
+    run = tmp_path / "run"
+    init = ["--init-from", str(env["ckpt_vq"])] if stage == "cpt" else []
+    rc = main(env["base"] + args + [
+        "--out", str(run), "train", "--stage", stage, "--data", str(env["data"]), *init,
+    ])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not run.exists()
+
+
+def test_train_runs_with_every_zero_allowed_value_at_zero(env, tmp_path):
+    zeros = ["--seed", "0"]
+    for key in ("quantizer.beta", "optimizer.weight_decay", "schedule.warmup_steps",
+                "schedule.min_lr", "train.lambda_orth"):
+        zeros += ["--set", f"{key}=0"]
+    vq, cpt = tmp_path / "vq", tmp_path / "cpt"
+    assert main(env["base"] + zeros + [
+        "--out", str(vq), "train", "--stage", "vq", "--data", str(env["data"]), "--epochs", "1",
+    ]) == 0
+    assert main(env["base"] + zeros + [
+        "--out", str(cpt), "train", "--stage", "cpt", "--data", str(env["data"]), "--epochs", "1",
+        "--init-from", str(vq / "checkpoints" / "epoch_0000"),
+    ]) == 0
+
+
+def _stored_config(edit):
+    def build(root, env):
+        ckpt = root / "ckpt"
+        shutil.copytree(env["ckpt_vq"], ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        edit(manifest["meta"]["config"])
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        return ckpt
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "make_ckpt",
+    [
+        _stored_config(lambda cfg: cfg["refiner"].update(ffn_mult=-1)),
+        _stored_config(lambda cfg: cfg["encoder"].update(embed_dim="x")),
+        _stored_config(lambda cfg: cfg.update(quantizer=5)),
+        _stored_config(lambda cfg: cfg["encoder"].update(n_heads=3)),
+    ],
+    ids=["out-of-bounds", "mistyped", "table-a-number", "heads-do-not-split"],
+)
+def test_tokenize_refuses_a_bad_stored_config(env, tmp_path, capsys, make_ckpt):
+    ckpt = make_ckpt(tmp_path, env)
+    rc = main(env["base"] + [
+        "--out", str(tmp_path / "t.tok"), "tokenize",
+        "--container", str(env["data"] / "sample_0000"), "--checkpoint", str(ckpt),
+    ])
+    assert rc == 3
+    assert str(ckpt) in capsys.readouterr().err
+    assert not (tmp_path / "t.tok").exists()
+
+
+def test_stored_config_missing_keys_take_the_defaults(env, tmp_path):
+    def drop(cfg):
+        del cfg["refiner"]["n_heads"], cfg["quantizer"]["kmeans_warm_start"]
+
+    model, _ = load_model(_stored_config(drop)(tmp_path, env))
+    assert model.cfg["refiner"]["n_heads"] == DEFAULTS["refiner"]["n_heads"]
+    assert model.refiner.cfg.n_heads == DEFAULTS["refiner"]["n_heads"]
+    assert model.quantizer.cfg.kmeans_warm_start is DEFAULTS["quantizer"]["kmeans_warm_start"]
 
 
 

@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
-from eeglm.config import DEFAULTS, parse_override, resolve_config, validate_config
+from eeglm.config import (
+    BOUNDS,
+    DEFAULTS,
+    leaves,
+    parse_override,
+    resolve_config,
+    validate_config,
+)
 from eeglm.errors import ConfigError
 
 
@@ -106,3 +114,63 @@ def test_validate_http_needs_endpoint():
 def test_validate_rejects_empty_classes():
     with pytest.raises(ConfigError, match="classes"):
         resolve_config(overrides=[{"data": {"classes": []}}])
+
+
+# numeric values with no bound of their own: MultiHeadAttention checks the
+# head counts against the width they split, and clip_norm <= 0 turns
+# clipping off; both are still checked to be finite
+UNBOUNDED = {"encoder.n_heads", "refiner.n_heads", "backbone.n_heads", "optimizer.clip_norm"}
+ZERO_ALLOWED = {"seed", "quantizer.beta", "optimizer.weight_decay", "schedule.warmup_steps",
+                "schedule.min_lr", "train.lambda_orth"}
+BOUNDED = [(key, bound) for bound, keys in BOUNDS.items() for key in keys.split()]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def test_every_numeric_default_is_bounded_or_named_unbounded():
+    numeric = {
+        key for key, value in leaves(DEFAULTS)
+        if all(map(_is_number, value if isinstance(value, list) else [value]))
+    }
+    bounded = {key for key, _ in BOUNDED}
+    assert len(bounded) == len(BOUNDED)  # no key under two bounds
+    assert not bounded & UNBOUNDED
+    assert numeric == bounded | UNBOUNDED  # also: the table names no other key
+    assert set(BOUNDS[">= 0"].split()) == ZERO_ALLOWED
+
+
+# per bound: a value on its edge, and one just past it
+EDGES = {
+    ">= 0": (0, -1),
+    ">= 1": (1, 0),
+    ">= 2": (2, 1),
+    "> 0": (1e-12, 0),
+    "in [0, 1)": ([0.0, 0.999], [0.9, 1.0]),
+}
+
+
+@pytest.mark.parametrize("key, bound", BOUNDED, ids=[key for key, _ in BOUNDED])
+def test_each_bound_admits_its_edge_and_refuses_past_it(key, bound):
+    inside, outside = EDGES[bound]
+    resolve_config(overrides=[parse_override(f"{key}={json.dumps(inside)}")])
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be {bound}")):
+        resolve_config(overrides=[parse_override(f"{key}={json.dumps(outside)}")])
+
+
+@pytest.mark.parametrize("key", sorted(ZERO_ALLOWED))
+def test_zero_allowed_values_resolve_at_zero(key):
+    cfg = resolve_config(overrides=[parse_override(f"{key}=0")])
+    assert dict(leaves(cfg))[key] == 0
+
+
+FLOATS = [key for key, value in leaves(DEFAULTS) if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key", FLOATS + ["optimizer.betas"])
+def test_numbers_must_be_finite(key, value):
+    raw = f"[0.9, {value}]" if key == "optimizer.betas" else value
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be finite")):
+        resolve_config(overrides=[parse_override(f"{key}={raw}")])

