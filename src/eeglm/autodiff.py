@@ -705,12 +705,15 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
 
     def vjp(g: Array):
         dw = np.einsum("nol,nilk->oik", g, win, optimize=True)
-        dcols = np.einsum("nol,oik->nilk", g, w.data, optimize=True)
-        dxp = np.zeros_like(xp)
-        for l in range(lout):
-            s = l * stride
-            dxp[:, :, s : s + k] += dcols[:, :, l, :]
-        dx = dxp[:, :, padding : padding + length] if padding else dxp
+        dx = None
+        if x.requires_grad:
+            dcols = np.einsum("nol,oik->nilk", g, w.data, optimize=True)
+            dxp = np.zeros_like(xp)
+            # by tap, highest first: each position sums its terms in ascending
+            # output order, the order of a loop over output positions
+            for j in range(k - 1, -1, -1):
+                dxp[:, :, j : j + stride * (lout - 1) + 1 : stride] += dcols[..., j]
+            dx = dxp[:, :, padding : padding + length] if padding else dxp
         if b is not None:
             return dx, dw, g.sum(axis=(0, 2))
         return dx, dw

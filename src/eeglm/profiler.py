@@ -170,58 +170,67 @@ class ProfileResult:
 # ---------------------------------------------------------------------------
 
 
-def temporal_stats(x: np.ndarray) -> TemporalStats:
-    """Mean, population std, energy, peak-to-peak, and kurtosis of a segment."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size < 2:
-        raise ConfigError(f"temporal statistics need at least 2 samples, got {x.size}")
-    mu = float(x.mean())
-    sigma = float(x.std())
-    energy = float(np.sum(x * x))
-    p2p = float(x.max() - x.min())
-    if sigma > 0.0:
-        kurt = float(np.mean(((x - mu) / sigma) ** 4))
-        degenerate = False
-    else:
-        kurt = 0.0
-        degenerate = True
-    return TemporalStats(mu, sigma, energy, p2p, kurt, degenerate)
+def temporal_stats(rows: np.ndarray) -> list[TemporalStats]:
+    """Mean, population std, energy, peak-to-peak, and kurtosis of each row.
 
-
-def spectral_stats(x: np.ndarray, fs: float) -> SpectralStats:
-    """Relative power in the five canonical bands plus the dominant peak."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    nperseg = int(round(WELCH_SECONDS * fs))
-    if x.size < nperseg:
+    `rows` is a (rows, samples) array; every statistic is one reduction over
+    axis 1, so each row gets the bits a 1-D pass over it would give. Kurtosis
+    is the mean of the squared squares of the standardised row (`** 4` would
+    call libm `pow` per element); a row with zero std gets kurtosis 0 and is
+    marked degenerate."""
+    x = np.ascontiguousarray(rows, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] < 2:
         raise ConfigError(
-            f"spectral statistics need at least {nperseg} samples "
-            f"({WELCH_SECONDS:g} s at {fs:g} Hz), got {x.size}"
+            f"temporal statistics need (rows, samples) with at least 2 samples, got {x.shape}"
+        )
+    mu = x.mean(axis=1)
+    sigma = x.std(axis=1)
+    energy = np.sum(x * x, axis=1)
+    p2p = x.max(axis=1) - x.min(axis=1)
+    z = (x - mu[:, None]) / np.where(sigma > 0.0, sigma, 1.0)[:, None]
+    kurt = np.where(sigma > 0.0, np.mean(np.square(np.square(z)), axis=1), 0.0)
+    columns = np.stack([mu, sigma, energy, p2p, kurt], axis=1).tolist()
+    return [TemporalStats(*row, degenerate=row[1] <= 0.0) for row in columns]
+
+
+def spectral_stats(rows: np.ndarray, fs: float) -> list[SpectralStats]:
+    """Relative power in the five canonical bands plus the dominant peak, per row.
+
+    One Welch call over the (rows, samples) array gives every row's PSD (the
+    segments of each row are averaged on their own). Band powers are shares
+    of the 0.5-100 Hz span, clipped to Nyquist; each sum is taken on its 1-D
+    row, so a row's record has the bits a one-row call would give."""
+    x = np.ascontiguousarray(rows, dtype=np.float64)
+    nperseg = int(round(WELCH_SECONDS * fs))
+    if nperseg < 1:
+        raise ConfigError(
+            f"spectral statistics need a {WELCH_SECONDS:g} s Welch segment of at least "
+            f"one sample, got {nperseg} at {fs:g} Hz"
+        )
+    if x.ndim != 2 or x.shape[1] < nperseg:
+        raise ConfigError(
+            f"spectral statistics need (rows, samples) with at least {nperseg} samples "
+            f"({WELCH_SECONDS:g} s at {fs:g} Hz), got {x.shape}"
         )
     freqs, psd = sps.welch(x, fs=fs, window="hann", nperseg=nperseg, noverlap=nperseg // 2)
-    nyq = fs / 2.0
-    span_hi = min(SPAN_HIGH, nyq)
+    span_hi = min(SPAN_HIGH, fs / 2.0)
     span_mask = (freqs >= SPAN_LOW) & (freqs <= span_hi)
-    total = float(psd[span_mask].sum())
-    names = list(FREQ_BANDS)
-    powers: dict[str, float] = {}
-    for i, name in enumerate(names):
-        lo, hi = FREQ_BANDS[name]
+    last = list(FREQ_BANDS)[-1]
+    masks = {}
+    for name, (lo, hi) in FREQ_BANDS.items():
         hi = min(hi, span_hi)
-        if lo >= hi:
-            powers[name] = 0.0
-            continue
-        if i == len(names) - 1:
-            mask = (freqs >= lo) & (freqs <= hi)
-        else:
-            mask = (freqs >= lo) & (freqs < hi)
-        powers[name] = float(psd[mask].sum() / total) if total > 0.0 else 0.0
-    peak_idx = int(np.argmax(psd))
-    return SpectralStats(
-        band_powers=powers,
-        peak_freq=float(freqs[peak_idx]),
-        peak_power=float(psd[peak_idx]),
-        degenerate=total <= 0.0,
-    )
+        upper = freqs <= hi if name == last else freqs < hi
+        masks[name] = (freqs >= lo) & upper & (lo < hi)  # empty once Nyquist clips it away
+    out = []
+    for row in psd:
+        total = float(row[span_mask].sum())
+        powers = {
+            name: float(row[mask].sum() / total) if total > 0.0 else 0.0
+            for name, mask in masks.items()
+        }
+        peak = int(np.argmax(row))
+        out.append(SpectralStats(powers, float(freqs[peak]), float(row[peak]), total <= 0.0))
+    return out
 
 
 def spatial_summary(
@@ -243,7 +252,7 @@ def spatial_summary(
             f"montage the recording was made with"
         )
     if stats is None:
-        stats = [temporal_stats(row) for row in rec.data]
+        stats = temporal_stats(rec.data)
     stat_rows = np.array(
         [[s.mean, s.std, s.energy, s.peak_to_peak, s.kurtosis] for s in stats]
     )
@@ -262,11 +271,9 @@ def spatial_summary(
 
 def extract_features(rec: Recording, hier: BthHierarchy) -> PhysicalFeatures:
     """Run the temporal, spectral, and spatial operators over a recording."""
-    stats = [temporal_stats(row) for row in rec.data]
+    stats = temporal_stats(rec.data)
     channel_stats = dict(zip(rec.channels, stats))
-    channel_spectra = {
-        lab: spectral_stats(row, rec.fs) for lab, row in zip(rec.channels, rec.data)
-    }
+    channel_spectra = dict(zip(rec.channels, spectral_stats(rec.data, rec.fs)))
     regions, top = spatial_summary(rec, hier, stats=stats)
     degenerate = tuple(
         lab
@@ -274,7 +281,7 @@ def extract_features(rec: Recording, hier: BthHierarchy) -> PhysicalFeatures:
         if channel_stats[lab].degenerate or channel_spectra[lab].degenerate
     )
     return PhysicalFeatures(
-        global_stats=temporal_stats(rec.data.ravel()),
+        global_stats=temporal_stats(rec.data.reshape(1, -1))[0],
         channel_stats=channel_stats,
         channel_spectra=channel_spectra,
         region_stats=regions,

@@ -10,6 +10,7 @@ each group; broadcasting copies a group feature back to its members.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -81,25 +82,31 @@ class BthHierarchy:
     group_names: tuple[tuple[str, ...], ...] = field(repr=False)
 
     def mean_matrix(self, level: int) -> np.ndarray:
-        """Row-stochastic (n_level x C) matrix averaging member channels."""
-        groups = self._groups(level)
-        mat = np.zeros((len(groups), self.montage.n_channels))
-        for gi, members in enumerate(groups):
-            mat[gi, list(members)] = 1.0 / len(members)
-        return mat
+        """Row-stochastic (n_level x C) matrix averaging member channels (read-only)."""
+        return self._matrices[self._index(level)][0]
 
     def member_matrix(self, level: int) -> np.ndarray:
-        """(C x n_level) indicator matrix mapping group rows back to channels."""
-        groups = self._groups(level)
-        mat = np.zeros((self.montage.n_channels, len(groups)))
-        for gi, members in enumerate(groups):
-            mat[list(members), gi] = 1.0
-        return mat
+        """(C x n_level) indicator matrix mapping group rows back to channels (read-only)."""
+        return self._matrices[self._index(level)][1]
 
-    def _groups(self, level: int) -> tuple[tuple[int, ...], ...]:
+    @cached_property
+    def _matrices(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each level's (mean, member) pair, built once and shared by every caller."""
+        pairs = []
+        for groups in self.levels:
+            member = np.zeros((self.montage.n_channels, len(groups)))
+            for gi, idx in enumerate(groups):
+                member[list(idx), gi] = 1.0
+            mean = np.ascontiguousarray(member.T / member.sum(axis=0)[:, None])
+            mean.setflags(write=False)
+            member.setflags(write=False)
+            pairs.append((mean, member))
+        return tuple(pairs)
+
+    def _index(self, level: int) -> int:
         if not 1 <= level <= 5:
             raise MontageError(f"hierarchy level must be 1..5, got {level}")
-        return self.levels[level - 1]
+        return level - 1
 
 
 def _validate_montage(montage: Montage) -> None:

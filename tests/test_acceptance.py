@@ -341,7 +341,7 @@ def test_04_signal_oracles():
     t = np.arange(int(fs * seconds)) / fs
     alpha_rec = Recording(channels=("A",), fs=fs, data=np.sin(2 * np.pi * 10.0 * t)[None, :])
     out = preprocess(alpha_rec)
-    stats = spectral_stats(out.data[0], out.fs)
+    stats = spectral_stats(out.data[0][None], out.fs)[0]
     total = sum(stats.band_powers.values())
     alpha_share = stats.band_powers["alpha"] / total
 

@@ -322,6 +322,40 @@ def test_fd_conv1d():
     _fd_case(fn, [(2, 2, 11), (3, 2, 5), (3,)], seed=13, tol=1e-5)
 
 
+def test_fd_conv1d_frozen_input_first_conv_geometry():
+    # the encoder's first conv: raw patches in, so no input gradient is formed
+    rng = np.random.default_rng(14)
+    x = t(rng.uniform(-1, 1, (2, 1, 40)), rg=False)
+    w, b = t(rng.uniform(-1, 1, (3, 1, 15))), t(rng.uniform(-1, 1, 3))
+    with ad.Graph() as graph:
+        out = ad.conv1d(x, w, b, stride=8, padding=7)
+        dx, _, _ = graph.nodes[-1].vjp(np.ones_like(out.data))
+    assert dx is None
+
+    def fn(ts):
+        out = ad.conv1d(x, ts[0], ts[1], stride=8, padding=7)
+        return ad.sum_(ad.mul(out, out))
+
+    _fd_case(fn, [(3, 1, 15), (3,)], seed=15, tol=1e-5)
+
+
+@pytest.mark.parametrize("stride, k, padding", [(1, 3, 1), (8, 15, 7)])
+def test_conv1d_input_gradient_matches_per_output_scatter_bitwise(stride, k, padding):
+    rng = np.random.default_rng(16)
+    x = t(rng.standard_normal((2, 3, 200)))
+    w = t(rng.standard_normal((4, 3, k)))
+    with ad.Graph() as graph:
+        out = ad.conv1d(x, w, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        dx, _ = graph.nodes[-1].vjp(g)
+    # reference: scatter each output position's window gradient in turn
+    dcols = np.einsum("nol,oik->nilk", g, w.data, optimize=True)
+    dxp = np.zeros((2, 3, 200 + 2 * padding))
+    for pos in range(out.shape[2]):
+        dxp[:, :, pos * stride : pos * stride + k] += dcols[:, :, pos, :]
+    assert dx.tobytes() == dxp[:, :, padding : padding + 200].tobytes()
+
+
 def test_conv1d_output_length_matches_formula():
     x = t(np.zeros((1, 1, 200)), rg=False)
     w = t(np.zeros((16, 1, 15)), rg=False)

@@ -420,6 +420,20 @@ def test_profile_label_leak_exits_2(env, tmp_path, capsys):
     assert "leak" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fs", [0.2, 0.25])
+def test_profile_at_a_rate_with_an_empty_welch_segment_exits_2(env, tmp_path, capsys, fs):
+    # 2 s at these rates rounds to a 0-sample Welch segment
+    sample = tmp_path / "sample"
+    shutil.copytree(env["data"] / "sample_0000", sample)
+    manifest = sample / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "fs": fs}))
+    out = tmp_path / "p"
+    rc = main(env["base"] + ["--out", str(out), "profile", "--container", str(sample)])
+    assert rc == 2
+    assert "Welch segment" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_profile_unreachable_endpoint_exits_4(env, tmp_path):
     rc = main(env["base"] + [
         "--out", str(tmp_path / "p"),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import astuple, replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -27,8 +28,10 @@ from eeglm.profiler import (
     temporal_stats,
     verbalize,
 )
-from eeglm.signal_io import FREQ_BANDS, Recording
-from eeglm.topology import Montage, build_hierarchy, builtin_montage
+from eeglm.signal_io import FREQ_BANDS, Recording, preprocess
+from eeglm.synth import CLASS_TONES, make_recording
+from eeglm.topology import Montage, build_hierarchy, builtin_montage, get_montage
+from profiler_oracle import spectral_stats_1d, temporal_stats_1d
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -66,7 +69,7 @@ def fixed_recording() -> Recording:
 def test_temporal_stats_unit_sinusoid_moments():
     t = np.arange(200)
     x = np.sin(2 * np.pi * t / 200.0)
-    s = temporal_stats(x)
+    s = temporal_stats(x[None])[0]
     assert abs(s.mean) < 1e-9
     assert abs(s.peak_to_peak - 2.0) < 1e-9
     assert abs(s.kurtosis - 1.5) < 1e-9
@@ -74,7 +77,7 @@ def test_temporal_stats_unit_sinusoid_moments():
 
 
 def test_temporal_stats_constant_is_degenerate():
-    s = temporal_stats(np.array([5.0, 5.0, 5.0, 5.0]))
+    s = temporal_stats(np.array([[5.0, 5.0, 5.0, 5.0]]))[0]
     assert s.mean == 5.0
     assert s.std == 0.0
     assert s.energy == 100.0
@@ -85,13 +88,13 @@ def test_temporal_stats_constant_is_degenerate():
 
 def test_temporal_stats_gaussian_kurtosis_near_three(rng):
     x = rng.standard_normal(10000)
-    s = temporal_stats(x)
+    s = temporal_stats(x[None])[0]
     assert 2.7 <= s.kurtosis <= 3.3
 
 
 def test_temporal_stats_matches_direct_formulas(rng):
     x = rng.standard_normal(257) * 3.0 + 1.0
-    s = temporal_stats(x)
+    s = temporal_stats(x[None])[0]
     mu = x.sum() / x.size
     var = ((x - mu) ** 2).sum() / x.size
     assert abs(s.mean - mu) < 1e-12
@@ -109,7 +112,7 @@ def test_temporal_stats_matches_direct_formulas(rng):
 def test_spectral_pure_alpha_tone():
     fs = 200.0
     t = np.arange(int(10 * fs)) / fs
-    s = spectral_stats(np.sin(2 * np.pi * 10.0 * t), fs)
+    s = spectral_stats(np.sin(2 * np.pi * 10.0 * t)[None], fs)[0]
     assert s.band_powers["alpha"] > 0.95
     assert abs(s.peak_freq - 10.0) <= 0.5
     assert not s.degenerate
@@ -118,7 +121,7 @@ def test_spectral_pure_alpha_tone():
 def test_spectral_white_noise_tracks_bandwidth(rng):
     fs = 200.0
     x = rng.standard_normal(int(60 * fs))
-    s = spectral_stats(x, fs)
+    s = spectral_stats(x[None], fs)[0]
     span = 100.0 - 0.5
     for name, (lo, hi) in FREQ_BANDS.items():
         expected = (min(hi, 100.0) - lo) / span
@@ -126,26 +129,26 @@ def test_spectral_white_noise_tracks_bandwidth(rng):
 
 
 def test_spectral_zero_signal_degenerate():
-    s = spectral_stats(np.zeros(1000), 200.0)
+    s = spectral_stats(np.zeros((1, 1000)), 200.0)[0]
     assert all(v == 0.0 for v in s.band_powers.values())
     assert s.degenerate
 
 
 def test_spectral_band_powers_sum_to_one(rng):
-    s = spectral_stats(rng.standard_normal(4000), 200.0)
+    s = spectral_stats(rng.standard_normal(4000)[None], 200.0)[0]
     assert sum(s.band_powers.values()) <= 1.0 + 1e-9
     assert sum(s.band_powers.values()) >= 1.0 - 1e-9
 
 
 def test_spectral_too_short_rejected():
     with pytest.raises(ConfigError):
-        spectral_stats(np.zeros(399), 200.0)
+        spectral_stats(np.zeros((1, 399)), 200.0)
 
 
 def test_spectral_scale_invariance(rng):
     fs = 200.0
     x = rng.standard_normal(2000)
-    a, b = spectral_stats(x, fs), spectral_stats(3.7 * x, fs)
+    a, b = spectral_stats(x[None], fs)[0], spectral_stats(3.7 * x[None], fs)[0]
     for name in FREQ_BANDS:
         assert abs(a.band_powers[name] - b.band_powers[name]) < 1e-12
     assert a.peak_freq == b.peak_freq
@@ -154,7 +157,7 @@ def test_spectral_scale_invariance(rng):
 
 def test_spectral_bands_clip_to_nyquist(rng):
     # at fs=60 the gamma band (30-100 Hz) collapses to nothing
-    s = spectral_stats(rng.standard_normal(1200), 60.0)
+    s = spectral_stats(rng.standard_normal(1200)[None], 60.0)[0]
     assert s.band_powers["gamma"] == 0.0
     assert sum(s.band_powers.values()) <= 1.0 + 1e-9
 
@@ -203,18 +206,50 @@ def test_extract_features_computes_each_temporal_stat_once(monkeypatch):
 
     calls = []
 
-    def counted(x):
-        calls.append(np.asarray(x).size)
-        return temporal_stats(x)
+    def counted(rows):
+        calls.append(np.shape(rows))
+        return temporal_stats(rows)
 
     monkeypatch.setattr(profiler, "temporal_stats", counted)
     rng = np.random.default_rng(0)
     rec = Recording(channels=tiny_montage(4).labels, fs=200.0, data=rng.standard_normal((4, 800)))
     feats = extract_features(rec, build_hierarchy(tiny_montage(4)))
-    # one per channel plus one over the whole recording
-    assert sorted(calls) == [800] * 4 + [3200]
+    # one batched call over the channels plus one over the whole recording
+    assert calls == [(4, 800), (1, 3200)]
     regions, top = spatial_summary(rec, build_hierarchy(tiny_montage(4)))
     assert feats.region_stats == regions and feats.top_channels == top
+
+
+@pytest.mark.parametrize(
+    "montage, fs, seconds",
+    [("builtin-1020", 500.0, 6.0), ("synthetic-4", 200.0, 2.0)],
+    ids=["signal-wide", "synthetic-4"],
+)
+def test_batched_features_match_the_per_channel_oracle(montage, fs, seconds):
+    mont = get_montage(montage)
+    hier = build_hierarchy(mont)
+    for seed, label in enumerate(CLASS_TONES):
+        rng = np.random.default_rng(seed)
+        rec = preprocess(make_recording(label, mont.labels, rng, fs=fs, seconds=seconds))
+        feats = extract_features(rec, hier)
+        want_stats = [temporal_stats_1d(row) for row in rec.data]
+        want_global = temporal_stats_1d(rec.data)
+        got_stats = list(feats.channel_stats.values()) + [feats.global_stats]
+        for got, want in zip(got_stats, want_stats + [want_global], strict=True):
+            assert astuple(got)[:4] == astuple(want)[:4]
+            assert got.degenerate == want.degenerate
+            assert abs(got.kurtosis - want.kurtosis) <= 1e-15 * abs(want.kurtosis)
+        want_spectra = [spectral_stats_1d(row, rec.fs) for row in rec.data]
+        assert list(feats.channel_spectra.values()) == want_spectra
+        regions, _ = spatial_summary(rec, hier, stats=want_stats)
+        oracle = replace(
+            feats,
+            global_stats=want_global,
+            channel_stats=dict(zip(rec.channels, want_stats)),
+            channel_spectra=dict(zip(rec.channels, want_spectra)),
+            region_stats=regions,
+        )
+        assert verbalize(feats) == verbalize(oracle)
 
 
 def test_spatial_summary_rejects_foreign_montage():

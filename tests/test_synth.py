@@ -36,7 +36,7 @@ def test_class_tone_dominates_its_band():
     # each class's spectrum must peak at that class's configured tone
     for label, tone in CLASS_TONES.items():
         rec = make_recording(label, CHANNELS, np.random.default_rng(1), seconds=4.0)
-        stats = spectral_stats(rec.data[0], rec.fs)
+        stats = spectral_stats(rec.data[0][None], rec.fs)[0]
         assert abs(stats.peak_freq - tone) <= 0.5, (label, stats.peak_freq)
 
 
@@ -45,9 +45,9 @@ def test_classes_are_spectrally_distinct():
         lab: make_recording(lab, CHANNELS, np.random.default_rng(2), seconds=4.0)
         for lab in CLASS_TONES
     }
-    theta = spectral_stats(recs["class-a"].data[0], 200.0).band_powers
-    alpha = spectral_stats(recs["class-b"].data[0], 200.0).band_powers
-    beta = spectral_stats(recs["class-c"].data[0], 200.0).band_powers
+    theta = spectral_stats(recs["class-a"].data[0][None], 200.0)[0].band_powers
+    alpha = spectral_stats(recs["class-b"].data[0][None], 200.0)[0].band_powers
+    beta = spectral_stats(recs["class-c"].data[0][None], 200.0)[0].band_powers
     assert theta["theta"] > max(theta["alpha"], theta["beta"])
     assert alpha["alpha"] > max(alpha["theta"], alpha["beta"])
     assert beta["beta"] > max(beta["theta"], beta["alpha"])

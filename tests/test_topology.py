@@ -188,3 +188,18 @@ def test_shape_mismatch_rejected(hier):
         pool_level(np.zeros((5, 2, 2)), hier, 2)
     with pytest.raises(MontageError):
         broadcast_level(np.zeros((5, 2, 2)), hier, 2)
+
+
+def test_level_matrices_are_built_once_and_read_only(hier):
+    for level in range(1, 6):
+        for get in (hier.mean_matrix, hier.member_matrix):
+            mat = get(level)
+            assert get(level) is mat
+            with pytest.raises(ValueError, match="read-only"):
+                mat[0, 0] = 2.0
+    groups = hier.levels[1]
+    assert [tuple(np.flatnonzero(row)) for row in hier.mean_matrix(2)] == list(groups)
+    assert np.array_equal(hier.mean_matrix(2).sum(axis=1), np.ones(len(groups)))
+    assert np.array_equal(hier.member_matrix(2), (hier.mean_matrix(2) > 0).T)
+    with pytest.raises(MontageError, match="1..5"):
+        hier.mean_matrix(6)
