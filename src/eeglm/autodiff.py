@@ -220,7 +220,8 @@ def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, 
                 grads[inp] = gin if acc is None else acc + gin
     if wrt is not None:
         for t in wrt:
-            grads.setdefault(t, np.zeros_like(t.data))
+            if t not in grads:
+                grads[t] = np.zeros_like(t.data)
     return grads
 
 

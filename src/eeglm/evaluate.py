@@ -82,7 +82,7 @@ def evaluate_checkpoint(
     y_true = np.array([index[row["label"]] for row in per_sample])
     y_pred = np.array([index[row["prediction"]] for row in per_sample])
     scores = np.array([[row["probabilities"][c] for c in order] for row in per_sample])
-    batch = EvalBatch(y_true=y_true, y_pred=y_pred, scores=scores)
+    batch = EvalBatch(y_true=y_true, y_pred=y_pred, scores=scores, n_classes=len(order))
     wanted = BINARY_METRICS if len(classes) == 2 else MULTICLASS_METRICS
     report = {
         "task": model.cfg["data"]["dataset_name"],

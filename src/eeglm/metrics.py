@@ -11,16 +11,22 @@ from .errors import DataError
 
 
 class MetricError(DataError):
-    """Metric preconditions violated (missing class, degenerate batch...)."""
+    """Metric preconditions violated (label outside the classes, degenerate batch...)."""
 
 
 @dataclass(frozen=True)
 class EvalBatch:
-    """True labels, predicted labels and optional per-class scores."""
+    """True labels, predicted labels and optional per-class scores.
+
+    Labels index `n_classes` classes: the configured count when given, else
+    the classes `y_true` names (its largest label plus one). A label outside
+    them is refused, so whether a batch scores depends on `y_true` and the
+    count alone, never on which classes the model happens to predict."""
 
     y_true: np.ndarray
     y_pred: np.ndarray
     scores: np.ndarray | None = field(default=None)
+    n_classes: int | None = None
 
     def __post_init__(self):
         yt = np.asarray(self.y_true, dtype=np.int64)
@@ -31,8 +37,14 @@ class EvalBatch:
             raise MetricError("empty evaluation batch")
         if yt.min() < 0 or yp.min() < 0:
             raise MetricError("labels must be non-negative integers")
+        n = int(yt.max()) + 1 if self.n_classes is None else int(self.n_classes)
+        labels = np.concatenate([yt, yp])
+        outside = np.unique(labels[labels >= n])
+        if outside.size:
+            raise MetricError(f"labels {outside.tolist()} outside the {n} classes 0..{n - 1}")
         object.__setattr__(self, "y_true", yt)
         object.__setattr__(self, "y_pred", yp)
+        object.__setattr__(self, "n_classes", n)
         if self.scores is not None:
             sc = np.asarray(self.scores, dtype=np.float64)
             if sc.ndim == 2:
@@ -48,10 +60,6 @@ class EvalBatch:
                 raise MetricError(f"scores must be 1-D or 2-D, got {sc.ndim}-D")
             object.__setattr__(self, "scores", sc)
 
-    @property
-    def n_classes(self) -> int:
-        return int(max(self.y_true.max(), self.y_pred.max())) + 1
-
 
 def confusion_matrix(batch: EvalBatch) -> np.ndarray:
     c = batch.n_classes
@@ -60,21 +68,13 @@ def confusion_matrix(batch: EvalBatch) -> np.ndarray:
     return mat
 
 
-def _require_all_classes(batch: EvalBatch, op: str) -> np.ndarray:
-    classes = np.arange(batch.n_classes)
-    present = np.isin(classes, batch.y_true)
-    if not present.all():
-        missing = classes[~present].tolist()
-        raise MetricError(f"{op}: class {missing} absent from true labels")
-    return classes
-
-
 def balanced_accuracy(batch: EvalBatch) -> float:
-    """Macro-average of per-class recall."""
-    _require_all_classes(batch, "balanced_accuracy")
+    """Macro-average of per-class recall over the classes `y_true` holds (a
+    class without true samples has no recall)."""
     mat = confusion_matrix(batch)
-    recalls = np.diag(mat) / mat.sum(axis=1)
-    return float(np.mean(recalls))
+    support = mat.sum(axis=1)
+    present = support > 0
+    return float(np.mean(np.diag(mat)[present] / support[present]))
 
 
 def _binary_scores(batch: EvalBatch, op: str) -> tuple[np.ndarray, np.ndarray]:
@@ -148,12 +148,12 @@ def cohens_kappa(batch: EvalBatch) -> float:
 
 
 def weighted_f1(batch: EvalBatch) -> float:
-    """Support-weighted mean of per-class F1 with the 0/0 -> 0 convention."""
-    classes = _require_all_classes(batch, "weighted_f1")
+    """Support-weighted mean of per-class F1 with the 0/0 -> 0 convention; a
+    class without true samples weighs nothing."""
     mat = confusion_matrix(batch).astype(np.float64)
     n = mat.sum()
     total = 0.0
-    for c in classes:
+    for c in range(batch.n_classes):
         tp = mat[c, c]
         fp = mat[:, c].sum() - tp
         fn = mat[c, :].sum() - tp

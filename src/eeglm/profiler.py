@@ -6,9 +6,11 @@ import json
 import os
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, field
+from functools import lru_cache
 
 import numpy as np
-import scipy.signal as sps
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import rfft, rfftfreq
 
 from .errors import ConfigError, DataError, MontageError, TransportError
 from .signal_io import FREQ_BANDS, Recording
@@ -193,13 +195,49 @@ def temporal_stats(rows: np.ndarray) -> list[TemporalStats]:
     return [TemporalStats(*row, degenerate=row[1] <= 0.0) for row in columns]
 
 
+@lru_cache(maxsize=16)
+def _psd_window(n: int, fs: float) -> np.ndarray:
+    """Periodic Hann window of `n` samples scaled to unit power density at `fs`.
+
+    Built the way scipy.signal builds it: the cosine series on `n + 1` points
+    with the last dropped, then scaled by 1 / sqrt(sum(w**2) / (1 / fs)) with
+    the sum taken in Python order. Read-only: every call shares it."""
+    if n == 1:
+        win = np.ones(1)
+    else:
+        win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+    win = win * (1 / np.sqrt(sum(win**2) / (1 / fs)))
+    win.setflags(write=False)
+    return win
+
+
+def welch(x: np.ndarray, fs: float, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Welch power spectral density of each row of a (rows, samples) array.
+
+    Periodic Hann segments of `nperseg` samples at half overlap, each demeaned,
+    density-scaled and one-sided; the segments of a row are averaged on their
+    own. Returns (freqs, psd) with the bits of scipy.signal.welch(x, fs,
+    window="hann", nperseg=nperseg, noverlap=nperseg // 2) (scipy 1.17) on
+    scipy.fft alone. The segments sit on the contiguous last axis when
+    averaged, as in scipy: numpy sums such an axis pairwise, and past eight
+    segments another layout would add them in another order."""
+    n = nperseg
+    hop = n - n // 2
+    count = (x.shape[-1] - n // 2) // hop
+    segs = sliding_window_view(x, n, axis=-1)[:, ::hop][:, :count]
+    spec = rfft((segs - segs.mean(axis=-1, keepdims=True)) * _psd_window(n, fs), n, axis=-1)
+    power = np.ascontiguousarray(np.swapaxes(spec.real**2 + spec.imag**2, 1, 2))
+    power[:, 1 : -1 if n % 2 == 0 else None] *= 2  # fold in the negative frequencies
+    return rfftfreq(n, 1 / fs), power.mean(axis=-1)
+
+
 def spectral_stats(rows: np.ndarray, fs: float) -> list[SpectralStats]:
     """Relative power in the five canonical bands plus the dominant peak, per row.
 
-    One Welch call over the (rows, samples) array gives every row's PSD (the
-    segments of each row are averaged on their own). Band powers are shares
-    of the 0.5-100 Hz span, clipped to Nyquist; each sum is taken on its 1-D
-    row, so a row's record has the bits a one-row call would give."""
+    One `welch` call over the (rows, samples) array gives every row's PSD.
+    Band powers are shares of the 0.5-100 Hz span, clipped to Nyquist; each
+    sum is taken on its 1-D row, so a row's record has the bits a one-row
+    call would give."""
     x = np.ascontiguousarray(rows, dtype=np.float64)
     nperseg = int(round(WELCH_SECONDS * fs))
     if nperseg < 1:
@@ -212,7 +250,7 @@ def spectral_stats(rows: np.ndarray, fs: float) -> list[SpectralStats]:
             f"spectral statistics need (rows, samples) with at least {nperseg} samples "
             f"({WELCH_SECONDS:g} s at {fs:g} Hz), got {x.shape}"
         )
-    freqs, psd = sps.welch(x, fs=fs, window="hann", nperseg=nperseg, noverlap=nperseg // 2)
+    freqs, psd = welch(x, fs, nperseg)
     span_hi = min(SPAN_HIGH, fs / 2.0)
     span_mask = (freqs >= SPAN_LOW) & (freqs <= span_hi)
     last = list(FREQ_BANDS)[-1]

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import NumericError, ShapeError
-from .hashing import fnv1a_64
+from .hashing import WORD_CACHE_SIZE, fnv1a_64
 from .nn import FeedForward, LayerNorm, Module, MultiHeadAttention
 
 N_HASHES = 4  # hashed slots each word adds to its embedding row
@@ -33,6 +34,12 @@ class ExpertSummary:
     attention_map: np.ndarray = field(repr=False)
 
 
+@lru_cache(maxsize=WORD_CACHE_SIZE)
+def _word_hashes(word: str) -> tuple[int, ...]:
+    """The word's N_HASHES seeded hashes, remembered for the most recent words."""
+    return tuple(fnv1a_64(f"{seed}:{word}") for seed in range(N_HASHES))
+
+
 class HashedTextEmbedder:
     """Deterministic per-word hashed embedding: one L2-normalized row per word."""
 
@@ -43,8 +50,8 @@ class HashedTextEmbedder:
         words = text.lower().split()
         rows = np.zeros((len(words), self.embed_dim))
         for i, word in enumerate(words):
-            for seed in range(N_HASHES):
-                rows[i, fnv1a_64(f"{seed}:{word}") % self.embed_dim] += 1.0
+            for h in _word_hashes(word):
+                rows[i, h % self.embed_dim] += 1.0
         rows /= N_HASHES
         norms = np.linalg.norm(rows, axis=1, keepdims=True)
         return rows / np.maximum(norms, 1e-12)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssemblyError, ConfigError
-from .hashing import fnv1a_64
+from .hashing import word_hash
 
 SEM_SLOT = -1  # placeholder id at positions carrying continuous embeddings
 
@@ -47,7 +47,7 @@ class WhitespaceTokenizer:
         self.vocab_size = vocab_size
 
     def encode(self, text: str) -> np.ndarray:
-        ids = [1 + fnv1a_64(w) % (self.vocab_size - 1) for w in text.lower().split()]
+        ids = [1 + word_hash(w) % (self.vocab_size - 1) for w in text.lower().split()]
         return np.asarray(ids, dtype=np.int64)
 
     def ensure_distinct(self, labels: tuple[str, ...]) -> dict[str, int]:

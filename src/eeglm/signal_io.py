@@ -15,7 +15,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import ConfigError, DataError, read_json_object
 
@@ -205,6 +204,8 @@ def resample(rec: Recording, target_fs: float) -> Recording:
         raise ConfigError(f"target sampling rate must be positive and finite, got {target_fs}")
     if target_fs == rec.fs:
         return rec
+    from scipy import signal as sps  # loaded on first use: only preprocessing filters
+
     frac = Fraction(target_fs / rec.fs).limit_denominator(1000)
     up, down = frac.numerator, frac.denominator
     out_len = int(math.floor(rec.n_samples * target_fs / rec.fs))
@@ -235,6 +236,8 @@ def bandpass_notch(
         )
     if notch is not None and not (low < notch < high):
         raise ConfigError(f"notch {notch} Hz must lie inside the pass band ({low}, {high})")
+    from scipy import signal as sps  # loaded on first use: only preprocessing filters
+
     sos = sps.butter(4, [low, high], btype="bandpass", fs=rec.fs, output="sos")
     # the pass band excludes DC, so demeaning first is gain-neutral and
     # removes the slowest (near-DC) settling transient entirely

@@ -129,6 +129,20 @@ def test_backward_unreached_leaf_defined_as_zero():
     np.testing.assert_allclose(grads[other], np.zeros(1))
 
 
+def test_backward_wrt_allocates_zeros_only_for_unreached_tensors(monkeypatch):
+    w = t([1.0, 2.0])
+    other = t([5.0])
+    made = []
+    zeros_like = np.zeros_like
+    monkeypatch.setattr(ad.np, "zeros_like", lambda a: made.append(a.shape) or zeros_like(a))
+    with ad.Graph():
+        loss = ad.sum_(ad.mul(w, 3.0))
+        grads = ad.backward(loss, wrt=[w, other])
+    assert made == [(1,)]
+    np.testing.assert_array_equal(grads[w], [3.0, 3.0])
+    np.testing.assert_array_equal(grads[other], [0.0])
+
+
 def test_backward_non_scalar_loss_rejected():
     w = t([1.0, 2.0])
     with ad.Graph():

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eeglm
 from eeglm.checkpoint import load_checkpoint, save_checkpoint
 from eeglm.cli import ATTN_HEADER, main
 from eeglm.config import DEFAULTS
@@ -712,3 +717,17 @@ def test_attn_export_profile_must_be_an_object(env, tmp_path, capsys, payload):
     ])
     assert rc == 3
     assert str(profile) in capsys.readouterr().err
+
+
+def test_import_path_leaves_scipy_signal_unloaded():
+    # only `eeglm preprocess` needs scipy's filters, and it loads them itself
+    src = str(Path(eeglm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, eeglm.cli, eeglm.evaluate, eeglm.training; "
+        "print('scipy.signal' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

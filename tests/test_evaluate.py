@@ -153,6 +153,18 @@ def test_report_shape_follows_the_configured_classes_not_the_labels_seen(
     assert report["metrics"]["weighted_f1"] == pytest.approx(1 / 3, abs=1e-12)
 
 
+def test_predicting_a_class_the_data_lacks_still_scores(binary_setup, multi_setup, monkeypatch):
+    import eeglm.evaluate as evaluate
+
+    data, _, _ = binary_setup
+    _, _, ckpt = multi_setup
+    favour_c = {"class-a": 0.25, "class-b": 0.25, "class-c": 0.5}
+    monkeypatch.setattr(evaluate, "label_probabilities", lambda *args: favour_c)
+    report = evaluate_checkpoint(ckpt, data)
+    assert {row["prediction"] for row in report["per_sample"]} == {"class-c"}
+    assert report["metrics"] == {"balanced_accuracy": 0.0, "cohens_kappa": 0.0, "weighted_f1": 0.0}
+
+
 def test_evaluation_is_deterministic(binary_setup):
     data, _, ckpt = binary_setup
     assert evaluate_checkpoint(ckpt, data) == evaluate_checkpoint(ckpt, data)

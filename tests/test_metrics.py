@@ -247,6 +247,26 @@ def test_metric_ranges_and_symmetries():
     assert abs(auroc(tbatch) - vals["auroc"]) < 1e-12
 
 
+def test_configured_class_count_makes_the_outcome_depend_on_true_labels_alone():
+    # three configured classes, data holding two: predicting the absent
+    # class changes the scores, not whether the batch scores
+    y_true = np.array([0, 0, 1, 1])
+    for y_pred, bacc in (([0, 0, 1, 1], 1.0), ([0, 2, 1, 1], 0.75)):
+        batch = EvalBatch(y_true, np.array(y_pred), n_classes=3)
+        assert batch.n_classes == 3
+        assert confusion_matrix(batch).shape == (3, 3)
+        assert balanced_accuracy(batch) == bacc
+        assert weighted_f1(batch) == pytest.approx(oracle_weighted_f1(y_true, np.array(y_pred)))
+        assert cohens_kappa(batch) == pytest.approx(oracle_kappa(y_true, np.array(y_pred)))
+
+
+def test_labels_outside_the_classes_rejected():
+    with pytest.raises(MetricError, match=r"\[3\]"):
+        EvalBatch(np.array([0, 1]), np.array([0, 3]), n_classes=3)
+    with pytest.raises(MetricError, match=r"\[2\]"):
+        EvalBatch(np.array([2, 1]), np.array([0, 1]), n_classes=2)
+
+
 def test_score_rows_must_sum_to_one():
     with pytest.raises(MetricError):
         EvalBatch(np.array([0, 1]), np.array([0, 1]), np.array([[0.5, 0.4], [0.2, 0.8]]))

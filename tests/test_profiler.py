@@ -15,6 +15,7 @@ from eeglm.errors import ConfigError, DataError, MontageError, TransportError
 from eeglm.profiler import (
     PROFILE_KEYS,
     PROMPT_SECTIONS,
+    WELCH_SECONDS,
     HttpClient,
     LlmClient,
     StubClient,
@@ -27,6 +28,7 @@ from eeglm.profiler import (
     spectral_stats,
     temporal_stats,
     verbalize,
+    welch,
 )
 from eeglm.signal_io import FREQ_BANDS, Recording, preprocess
 from eeglm.synth import CLASS_TONES, make_recording
@@ -160,6 +162,25 @@ def test_spectral_bands_clip_to_nyquist(rng):
     s = spectral_stats(rng.standard_normal(1200)[None], 60.0)[0]
     assert s.band_powers["gamma"] == 0.0
     assert sum(s.band_powers.values()) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("rows", [1, 19])
+@pytest.mark.parametrize("fs", [200.0, 100.5], ids=["even-nperseg", "odd-nperseg"])
+def test_welch_matches_scipy_bitwise(fs, rows):
+    import scipy.signal as sps
+
+    n = int(round(WELCH_SECONDS * fs))
+    hop = n - n // 2
+    rng = np.random.default_rng(rows)
+    # 1 to 5 segments, a length off the hop grid, and enough segments
+    # (12) that the average is a pairwise sum
+    for length in [n + k * hop for k in range(5)] + [n + 3 * hop + hop // 3, n + 11 * hop]:
+        x = 20.0 * rng.standard_normal((rows, length))
+        freqs, psd = welch(x, fs, n)
+        want_f, want_p = sps.welch(x, fs=fs, window="hann", nperseg=n, noverlap=n // 2)
+        assert psd.shape == want_p.shape == (rows, n // 2 + 1)
+        assert freqs.tobytes() == want_f.tobytes()
+        assert psd.tobytes() == want_p.tobytes()
 
 
 # ---------------------------------------------------------------------------
