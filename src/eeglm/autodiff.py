@@ -114,66 +114,9 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    # ---- operator sugar ----
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return slice_(self, key)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes: Sequence[int] | None = None) -> "Tensor":
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return mean(self, axis=axis, keepdims=keepdims)
 
     def detach(self) -> "Tensor":
         return Tensor._wrap(self.data)
@@ -295,37 +238,11 @@ def neg(a) -> Tensor:
     return _record(out, (a,), lambda g: (-g,))
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor._wrap(np.exp(a.data))
-    return _record(out, (a,), lambda g: (g * out.data,))
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = Tensor._wrap(np.log(a.data))
-    return _record(out, (a,), lambda g: (g / a.data,))
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     with np.errstate(invalid="ignore"):
         out = Tensor._wrap(np.sqrt(a.data))
     return _record(out, (a,), lambda g: (g * 0.5 / out.data,))
-
-
-def power(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = Tensor._wrap(np.power(a.data, p))
-    return _record(out, (a,), lambda g: (g * p * np.power(a.data, p - 1.0),))
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor._wrap(np.tanh(a.data))
-    return _record(out, (a,), lambda g: (g * (1.0 - out.data * out.data),))
 
 
 def gelu(a) -> Tensor:
@@ -536,14 +453,6 @@ def linear(x, w, b=None, lora: tuple[Tensor, Tensor, float] | None = None) -> Te
 # normalisation and attention helpers
 # ---------------------------------------------------------------------------
 
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor._wrap(y)
-    return _record(out, (a,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
-
-
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -752,7 +661,3 @@ def parameter(shape: tuple[int, ...], rng: np.random.Generator, fan_in: int | No
         fan_in = shape[-1] if shape else 1
     bound = 1.0 / math.sqrt(max(1, fan_in))
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-
-def zeros(shape: tuple[int, ...], requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)

@@ -25,14 +25,12 @@ class AdamW:
     def __init__(
         self,
         params: dict[str, Tensor],
-        lr: float,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
+        betas: tuple[float, float],
+        eps: float,
+        weight_decay: float,
         lr_scales: dict[str, float] | None = None,
     ):
         self.params = dict(params)
-        self.lr = lr
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
@@ -52,13 +50,13 @@ class AdamW:
         parts = np.split(buf, self._cuts)
         return {name: part.reshape(p.shape) for (name, p), part in zip(self.params.items(), parts)}
 
-    def step(self, grads: dict[str, Array], lr: float | None = None) -> None:
-        """Update every parameter in one in-place pass; a name missing from
-        `grads` has a zero gradient. Each line below is one factor or addend
-        of the per-tensor expression, so the result is the same to the bit."""
+    def step(self, grads: dict[str, Array], lr: float) -> None:
+        """Update every parameter in one in-place pass at rate `lr`; a name
+        missing from `grads` has a zero gradient. Each line below is one
+        factor or addend of the per-tensor expression, so the result is the
+        same to the bit."""
         for name, view in self._grad_views.items():
             view[...] = grads.get(name, 0.0)
-        lr = self.lr if lr is None else lr
         b1, b2 = self.betas
         self.t += 1
         g, s, m, v = self._grad, self._scratch, self.m, self.v  # g ends as the update
@@ -108,14 +106,16 @@ class AdamW:
 
 
 def clip_global_norm(grads: dict[str, Array], max_norm: float) -> dict[str, Array]:
-    """Scale all gradients jointly so their global L2 norm is at most max_norm."""
-    if max_norm is None or max_norm <= 0:
+    """Scale all gradients jointly so their global L2 norm is at most max_norm;
+    max_norm <= 0 turns clipping off. Returns `grads` itself when nothing
+    is scaled."""
+    if max_norm <= 0:
         return grads
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g * g))
     norm = math.sqrt(total)
-    if norm <= max_norm or norm == 0.0:
+    if norm <= max_norm:
         return grads
     scale = max_norm / norm
     return {k: g * scale for k, g in grads.items()}
@@ -125,8 +125,8 @@ def cosine_schedule(
     step: int,
     total_steps: int,
     base_lr: float,
-    warmup_steps: int = 0,
-    min_lr: float = 0.0,
+    warmup_steps: int,
+    min_lr: float,
 ) -> float:
     """Linear warmup from zero to base_lr, then a cosine decay to min_lr."""
     if total_steps <= 0:

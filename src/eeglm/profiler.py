@@ -518,7 +518,9 @@ class HttpClient(LlmClient):
         self.timeout = timeout
 
     def complete(self, prompt: str) -> str:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
         body = {"prompt": prompt, "max_tokens": MAX_TOKENS, "temperature": 0}
         if self.model:
@@ -527,18 +529,19 @@ class HttpClient(LlmClient):
         token = os.environ.get(self.token_env, "")
         if token:
             headers["Authorization"] = f"Bearer {token}"
+        data = json.dumps(body).encode()
         try:
-            resp = requests.post(
-                self.endpoint, json=body, headers=headers, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
+            request = urllib.request.Request(self.endpoint, data, headers, method="POST")
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                status, text = resp.status, resp.read().decode("utf-8", "replace")
+        except urllib.error.HTTPError as exc:  # an OSError too: test it first
+            status, text = exc.code, str(exc.reason)
+        except (OSError, http.client.HTTPException, ValueError) as exc:  # ValueError: a bad URL
             raise TransportError(f"profile endpoint unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(
-                f"profile endpoint returned HTTP {resp.status_code}: {resp.text[:200]}"
-            )
+        if status != 200:
+            raise TransportError(f"profile endpoint returned HTTP {status}: {text[:200]}")
         try:
-            payload = resp.json()
+            payload = json.loads(text)
         except ValueError as exc:
             raise TransportError("profile endpoint returned non-JSON body") from exc
         if isinstance(payload, dict):

@@ -196,20 +196,3 @@ def save_tokens(path: str | Path, sequences: list[TokenSequence], num_codes: int
     for seq in sequences:
         lines.append(" ".join(str(int(i)) for i in seq.indices))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_tokens(path: str | Path) -> tuple[list[TokenSequence], int]:
-    text = Path(path).read_text().strip().splitlines()
-    if not text:
-        raise DataError(f"empty token file {path}")
-    try:
-        c, p, num_codes = (int(x) for x in text[0].split())
-    except ValueError as e:
-        raise DataError(f"bad token file header {text[0]!r}") from e
-    out = []
-    for line_no, line in enumerate(text[1:], start=2):
-        idx = np.array([int(x) for x in line.split()], dtype=np.int64)
-        if np.any(idx < 0) or np.any(idx >= num_codes):
-            raise DataError(f"{path}:{line_no}: token index out of range [0, {num_codes})")
-        out.append(TokenSequence(indices=idx, channels=c, patches=p))
-    return out, num_codes

@@ -260,29 +260,3 @@ def get_montage(name_or_path: str | None) -> Montage:
             raise MontageError(f"bad synthetic montage spec {name_or_path!r}")
         return synthetic_montage(int(suffix))
     return load_montage(name_or_path)
-
-
-def pool_level(features: np.ndarray, hier: BthHierarchy, level: int) -> np.ndarray:
-    """Mean-pool (C x P x E) channel features into (n_level x P x E) groups."""
-    feats = np.asarray(features, dtype=np.float64)
-    c = hier.montage.n_channels
-    if feats.ndim != 3 or feats.shape[0] != c:
-        raise MontageError(
-            f"features shape {feats.shape} does not match {c}-channel hierarchy"
-        )
-    mat = hier.mean_matrix(level)
-    pooled = mat @ feats.reshape(c, -1)
-    return pooled.reshape(mat.shape[0], feats.shape[1], feats.shape[2])
-
-
-def broadcast_level(group_features: np.ndarray, hier: BthHierarchy, level: int) -> np.ndarray:
-    """Copy each group's (P x E) feature to every member channel."""
-    groups = np.asarray(group_features, dtype=np.float64)
-    mat = hier.member_matrix(level)
-    if groups.ndim != 3 or groups.shape[0] != mat.shape[1]:
-        raise MontageError(
-            f"group features shape {groups.shape} does not match level {level} "
-            f"({mat.shape[1]} groups)"
-        )
-    full = mat @ groups.reshape(mat.shape[1], -1)
-    return full.reshape(mat.shape[0], groups.shape[1], groups.shape[2])

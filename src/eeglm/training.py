@@ -532,7 +532,7 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
         _load_into(model, arrays)
     trainable, lr_scales = spec.open(model, fresh=not resumed)
     opt_cfg = cfg["optimizer"]
-    hyper = {k: opt_cfg[k] for k in ("lr", "betas", "eps", "weight_decay")}
+    hyper = {k: opt_cfg[k] for k in ("betas", "eps", "weight_decay")}
     opt = AdamW(trainable, lr_scales=lr_scales, **hyper)
     start_epoch, step, epoch_avgs, last = 0, 0, [], {}
     if resumed:

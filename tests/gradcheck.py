@@ -6,7 +6,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Graph, Tensor, backward
+from eeglm.autodiff import Graph, Tensor, backward
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

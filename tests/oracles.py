@@ -1,0 +1,57 @@
+"""Reference ops that only the tests use.
+
+`tanh` and `softmax` are tape ops in the style of `eeglm.autodiff`: `tanh`
+is a smooth test nonlinearity for the finite-difference checks, and
+`softmax` builds the unfused reference chains that the fused `linear` and
+`attention` kernels must match to the bit. `pool_level` and
+`broadcast_level` are the numpy oracles of the encoder's hierarchy pooling.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from eeglm import autodiff as ad
+from eeglm.autodiff import Tensor
+from eeglm.errors import MontageError
+from eeglm.topology import BthHierarchy
+
+
+def tanh(a) -> Tensor:
+    a = ad.as_tensor(a)
+    out = Tensor._wrap(np.tanh(a.data))
+    return ad._record(out, (a,), lambda g: (g * (1.0 - out.data * out.data),))
+
+
+def softmax(a, axis: int = -1) -> Tensor:
+    a = ad.as_tensor(a)
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+    out = Tensor._wrap(y)
+    return ad._record(out, (a,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
+
+
+def pool_level(features: np.ndarray, hier: BthHierarchy, level: int) -> np.ndarray:
+    """Mean-pool (C x P x E) channel features into (n_level x P x E) groups."""
+    feats = np.asarray(features, dtype=np.float64)
+    c = hier.montage.n_channels
+    if feats.ndim != 3 or feats.shape[0] != c:
+        raise MontageError(
+            f"features shape {feats.shape} does not match {c}-channel hierarchy"
+        )
+    mat = hier.mean_matrix(level)
+    pooled = mat @ feats.reshape(c, -1)
+    return pooled.reshape(mat.shape[0], feats.shape[1], feats.shape[2])
+
+
+def broadcast_level(group_features: np.ndarray, hier: BthHierarchy, level: int) -> np.ndarray:
+    """Copy each group's (P x E) feature to every member channel."""
+    groups = np.asarray(group_features, dtype=np.float64)
+    mat = hier.member_matrix(level)
+    if groups.ndim != 3 or groups.shape[0] != mat.shape[1]:
+        raise MontageError(
+            f"group features shape {groups.shape} does not match level {level} "
+            f"({mat.shape[1]} groups)"
+        )
+    full = mat @ groups.reshape(mat.shape[1], -1)
+    return full.reshape(mat.shape[0], groups.shape[1], groups.shape[2])

@@ -19,7 +19,6 @@ from eeglm.cli import main
 from eeglm.config import resolve_config
 from eeglm.encoder import CsaBlock, DualStreamEncoder, EncoderConfig, TemporalEmbedder
 from eeglm.errors import ConfigError
-from eeglm.gradcheck import check_directional
 from eeglm.losses import loss_ntp, loss_sft, span_nll
 from eeglm.metrics import (
     EvalBatch,
@@ -53,15 +52,11 @@ from eeglm.signal_io import (
     robust_scale,
 )
 from eeglm.synth import make_dataset, make_recording
-from eeglm.topology import (
-    broadcast_level,
-    build_hierarchy,
-    builtin_montage,
-    pool_level,
-    synthetic_montage,
-)
+from eeglm.topology import build_hierarchy, builtin_montage, synthetic_montage
 from eeglm.training import run_cpt_stage, run_vq_stage
 
+from gradcheck import check_directional
+from oracles import broadcast_level, pool_level
 from test_metrics import (
     oracle_auc_pr_sweep,
     oracle_auroc_trapezoid,
@@ -313,11 +308,11 @@ def test_03_orthogonality_behavior():
         RefinerConfig(n_experts=4, embed_dim=16, n_heads=2, ffn_mult=2),
         np.random.default_rng(13),
     )
-    opt = AdamW({"q_lat": drive.q_lat}, lr=0.02)
+    opt = AdamW({"q_lat": drive.q_lat}, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
     for _ in range(500):
         with Graph():
             grads = backward(drive.orth_loss(), wrt=[drive.q_lat])
-        opt.step({"q_lat": grads[drive.q_lat]})
+        opt.step({"q_lat": grads[drive.q_lat]}, lr=0.02)
     q = drive.q_lat.data
     gram = q @ q.T / np.sum(q * q)
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))

@@ -9,11 +9,12 @@ from eeglm import autodiff as ad
 from eeglm.autodiff import Graph, Tensor, backward
 from eeglm.backbone import BackboneConfig, ToyBackbone
 from eeglm.errors import AssemblyError, ConfigError, ShapeError
-from eeglm.gradcheck import check_directional
 from eeglm.losses import loss_cpt, loss_dsha, loss_ntp, loss_sft, span_nll
 from eeglm.optim import AdamW
 from eeglm.quantizer import QuantizerConfig, VectorQuantizer, quant_loss
 from eeglm.sequences import VocabSpec, assemble_sequence
+from gradcheck import check_directional
+from oracles import softmax
 
 VOCAB = VocabSpec(v_text=40, n_codes=12)
 CFG = BackboneConfig(
@@ -315,14 +316,14 @@ def test_training_step_moves_only_adapter_parameters(rng):
     trainable = {n: p for n, p in model.named_parameters().items() if p.requires_grad}
     assert set(trainable) == set(adapter_parameters(model))
     frozen_before = {k: v.data.copy() for k, v in model.named_parameters().items()}
-    opt = AdamW(trainable, lr=0.1)
+    opt = AdamW(trainable, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
     # Two steps: lora_a has zero gradient while lora_b is still at its zero
     # init, so it only starts moving once lora_b is nonzero.
     for _ in range(2):
         with Graph():
             text_loss, eeg_loss = loss_ntp(seq, model)
             grads = backward(ad.add(text_loss, eeg_loss), wrt=list(trainable.values()))
-        opt.step({k: grads[v] for k, v in trainable.items()})
+        opt.step({k: grads[v] for k, v in trainable.items()}, lr=0.1)
     after = model.named_parameters()
     for name, arr in frozen_before.items():
         if name in trainable:
@@ -371,7 +372,7 @@ def _attention_chain(attn, x):
 
     q, k, v = (split(_linear_chain(lin, x)) for lin in (attn.wq, attn.wk, attn.wv))
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
-    weights = ad.softmax(ad.add(scores, np.triu(np.full((t, t), -1e9), k=1)), axis=-1)
+    weights = softmax(ad.add(scores, np.triu(np.full((t, t), -1e9), k=1)), axis=-1)
     mixed = ad.reshape(ad.transpose(ad.matmul(weights, v), (1, 0, 2)), (t, e))
     return _linear_chain(attn.wo, mixed)
 

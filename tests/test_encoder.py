@@ -9,8 +9,8 @@ from eeglm import autodiff as ad
 from eeglm.autodiff import Graph, Tensor, backward
 from eeglm.encoder import CsaBlock, DualStreamEncoder, EncoderConfig, TemporalEmbedder
 from eeglm.errors import ConfigError
-from eeglm.gradcheck import check_directional
 from eeglm.topology import Montage, build_hierarchy
+from gradcheck import check_directional
 
 TOY = EncoderConfig(
     embed_dim=8, n_heads=2, ffn_mult=2, patch_len=40, max_patches=8, montage=None
@@ -193,7 +193,7 @@ def test_fusion_zero_projection_leaves_level_mean():
     out = enc(x)
     # brute-force fusion oracle: mean over levels 2..4 of channel-broadcast
     # pooled features
-    from eeglm.topology import broadcast_level
+    from oracles import broadcast_level
 
     expect = np.zeros((3, 2, 8))
     for level in (2, 3, 4):
@@ -206,7 +206,7 @@ def test_fusion_additive_structure():
     # H_EEG = proj(concat(G_broadcast, L_final)) + mean(levels 2..4); with a
     # zeroed global half of the projection and zero bias, the fused term is
     # a linear image of L_final alone
-    from eeglm.topology import broadcast_level
+    from oracles import broadcast_level
 
     rng = np.random.default_rng(14)
     hier = build_hierarchy(tiny_montage(2))

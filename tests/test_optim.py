@@ -8,40 +8,42 @@ import pytest
 from eeglm.autodiff import Graph, Tensor, backward, mul, sub, sum_
 from eeglm.checkpoint import assign_parameters
 from eeglm.errors import DataError
-from eeglm.gradcheck import check_directional
 from eeglm.nn import Linear
 from eeglm.optim import AdamW, clip_global_norm, cosine_schedule
 from eeglm.quantizer import QuantizerConfig, VectorQuantizer
+from gradcheck import check_directional
+
+HYPER = dict(betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
 
 
 def test_zero_grad_no_decay_leaves_params_unchanged():
     p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    AdamW({"p": p}, lr=0.5, weight_decay=0.0).step({"p": np.zeros(3)})
+    AdamW({"p": p}, **HYPER).step({"p": np.zeros(3)}, lr=0.5)
     np.testing.assert_allclose(p.data, [1.0, -2.0, 3.0])
 
 
 def test_decoupled_decay_shrinks_by_factor():
     p = Tensor(np.array([2.0, -4.0]), requires_grad=True)
-    AdamW({"p": p}, lr=1.0, weight_decay=0.1).step({"p": np.zeros(2)})
+    AdamW({"p": p}, **dict(HYPER, weight_decay=0.1)).step({"p": np.zeros(2)}, lr=1.0)
     np.testing.assert_allclose(p.data, [2.0 * 0.9, -4.0 * 0.9])
 
 
 def test_quadratic_convergence():
     x = Tensor(np.array([0.0]), requires_grad=True)
-    opt = AdamW({"x": x}, lr=0.1)
+    opt = AdamW({"x": x}, **HYPER)
     for _ in range(200):
         with Graph():
             diff = sub(x, 3.0)
             loss = sum_(mul(diff, diff))
             grads = backward(loss, wrt=[x])
-        opt.step({"x": grads[x]})
+        opt.step({"x": grads[x]}, lr=0.1)
     assert abs(float(x.data[0]) - 3.0) < 0.01
 
 
 def test_bias_correction_first_step_size():
     # with bias correction the very first step has magnitude ~lr regardless of betas
     p = Tensor(np.array([0.0]), requires_grad=True)
-    AdamW({"p": p}, lr=0.01).step({"p": np.array([0.5])})
+    AdamW({"p": p}, **HYPER).step({"p": np.array([0.5])}, lr=0.01)
     assert abs(abs(float(p.data[0])) - 0.01) < 1e-6
 
 
@@ -49,7 +51,7 @@ def test_lr_scales_apply_per_parameter():
     a = Tensor(np.array([0.0]), requires_grad=True)
     b = Tensor(np.array([0.0]), requires_grad=True)
     grads = {"a": np.array([1.0]), "b": np.array([1.0])}
-    AdamW({"a": a, "b": b}, lr=0.1, lr_scales={"b": 0.1}).step(grads)
+    AdamW({"a": a, "b": b}, **HYPER, lr_scales={"b": 0.1}).step(grads, lr=0.1)
     assert abs(float(a.data[0])) > abs(float(b.data[0])) * 5
 
 
@@ -74,10 +76,10 @@ def test_cosine_schedule_shape():
 
 def test_optimizer_state_roundtrip():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = AdamW({"p": p}, lr=0.1)
-    opt.step({"p": np.array([0.3])})
+    opt = AdamW({"p": p}, **HYPER)
+    opt.step({"p": np.array([0.3])}, lr=0.1)
     snap = {k: v.copy() for k, v in opt.state_arrays().items()}
-    opt2 = AdamW({"p": p}, lr=0.1)
+    opt2 = AdamW({"p": p}, **HYPER)
     opt2.load_state(opt.t, snap)
     assert opt2.t == 1
     np.testing.assert_allclose(opt2.state_arrays()["opt.m/p"], opt.state_arrays()["opt.m/p"])
@@ -106,7 +108,7 @@ def test_flat_update_matches_per_tensor_reference_bit_for_bit():
     init = {n: rng.standard_normal(s) for n, s in shapes.items()}
     tensors = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
     hyper = dict(betas=(0.9, 0.98), eps=1e-8, weight_decay=0.01, lr_scales={"scaled": 0.3})
-    opt = AdamW(tensors, lr=0.1, **hyper)
+    opt = AdamW(tensors, **hyper)
     ref = dict(init)
     state = {"t": 0, "m": {}, "v": {}}
     for step in range(3):
@@ -134,21 +136,21 @@ def test_flat_update_matches_per_tensor_reference_bit_for_bit():
 )
 def test_load_state_refuses_moments_of_another_trainable_set(edit, named):
     params = {n: Tensor(np.ones(s), requires_grad=True) for n, s in (("a", (3, 2)), ("b", (4,)))}
-    opt = AdamW(params, lr=0.1)
+    opt = AdamW(params, **HYPER)
     state = {k: v.copy() for k, v in opt.state_arrays().items()}
     edit(state)
     with pytest.raises(DataError, match=repr(named)):
-        AdamW(params, lr=0.1).load_state(3, state)
+        AdamW(params, **HYPER).load_state(3, state)
 
 
 def test_state_arrays_resume_gives_the_same_next_step():
     rng = np.random.default_rng(5)
     shapes = {"a": (3, 2), "b": (4,)}
     first = {n: Tensor(rng.standard_normal(s), requires_grad=True) for n, s in shapes.items()}
-    hyper = dict(lr=0.05, weight_decay=0.1, lr_scales={"b": 2.0})
+    hyper = dict(HYPER, weight_decay=0.1, lr_scales={"b": 2.0})
     opt = AdamW(first, **hyper)
     for _ in range(2):
-        opt.step({n: rng.standard_normal(s) for n, s in shapes.items()})
+        opt.step({n: rng.standard_normal(s) for n, s in shapes.items()}, lr=0.05)
     keys = list(opt.state_arrays())
     assert keys == ["opt.m/a", "opt.m/b", "opt.v/a", "opt.v/b"]
     saved = {k: v.copy() for k, v in opt.state_arrays().items()}
@@ -156,8 +158,8 @@ def test_state_arrays_resume_gives_the_same_next_step():
     fresh = AdamW(second, **hyper)
     fresh.load_state(opt.t, saved)
     grads = {n: rng.standard_normal(s) for n, s in shapes.items()}
-    opt.step(grads)
-    fresh.step(grads)
+    opt.step(grads, lr=0.05)
+    fresh.step(grads, lr=0.05)
     np.testing.assert_array_equal(fresh.flat, opt.flat)
     np.testing.assert_array_equal(fresh.m, opt.m)
     np.testing.assert_array_equal(fresh.v, opt.v)
@@ -173,7 +175,7 @@ def test_parameters_written_in_place_stay_in_the_buffer():
     lin.attach_lora(1, 1.0, rng)
     lin.lora_b.data[...] = 1.0
     params = {"codebook": quant.codebook, "w": lin.w, "b": lin.b}
-    opt = AdamW(params, lr=0.1)
+    opt = AdamW(params, **HYPER)
     quant.warm_start(rng.standard_normal((20, 3)), rng)
     before_assign = {n: t.data.copy() for n, t in params.items()}
     assign_parameters(params, {n: a + 1.0 for n, a in before_assign.items()})
@@ -183,7 +185,7 @@ def test_parameters_written_in_place_stay_in_the_buffer():
     for t in params.values():
         assert np.shares_memory(t.data, opt.flat)
     before = {n: t.data.copy() for n, t in params.items()}
-    opt.step({n: np.ones_like(t.data) for n, t in params.items()})
+    opt.step({n: np.ones_like(t.data) for n, t in params.items()}, lr=0.1)
     for name, t in params.items():
         assert np.all(t.data != before[name])
 
@@ -191,11 +193,11 @@ def test_parameters_written_in_place_stay_in_the_buffer():
 def test_directional_check_leaves_parameters_in_the_buffer():
     rng = np.random.default_rng(1)
     p = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-    opt = AdamW({"p": p}, lr=0.1)
+    opt = AdamW({"p": p}, **HYPER)
     before = p.data.copy()
     err = check_directional(lambda ts: sum_(mul(ts[0], ts[0])), [p], rng)
     assert err < 1e-6
     assert np.shares_memory(p.data, opt.flat)
     np.testing.assert_array_equal(p.data, before)
-    opt.step({"p": np.ones_like(p.data)})
+    opt.step({"p": np.ones_like(p.data)}, lr=0.1)
     assert np.all(p.data != before)

@@ -487,13 +487,16 @@ SAMPLE_BODY = {
 
 class _ProfileHandler(BaseHTTPRequestHandler):
     seen_bodies: list = []
+    seen_headers: list = []
+    reply: tuple[int, bytes] | None = None  # (status, body) in place of the sample profile
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         type(self).seen_bodies.append(body)
-        reply = json.dumps({"text": json.dumps(SAMPLE_BODY)}).encode()
-        self.send_response(200)
+        type(self).seen_headers.append(dict(self.headers))
+        status, reply = self.reply or (200, json.dumps({"text": json.dumps(SAMPLE_BODY)}).encode())
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(reply)))
         self.end_headers()
@@ -506,6 +509,8 @@ class _ProfileHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def profile_server():
     _ProfileHandler.seen_bodies = []
+    _ProfileHandler.seen_headers = []
+    _ProfileHandler.reply = None
     server = HTTPServer(("127.0.0.1", 0), _ProfileHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -531,15 +536,48 @@ def test_http_client_unreachable_raises_transport_error():
         client.complete("hello")
 
 
+@pytest.mark.parametrize(
+    "status, body, match",
+    [
+        (500, b'{"text": "overloaded"}', "returned HTTP 500"),
+        (201, json.dumps({"text": json.dumps(SAMPLE_BODY)}).encode(), "returned HTTP 201"),
+        (200, b"<html>busy</html>", "non-JSON body"),
+    ],
+    ids=["server-error", "created-not-ok", "html-body"],
+)
+def test_http_client_bad_reply_raises_transport_error(profile_server, status, body, match):
+    _ProfileHandler.reply = (status, body)
+    with pytest.raises(TransportError, match=match):
+        HttpClient(profile_server, timeout=5.0).complete("hello")
+
+
+def test_http_client_sends_the_bearer_token_from_token_env(profile_server, monkeypatch):
+    monkeypatch.setenv("EEGLM_TEST_TOKEN", "s3cret")
+    HttpClient(profile_server, token_env="EEGLM_TEST_TOKEN", timeout=5.0).complete("hello")
+    assert _ProfileHandler.seen_headers[0]["Authorization"] == "Bearer s3cret"
+
+
+def test_http_client_endpoint_without_scheme_raises_transport_error():
+    with pytest.raises(TransportError, match="unreachable"):
+        HttpClient("127.0.0.1:9/", timeout=0.5).complete("hello")
+
+
 class _Reply:
-    status_code = 200
-    text = ""
+    """What a fake `urlopen` returns: a 200 reply carrying `payload` as JSON."""
+
+    status = 200
 
     def __init__(self, payload):
-        self.payload = payload
+        self.body = json.dumps(payload).encode()
 
-    def json(self):
-        return self.payload
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return self.body
 
 
 @pytest.mark.parametrize(
@@ -548,8 +586,8 @@ class _Reply:
     ids=["choice-a-string", "message-a-string", "message-null"],
 )
 def test_http_client_malformed_reply_raises_transport_error(monkeypatch, payload):
-    import requests
+    import urllib.request
 
-    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: _Reply(payload))
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: _Reply(payload))
     with pytest.raises(TransportError, match="response has no completion text"):
         HttpClient("http://127.0.0.1:9/").complete("hello")

@@ -8,7 +8,6 @@ import pytest
 from eeglm import autodiff as ad
 from eeglm.autodiff import Graph, Tensor, backward
 from eeglm.errors import NumericError, ShapeError
-from eeglm.gradcheck import check_directional
 from eeglm.optim import AdamW
 from eeglm.refiner import (
     ExpertSummary,
@@ -17,6 +16,7 @@ from eeglm.refiner import (
     SemanticRefiner,
     attention_rows,
 )
+from gradcheck import check_directional
 
 TOY = RefinerConfig(n_experts=2, embed_dim=8, n_heads=2, ffn_mult=2)
 
@@ -241,12 +241,12 @@ def test_orth_loss_rejects_all_zero_experts():
 def test_orth_loss_descent_suppresses_off_diagonals():
     cfg = RefinerConfig(n_experts=4, embed_dim=16, n_heads=2, ffn_mult=2)
     ref = make_refiner(cfg, seed=13)
-    opt = AdamW({"q_lat": ref.q_lat}, lr=0.02)
+    opt = AdamW({"q_lat": ref.q_lat}, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
     for _ in range(500):
         with Graph():
             loss = ref.orth_loss()
             grads = backward(loss, wrt=[ref.q_lat])
-        opt.step({"q_lat": grads[ref.q_lat]})
+        opt.step({"q_lat": grads[ref.q_lat]}, lr=0.02)
     q = ref.q_lat.data
     gram = q @ q.T / np.sum(q * q)
     off = gram - np.diag(np.diag(gram))

@@ -8,15 +8,8 @@ import numpy as np
 import pytest
 
 from eeglm.errors import MontageError
-from eeglm.topology import (
-    Montage,
-    broadcast_level,
-    build_hierarchy,
-    builtin_montage,
-    get_montage,
-    load_montage,
-    pool_level,
-)
+from eeglm.topology import Montage, build_hierarchy, builtin_montage, get_montage, load_montage
+from oracles import broadcast_level, pool_level
 
 
 @pytest.fixture(scope="module")

@@ -415,7 +415,7 @@ def test_refiner_moves_at_a_tenth_of_adapter_rate(chain):
     root, _, _, _ = chain
     model, _ = load_model(root / "cpt" / "checkpoints" / "epoch_0001")
     trainable, scales = SftStage(model.cfg).open(model, fresh=True)
-    opt = AdamW(trainable, lr=1e-3, lr_scales=scales)
+    opt = AdamW(trainable, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0, lr_scales=scales)
     before = {n: t.data.copy() for n, t in trainable.items()}
     opt.step({n: np.ones_like(t.data) for n, t in trainable.items()}, lr=1e-3)
     deltas = {n: np.abs(t.data - before[n]).max() for n, t in trainable.items()}
