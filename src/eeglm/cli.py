@@ -9,7 +9,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import parse_override, resolve_config
+from .config import STAGES, parse_override, resolve_config
 from .errors import DataError, EeglmError, UsageError, read_json_object
 from .evaluate import evaluate_checkpoint
 from .profiler import PROFILE_KEYS
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-name", default=None)
 
     p = sub.add_parser("train", help="run one training stage")
-    p.add_argument("--stage", choices=("vq", "cpt", "sft"), default=None)
+    p.add_argument("--stage", choices=STAGES, default=None)
     p.add_argument("--data", default=None, help="dataset directory")
     p.add_argument("--init-from", default=None, help="checkpoint of the previous stage")
     p.add_argument("--epochs", type=int, default=None)

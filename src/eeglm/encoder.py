@@ -134,11 +134,6 @@ class DualStreamEncoder(Module):
     def __call__(self, patches: PatchedSignal | np.ndarray) -> EncoderOutput:
         data = patches.data if isinstance(patches, PatchedSignal) else np.asarray(patches)
         c, p, _ = data.shape
-        if c != self.hierarchy.montage.n_channels:
-            raise ConfigError(
-                f"{c} channels in input but montage defines "
-                f"{self.hierarchy.montage.n_channels}"
-            )
         if p > self.cfg.max_patches:
             raise ConfigError(f"{p} patches exceed configured maximum {self.cfg.max_patches}")
         e = self.cfg.embed_dim

@@ -5,14 +5,14 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import rfft, rfftfreq
+from numpy.fft import rfft, rfftfreq
 
-from .errors import ConfigError, DataError, MontageError, TransportError
+from .errors import ConfigError, DataError, TransportError
 from .signal_io import FREQ_BANDS, Recording
 from .topology import BthHierarchy
 
@@ -164,7 +164,6 @@ class ProfileResult:
 
     profile: SemanticProfile
     retries: int
-    raw: str = field(repr=False, default="")
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +217,7 @@ def welch(x: np.ndarray, fs: float, nperseg: int) -> tuple[np.ndarray, np.ndarra
     density-scaled and one-sided; the segments of a row are averaged on their
     own. Returns (freqs, psd) with the bits of scipy.signal.welch(x, fs,
     window="hann", nperseg=nperseg, noverlap=nperseg // 2) (scipy 1.17) on
-    scipy.fft alone. The segments sit on the contiguous last axis when
+    numpy.fft alone. The segments sit on the contiguous last axis when
     averaged, as in scipy: numpy sums such an axis pairwise, and past eight
     segments another layout would add them in another order."""
     n = nperseg
@@ -283,12 +282,7 @@ def spatial_summary(
     caller already has them; they are computed otherwise."""
     if k < 1:
         raise ConfigError(f"top-k channel count must be >= 1, got {k}")
-    if rec.channels != hier.montage.labels:
-        raise MontageError(
-            f"recording channels {list(rec.channels)[:4]}... do not match the "
-            f"montage ({hier.montage.n_channels} channels); configure the "
-            f"montage the recording was made with"
-        )
+    hier.montage.require(rec.channels)
     if stats is None:
         stats = temporal_stats(rec.data)
     stat_rows = np.array(
@@ -580,11 +574,10 @@ def generate_profile(prompt: str, client: LlmClient) -> ProfileResult:
     """Send the prompt, parse the reply, and re-ask on malformed output."""
     current = prompt
     last_error = ""
-    raw = ""
     for attempt in range(MAX_RETRIES + 1):
         raw = client.complete(current)
         try:
-            return ProfileResult(parse_profile(raw), retries=attempt, raw=raw)
+            return ProfileResult(parse_profile(raw), retries=attempt)
         except DataError as exc:
             last_error = str(exc)
             current = prompt + "\n\n" + REASK_SUFFIX

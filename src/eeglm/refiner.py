@@ -71,18 +71,11 @@ class SemanticRefiner(Module):
         self.proj_ln = LayerNorm(e)
         self.proj_ffn = FeedForward(e, e * cfg.ffn_mult, rng)
 
-    def _check_width(self, arr_shape, what: str) -> None:
-        if arr_shape[-1] != self.cfg.embed_dim:
-            raise ShapeError(
-                f"{what} has width {arr_shape[-1]}, refiner expects {self.cfg.embed_dim}"
-            )
-
     def calibrate(self, h_text: Tensor | np.ndarray) -> Tensor:
         """Prime the latent experts on the profile text embedding."""
         h_text = h_text if isinstance(h_text, Tensor) else Tensor(np.asarray(h_text))
         if h_text.shape[0] == 0:
             raise ShapeError("text embedding is empty: nothing to calibrate on")
-        self._check_width(h_text.shape, "text embedding")
         attended = self.cal_attn(self.q_lat, h_text)
         return ad.add(self.cal_ffn(self.cal_ln(attended)), attended)
 
@@ -91,7 +84,6 @@ class SemanticRefiner(Module):
         z_q = z_q if isinstance(z_q, Tensor) else Tensor(np.asarray(z_q))
         if z_q.shape[0] == 0:
             raise ShapeError("token stream is empty: nothing to aggregate")
-        self._check_width(z_q.shape, "token stream")
         out = self.agg_attn(q_calib, z_q)
         return out, self.agg_attn.last_attention.copy()
 

@@ -71,6 +71,15 @@ class Montage:
     def n_channels(self) -> int:
         return len(self.labels)
 
+    def require(self, channels: tuple[str, ...]) -> None:
+        """Refuse a recording whose channels are not this montage's, in order."""
+        if tuple(channels) != self.labels:
+            raise MontageError(
+                f"recording channels {list(channels)[:4]}... do not match the montage "
+                f"({self.n_channels} channels); configure the montage the recording "
+                f"was made with"
+            )
+
 
 @dataclass(frozen=True)
 class BthHierarchy:
@@ -109,22 +118,8 @@ class BthHierarchy:
         return level - 1
 
 
-def _validate_montage(montage: Montage) -> None:
-    seen = set()
-    for lab in montage.labels:
-        if lab in seen:
-            raise MontageError(f"duplicate electrode label {lab!r}")
-        seen.add(lab)
-    for lab, (band, zone, cluster) in montage.region_map.items():
-        if lab not in seen:
-            raise MontageError(f"assignment references unknown electrode label {lab!r}")
-        if not zone.startswith(band) or not cluster.startswith(zone):
-            raise MontageError(f"nesting violated for electrode {lab!r}: {band}/{zone}/{cluster}")
-
-
 def build_hierarchy(montage: Montage) -> BthHierarchy:
     """Derive the five nested partitions from a montage's region keys."""
-    _validate_montage(montage)
     c = montage.n_channels
     if c == 0:
         raise MontageError("montage has no electrodes")
@@ -149,12 +144,9 @@ def build_hierarchy(montage: Montage) -> BthHierarchy:
     levels = (level1[0], level2[0], level3[0], level4[0], level5[0])
     names = (level1[1], level2[1], level3[1], level4[1], level5[1])
 
-    # partition + refinement checks: every level covers all channels exactly
-    # once, and each finer group sits inside exactly one coarser group
-    for li, level in enumerate(levels):
-        flat = sorted(i for g in level for i in g)
-        if flat != list(range(c)):
-            raise MontageError(f"level {li + 1} is not a partition of the channel set")
+    # grouping every channel once makes each level a partition; a montage
+    # file can still nest a cluster in two zones, so check each finer group
+    # sits inside exactly one coarser group
     for li in range(4):
         coarse = {i: gi for gi, g in enumerate(levels[li]) for i in g}
         for group in levels[li + 1]:

@@ -18,7 +18,7 @@ from .backbone import BackboneConfig, ToyBackbone
 from .checkpoint import MANIFEST, assign_parameters, load_checkpoint, load_meta, save_checkpoint
 from .config import resolve_config
 from .encoder import DualStreamEncoder, EncoderConfig
-from .errors import ConfigError, DataError, MontageError
+from .errors import ConfigError, DataError
 from .losses import ReconstructionHeads, loss_cpt, loss_dsha, loss_ntp, loss_sft
 from .optim import AdamW, clip_global_norm, cosine_schedule
 from .profiler import (
@@ -36,7 +36,7 @@ from .profiler import (
 from .quantizer import QuantizerConfig, TokenSequence, VectorQuantizer, codebook_health
 from .refiner import HashedTextEmbedder, RefinerConfig, SemanticRefiner
 from .sequences import HybridSequence, VocabSpec, WhitespaceTokenizer, assemble_sequence
-from .signal_io import Recording, dft_target, patch
+from .signal_io import PatchedSignal, Recording, dft_target, patch
 from .synth import load_corpus
 from .topology import BthHierarchy
 
@@ -73,16 +73,14 @@ class PipelineModel:
             out.update(mod.named_parameters(prefix))
         return out
 
+    def patch(self, rec: Recording) -> PatchedSignal:
+        """Cut a recording of the model's montage into patches."""
+        self.encoder.hierarchy.montage.require(rec.channels)
+        return patch(rec, self.cfg["data"]["patch_len"])
+
     def tokenize_recording(self, rec: Recording) -> tuple[TokenSequence, np.ndarray]:
         """Patch -> encode -> quantize one recording (no gradients recorded)."""
-        montage = self.encoder.hierarchy.montage
-        if rec.channels != montage.labels:
-            raise MontageError(
-                f"container channels {list(rec.channels)[:4]}... do not match "
-                f"the checkpoint montage ({montage.n_channels} channels)"
-            )
-        ps = patch(rec, self.cfg["data"]["patch_len"])
-        enc = self.encoder(ps)
+        enc = self.encoder(self.patch(rec))
         tokens, _, _, z_q = self.quantizer(enc.h_eeg)
         return tokens, z_q.data.copy()
 
@@ -204,10 +202,16 @@ def prepare_sequences(
     corpus: list[tuple[str, Recording, str | None]],
     with_answer: bool,
 ) -> list[PreparedSequence]:
-    """Tokenize, profile, and assemble every sample once (frozen-stage work)."""
+    """Tokenize, profile, and assemble every sample once (frozen-stage work),
+    after checking every label when `with_answer`."""
     cfg = model.cfg
     client = make_llm_client(cfg["llm"])
     classes = list(cfg["data"]["classes"])
+    for name, _, label in corpus if with_answer else ():
+        if label not in classes:
+            raise DataError(
+                f"label {label!r} of sample {name!r} not in configured classes {classes}"
+            )
     model.tokenizer.ensure_distinct(classes)
     instr_ids = model.tokenizer.encode(cfg["data"]["instruction"]) if with_answer else None
     sem_slot = np.zeros((model.refiner.cfg.n_experts, model.refiner.cfg.embed_dim))
@@ -216,13 +220,7 @@ def prepare_sequences(
         tokens, z_q = model.tokenize_recording(rec)
         _, _, result = profile_recording(rec, model, name, client)
         text = result.profile.flat_text()
-        answer_ids = None
-        if with_answer:
-            if label is None:
-                raise DataError(f"sample {name!r} has no label for supervised training")
-            if label not in classes:
-                raise DataError(f"label {label!r} of sample {name!r} not in configured classes")
-            answer_ids = model.tokenizer.encode(label)
+        answer_ids = model.tokenizer.encode(label) if with_answer else None
         seq = assemble_sequence(
             model.tokenizer.encode(text),
             sem_slot,
@@ -391,7 +389,7 @@ class VqStage(StageSpec):
     def prepare(self, model, corpus):
         samples = []
         for _, rec, _ in corpus:
-            ps = patch(rec, self.cfg["data"]["patch_len"])
+            ps = model.patch(rec)
             c, p, w = ps.data.shape
             mags = dft_target(ps).magnitudes.reshape(c * p, w // 2 + 1)
             samples.append((ps.data, ps.data.reshape(c * p, w), mags))
@@ -539,10 +537,11 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
         opt.load_state(meta["opt_step"], arrays)
         start_epoch, step, last = meta["epoch"] + 1, meta["step"], meta
         epoch_avgs = list(meta.get("epoch_avg_loss", []))
+    # a run refused on its data (montage, labels, profiles) writes nothing
+    items = spec.prepare(model, corpus)
     for sub in ("checkpoints", "artifacts"):
         (run / sub).mkdir(parents=True, exist_ok=True)
     (run / "config.json").write_text(json.dumps(cfg, indent=2))
-    items = spec.prepare(model, corpus)
 
     logger = MetricsLogger(run / "metrics.csv", append=resumed, keep_through=step)
     total_steps = cfg["train"]["epochs"] * len(items)

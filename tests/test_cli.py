@@ -507,6 +507,77 @@ def test_train_missing_data_exits_3(env, tmp_path):
     assert rc == 3
 
 
+def _foreign_argv(env, root, command):
+    """`command` run on a 3-channel dataset against the 2-channel config."""
+    data = root / "wide"
+    make_dataset(data, n_per_class=1, classes=("class-a", "class-b"), montage="synthetic-3", seed=0)
+    sample = str(data / "sample_0000")
+    ckpt_cpt = env["runs"]["cpt"] / "checkpoints" / "epoch_0000"
+    return {
+        "vq": ["train", "--stage", "vq", "--data", str(data)],
+        "cpt": ["train", "--stage", "cpt", "--data", str(data), "--init-from", str(env["ckpt_vq"])],
+        "sft": ["train", "--stage", "sft", "--data", str(data), "--init-from", str(ckpt_cpt)],
+        "eval": ["eval", "--checkpoint", str(env["ckpt_sft"]), "--data", str(data)],
+        "tokenize": ["tokenize", "--container", sample, "--checkpoint", str(env["ckpt_vq"])],
+        "profile": ["profile", "--container", sample],
+        "attn-export": ["attn-export", "--checkpoint", str(env["ckpt_sft"]), "--container", sample],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command", ["vq", "cpt", "sft", "eval", "tokenize", "profile", "attn-export"]
+)
+def test_every_command_refuses_a_foreign_montage_with_exit_3(env, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    rc = main(env["base"] + ["--out", str(out)] + _foreign_argv(env, tmp_path, command))
+    assert rc == 3
+    assert "do not match the montage" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("montage", ["file", "builtin-1020"])
+def test_train_vq_refuses_a_foreign_montage_and_writes_nothing(env, tmp_path, capsys, montage):
+    if montage == "file":
+        # as many channels as the data, under other names
+        montage = tmp_path / "montage.json"
+        montage.write_text(json.dumps({"labels": ["A", "B"], "assignments": _TWO_ASSIGNED}))
+    run = tmp_path / "run"
+    rc = main(env["base"] + [
+        "--set", f"data.montage={montage}",
+        "--out", str(run), "train", "--stage", "vq", "--data", str(env["data"]),
+    ])
+    assert rc == 3
+    assert "do not match the montage" in capsys.readouterr().err
+    assert not run.exists()
+
+
+def test_train_sft_refuses_a_foreign_label_before_tokenizing(env, tmp_path, capsys, monkeypatch):
+    from eeglm.training import PipelineModel
+
+    data = tmp_path / "data"
+    shutil.copytree(env["data"], data)
+    labels = (data / "labels.csv").read_text().splitlines()
+    name = labels[-1].split(",")[0]
+    (data / "labels.csv").write_text("\n".join(labels[:-1] + [f"{name},class-z"]) + "\n")
+    calls = []
+    real_tokenize = PipelineModel.tokenize_recording
+
+    def counting_tokenize(self, rec):
+        calls.append(rec)
+        return real_tokenize(self, rec)
+
+    monkeypatch.setattr(PipelineModel, "tokenize_recording", counting_tokenize)
+    run = tmp_path / "run"
+    rc = main(env["base"] + [
+        "--out", str(run), "train", "--stage", "sft", "--data", str(data),
+        "--init-from", str(env["runs"]["cpt"] / "checkpoints" / "epoch_0000"),
+    ])
+    assert rc == 3
+    assert f"'class-z' of sample {name!r} not in configured classes" in capsys.readouterr().err
+    assert calls == []
+    assert not run.exists()
+
+
 @pytest.mark.parametrize(
     "override, heads",
     [("encoder.n_heads=3", 3), ("refiner.n_heads=3", 3), ("backbone.n_heads=3", 3),
@@ -720,12 +791,13 @@ def test_attn_export_profile_must_be_an_object(env, tmp_path, capsys, payload):
 
 
 def test_import_path_leaves_scipy_signal_unloaded():
-    # only `eeglm preprocess` needs scipy's filters, and it loads them itself
+    # only `eeglm preprocess` needs scipy's filters, and it loads them itself;
+    # the profiler's Welch runs on numpy.fft
     src = str(Path(eeglm.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys, eeglm.cli, eeglm.evaluate, eeglm.training; "
-        "print('scipy.signal' in sys.modules)"
+        "print('scipy.signal' in sys.modules or 'scipy.fft' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -8,7 +8,7 @@ import pytest
 from eeglm import autodiff as ad
 from eeglm.autodiff import Graph, Tensor, backward
 from eeglm.encoder import CsaBlock, DualStreamEncoder, EncoderConfig, TemporalEmbedder
-from eeglm.errors import ConfigError
+from eeglm.errors import ConfigError, ShapeError
 from eeglm.topology import Montage, build_hierarchy
 from gradcheck import check_directional
 
@@ -137,9 +137,11 @@ def test_output_extent_c19():
 
 
 def test_channel_count_mismatch_rejected():
+    # recordings meet the montage check before they are patched; a wrong
+    # count handed to the encoder directly fails in the pooling matmul
     rng = np.random.default_rng(10)
     enc = DualStreamEncoder(TOY, rng, hierarchy=build_hierarchy(tiny_montage(4)))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ShapeError):
         enc(np.zeros((5, 1, 40)))
 
 

@@ -184,5 +184,5 @@ def test_rejects_labels_outside_trained_classes(binary_setup, tmp_path):
         foreign, n_per_class=1, classes=("class-a", "class-c"),
         montage="synthetic-2", seconds=2.0, seed=3,
     )
-    with pytest.raises(DataError, match="not in trained classes"):
+    with pytest.raises(DataError, match="not in configured classes"):
         evaluate_checkpoint(ckpt, foreign)

@@ -171,6 +171,30 @@ def test_montage_file_missing_assignment():
         assert "A1" in str(exc.value)
 
 
+def test_montage_file_nesting_a_cluster_in_two_zones_is_refused(tmp_path):
+    # zone "left" names cluster "x/c0"; zone "left/x" gets the same key by default
+    payload = {
+        "labels": ["A1", "A2"],
+        "assignments": {
+            "A1": {"band": "anterior", "zone": "left", "cluster": "x/c0"},
+            "A2": {"band": "anterior", "zone": "left/x"},
+        },
+    }
+    path = tmp_path / "montage.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(MontageError, match="level 4 does not refine level 3"):
+        build_hierarchy(load_montage(path))
+
+
+def test_require_accepts_only_the_montage_channels_in_order():
+    m = builtin_montage()
+    m.require(m.labels)
+    m.require(list(m.labels))
+    for channels in (m.labels[::-1], m.labels[:-1], m.labels + ("X",)):
+        with pytest.raises(MontageError, match="do not match the montage"):
+            m.require(channels)
+
+
 def test_get_montage_default_is_builtin():
     assert get_montage(None).labels == builtin_montage().labels
     assert get_montage("builtin-1020").n_channels == 19

@@ -141,7 +141,7 @@ def test_prepare_sequences_label_errors(data_dir):
     model = build_model(toy_cfg(data_dir))
     corpus = load_corpus(data_dir, require_labels=True)
     nameless = [(corpus[0][0], corpus[0][1], None)]
-    with pytest.raises(DataError, match="no label"):
+    with pytest.raises(DataError, match="label None .* not in configured classes"):
         prepare_sequences(model, nameless, with_answer=True)
     foreign = [(corpus[0][0], corpus[0][1], "class-z")]
     with pytest.raises(DataError, match="not in configured classes"):
