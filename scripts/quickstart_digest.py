@@ -4,6 +4,7 @@ and the other subcommands, then hash every file.
 Usage, from the root of an eeglm checkout::
 
     PYTHONPATH=<checkout>/src python3 scripts/quickstart_digest.py OUT
+    PYTHONPATH=<checkout>/src python3 scripts/quickstart_digest.py --check FILE [OUT]
 
 Every command goes through ``eeglm.cli.main`` inside the empty directory
 OUT, with the relative paths the README uses, so two checkouts write the
@@ -19,6 +20,14 @@ two checkouts write the same bytes.
 Some products' bytes depend on the BLAS thread count, so the script sets
 ``OPENBLAS_NUM_THREADS=1`` before it imports eeglm, unless the caller set
 it, and prints ``OPENBLAS_NUM_THREADS=<value>`` as the listing's first line.
+
+With ``--check FILE`` the script compares its listing with the one in FILE
+(``scripts/quickstart_digest.expected`` is the committed one) instead of
+printing it, in OUT or, without OUT, in a temporary directory. It prints
+"environment differs" first if the first lines differ, then every path
+whose hash differs, is missing or is new, grouped by run directory, and
+exits 1; it exits 0 when the listings match. A change that alters the
+written bytes on purpose updates the committed listing in the same commit.
 """
 
 from __future__ import annotations
@@ -26,6 +35,8 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
+import tempfile
+from collections import defaultdict
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -96,21 +107,69 @@ def digests(root: Path) -> list[str]:
     ]
 
 
-def run(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 2
-    out = Path(argv[0]).resolve()
+def compare(expected: list[str], actual: list[str]) -> list[str]:
+    """The report of how listing `actual` differs from `expected`, one line
+    each, empty when they match: the header first, then the paths grouped
+    by run directory (the first path component; "." for top-level files)."""
+    report = []
+    if expected[:1] != actual[:1]:
+        report.append(f"environment differs: expected {expected[:1]}, got {actual[:1]}")
+    want, got = ({line.split("  ", 1)[1]: line for line in rows[1:]} for rows in (expected, actual))
+    groups: dict[str, list[str]] = defaultdict(list)
+    for path in sorted(want.keys() | got.keys()):
+        if want.get(path) != got.get(path):
+            kind = "missing" if path not in got else "new" if path not in want else "changed"
+            groups[path.split("/", 1)[0] if "/" in path else "."].append(f"  {kind}  {path}")
+    for run_dir, lines in sorted(groups.items()):
+        report += [f"{run_dir}: {len(lines)} file(s) differ", *lines]
+    return report
+
+
+def make_listing(out: Path) -> list[str] | int:
+    """Run every command in the empty directory `out` and list its files,
+    header first; an exit code instead if `out` is not empty or a command
+    fails."""
+    out = out.resolve()
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):
         print(f"{out} is not empty", file=sys.stderr)
         return 2
     os.chdir(out)
-    print(f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}", flush=True)
     code = run_commands(out)
     if code != 0:
         return code
-    print("\n".join(digests(out)))
+    return [f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}", *digests(out)]
+
+
+def check(expected: Path, out: Path) -> int:
+    """Compare the listing made in `out` with the one in `expected`."""
+    want = expected.read_text().splitlines()
+    listing = make_listing(out)
+    if isinstance(listing, int):
+        return listing
+    report = compare(want, listing)
+    print("\n".join(report) if report else f"same bytes as {expected}: {len(listing) - 1} files")
+    return 1 if report else 0
+
+
+def run(argv: list[str]) -> int:
+    if argv[:1] == ["--check"] and len(argv) in (2, 3):
+        expected = Path(argv[1]).resolve()
+        if len(argv) == 3:
+            return check(expected, Path(argv[2]))
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory(prefix="eeglm-digest-") as tmp:
+            try:
+                return check(expected, Path(tmp))
+            finally:
+                os.chdir(cwd)  # leave the directory before it is removed
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    listing = make_listing(Path(argv[0]))
+    if isinstance(listing, int):
+        return listing
+    print("\n".join(listing))
     return 0
 
 

@@ -9,12 +9,21 @@ reverse construction order, accumulating vector-Jacobian products additively
 at fan-out points. There is no higher-order differentiation: gradients are
 plain numpy arrays, not tensors on a tape.
 
-`linear` and `attention` are fused primitives: each records one node whose
-vjp replays, in the same order, the numpy expressions of the chain of
-smaller ops it stands for. `attention` takes (tokens, features) matrices
-and splits the features into heads, and merges the heads back, with numpy
-reshapes and transposes inside its node, so the tape records no view op
-for the head layout.
+The fused primitives each record one node whose vjp replays, in the same
+order, the numpy expressions of the chain of smaller ops it stands for:
+
+- `linear`: x @ w.T, an optional low-rank adapter and a bias;
+- `ffn`: linear -> gelu -> linear;
+- `attention_layer`: the query, key and value projections, multi-head
+  scaled dot-product attention and the output projection, with adapters
+  and causal masking;
+- `conv1d`: one im2col matrix product forward, two backward.
+
+A fused node lists an input once per use, in the order the unfused chain's
+vjps reach it, so `backward` sums an input's gradient in the same order
+(for self-attention: value, then key, then query projection). Heads are
+split and merged by numpy reshapes and transposes inside the node, so the
+tape records no view op for the head layout.
 
 Operations validate shapes eagerly and raise instead of producing NaN/Inf;
 every completed operation leaves only finite values behind.
@@ -79,7 +88,15 @@ def _all_finite(arr: Array) -> bool:
     """Exact finiteness test with a fast path: a finite sum means every value
     is finite; only a non-finite sum (a NaN or inf, or an overflow of finite
     values) pays for the elementwise check."""
-    return math.isfinite(arr.sum()) or bool(np.isfinite(arr).all())
+    return math.isfinite(np.add.reduce(arr, axis=None)) or bool(np.isfinite(arr).all())
+
+
+def _finite(arr: Array) -> Array:
+    """`arr`, or NumericError if it holds a NaN or inf: the check every
+    computed value passes, intermediates of fused nodes included."""
+    if not _all_finite(arr):
+        raise NumericError("operation produced non-finite values")
+    return arr
 
 
 def _active_graph() -> Graph | None:
@@ -101,8 +118,12 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: Array) -> "Tensor":
-        if not _all_finite(arr):
-            raise NumericError("operation produced non-finite values")
+        return cls._view(_finite(arr))
+
+    @classmethod
+    def _view(cls, arr: Array) -> "Tensor":
+        """Wrap without the finiteness check: for values taken from finite
+        tensors unchanged (reshapes, transposes, slices, gathers, joins)."""
         t = cls.__new__(cls)
         t.data = arr
         t.requires_grad = False
@@ -138,12 +159,16 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
 def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, Array]:
     """Reverse sweep from a scalar loss.
 
-    Returns a mapping from every reached tensor (leaves and intermediates)
-    to its gradient array; tensors listed in `wrt` are guaranteed present,
-    with zeros when the loss does not depend on them.
+    Without `wrt`, returns a mapping from every reached tensor (leaves and
+    intermediates) to its gradient array. With `wrt`, each intermediate's
+    gradient is dropped as soon as its node's vjp has used it, so the sweep
+    holds no more than the gradients still to be propagated; the mapping
+    then holds the tensors listed in `wrt` (with zeros when the loss does not
+    depend on them) and the reached leaves.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+    keep = None if wrt is None else dict.fromkeys(wrt)
     grads: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
     graph = loss.graph
     if graph is not None:
@@ -153,7 +178,10 @@ def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, 
                 "call backward inside the `with Graph()` block"
             )
         for node in reversed(graph.nodes):
-            gout = grads.get(node.out)
+            if keep is None or node.out in keep:
+                gout = grads.get(node.out)
+            else:
+                gout = grads.pop(node.out, None)
             if gout is None:
                 continue
             for inp, gin in zip(node.inputs, node.vjp(gout)):
@@ -161,8 +189,8 @@ def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, 
                     continue
                 acc = grads.get(inp)
                 grads[inp] = gin if acc is None else acc + gin
-    if wrt is not None:
-        for t in wrt:
+    if keep is not None:
+        for t in keep:
             if t not in grads:
                 grads[t] = np.zeros_like(t.data)
     return grads
@@ -245,17 +273,25 @@ def sqrt(a) -> Tensor:
     return _record(out, (a,), lambda g: (g * 0.5 / out.data,))
 
 
+def _gelu(x: Array) -> tuple[Array, Array]:
+    """gelu on arrays: (x * cdf, cdf), cdf = 0.5*(1 + erf(x/sqrt(2)))."""
+    cdf = _erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+    return x * cdf, cdf
+
+
+def _gelu_grad(g: Array, x: Array, cdf: Array) -> Array:
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    return g * (cdf + x * pdf)
+
+
 def gelu(a) -> Tensor:
     """Exact Gaussian-error-function gelu: 0.5*x*(1 + erf(x/sqrt(2)))."""
     a = as_tensor(a)
-    cdf = 0.5 * (1.0 + _erf(a.data * _INV_SQRT2))
-    out = Tensor._wrap(a.data * cdf)
-
-    def vjp(g: Array):
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-        return (g * (cdf + a.data * pdf),)
-
-    return _record(out, (a,), vjp)
+    y, cdf = _gelu(a.data)
+    out = Tensor._wrap(y)
+    return _record(out, (a,), lambda g: (_gelu_grad(g, a.data, cdf),))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +301,7 @@ def gelu(a) -> Tensor:
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
     try:
-        out = Tensor._wrap(a.data.reshape(shape))
+        out = Tensor._view(a.data.reshape(shape))
     except ValueError as e:
         raise ShapeError(f"cannot reshape {a.data.shape} to {shape}") from e
     return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))
@@ -273,7 +309,7 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
 
 def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
     a = as_tensor(a)
-    out = Tensor._wrap(np.transpose(a.data, axes))
+    out = Tensor._view(np.transpose(a.data, axes))
     if axes is None:
         inv = None
     else:
@@ -283,7 +319,7 @@ def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
-    out = Tensor._wrap(np.concatenate([t.data for t in ts], axis=axis))
+    out = Tensor._view(np.concatenate([t.data for t in ts], axis=axis))
     sizes = [t.data.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
 
@@ -301,7 +337,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def slice_(a, key) -> Tensor:
     """Basic (non-fancy) indexing with slices and integers."""
     a = as_tensor(a)
-    out = Tensor._wrap(a.data[key])
+    out = Tensor._view(a.data[key])
 
     def vjp(g: Array):
         full = np.zeros_like(a.data)
@@ -315,7 +351,7 @@ def take(a, indices) -> Tensor:
     """Row gather along axis 0 with duplicate-aware backward."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
-    out = Tensor._wrap(a.data[idx])
+    out = Tensor._view(a.data[idx])
 
     def vjp(g: Array):
         full = np.zeros_like(a.data)
@@ -376,7 +412,7 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _swap_last(arr: Array) -> Array:
-    return np.swapaxes(arr, -1, -2)
+    return arr.swapaxes(-1, -2)
 
 
 def matmul(a, b) -> Tensor:
@@ -405,7 +441,74 @@ def _weight_grad(x: Array, g: Array, w: Tensor) -> Array | None:
     return np.transpose(_unbroadcast(np.matmul(_swap_last(x), g), w.data.shape[::-1]))
 
 
-def linear(x, w, b=None, lora: tuple[Tensor, Tensor, float] | None = None) -> Tensor:
+Lora = tuple[Tensor, Tensor, float]
+# (w, b, lora): one affine map as `linear` takes it, for the fused nodes
+Affine = tuple[Tensor, "Tensor | None", "Lora | None"]
+
+
+def _affine(x: Array, w: Tensor, b: Tensor | None, lora: Lora | None) -> tuple[Array, Array | None]:
+    """`linear`'s forward on arrays: (y, low), with low = x @ a.T the
+    adapter's rank-r product (None without an adapter)."""
+    if x.ndim < 2 or w.data.ndim != 2:
+        raise ShapeError(f"linear needs >=2-D x and 2-D w, got {x.shape} and {w.data.shape}")
+    if x.shape[-1] != w.data.shape[1]:
+        raise ShapeError(f"linear mismatch: x {x.shape} vs weight {w.data.shape}")
+    y = np.matmul(x, w.data.T)
+    low = None
+    if lora is not None:
+        a, lb, scale = lora
+        low = np.matmul(x, a.data.T)
+        y += np.matmul(low, lb.data.T) * scale
+    if b is not None:
+        y += b.data
+    return y, low
+
+
+def _affine_inputs(x: Tensor | None, w: Tensor, b: Tensor | None, lora: Lora | None) -> tuple[Tensor, ...]:
+    """The inputs `linear` records, in its order. With an adapter x enters
+    twice, once per product, the adapter's first: `backward` then adds the
+    adapter's share first, as in the unfused chain. x is None for an input
+    computed inside a fused node, which the tape does not see."""
+    xs = () if x is None else (x,)
+    main = xs + ((w,) if b is None else (w, b))
+    return main if lora is None else xs + (lora[0], lora[1]) + main
+
+
+def _affine_grads(
+    g: Array, x: Array, low: Array | None, need_x: bool,
+    w: Tensor, b: Tensor | None, lora: Lora | None,
+) -> list[Array | None]:
+    """`linear`'s vjp on arrays, aligned with `_affine_inputs` (x given)."""
+    grads: list[Array | None] = []
+    if lora is not None:
+        a, lb, scale = lora
+        gt = g * scale
+        glow = np.matmul(gt, lb.data) if need_x or a.requires_grad else None
+        gx_lora = np.matmul(glow, a.data) if need_x else None
+        grads += [gx_lora, _weight_grad(x, glow, a), _weight_grad(low, gt, lb)]
+    gx = np.matmul(g, w.data) if need_x else None
+    grads += [gx, _weight_grad(x, g, w)]
+    if b is not None:
+        grads.append(_unbroadcast(g, b.data.shape))
+    return grads
+
+
+def _inner_grads(grads: list, lora: Lora | None) -> tuple[Array | None, list]:
+    """Split `_affine_grads` of an input computed inside a fused node into
+    that input's gradient, summed as `backward` would sum it, and the
+    parameters' gradients, aligned with `_affine_inputs(None, ...)`."""
+    if lora is None:
+        return grads[0], grads[1:]
+    gx = None if grads[0] is None else grads[0] + grads[3]
+    return gx, grads[1:3] + grads[4:]
+
+
+def _needs_grad(x: Tensor, affine: Affine) -> bool:
+    """Whether the unfused chain would record `linear(x, *affine)`."""
+    return any(t.requires_grad for t in _affine_inputs(x, *affine))
+
+
+def linear(x, w, b=None, lora: Lora | None = None) -> Tensor:
     """x @ w.T (+ scale * (x @ a.T) @ lora_b.T) (+ b) as one tape node.
 
     `lora` is (a, lora_b, scale) for a low-rank adapter on the weight. The
@@ -414,39 +517,38 @@ def linear(x, w, b=None, lora: tuple[Tensor, Tensor, float] | None = None) -> Te
     the same order.
     """
     x, w = as_tensor(x), as_tensor(w)
-    if x.data.ndim < 2 or w.data.ndim != 2:
-        raise ShapeError(f"linear needs >=2-D x and 2-D w, got {x.data.shape} and {w.data.shape}")
-    if x.data.shape[-1] != w.data.shape[1]:
-        raise ShapeError(f"linear mismatch: x {x.data.shape} vs weight {w.data.shape}")
-    y = np.matmul(x.data, np.transpose(w.data))
-    # x enters twice with an adapter, once per product; listing it twice
-    # keeps the adapter's share accumulated first, as in the unfused chain
-    inputs: tuple[Tensor, ...] = (x, w)
-    if lora is not None:
-        a, lb, scale = lora
-        low = np.matmul(x.data, np.transpose(a.data))
-        y = y + np.matmul(low, np.transpose(lb.data)) * scale
-        inputs = (x, a, lb) + inputs
-    if b is not None:
-        b = as_tensor(b)
-        y = y + b.data
-        inputs = inputs + (b,)
+    b = None if b is None else as_tensor(b)
+    y, low = _affine(x.data, w, b, lora)
     out = Tensor._wrap(y)
+    return _record(
+        out, _affine_inputs(x, w, b, lora),
+        lambda g: _affine_grads(g, x.data, low, x.requires_grad, w, b, lora),
+    )
+
+
+def ffn(x, fc1: Affine, fc2: Affine) -> Tensor:
+    """linear(gelu(linear(x, *fc1)), *fc2) as one tape node.
+
+    Values and gradients are those of the three-node chain, bit for bit;
+    every intermediate passes the finiteness check its own node would.
+    """
+    x = as_tensor(x)
+    h, low1 = _affine(x.data, *fc1)
+    a, cdf = _gelu(_finite(h))
+    y, low2 = _affine(_finite(a), *fc2)
+    out = Tensor._wrap(y)
+    if _active_graph() is None:  # nothing is recorded: skip the vjp's set-up
+        return out
+    n1 = len(_affine_inputs(x, *fc1))
+    need_h = _needs_grad(x, fc1)
 
     def vjp(g: Array):
-        grads: list[Array | None] = []
-        if lora is not None:
-            gt = g * scale
-            glow = np.matmul(gt, lb.data) if x.requires_grad or a.requires_grad else None
-            gx_lora = np.matmul(glow, a.data) if x.requires_grad else None
-            grads += [gx_lora, _weight_grad(x.data, glow, a), _weight_grad(low, gt, lb)]
-        gx = np.matmul(g, w.data) if x.requires_grad else None
-        grads += [gx, _weight_grad(x.data, g, w)]
-        if b is not None:
-            grads.append(_unbroadcast(g, b.data.shape))
-        return grads
+        ga, grads = _inner_grads(_affine_grads(g, a, low2, need_h, *fc2), fc2[2])
+        if ga is None:
+            return grads + [None] * n1
+        return grads + _affine_grads(_gelu_grad(ga, h, cdf), x.data, low1, x.requires_grad, *fc1)
 
-    return _record(out, inputs, vjp)
+    return _record(out, _affine_inputs(None, *fc2) + _affine_inputs(x, *fc1), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -479,49 +581,47 @@ def _causal_mask(n: int) -> Array:
     return _CAUSAL_MASK
 
 
-def attention(
-    q, k, v, n_heads: int, causal: bool = False, positions=None
-) -> tuple[Tensor, Array]:
-    """Multi-head scaled dot-product attention as one tape node.
+def _attend(q: Array, k: Array, v: Array, n_heads: int, causal: bool, positions):
+    """Multi-head scaled dot-product attention on arrays.
 
     q is (Tq, E), k and v are (Tk, E); E splits into `n_heads` heads of
     width E/n_heads, scaled by 1/sqrt(E/n_heads). Returns the heads' mixed
-    values merged back to (Tq, E) and the softmax weights (n_heads, Tq, Tk)
-    as a plain array. With `causal`, the query at position p sees keys
-    j <= p (a -1e9 additive mask); `positions` gives the Tq query positions,
-    0..Tq-1 by default, so a subset of a sequence's queries can attend to
-    all of its keys. The vjp works from the saved softmax output, as
-    FlashAttention's backward does (Dao et al. 2022), without tiling. The
-    softmax and its vjp run in place on one (n_heads, Tq, Tk) buffer each;
-    forward and vjp apply the same IEEE operations, in the same order, as
-    the unfused chain that splits the heads with reshape and transpose,
-    then runs matmul, mul, add, softmax and matmul and merges them back.
+    values merged back to (Tq, E), the softmax weights (n_heads, Tq, Tk),
+    and `grads(g, need_q, need_k, need_v)`, which gives (gq, gk, gv) for an
+    output gradient g, None where not needed. With `causal`, the query at
+    position p sees keys j <= p (a -1e9 additive mask); `positions` gives
+    the Tq query positions, 0..Tq-1 by default, so a subset of a sequence's
+    queries can attend to all of its keys. The gradient works from the saved
+    softmax output, as FlashAttention's backward does (Dao et al. 2022),
+    without tiling. The softmax and its vjp run in place on one
+    (n_heads, Tq, Tk) buffer each; forward and vjp apply the same IEEE
+    operations, in the same order, as the unfused chain that splits the
+    heads with reshape and transpose, then runs matmul, mul, add, softmax
+    and matmul and merges them back.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if (
-        q.data.ndim != 2
-        or k.data.ndim != 2
-        or k.data.shape != v.data.shape
-        or q.data.shape[1] != k.data.shape[1]
+        q.ndim != 2
+        or k.ndim != 2
+        or k.shape != v.shape
+        or q.shape[1] != k.shape[1]
         or n_heads < 1
-        or q.data.shape[1] % n_heads != 0
+        or q.shape[1] % n_heads != 0
     ):
         raise ShapeError(
             f"attention over {n_heads} heads needs 2-D q (Tq, E) and k, v (Tk, E) "
-            f"with E divisible by the heads; got q {q.data.shape}, k {k.data.shape}, "
-            f"v {v.data.shape}"
+            f"with E divisible by the heads; got q {q.shape}, k {k.shape}, v {v.shape}"
         )
-    (tq, e), tk = q.data.shape, k.data.shape[0]
+    (tq, e), tk = q.shape, k.shape[0]
     dh = e // n_heads
     scale = 1.0 / math.sqrt(dh)
 
     def split(x: Array, t: int) -> Array:
-        return np.transpose(x.reshape((t, n_heads, dh)), (1, 0, 2))
+        return x.reshape((t, n_heads, dh)).transpose(1, 0, 2)
 
     def merge(x: Array, t: int) -> Array:
-        return np.transpose(x, (1, 0, 2)).reshape((t, e))
+        return x.transpose(1, 0, 2).reshape((t, e))
 
-    qh, kh, vh = split(q.data, tq), split(k.data, tk), split(v.data, tk)
+    qh, kh, vh = split(q, tq), split(k, tk), split(v, tk)
     w = np.matmul(qh, _swap_last(kh))
     w *= scale
     if causal:
@@ -534,25 +634,81 @@ def attention(
                     f"attention needs {tq} query positions in [0, {tk}), got {pos.tolist()}"
                 )
             w += _causal_mask(tk)[pos, :tk]
-    w -= w.max(axis=-1, keepdims=True)
+    w -= np.maximum.reduce(w, axis=-1, keepdims=True)
     np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
-    out = Tensor._wrap(merge(np.matmul(w, vh), tq))
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
 
-    def vjp(g: Array):
+    def grads(g: Array, need_q: bool, need_k: bool, need_v: bool):
         g = split(g, tq)
-        gv = merge(np.matmul(_swap_last(w), g), tk) if v.requires_grad else None
-        if not (q.requires_grad or k.requires_grad):
+        gv = merge(np.matmul(_swap_last(w), g), tk) if need_v else None
+        if not (need_q or need_k):
             return None, None, gv
         gs = np.matmul(g, _swap_last(vh))
-        gs -= (gs * w).sum(axis=-1, keepdims=True)
+        gs -= np.add.reduce(gs * w, axis=-1, keepdims=True)
         gs *= w
         gs *= scale
-        gq = merge(np.matmul(gs, kh), tq) if q.requires_grad else None
-        gk = merge(_swap_last(np.matmul(_swap_last(qh), gs)), tk) if k.requires_grad else None
+        gq = merge(np.matmul(gs, kh), tq) if need_q else None
+        gk = merge(_swap_last(np.matmul(_swap_last(qh), gs)), tk) if need_k else None
         return gq, gk, gv
 
-    return _record(out, (q, k, v), vjp), w
+    return merge(np.matmul(w, vh), tq), w, grads
+
+
+def attention_layer(
+    query, key_value, wq: Affine, wk: Affine, wv: Affine, wo: Affine,
+    n_heads: int, causal: bool = False, positions=None,
+) -> tuple[Tensor, Array]:
+    """The attention sub-layer as one tape node: the output projection `wo`
+    of the attention (see `_attend`) between the query projection `wq` of
+    `query` and the key and value projections `wk`, `wv` of `key_value`.
+
+    Each projection is (w, b, lora) as `linear` takes it. Returns the output
+    (Tq, E) and the softmax weights (n_heads, Tq, Tk) as a plain array.
+    Values and gradients are those of the chain of four `linear` nodes and
+    one attention node, bit for bit, and every intermediate passes the
+    finiteness check its own node would. Self-attention passes one tensor
+    as `query` and `key_value`; its gradient then sums the value, key and
+    query projections' shares in that order, as the chain's vjps reach it.
+    """
+    query, key_value = as_tensor(query), as_tensor(key_value)
+    q, low_q = _affine(query.data, *wq)
+    k, low_k = _affine(key_value.data, *wk)
+    v, low_v = _affine(key_value.data, *wv)
+    mixed, weights, attend_grads = _attend(
+        _finite(q), _finite(k), _finite(v), n_heads, causal, positions
+    )
+    y, low_o = _affine(_finite(mixed), *wo)
+    out = Tensor._wrap(y)
+    if _active_graph() is None:  # nothing is recorded: skip the vjp's set-up
+        return out, weights
+    # in the order the unfused chain's vjps run: value, key, query
+    projections = ((key_value, low_v, wv), (key_value, low_k, wk), (query, low_q, wq))
+    need_v, need_k, need_q = (_needs_grad(x, proj) for x, _, proj in projections)
+    inputs = _affine_inputs(None, *wo)
+    for x, _, proj in projections:
+        inputs += _affine_inputs(x, *proj)
+
+    def vjp(g: Array):
+        g_mixed, grads = _inner_grads(
+            _affine_grads(g, mixed, low_o, need_q or need_k or need_v, *wo), wo[2]
+        )
+        gq, gk, gv = (None, None, None)
+        if g_mixed is not None:
+            gq, gk, gv = attend_grads(g_mixed, need_q, need_k, need_v)
+        for (x, low, proj), gp in zip(projections, (gv, gk, gq)):
+            if gp is None:
+                grads += [None] * len(_affine_inputs(x, *proj))
+            else:
+                grads += _affine_grads(gp, x.data, low, x.requires_grad, *proj)
+        return grads
+
+    return _record(out, inputs, vjp), weights
+
+
+def _mean_last(a: Array) -> Array:
+    """a.mean(axis=-1, keepdims=True), which is this sum and division,
+    without the Python layers of `ndarray.mean`."""
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -563,9 +719,9 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
             f"layer_norm affine shapes {gamma.data.shape}/{beta.data.shape} "
             f"do not match feature dim of {x.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = _mean_last(x.data)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = _mean_last(xc * xc)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = Tensor._wrap(xhat * gamma.data + beta.data)
@@ -577,8 +733,8 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         dxhat = g * gamma.data
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - _mean_last(dxhat)
+            - xhat * _mean_last(dxhat * xhat)
         )
         return dx, dgamma, dbeta
 
@@ -590,7 +746,16 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """1-D cross-correlation: x (N, Cin, L) with kernels w (Cout, Cin, K)."""
+    """1-D cross-correlation: x (N, Cin, L) with kernels w (Cout, Cin, K).
+
+    The forward is one im2col matrix product, (Cout, Cin*K) kernels times
+    (Cin*K, N*Lout) columns, and the weight and input gradients are one
+    product each. The columns are laid out as numpy's einsum lays them out
+    for "nilk,oik->nol" (read transposed from (N*Lout, K) rows when Cin is
+    1), so the products are einsum's BLAS calls and give its bits. einsum
+    drops axes of length 1, so where N, Cout, K or Lout is 1 the two can
+    differ in the last bit.
+    """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError(f"conv1d needs 3-D x and w, got {x.data.shape}, {w.data.shape}")
@@ -598,31 +763,46 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     cout, cin_w, k = w.data.shape
     if cin != cin_w:
         raise ShapeError(f"conv1d channel mismatch: x {x.data.shape} vs w {w.data.shape}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
     lout = (length + 2 * padding - k) // stride + 1
     if lout <= 0:
         raise ShapeError(f"conv1d produces empty output for L={length}, K={k}")
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
-    out_data = np.einsum("nilk,oik->nol", win, w.data, optimize=True)
     inputs: tuple[Tensor, ...] = (x, w)
     if b is not None:
         b = as_tensor(b)
         if b.data.shape != (cout,):
             raise ShapeError(f"conv1d bias shape {b.data.shape} != ({cout},)")
-        out_data = out_data + b.data[:, None]
         inputs = (x, w, b)
-    out = Tensor._wrap(out_data)
+    xp = np.zeros((n, cin, length + 2 * padding))
+    xp[:, :, padding : padding + length] = x.data
+    # the windows, win[n, i, l, j] = xp[n, i, l*stride + j], as a read-only view
+    sn, si, sl = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (n, cin, lout, k), (sn, si, stride * sl, sl), writeable=False
+    )
+    if cin == 1:
+        cols = np.ascontiguousarray(win[:, 0]).reshape(n * lout, k).T
+    else:
+        cols = win.transpose(1, 3, 0, 2).reshape(cin * k, n * lout)
+    kernels = w.data.reshape(cout, cin * k)
+    out_data = np.matmul(kernels, cols)
+    if b is not None:
+        out_data += b.data[:, None]
+    out = Tensor._wrap(out_data.reshape(cout, n, lout).transpose(1, 0, 2))
 
     def vjp(g: Array):
-        dw = np.einsum("nol,nilk->oik", g, win, optimize=True)
+        g_rows = np.transpose(g, (0, 2, 1)).reshape(n * lout, cout)
+        dw = np.matmul(cols, g_rows).reshape(cin, k, cout).transpose(2, 0, 1)
         dx = None
         if x.requires_grad:
-            dcols = np.einsum("nol,oik->nilk", g, w.data, optimize=True)
-            dxp = np.zeros_like(xp)
+            g_cols = np.transpose(g, (1, 0, 2)).reshape(cout, n * lout)
+            dcols = np.matmul(np.transpose(kernels), g_cols).reshape(cin, k, n, lout)
+            dxp = np.zeros((n, cin, length + 2 * padding))
             # by tap, highest first: each position sums its terms in ascending
             # output order, the order of a loop over output positions
             for j in range(k - 1, -1, -1):
-                dxp[:, :, j : j + stride * (lout - 1) + 1 : stride] += dcols[..., j]
+                dxp[:, :, j : j + stride * (lout - 1) + 1 : stride] += np.transpose(
+                    dcols[:, j], (1, 0, 2)
+                )
             dx = dxp[:, :, padding : padding + length] if padding else dxp
         if b is not None:
             return dx, dw, g.sum(axis=(0, 2))

@@ -73,9 +73,13 @@ class Linear(Module):
         self.lora_b = None
         self._lora_scale = 0.0
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def affine(self) -> ad.Affine:
+        """(w, b, lora) as `ad.linear` and the fused nodes take them."""
         lora = None if self.lora_a is None else (self.lora_a, self.lora_b, self._lora_scale)
-        return ad.linear(x, self.w, self.b, lora)
+        return self.w, self.b, lora
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return ad.linear(x, *self.affine())
 
 
 class LayerNorm(Module):
@@ -89,18 +93,19 @@ class LayerNorm(Module):
 
 
 class FeedForward(Module):
-    """Two-layer gelu MLP (no internal residual)."""
+    """Two-layer gelu MLP (no internal residual), one `ad.ffn` tape node."""
 
     def __init__(self, dim: int, hidden: int, rng: np.random.Generator, out_dim: int | None = None):
         self.fc1 = Linear(dim, hidden, rng)
         self.fc2 = Linear(hidden, out_dim or dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(ad.gelu(self.fc1(x)))
+        return ad.ffn(x, self.fc1.affine(), self.fc2.affine())
 
 
 class MultiHeadAttention(Module):
-    """Scaled-dot-product attention over 2-D (tokens x features) inputs.
+    """Scaled-dot-product attention over 2-D (tokens x features) inputs,
+    projections included, as one `ad.attention_layer` tape node.
 
     `last_attention` stores the most recent head-averaged weight matrix
     (queries x keys) as a plain array for exports and tests. `positions`
@@ -122,12 +127,12 @@ class MultiHeadAttention(Module):
     def __call__(
         self, query: Tensor, key_value: Tensor, causal: bool = False, positions=None
     ) -> Tensor:
-        mixed, weights = ad.attention(
-            self.wq(query), self.wk(key_value), self.wv(key_value),
-            self.n_heads, causal, positions,
+        out, weights = ad.attention_layer(
+            query, key_value, self.wq.affine(), self.wk.affine(), self.wv.affine(),
+            self.wo.affine(), self.n_heads, causal, positions,
         )
         self.last_attention = weights.mean(axis=0)
-        return self.wo(mixed)
+        return out
 
 
 class Embedding(Module):

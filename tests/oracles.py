@@ -1,9 +1,11 @@
 """Reference ops that only the tests use.
 
-`tanh` and `softmax` are tape ops in the style of `eeglm.autodiff`: `tanh`
-is a smooth test nonlinearity for the finite-difference checks, and
-`softmax` builds the unfused reference chains that the fused `linear` and
-`attention` kernels must match to the bit. `pool_level` and
+`tanh`, `softmax` and `attention` are tape ops in the style of
+`eeglm.autodiff`: `tanh` is a smooth test nonlinearity for the
+finite-difference checks, `softmax` builds the unfused reference chains
+that the fused kernels must match to the bit, and `attention` is the
+attention between the projections as a node of its own, the middle of the
+four-`linear` chain that `ad.attention_layer` fuses. `pool_level` and
 `broadcast_level` are the numpy oracles of the encoder's hierarchy pooling.
 """
 
@@ -29,6 +31,19 @@ def softmax(a, axis: int = -1) -> Tensor:
     y = e / e.sum(axis=axis, keepdims=True)
     out = Tensor._wrap(y)
     return ad._record(out, (a,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
+
+
+def attention(q, k, v, n_heads: int, causal: bool = False, positions=None) -> tuple[Tensor, np.ndarray]:
+    """Multi-head attention as one tape node: the output (Tq, E) and the
+    softmax weights (n_heads, Tq, Tk) as a plain array (see `ad._attend`)."""
+    q, k, v = (ad.as_tensor(x) for x in (q, k, v))
+    mixed, weights, grads = ad._attend(q.data, k.data, v.data, n_heads, causal, positions)
+    out = Tensor._wrap(mixed)
+
+    def vjp(g):
+        return grads(g, q.requires_grad, k.requires_grad, v.requires_grad)
+
+    return ad._record(out, (q, k, v), vjp), weights
 
 
 def pool_level(features: np.ndarray, hier: BthHierarchy, level: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from eeglm import autodiff as ad
 from eeglm.errors import NumericError, ShapeError
 from eeglm.nn import MultiHeadAttention
 from gradcheck import check_gradients, relative_error
-from oracles import softmax, tanh
+from oracles import attention, softmax, tanh
 
 
 def t(data, rg=True):
@@ -142,6 +142,29 @@ def test_backward_wrt_allocates_zeros_only_for_unreached_tensors(monkeypatch):
     assert made == [(1,)]
     np.testing.assert_array_equal(grads[w], [3.0, 3.0])
     np.testing.assert_array_equal(grads[other], [0.0])
+
+
+def test_backward_wrt_drops_unlisted_intermediates_and_keeps_the_gradients():
+    rng = np.random.default_rng(17)
+    attn = MultiHeadAttention(8, 2, rng)
+    x = t(rng.uniform(-1, 1, (5, 8)))
+    params = list(attn.named_parameters().values())
+
+    def run(wrt):
+        with ad.Graph():
+            hidden = ad.gelu(attn(x, x))
+            loss = ad.sum_(tanh(hidden))
+            grads = ad.backward(loss, wrt=None if wrt is None else wrt(hidden))
+        return hidden, grads
+
+    _, full = run(None)  # every reached tensor, intermediates included
+    hidden, listed = run(lambda hidden: [hidden, x, *params])
+    assert any(k.graph is not None for k in full)
+    # listed: the intermediate asked for, and the leaves; no other intermediate
+    assert all(k is hidden or k.graph is None for k in listed)
+    assert hidden in listed
+    for p in [x, *params]:
+        assert np.array_equal(listed[p], full[p])
 
 
 def test_backward_non_scalar_loss_rejected():
@@ -460,7 +483,7 @@ def test_linear_shape_mismatch_names_both_shapes():
 def test_fd_attention(causal, tq, tk):
     for n_heads in (1, 2):
         def fn(ts):
-            out, _ = ad.attention(ts[0], ts[1], ts[2], n_heads, causal)
+            out, _ = attention(ts[0], ts[1], ts[2], n_heads, causal)
             return ad.sum_(ad.mul(out, ts[3]))
 
         _fd_case(fn, [(tq, 6), (tk, 6), (tk, 6), (tq, 6)], seed=32)
@@ -485,7 +508,7 @@ def test_attention_is_one_node_with_the_unfused_chain_numbers():
         return mixed, attn.data
 
     def fused():
-        return ad.attention(q, k, v, 2, causal=True)
+        return attention(q, k, v, 2, causal=True)
 
     results = []
     for fn in (unfused, fused):
@@ -508,7 +531,7 @@ def test_fd_attention_query_subset():
     positions = [4, 1, 3]
     for n_heads in (1, 2):
         def fn(ts):
-            out, _ = ad.attention(ts[0], ts[1], ts[2], n_heads, causal=True, positions=positions)
+            out, _ = attention(ts[0], ts[1], ts[2], n_heads, causal=True, positions=positions)
             return ad.sum_(ad.mul(out, ts[3]))
 
         _fd_case(fn, [(3, 6), (6, 6), (6, 6), (3, 6)], seed=34)
@@ -518,13 +541,13 @@ def test_attention_query_subset_equals_those_rows_of_the_full_causal_attention()
     rng = np.random.default_rng(35)
     q, k, v = (t(rng.uniform(-1, 1, (6, 8))) for _ in range(3))
     positions = np.array([5, 0, 2])
-    full, w_full = ad.attention(q, k, v, 2, causal=True)
-    sub, w_sub = ad.attention(t(q.data[positions]), k, v, 2, causal=True, positions=positions)
+    full, w_full = attention(q, k, v, 2, causal=True)
+    sub, w_sub = attention(t(q.data[positions]), k, v, 2, causal=True, positions=positions)
     # the same query rows and mask rows; BLAS may order a row subset's sums differently
     np.testing.assert_allclose(w_sub, w_full[:, positions], rtol=0, atol=1e-15)
     np.testing.assert_allclose(sub.data, full.data[positions], rtol=0, atol=1e-15)
     # with every position given, the result is the default causal attention
-    _, w_all = ad.attention(q, k, v, 2, causal=True, positions=np.arange(6))
+    _, w_all = attention(q, k, v, 2, causal=True, positions=np.arange(6))
     assert np.array_equal(w_all, w_full)
 
 
@@ -532,12 +555,12 @@ def test_attention_rejects_positions_outside_the_keys():
     q, kv = t(np.zeros((2, 8))), t(np.zeros((3, 8)))
     for bad in ([0, 3], [-1, 0], [0]):
         with pytest.raises(ShapeError, match="query positions"):
-            ad.attention(q, kv, kv, 2, causal=True, positions=bad)
+            attention(q, kv, kv, 2, causal=True, positions=bad)
 
 
 def test_attention_rejects_mismatched_shapes():
     with pytest.raises(ShapeError):
-        ad.attention(t(np.zeros((3, 4))), t(np.zeros((5, 3))), t(np.zeros((5, 3))), 1)
+        attention(t(np.zeros((3, 4))), t(np.zeros((5, 3))), t(np.zeros((5, 3))), 1)
 
 
 @pytest.mark.parametrize(
@@ -553,14 +576,245 @@ def test_attention_rejects_mismatched_shapes():
 def test_attention_needs_token_matrices_that_split_into_the_heads(shapes, n_heads):
     q, k, v = (t(np.zeros(s)) for s in shapes)
     with pytest.raises(ShapeError, match=f"{n_heads} heads"):
-        ad.attention(q, k, v, n_heads)
+        attention(q, k, v, n_heads)
 
 
-def test_multi_head_attention_records_four_linears_and_one_attention():
+# ---------------------------------------------------------------------------
+# fused sub-layers: attention_layer and ffn
+# ---------------------------------------------------------------------------
+
+def _affine(rng, dims, lora, bias=True):
+    """A (w, b, lora) triple over `dims` = (in, out), lora of rank 2."""
+    n_in, n_out = dims
+    w = t(rng.uniform(-1, 1, (n_out, n_in)))
+    b = t(rng.uniform(-1, 1, n_out)) if bias else None
+    adapter = (t(rng.uniform(-1, 1, (2, n_in))), t(rng.uniform(-1, 1, (n_out, 2))), 0.7) if lora else None
+    return w, b, adapter
+
+
+def _affine_tensors(affine):
+    w, b, lora = affine
+    return [w] + ([] if b is None else [b]) + ([] if lora is None else list(lora[:2]))
+
+
+def _fused_against_chain(fused, chain, wrt):
+    """Run both forms of a sub-layer under the loss sum(tanh(out)): the tape
+    length, the weights (or None), the loss and the gradients of `wrt`."""
+    results = []
+    for fn in (fused, chain):
+        with ad.Graph() as graph:
+            out, weights = fn()
+            loss = ad.sum_(tanh(out))
+            grads = ad.backward(loss, wrt=wrt)
+            results.append((len(graph), weights, loss.data, [grads[p] for p in wrt]))
+    return results
+
+
+ATTENTION_CASES = {
+    # name: (self-attention, adapters, causal positions of the query rows)
+    "cross": (False, False, None),
+    "self": (True, False, None),
+    "self-lora": (True, True, None),
+    "cross-lora": (False, True, None),
+    "causal-positions": (False, True, [4, 1, 3]),
+}
+
+
+def _attention_case(name, seed=40):
+    self_attn, lora, positions = ATTENTION_CASES[name]
+    rng = np.random.default_rng(seed)
+    kv = t(rng.uniform(-1, 1, (6, 8)))
+    query = kv if self_attn else t(rng.uniform(-1, 1, (3 if positions else 4, 8)))
+    projs = [_affine(rng, (8, 8), lora) for _ in range(4)]
+    return query, kv, projs, positions
+
+
+def _attention_forms(query, kv, projs, positions):
+    wq, wk, wv, wo = projs
+    causal = positions is not None
+
+    # the residual makes the query's gradient a sum over several nodes
+    def fused():
+        out, weights = ad.attention_layer(query, kv, wq, wk, wv, wo, 2, causal, positions)
+        return ad.add(out, query), weights
+
+    def chain():
+        mixed, weights = attention(
+            ad.linear(query, *wq), ad.linear(kv, *wk), ad.linear(kv, *wv), 2, causal, positions
+        )
+        return ad.add(ad.linear(mixed, *wo), query), weights
+
+    return fused, chain
+
+
+@pytest.mark.parametrize("name", list(ATTENTION_CASES))
+def test_attention_layer_is_one_node_with_the_four_linear_chain_numbers(name):
+    query, kv, projs, positions = _attention_case(name)
+    fused, chain = _attention_forms(query, kv, projs, positions)
+    params = [p for proj in projs for p in _affine_tensors(proj)]
+    wrt = list(dict.fromkeys([query, kv])) + params
+    (n_fused, w1, l1, g1), (n_chain, w2, l2, g2) = _fused_against_chain(fused, chain, wrt)
+    assert (n_fused, n_chain) == (1 + 3, 5 + 3)  # and the residual add, tanh and sum
+    assert np.array_equal(w1, w2) and np.array_equal(l1, l2)
+    for ga, gb in zip(g1, g2):
+        assert np.array_equal(ga, gb)
+
+
+@pytest.mark.parametrize("name", list(ATTENTION_CASES))
+def test_fd_attention_layer(name):
+    query, kv, projs, positions = _attention_case(name, seed=41)
+    wq, wk, wv, wo = projs
+    # not wk's bias: softmax ignores a shift shared by a query's scores, so
+    # its gradient is zero up to rounding (the bit-equality test covers it)
+    leaves = list(dict.fromkeys([query, kv])) + [
+        p for proj in projs for p in _affine_tensors(proj) if p is not wk[1]
+    ]
+    weights = t(np.random.default_rng(42).uniform(-1, 1, (query.shape[0], 8)), rg=False)
+
+    def fn(_):
+        out, _w = ad.attention_layer(query, kv, wq, wk, wv, wo, 2, positions is not None, positions)
+        return ad.sum_(ad.mul(tanh(out), weights))
+
+    err = check_gradients(fn, leaves)
+    assert err < 1e-6, f"relative error {err}"
+
+
+def test_attention_layer_frozen_projections_and_constant_inputs():
+    # only the output projection trains: no gradient reaches q, k or v
+    rng = np.random.default_rng(43)
+    query, kv = t(rng.uniform(-1, 1, (3, 8)), rg=False), t(rng.uniform(-1, 1, (5, 8)), rg=False)
+    projs = [_affine(rng, (8, 8), lora=False) for _ in range(4)]
+    for proj in projs[:3]:
+        for p in _affine_tensors(proj):
+            p.requires_grad = False
+    fused, chain = _attention_forms(query, kv, projs, None)
+    wrt = _affine_tensors(projs[3])
+    (n_fused, w1, l1, g1), (n_chain, w2, l2, g2) = _fused_against_chain(fused, chain, wrt)
+    assert (n_fused, n_chain) == (4, 4)  # the chain records only wo's linear
+    assert np.array_equal(l1, l2)
+    for ga, gb in zip(g1, g2):
+        assert np.array_equal(ga, gb)
+    with ad.Graph():
+        assert ad.attention_layer(query, kv, *projs, 2)[0].requires_grad
+        for p in _affine_tensors(projs[3]):
+            p.requires_grad = False
+        assert not ad.attention_layer(query, kv, *projs, 2)[0].requires_grad
+
+
+def test_multi_head_attention_is_one_node_with_the_four_linear_chain_numbers():
     rng = np.random.default_rng(36)
     attn = MultiHeadAttention(8, 2, rng)
+    attn.wv.attach_lora(2, 4.0, rng)
+    attn.wv.lora_b.data[...] = rng.uniform(-1, 1, attn.wv.lora_b.shape)
     query, key_value = t(rng.uniform(-1, 1, (3, 8))), t(rng.uniform(-1, 1, (5, 8)))
+    wrt = [query, key_value, *attn.named_parameters().values()]
+
+    def fused():
+        return attn(query, key_value), attn.last_attention
+
+    def chain():
+        mixed, weights = attention(attn.wq(query), attn.wk(key_value), attn.wv(key_value), 2)
+        return attn.wo(mixed), weights.mean(axis=0)
+
     with ad.Graph() as graph:
         attn(query, key_value)
         ops = [node.vjp.__qualname__.split(".")[0] for node in graph.nodes]
-    assert ops == ["linear", "linear", "linear", "attention", "linear"]
+    assert ops == ["attention_layer"]
+    (n_fused, w1, l1, g1), (n_chain, w2, l2, g2) = _fused_against_chain(fused, chain, wrt)
+    assert (n_fused, n_chain) == (3, 7)
+    assert np.array_equal(w1, w2) and np.array_equal(l1, l2)
+    for ga, gb in zip(g1, g2):
+        assert np.array_equal(ga, gb)
+
+
+@pytest.mark.parametrize("lora", [False, True])
+@pytest.mark.parametrize("frozen_first", [False, True])
+def test_ffn_is_one_node_with_the_linear_gelu_linear_chain_numbers(lora, frozen_first):
+    rng = np.random.default_rng(44)
+    x = t(rng.uniform(-2, 2, (2, 5, 6)), rg=not frozen_first)
+    fc1, fc2 = _affine(rng, (6, 12), lora), _affine(rng, (12, 6), lora)
+    if frozen_first:  # nothing before the gelu trains: the chain stops at fc2
+        for p in _affine_tensors(fc1):
+            p.requires_grad = False
+    wrt = [x] + _affine_tensors(fc1) + _affine_tensors(fc2)
+
+    def fused():
+        return ad.ffn(x, fc1, fc2), None
+
+    def chain():
+        return ad.linear(ad.gelu(ad.linear(x, *fc1)), *fc2), None
+
+    (n_fused, _, l1, g1), (n_chain, _, l2, g2) = _fused_against_chain(fused, chain, wrt)
+    assert (n_fused, n_chain) == (3, 2 + (1 if frozen_first else 3))
+    assert np.array_equal(l1, l2)
+    for ga, gb in zip(g1, g2):
+        assert np.array_equal(ga, gb)
+
+
+@pytest.mark.parametrize("lora", [False, True])
+def test_fd_ffn(lora):
+    rng = np.random.default_rng(45)
+    x = t(rng.uniform(-2, 2, (4, 6)))
+    fc1, fc2 = _affine(rng, (6, 10), lora), _affine(rng, (10, 6), lora, bias=False)
+    err = check_gradients(lambda _: ad.sum_(tanh(ad.ffn(x, fc1, fc2))), [x] + _affine_tensors(fc1) + _affine_tensors(fc2))
+    assert err < 1e-6, f"relative error {err}"
+
+
+def test_fused_sub_layers_refuse_non_finite_intermediates():
+    rng = np.random.default_rng(46)
+    x = t(np.full((3, 4), 1e3))
+    fc1, fc2 = _affine(rng, (4, 4), False), _affine(rng, (4, 4), False)
+    fc1[0].data[0, 0] = 1e308  # the first product overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError):
+            ad.ffn(x, fc1, fc2)
+        with pytest.raises(NumericError):
+            ad.attention_layer(x, x, fc1, fc2, fc2, fc2, 2)
+
+
+# ---------------------------------------------------------------------------
+# conv1d as im2col matrix products
+# ---------------------------------------------------------------------------
+
+def _conv1d_einsum(x, w, b, stride, padding, g):
+    """The einsum form of conv1d: output, and the gradients of x, w and b
+    for the output gradient g (the input's scattered per output position)."""
+    n, cin, length = x.shape
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
+    out = np.einsum("nilk,oik->nol", win, w, optimize=True) + b[:, None]
+    dw = np.einsum("nol,nilk->oik", g, win, optimize=True)
+    dcols = np.einsum("nol,oik->nilk", g, w, optimize=True)
+    dxp = np.zeros_like(xp)
+    for j in range(k - 1, -1, -1):
+        dxp[:, :, j : j + stride * (out.shape[2] - 1) + 1 : stride] += dcols[..., j]
+    return out, dxp[:, :, padding : padding + length], dw, g.sum(axis=(0, 2))
+
+
+CONV_GEOMETRIES = [
+    # (n, cin, length, cout, k, stride, padding): the encoder's three convs
+    # at patch lengths 200 and 40 over 1 to 76 channel-patches, and the
+    # geometries of the tests above
+    *[(n, 1, length, 16, 15, 8, 7) for n in (2, 8, 38, 76) for length in (200, 40)],
+    *[(n, 16, length, 16, 3, 1, 1) for n in (2, 8, 38, 76) for length in (25, 5)],
+    (2, 2, 11, 3, 5, 2, 3),
+    (2, 3, 200, 4, 3, 1, 1),
+    (2, 3, 200, 4, 15, 8, 7),
+]
+
+
+@pytest.mark.parametrize("n, cin, length, cout, k, stride, padding", CONV_GEOMETRIES)
+def test_conv1d_matmul_form_equals_the_einsum_form_bitwise(n, cin, length, cout, k, stride, padding):
+    rng = np.random.default_rng(47)
+    x = t(rng.standard_normal((n, cin, length)))
+    w, b = t(rng.standard_normal((cout, cin, k))), t(rng.standard_normal(cout))
+    with ad.Graph() as graph:
+        out = ad.conv1d(x, w, b, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        grads = graph.nodes[-1].vjp(g)
+        assert len(graph) == 1
+    ref = _conv1d_einsum(x.data, w.data, b.data, stride, padding, g)
+    assert np.array_equal(out.data, ref[0])
+    for got, want in zip(grads, ref[1:]):
+        assert np.array_equal(got, want)
