@@ -4,7 +4,7 @@ and the other subcommands, then hash every file.
 Usage, from the root of an eeglm checkout::
 
     PYTHONPATH=<checkout>/src python3 scripts/quickstart_digest.py OUT
-    PYTHONPATH=<checkout>/src python3 scripts/quickstart_digest.py --check FILE [OUT]
+    PYTHONPATH=<checkout>/src python3 scripts/quickstart_digest.py --check FILE
 
 Every command goes through ``eeglm.cli.main`` inside the empty directory
 OUT, with the relative paths the README uses, so two checkouts write the
@@ -23,7 +23,7 @@ it, and prints ``OPENBLAS_NUM_THREADS=<value>`` as the listing's first line.
 
 With ``--check FILE`` the script compares its listing with the one in FILE
 (``scripts/quickstart_digest.expected`` is the committed one) instead of
-printing it, in OUT or, without OUT, in a temporary directory. It prints
+printing it, and makes the listing in a temporary directory. It prints
 "environment differs" first if the first lines differ, then every path
 whose hash differs, is missing or is new, grouped by run directory, and
 exits 1; it exits 0 when the listings match. A change that alters the
@@ -141,10 +141,16 @@ def make_listing(out: Path) -> list[str] | int:
     return [f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}", *digests(out)]
 
 
-def check(expected: Path, out: Path) -> int:
-    """Compare the listing made in `out` with the one in `expected`."""
+def check(expected: Path) -> int:
+    """Compare the listing made in a temporary directory with the one in
+    `expected`."""
     want = expected.read_text().splitlines()
-    listing = make_listing(out)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="eeglm-digest-") as tmp:
+        try:
+            listing = make_listing(Path(tmp))
+        finally:
+            os.chdir(cwd)  # leave the directory before it is removed
     if isinstance(listing, int):
         return listing
     report = compare(want, listing)
@@ -153,19 +159,11 @@ def check(expected: Path, out: Path) -> int:
 
 
 def run(argv: list[str]) -> int:
-    if argv[:1] == ["--check"] and len(argv) in (2, 3):
-        expected = Path(argv[1]).resolve()
-        if len(argv) == 3:
-            return check(expected, Path(argv[2]))
-        cwd = os.getcwd()
-        with tempfile.TemporaryDirectory(prefix="eeglm-digest-") as tmp:
-            try:
-                return check(expected, Path(tmp))
-            finally:
-                os.chdir(cwd)  # leave the directory before it is removed
-    if len(argv) != 1:
+    if len(argv) != (2 if argv[:1] == ["--check"] else 1):
         print(__doc__, file=sys.stderr)
         return 2
+    if argv[0] == "--check":
+        return check(Path(argv[1]).resolve())
     listing = make_listing(Path(argv[0]))
     if isinstance(listing, int):
         return listing

@@ -752,9 +752,11 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     (Cin*K, N*Lout) columns, and the weight and input gradients are one
     product each. The columns are laid out as numpy's einsum lays them out
     for "nilk,oik->nol" (read transposed from (N*Lout, K) rows when Cin is
-    1), so the products are einsum's BLAS calls and give its bits. einsum
-    drops axes of length 1, so where N, Cout, K or Lout is 1 the two can
-    differ in the last bit.
+    1), so the products are einsum's BLAS calls and give its bits on the
+    encoder's three convs (checked for N from 1 to 120). Where einsum
+    leaves BLAS for its own loop, on some geometries with an axis of
+    length 1 (Cin, Cout, K, N or Lout), the two can differ by a few units
+    in the last place of the largest value.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3:

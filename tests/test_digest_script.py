@@ -58,3 +58,11 @@ def test_compare_names_the_environment_first_then_each_path_by_run_directory(dig
         "run-vq: 1 file(s) differ",
         "  new  run-vq/extra.txt",
     ]
+
+
+@pytest.mark.parametrize("argv", [[], ["--check"], ["--check", "FILE", "OUT"], ["a", "b"]])
+def test_wrong_argument_count_prints_usage_and_runs_nothing(digest, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert digest.run(argv) == 2
+    assert "Usage" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
