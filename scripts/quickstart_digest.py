@@ -19,15 +19,20 @@ two checkouts write the same bytes.
 
 Some products' bytes depend on the BLAS thread count, so the script sets
 ``OPENBLAS_NUM_THREADS=1`` before it imports eeglm, unless the caller set
-it, and prints ``OPENBLAS_NUM_THREADS=<value>`` as the listing's first line.
+it. The listing's first line records what the bytes depend on besides the
+code: ``OPENBLAS_NUM_THREADS=<value> numpy=<version> scipy=<version>
+simd=<targets>``, where the targets are numpy's active SIMD dispatch
+targets (``NPY_DISABLE_CPU_FEATURES`` removes some).
 
 With ``--check FILE`` the script compares its listing with the one in FILE
 (``scripts/quickstart_digest.expected`` is the committed one) instead of
 printing it, and makes the listing in a temporary directory. It prints
 "environment differs" first if the first lines differ, then every path
 whose hash differs, is missing or is new, grouped by run directory, and
-exits 1; it exits 0 when the listings match. A change that alters the
-written bytes on purpose updates the committed listing in the same commit.
+exits 1. When every file has its expected bytes it says so and exits 0,
+also when only the environment differs: that line is a note, which says
+where to look when bytes do differ. A change that alters the written bytes
+on purpose updates the committed listing in the same commit.
 """
 
 from __future__ import annotations
@@ -42,6 +47,14 @@ from pathlib import Path
 
 # before numpy loads: OpenBLAS reads its thread count once, at import
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy  # noqa: E402
+import scipy  # noqa: E402
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from eeglm.cli import main  # noqa: E402
 
@@ -85,6 +98,15 @@ OTHER_COMMANDS = (
     "--out attn-stub.csv attn-export --checkpoint run-sft/checkpoints/epoch_0009"
     " --container clean",
 )
+
+
+def header() -> str:
+    """The listing's first line: the environment the bytes depend on."""
+    simd = ",".join(f for f in __cpu_dispatch__ if __cpu_features__[f])
+    return (
+        f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']} "
+        f"numpy={numpy.__version__} scipy={scipy.__version__} simd={simd}"
+    )
 
 
 def run_commands(out: Path) -> int:
@@ -138,7 +160,7 @@ def make_listing(out: Path) -> list[str] | int:
     code = run_commands(out)
     if code != 0:
         return code
-    return [f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}", *digests(out)]
+    return [header(), *digests(out)]
 
 
 def check(expected: Path) -> int:
@@ -154,8 +176,11 @@ def check(expected: Path) -> int:
     if isinstance(listing, int):
         return listing
     report = compare(want, listing)
-    print("\n".join(report) if report else f"same bytes as {expected}: {len(listing) - 1} files")
-    return 1 if report else 0
+    same = want[1:] == listing[1:]
+    if same:
+        report.append(f"same bytes as {expected}: all {len(listing) - 1} files")
+    print("\n".join(report))
+    return 0 if same else 1
 
 
 def run(argv: list[str]) -> int:

@@ -17,7 +17,8 @@ order, the numpy expressions of the chain of smaller ops it stands for:
 - `attention_layer`: the query, key and value projections, multi-head
   scaled dot-product attention and the output projection, with adapters
   and causal masking;
-- `conv1d`: one im2col matrix product forward, two backward.
+- `conv1d`: one im2col matrix product forward, two backward;
+- `mix`: a constant matrix along the leading axis (reshape, matmul, reshape).
 
 A fused node lists an input once per use, in the order the unfused chain's
 vjps reach it, so `backward` sums an input's gradient in the same order
@@ -307,16 +308,6 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
-def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor._view(np.transpose(a.data, axes))
-    if axes is None:
-        inv = None
-    else:
-        inv = tuple(np.argsort(axes))
-    return _record(out, (a,), lambda g: (np.transpose(g, inv),))
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
     out = Tensor._view(np.concatenate([t.data for t in ts], axis=axis))
@@ -415,27 +406,22 @@ def _swap_last(arr: Array) -> Array:
     return arr.swapaxes(-1, -2)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(
-            f"matmul needs >=2-D operands, got {a.data.shape} and {b.data.shape}"
-        )
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"matmul mismatch: {a.data.shape} x {b.data.shape}")
-    out = Tensor._wrap(np.matmul(a.data, b.data))
-
-    def vjp(g: Array):
-        ga = _unbroadcast(np.matmul(g, _swap_last(b.data)), a.data.shape)
-        gb = _unbroadcast(np.matmul(_swap_last(a.data), g), b.data.shape)
-        return ga, gb
-
-    return _record(out, (a, b), vjp)
+def mix(mat: Array, x) -> Tensor:
+    """The constant (n_out, n_in) matrix `mat` applied along x's leading
+    axis of length n_in: out[i] = sum_j mat[i, j] * x[j]. One node with x as
+    its only input; values and gradient are those of the chain that flattens
+    x to (n_in, -1), multiplies by `mat` as a tensor and restores the shape."""
+    x = as_tensor(x)
+    if x.data.shape[:1] != mat.shape[1:]:
+        raise ShapeError(f"mix of a {mat.shape} matrix needs x led by its width, got {x.data.shape}")
+    n_out, n_in = mat.shape
+    out = Tensor._wrap(np.matmul(mat, x.data.reshape(n_in, -1)).reshape((n_out,) + x.data.shape[1:]))
+    return _record(out, (x,), lambda g: (np.matmul(mat.T, g.reshape(n_out, -1)).reshape(x.data.shape),))
 
 
 def _weight_grad(x: Array, g: Array, w: Tensor) -> Array | None:
     """Gradient of x @ w.T with respect to w (None when w is frozen), summed
-    over x's leading axes as the matmul and transpose vjps sum it."""
+    over x's leading axes."""
     if not w.requires_grad:
         return None
     return np.transpose(_unbroadcast(np.matmul(_swap_last(x), g), w.data.shape[::-1]))
@@ -537,15 +523,11 @@ def ffn(x, fc1: Affine, fc2: Affine) -> Tensor:
     a, cdf = _gelu(_finite(h))
     y, low2 = _affine(_finite(a), *fc2)
     out = Tensor._wrap(y)
-    if _active_graph() is None:  # nothing is recorded: skip the vjp's set-up
-        return out
-    n1 = len(_affine_inputs(x, *fc1))
-    need_h = _needs_grad(x, fc1)
 
     def vjp(g: Array):
-        ga, grads = _inner_grads(_affine_grads(g, a, low2, need_h, *fc2), fc2[2])
+        ga, grads = _inner_grads(_affine_grads(g, a, low2, _needs_grad(x, fc1), *fc2), fc2[2])
         if ga is None:
-            return grads + [None] * n1
+            return grads + [None] * len(_affine_inputs(x, *fc1))
         return grads + _affine_grads(_gelu_grad(ga, h, cdf), x.data, low1, x.requires_grad, *fc1)
 
     return _record(out, _affine_inputs(None, *fc2) + _affine_inputs(x, *fc1), vjp)
@@ -679,16 +661,14 @@ def attention_layer(
     )
     y, low_o = _affine(_finite(mixed), *wo)
     out = Tensor._wrap(y)
-    if _active_graph() is None:  # nothing is recorded: skip the vjp's set-up
-        return out, weights
     # in the order the unfused chain's vjps run: value, key, query
     projections = ((key_value, low_v, wv), (key_value, low_k, wk), (query, low_q, wq))
-    need_v, need_k, need_q = (_needs_grad(x, proj) for x, _, proj in projections)
     inputs = _affine_inputs(None, *wo)
     for x, _, proj in projections:
         inputs += _affine_inputs(x, *proj)
 
     def vjp(g: Array):
+        need_v, need_k, need_q = (_needs_grad(x, proj) for x, _, proj in projections)
         g_mixed, grads = _inner_grads(
             _affine_grads(g, mixed, low_o, need_q or need_k or need_v, *wo), wo[2]
         )

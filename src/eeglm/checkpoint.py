@@ -10,6 +10,7 @@ checkpoint.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -61,10 +62,14 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     arrays: dict[str, np.ndarray] = {}
     for entry in manifest.get("params", []):
         try:
-            name, shape, offset = entry["name"], tuple(entry["shape"]), int(entry["offset"])
-        except (KeyError, TypeError, ValueError) as e:
+            name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+        except (KeyError, TypeError) as e:
             raise DataError(f"checkpoint {root}: malformed manifest entry {entry!r}") from e
-        count = int(np.prod(shape)) if shape else 1
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise DataError(f"checkpoint {root}: entry {name!r} has shape {shape!r}, not a list of sizes >= 0")
+        if type(offset) is not int or offset % 4:
+            raise DataError(f"checkpoint {root}: entry {name!r} has offset {offset!r}, not a multiple of 4 bytes")
+        count = math.prod(shape)
         end = offset + 4 * count
         if offset < 0 or end > len(raw):
             raise DataError(

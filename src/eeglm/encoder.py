@@ -19,7 +19,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
 from .nn import Embedding, FeedForward, LayerNorm, Linear, Module, MultiHeadAttention
-from .signal_io import PatchedSignal
 from .topology import BthHierarchy, build_hierarchy, get_montage
 
 
@@ -90,6 +89,7 @@ class CsaBlock(Module):
 
 
 def _flat(level: Tensor) -> Tensor:
+    # a node per use: each use's gradient terms sum here before the level's (vq's bytes depend on that order)
     n, p, e = level.shape
     return ad.reshape(level, (n * p, e))
 
@@ -111,34 +111,21 @@ class DualStreamEncoder(Module):
 
     def pool_levels(self, features: Tensor) -> list[Tensor]:
         """Mean-pool C x P x E features into all five hierarchy levels."""
-        c, p, e = features.shape
-        flat = ad.reshape(features, (c, p * e))
-        levels = []
-        for level in range(1, 6):
-            mat = self.hierarchy.mean_matrix(level)
-            pooled = ad.matmul(Tensor(mat), flat)
-            levels.append(ad.reshape(pooled, (mat.shape[0], p, e)))
-        return levels
+        return [ad.mix(self.hierarchy.mean_matrix(level), features) for level in range(1, 6)]
 
-    def broadcast_mean_234(self, levels: list[Tensor], p: int, e: int) -> Tensor:
+    def broadcast_mean_234(self, levels: list[Tensor]) -> Tensor:
         """Unweighted mean of levels 2..4 broadcast back to channels."""
-        c = self.hierarchy.montage.n_channels
-        total = None
-        for level in (2, 3, 4):
-            mat = self.hierarchy.member_matrix(level)
-            src = levels[level - 1]
-            full = ad.matmul(Tensor(mat), ad.reshape(src, (mat.shape[1], p * e)))
-            total = full if total is None else ad.add(total, full)
-        return ad.reshape(ad.mul(total, 1.0 / 3.0), (c, p, e))
+        full = [ad.mix(self.hierarchy.member_matrix(level), levels[level - 1]) for level in (2, 3, 4)]
+        return ad.mul(ad.add(ad.add(full[0], full[1]), full[2]), 1.0 / 3.0)
 
-    def __call__(self, patches: PatchedSignal | np.ndarray) -> EncoderOutput:
-        data = patches.data if isinstance(patches, PatchedSignal) else np.asarray(patches)
-        c, p, _ = data.shape
+    def __call__(self, patches: np.ndarray) -> EncoderOutput:
+        """Encode one recording's (C, P, W) patch array."""
+        c, p, _ = patches.shape
         if p > self.cfg.max_patches:
             raise ConfigError(f"{p} patches exceed configured maximum {self.cfg.max_patches}")
         e = self.cfg.embed_dim
 
-        feats = self.embedder(data)
+        feats = self.embedder(patches)
         feats = ad.add(feats, self.positions(np.arange(p)))
         levels = self.pool_levels(feats)
 
@@ -161,9 +148,8 @@ class DualStreamEncoder(Module):
         # fusion: broadcast the (1 x P x E) global stream to channels,
         # concatenate with the local stream, project 2E -> E, then add the
         # channel-broadcast mean of the intermediate levels 2..4
-        ones = Tensor(np.ones((c, 1)))
-        g_broad = ad.reshape(ad.matmul(ones, ad.reshape(g, (1, p * e))), (c, p, e))
+        g_broad = ad.mix(self.hierarchy.member_matrix(1), ad.reshape(g, (1, p, e)))
         l_full = ad.reshape(l, (c, p, e))
         fused = self.fuse_proj(ad.concat([g_broad, l_full], axis=-1))
-        h_eeg = ad.add(fused, self.broadcast_mean_234(levels, p, e))
+        h_eeg = ad.add(fused, self.broadcast_mean_234(levels))
         return EncoderOutput(h_eeg=h_eeg, features=feats, levels=levels, g_hist=g_hist, l_hist=l_hist)

@@ -73,7 +73,7 @@ class SemanticRefiner(Module):
 
     def calibrate(self, h_text: Tensor | np.ndarray) -> Tensor:
         """Prime the latent experts on the profile text embedding."""
-        h_text = h_text if isinstance(h_text, Tensor) else Tensor(np.asarray(h_text))
+        h_text = ad.as_tensor(h_text)
         if h_text.shape[0] == 0:
             raise ShapeError("text embedding is empty: nothing to calibrate on")
         attended = self.cal_attn(self.q_lat, h_text)
@@ -81,7 +81,7 @@ class SemanticRefiner(Module):
 
     def aggregate(self, q_calib: Tensor, z_q: Tensor | np.ndarray) -> tuple[Tensor, np.ndarray]:
         """Let calibrated experts pool the quantized token stream."""
-        z_q = z_q if isinstance(z_q, Tensor) else Tensor(np.asarray(z_q))
+        z_q = ad.as_tensor(z_q)
         if z_q.shape[0] == 0:
             raise ShapeError("token stream is empty: nothing to aggregate")
         out = self.agg_attn(q_calib, z_q)
@@ -100,7 +100,7 @@ class SemanticRefiner(Module):
         """Frobenius deviation of the normalized expert Gram matrix from I."""
         if not np.any(self.q_lat.data):
             raise NumericError("latent experts are all zero: Gram normalizer vanishes")
-        gram = ad.matmul(self.q_lat, ad.transpose(self.q_lat))
+        gram = ad.linear(self.q_lat, self.q_lat)
         fro_sq = ad.sum_(ad.mul(self.q_lat, self.q_lat))
         dev = ad.sub(ad.div(gram, fro_sq), np.eye(self.cfg.n_experts))
         return ad.sqrt(ad.sum_(ad.mul(dev, dev)))

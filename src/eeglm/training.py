@@ -80,7 +80,7 @@ class PipelineModel:
 
     def tokenize_recording(self, rec: Recording) -> tuple[TokenSequence, np.ndarray]:
         """Patch -> encode -> quantize one recording (no gradients recorded)."""
-        enc = self.encoder(self.patch(rec))
+        enc = self.encoder(self.patch(rec).data)
         tokens, _, _, z_q = self.quantizer(enc.h_eeg)
         return tokens, z_q.data.copy()
 

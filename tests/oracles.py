@@ -1,9 +1,10 @@
 """Reference ops that only the tests use.
 
-`tanh`, `softmax` and `attention` are tape ops in the style of
-`eeglm.autodiff`: `tanh` is a smooth test nonlinearity for the
-finite-difference checks, `softmax` builds the unfused reference chains
-that the fused kernels must match to the bit, and `attention` is the
+`tanh`, `softmax`, `matmul`, `transpose` and `attention` are tape ops in
+the style of `eeglm.autodiff`: `tanh` is a smooth test nonlinearity for the
+finite-difference checks; `softmax`, `matmul` and `transpose` build the
+unfused reference chains that the fused kernels (`ad.linear`, `ad.mix`,
+`ad.attention_layer`) must match to the bit; and `attention` is the
 attention between the projections as a node of its own, the middle of the
 four-`linear` chain that `ad.attention_layer` fuses. `pool_level` and
 `broadcast_level` are the numpy oracles of the encoder's hierarchy pooling.
@@ -15,7 +16,7 @@ import numpy as np
 
 from eeglm import autodiff as ad
 from eeglm.autodiff import Tensor
-from eeglm.errors import MontageError
+from eeglm.errors import MontageError, ShapeError
 from eeglm.topology import BthHierarchy
 
 
@@ -31,6 +32,30 @@ def softmax(a, axis: int = -1) -> Tensor:
     y = e / e.sum(axis=axis, keepdims=True)
     out = Tensor._wrap(y)
     return ad._record(out, (a,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
+
+
+def transpose(a, axes=None) -> Tensor:
+    a = ad.as_tensor(a)
+    out = Tensor._view(np.transpose(a.data, axes))
+    inv = None if axes is None else tuple(np.argsort(axes))
+    return ad._record(out, (a,), lambda g: (np.transpose(g, inv),))
+
+
+def matmul(a, b) -> Tensor:
+    """a @ b with gradients for both operands, broadcast over leading axes."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul needs >=2-D operands, got {a.data.shape} and {b.data.shape}")
+    if a.data.shape[-1] != b.data.shape[-2]:
+        raise ShapeError(f"matmul mismatch: {a.data.shape} x {b.data.shape}")
+    out = Tensor._wrap(np.matmul(a.data, b.data))
+
+    def vjp(g):
+        ga = ad._unbroadcast(np.matmul(g, ad._swap_last(b.data)), a.data.shape)
+        gb = ad._unbroadcast(np.matmul(ad._swap_last(a.data), g), b.data.shape)
+        return ga, gb
+
+    return ad._record(out, (a, b), vjp)
 
 
 def attention(q, k, v, n_heads: int, causal: bool = False, positions=None) -> tuple[Tensor, np.ndarray]:

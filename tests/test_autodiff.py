@@ -11,8 +11,9 @@ import pytest
 from eeglm import autodiff as ad
 from eeglm.errors import NumericError, ShapeError
 from eeglm.nn import MultiHeadAttention
+from eeglm.topology import build_hierarchy, get_montage
 from gradcheck import check_gradients, relative_error
-from oracles import attention, softmax, tanh
+from oracles import attention, matmul, softmax, tanh, transpose
 
 
 def t(data, rg=True):
@@ -26,18 +27,18 @@ def t(data, rg=True):
 def test_matmul_identity():
     a = t(np.eye(2), rg=False)
     b = t([[1.0, 2.0], [3.0, 4.0]], rg=False)
-    np.testing.assert_allclose(ad.matmul(a, b).data, [[1, 2], [3, 4]])
+    np.testing.assert_allclose(matmul(a, b).data, [[1, 2], [3, 4]])
 
 
 def test_matmul_projector():
     p = t([[1.0, 0.0], [0.0, 0.0]], rg=False)
     v = t([[5.0], [7.0]], rg=False)
-    np.testing.assert_allclose(ad.matmul(p, v).data, [[5.0], [0.0]])
+    np.testing.assert_allclose(matmul(p, v).data, [[5.0], [0.0]])
 
 
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError) as exc:
-        ad.matmul(t(np.zeros((2, 3))), t(np.zeros((2, 3))))
+        matmul(t(np.zeros((2, 3))), t(np.zeros((2, 3))))
     assert "(2, 3)" in str(exc.value)
 
 
@@ -210,7 +211,7 @@ def test_tape_freed_when_graph_exits():
     gc.disable()
     try:
         with ad.Graph() as graph:
-            hidden = tanh(ad.matmul(w, w))
+            hidden = tanh(matmul(w, w))
             ref = weakref.ref(hidden)
             loss = ad.sum_(hidden)
             del hidden
@@ -238,7 +239,7 @@ def test_determinism_two_passes_bit_identical():
 
     def run():
         with ad.Graph():
-            out = ad.gelu(ad.matmul(x, w))
+            out = ad.gelu(matmul(x, w))
             loss = ad.sum_(ad.mul(out, out))
             grads = ad.backward(loss, wrt=[x, w])
         return loss.data.copy(), grads[x].copy(), grads[w].copy()
@@ -262,12 +263,12 @@ def _fd_case(fn, shapes, seed, tol=1e-6):
 
 
 def test_fd_matmul_rectangular():
-    _fd_case(lambda ts: ad.sum_(ad.matmul(ts[0], ts[1])), [(3, 4), (4, 2)], seed=1)
+    _fd_case(lambda ts: ad.sum_(matmul(ts[0], ts[1])), [(3, 4), (4, 2)], seed=1)
 
 
 def test_fd_matmul_batched_with_broadcast():
     _fd_case(
-        lambda ts: ad.sum_(ad.mul(ad.matmul(ts[0], ts[1]), ts[2])),
+        lambda ts: ad.sum_(ad.mul(matmul(ts[0], ts[1]), ts[2])),
         [(2, 3, 4), (4, 5), (2, 3, 5)],
         seed=2,
     )
@@ -314,7 +315,7 @@ def test_fd_gelu():
 
 def test_fd_reshape_transpose_concat_slice():
     def fn(ts):
-        a = ad.transpose(ad.reshape(ts[0], (4, 3)), (1, 0))
+        a = transpose(ad.reshape(ts[0], (4, 3)), (1, 0))
         b = ad.concat([a, ts[1]], axis=1)
         c = ad.slice_(b, (slice(None), slice(1, 5)))
         return ad.sum_(ad.mul(c, c))
@@ -402,7 +403,7 @@ def test_fd_matmul_gradient_tight_tolerance():
     rng = np.random.default_rng(20)
     a = t(rng.uniform(-1, 1, (3, 4)))
     b = t(rng.uniform(-1, 1, (4, 2)), rg=False)
-    err = check_gradients(lambda ts: ad.sum_(ad.matmul(ts[0], b)), [a])
+    err = check_gradients(lambda ts: ad.sum_(matmul(ts[0], b)), [a])
     assert err < 1e-6
 
 
@@ -451,9 +452,9 @@ def test_linear_is_one_node_with_the_unfused_chain_numbers():
 
     def unfused(ts):
         x, w, b, a, lb = ts
-        y = ad.matmul(x, ad.transpose(w))
-        low = ad.matmul(x, ad.transpose(a))
-        y = ad.add(y, ad.mul(ad.matmul(low, ad.transpose(lb)), 0.7))
+        y = matmul(x, transpose(w))
+        low = matmul(x, transpose(a))
+        y = ad.add(y, ad.mul(matmul(low, transpose(lb)), 0.7))
         return ad.sum_(tanh(ad.add(y, b)))
 
     def fused(ts):
@@ -492,7 +493,7 @@ def test_fd_attention(causal, tq, tk):
 def _split_heads(x, h):
     """The head split as view nodes: (T, E) -> (h, T, E/h)."""
     n, e = x.shape
-    return ad.transpose(ad.reshape(x, (n, h, e // h)), (1, 0, 2))
+    return transpose(ad.reshape(x, (n, h, e // h)), (1, 0, 2))
 
 
 def test_attention_is_one_node_with_the_unfused_chain_numbers():
@@ -502,9 +503,9 @@ def test_attention_is_one_node_with_the_unfused_chain_numbers():
 
     def unfused():
         qh, kh, vh = (_split_heads(x, 2) for x in (q, k, v))
-        scores = ad.mul(ad.matmul(qh, ad.transpose(kh, (0, 2, 1))), 0.5)
+        scores = ad.mul(matmul(qh, transpose(kh, (0, 2, 1))), 0.5)
         attn = softmax(ad.add(scores, mask), axis=-1)
-        mixed = ad.reshape(ad.transpose(ad.matmul(attn, vh), (1, 0, 2)), (5, 8))
+        mixed = ad.reshape(transpose(matmul(attn, vh), (1, 0, 2)), (5, 8))
         return mixed, attn.data
 
     def fused():
@@ -842,3 +843,45 @@ def test_conv1d_off_blas_einsum_geometries_differ_by_a_few_units_in_the_last_pla
     ref = _conv1d_einsum(x.data, w.data, b.data, stride, padding, g)
     for got, want in zip((out.data, *grads), ref):
         np.testing.assert_allclose(got, want, rtol=0, atol=8 * np.finfo(float).eps * np.abs(want).max())
+
+
+# ---------------------------------------------------------------------------
+# mix: a constant matrix along the leading axis
+# ---------------------------------------------------------------------------
+
+def _hierarchy_matrices():
+    for name in ("synthetic-1", "synthetic-4", "synthetic-7", "builtin-1020"):
+        hier = build_hierarchy(get_montage(name))
+        for level in range(1, 6):
+            yield f"{name}-mean-{level}", hier.mean_matrix(level)
+            yield f"{name}-member-{level}", hier.member_matrix(level)
+
+
+HIERARCHY_MATRICES = dict(_hierarchy_matrices())
+
+
+@pytest.mark.parametrize("name", list(HIERARCHY_MATRICES))
+def test_mix_is_one_node_with_the_reshape_matmul_reshape_numbers(name):
+    mat = HIERARCHY_MATRICES[name]
+    x = t(np.random.default_rng(48).standard_normal((mat.shape[1], 3, 8)))
+
+    def chain():
+        flat = ad.reshape(x, (mat.shape[1], 3 * 8))
+        return ad.reshape(matmul(ad.Tensor(mat), flat), (mat.shape[0], 3, 8)), None
+
+    results = _fused_against_chain(lambda: (ad.mix(mat, x), None), chain, [x])
+    (n_fused, _, l1, g1), (n_chain, _, l2, g2) = results
+    assert (n_fused, n_chain) == (3, 5)
+    assert np.array_equal(l1, l2)
+    assert np.array_equal(g1[0], g2[0])
+
+
+@pytest.mark.parametrize("x_shape", [(4, 3), (4, 2, 3)])
+def test_fd_mix(x_shape):
+    mat = np.random.default_rng(49).uniform(-1, 1, (3, 4))
+    _fd_case(lambda ts: ad.sum_(tanh(ad.mix(mat, ts[0]))), [x_shape], seed=50)
+
+
+def test_mix_refuses_a_leading_axis_other_than_the_matrix_width():
+    with pytest.raises(ShapeError, match=r"\(3, 4\).*\(5, 2\)"):
+        ad.mix(np.ones((3, 4)), t(np.zeros((5, 2))))

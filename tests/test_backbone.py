@@ -14,7 +14,7 @@ from eeglm.optim import AdamW
 from eeglm.quantizer import QuantizerConfig, VectorQuantizer, quant_loss
 from eeglm.sequences import VocabSpec, assemble_sequence
 from gradcheck import check_directional
-from oracles import softmax
+from oracles import matmul, softmax, transpose
 
 VOCAB = VocabSpec(v_text=40, n_codes=12)
 CFG = BackboneConfig(
@@ -359,7 +359,7 @@ TIED = BackboneConfig(
 
 
 def _linear_chain(layer, x):
-    return ad.add(ad.matmul(x, ad.transpose(layer.w)), layer.b)
+    return ad.add(matmul(x, transpose(layer.w)), layer.b)
 
 
 def _attention_chain(attn, x):
@@ -368,12 +368,12 @@ def _attention_chain(attn, x):
     dh = e // h
 
     def split(y):
-        return ad.transpose(ad.reshape(y, (t, h, dh)), (1, 0, 2))
+        return transpose(ad.reshape(y, (t, h, dh)), (1, 0, 2))
 
     q, k, v = (split(_linear_chain(lin, x)) for lin in (attn.wq, attn.wk, attn.wv))
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
+    scores = ad.mul(matmul(q, transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
     weights = softmax(ad.add(scores, np.triu(np.full((t, t), -1e9), k=1)), axis=-1)
-    mixed = ad.reshape(ad.transpose(ad.matmul(weights, v), (1, 0, 2)), (t, e))
+    mixed = ad.reshape(transpose(matmul(weights, v), (1, 0, 2)), (t, e))
     return _linear_chain(attn.wo, mixed)
 
 
@@ -390,8 +390,8 @@ def unfused_logits(model, seq):
         x = ad.add(x, _linear_chain(block.ffn.fc2, hidden))
     x = _norm_chain(model.ln_f, x)
     if model.head is None:
-        return ad.matmul(x, ad.transpose(model.tok_emb.table))
-    return ad.matmul(x, ad.transpose(model.head.w))
+        return matmul(x, transpose(model.tok_emb.table))
+    return matmul(x, transpose(model.head.w))
 
 
 @pytest.mark.parametrize("cfg", [CFG, TIED], ids=["head", "tied"])

@@ -17,6 +17,7 @@ import eeglm
 from eeglm.checkpoint import load_checkpoint, save_checkpoint
 from eeglm.cli import ATTN_HEADER, main
 from eeglm.config import DEFAULTS
+from eeglm.errors import DataError
 from eeglm.evaluate import BINARY_METRICS
 from eeglm.profiler import StubClient
 from eeglm.signal_io import load_container
@@ -381,6 +382,50 @@ def test_corrupt_checkpoint_exits_5(env, tmp_path):
     assert rc == 5
 
 
+def _edited_checkpoint(root: Path, ckpt: Path, edit) -> Path:
+    """A copy of `ckpt` under `root` whose manifest `edit` has changed."""
+    copy = root / "ckpt"
+    shutil.copytree(ckpt, copy)
+    manifest = json.loads((copy / "manifest.json").read_text())
+    edit(manifest)
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    return copy
+
+
+def _with_shape(root: Path, ckpt: Path, shape) -> Path:
+    return _edited_checkpoint(root, ckpt, lambda manifest: manifest["params"][0].update(shape=shape))
+
+
+# each once read as a (2, 5) array or ended in a numpy traceback
+@pytest.mark.parametrize(
+    "shape",
+    [[2, -3], [-2, -3], "ab", [2.5, 2], [[2], 3], [True, 2], 6],
+    ids=["negative", "all-negative", "string", "float", "nested", "bool", "scalar"],
+)
+def test_malformed_manifest_shape_is_refused(env, tmp_path, shape):
+    with pytest.raises(DataError, match="shape"):
+        load_checkpoint(_with_shape(tmp_path, env["ckpt_vq"], shape))
+
+
+# each once read as weights: garbage, or another entry's bytes for "4"
+@pytest.mark.parametrize("offset", [2.5, True, 1, "4"], ids=["float", "bool", "unaligned", "string"])
+def test_malformed_manifest_offset_is_refused(env, tmp_path, offset):
+    ckpt = _edited_checkpoint(tmp_path, env["ckpt_vq"], lambda manifest: manifest["params"][1].update(offset=offset))
+    with pytest.raises(DataError, match="offset"):
+        load_checkpoint(ckpt)
+
+
+def test_tokenize_with_a_malformed_manifest_shape_exits_3(env, tmp_path, capsys):
+    rc = main(env["base"] + [
+        "--out", str(tmp_path / "t.tok"), "tokenize",
+        "--container", str(env["data"] / "sample_0000"),
+        "--checkpoint", str(_with_shape(tmp_path, env["ckpt_vq"], [2, -3])),
+    ])
+    assert rc == 3
+    assert "not a list of sizes" in capsys.readouterr().err
+    assert not (tmp_path / "t.tok").exists()
+
+
 # -- profile ------------------------------------------------------------------
 
 
@@ -649,12 +694,7 @@ def test_train_runs_with_every_zero_allowed_value_at_zero(env, tmp_path):
 
 def _stored_config(edit):
     def build(root, env):
-        ckpt = root / "ckpt"
-        shutil.copytree(env["ckpt_vq"], ckpt)
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        edit(manifest["meta"]["config"])
-        (ckpt / "manifest.json").write_text(json.dumps(manifest))
-        return ckpt
+        return _edited_checkpoint(root, env["ckpt_vq"], lambda manifest: edit(manifest["meta"]["config"]))
 
     return build
 

@@ -31,7 +31,10 @@ def expected() -> list[str]:
 
 def test_committed_listing_is_a_one_thread_listing_of_every_run_directory(digest):
     listing = expected()
-    assert listing[0] == "OPENBLAS_NUM_THREADS=1"
+    fields = dict(field.split("=", 1) for field in listing[0].split())
+    assert list(fields) == ["OPENBLAS_NUM_THREADS", "numpy", "scipy", "simd"]
+    assert fields["OPENBLAS_NUM_THREADS"] == "1"
+    assert [field.split("=", 1)[0] for field in digest.header().split()] == list(fields)
     paths = [line.split("  ", 1)[1] for line in listing[1:]]
     assert len(paths) == 259 and paths == sorted(paths)
     assert {p.split("/", 1)[0] for p in paths if "/" in p} >= {
@@ -66,3 +69,20 @@ def test_wrong_argument_count_prints_usage_and_runs_nothing(digest, argv, tmp_pa
     assert digest.run(argv) == 2
     assert "Usage" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "header, edit, code",
+    [("same", False, 0), ("other", False, 0), ("same", True, 1), ("other", True, 1)],
+    ids=["match", "environment-only", "bytes-only", "both"],
+)
+def test_check_fails_on_bytes_and_only_notes_the_environment(digest, monkeypatch, capsys, header, edit, code):
+    listing = expected()
+    first = listing[0] if header == "same" else "OPENBLAS_NUM_THREADS=1 numpy=0 scipy=0 simd="
+    rows = [("0" * 64 + line[64:]) if edit and line.endswith("run-cpt/metrics.csv") else line for line in listing[1:]]
+    monkeypatch.setattr(digest, "make_listing", lambda out: [first, *rows])
+    assert digest.check(SCRIPTS / "quickstart_digest.expected") == code
+    out = capsys.readouterr().out
+    assert ("environment differs" in out) == (header == "other")
+    assert ("same bytes" in out) == (not edit)
+    assert ("run-cpt: 1 file(s) differ" in out) == edit

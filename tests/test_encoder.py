@@ -9,8 +9,9 @@ from eeglm import autodiff as ad
 from eeglm.autodiff import Graph, Tensor, backward
 from eeglm.encoder import CsaBlock, DualStreamEncoder, EncoderConfig, TemporalEmbedder
 from eeglm.errors import ConfigError, ShapeError
-from eeglm.topology import Montage, build_hierarchy
+from eeglm.topology import Montage, build_hierarchy, get_montage
 from gradcheck import check_directional
+from oracles import matmul
 
 TOY = EncoderConfig(
     embed_dim=8, n_heads=2, ffn_mult=2, patch_len=40, max_patches=8, montage=None
@@ -138,7 +139,7 @@ def test_output_extent_c19():
 
 def test_channel_count_mismatch_rejected():
     # recordings meet the montage check before they are patched; a wrong
-    # count handed to the encoder directly fails in the pooling matmul
+    # count handed to the encoder directly fails in the pooling mix
     rng = np.random.default_rng(10)
     enc = DualStreamEncoder(TOY, rng, hierarchy=build_hierarchy(tiny_montage(4)))
     with pytest.raises(ShapeError):
@@ -245,3 +246,58 @@ def test_full_encoder_gradcheck():
 
     err = check_directional(fn, params, np.random.default_rng(16))
     assert err < 1e-4
+
+
+def _chain_mix(mat, x):
+    """ad.mix as the reshape -> matmul(Tensor(mat)) -> reshape chain."""
+    n_out, n_in = mat.shape
+    flat = ad.reshape(x, (n_in, -1))
+    return ad.reshape(matmul(Tensor(mat), flat), (n_out,) + x.shape[1:])
+
+
+class ChainPoolingEncoder(DualStreamEncoder):
+    """The encoder with the hierarchy pooling and broadcasts written as
+    reshape/matmul chains: one shared reshape of the features feeds the
+    five poolings, and each broadcast level goes through its own."""
+
+    def pool_levels(self, features):
+        c, p, e = features.shape
+        flat = ad.reshape(features, (c, p * e))
+        levels = []
+        for level in range(1, 6):
+            mat = self.hierarchy.mean_matrix(level)
+            levels.append(ad.reshape(matmul(Tensor(mat), flat), (mat.shape[0], p, e)))
+        return levels
+
+    def broadcast_mean_234(self, levels):
+        total = None
+        for level in (2, 3, 4):
+            full = _chain_mix(self.hierarchy.member_matrix(level), levels[level - 1])
+            total = full if total is None else ad.add(total, full)
+        return ad.mul(total, 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("montage", ["synthetic-4", "builtin-1020"])
+def test_encoder_values_and_gradients_equal_the_chain_pooling_to_the_bit(montage, monkeypatch):
+    hier = build_hierarchy(get_montage(montage))
+    c = hier.montage.n_channels
+    # the patched ad.mix below also builds the fusion's broadcast of the
+    # global stream, which multiplied by a ones column before
+    assert np.array_equal(hier.member_matrix(1), np.ones((c, 1)))
+    x = np.random.default_rng(17).standard_normal((c, 3, 40))
+
+    def run(cls):
+        enc = cls(TOY, np.random.default_rng(18), hierarchy=hier)
+        params = enc.named_parameters()
+        with Graph():
+            out = enc(x)
+            grads = backward(ad.sum_(ad.mul(out.h_eeg, out.h_eeg)), wrt=params.values())
+        return out.h_eeg.data, {name: grads[p] for name, p in params.items()}
+
+    h_fused, g_fused = run(DualStreamEncoder)
+    monkeypatch.setattr(ad, "mix", _chain_mix)
+    h_chain, g_chain = run(ChainPoolingEncoder)
+    assert np.array_equal(h_fused, h_chain)
+    assert g_fused.keys() == g_chain.keys()
+    for name in g_fused:
+        assert np.array_equal(g_fused[name], g_chain[name]), name

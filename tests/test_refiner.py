@@ -17,6 +17,7 @@ from eeglm.refiner import (
     attention_rows,
 )
 from gradcheck import check_directional
+from oracles import matmul, transpose
 
 TOY = RefinerConfig(n_experts=2, embed_dim=8, n_heads=2, ffn_mult=2)
 
@@ -229,6 +230,28 @@ def test_orth_loss_permutation_invariant(rng):
     with Graph():
         after = float(ref.orth_loss().data)
     assert abs(before - after) < 1e-12
+
+
+@pytest.mark.parametrize("n_experts", [1, 2, 4, 8])
+def test_orth_loss_gram_as_one_linear_node_has_the_matmul_transpose_numbers(n_experts):
+    cfg = RefinerConfig(n_experts=n_experts, embed_dim=8, n_heads=2, ffn_mult=2)
+    ref = make_refiner(cfg, seed=n_experts)
+    q = ref.q_lat
+
+    def chain():
+        gram = matmul(q, transpose(q))
+        fro_sq = ad.sum_(ad.mul(q, q))
+        dev = ad.sub(ad.div(gram, fro_sq), np.eye(n_experts))
+        return ad.sqrt(ad.sum_(ad.mul(dev, dev)))
+
+    results = []
+    for fn in (ref.orth_loss, chain):
+        with Graph():
+            loss = fn()
+            results.append((loss.data, backward(loss, wrt=[q])[q]))
+    (l1, g1), (l2, g2) = results
+    assert np.array_equal(l1, l2)
+    assert np.array_equal(g1, g2)
 
 
 def test_orth_loss_rejects_all_zero_experts():
