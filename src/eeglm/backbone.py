@@ -24,7 +24,6 @@ class BackboneConfig:
     ffn_mult: int
     max_len: int
     sem_dim: int
-    tied_head: bool
 
 
 class TransformerBlock(Module):
@@ -59,7 +58,7 @@ class ToyBackbone(Module):
             TransformerBlock(e, cfg.n_heads, cfg.ffn_mult, rng) for _ in range(cfg.n_layers)
         ]
         self.ln_f = LayerNorm(e)
-        self.head = None if cfg.tied_head else Linear(e, cfg.vocab.v_total, rng, bias=False)
+        self.head = Linear(e, cfg.vocab.v_total, rng, bias=False)
 
     def embed_sequence(self, seq: HybridSequence, sem: Tensor | None = None) -> Tensor:
         """Token embeddings with the sem span replaced by projected rows.
@@ -105,10 +104,7 @@ class ToyBackbone(Module):
                 )
         for block in self.blocks[:-1]:
             x = block(x)
-        x = self.ln_f(self.blocks[-1](x, rows))
-        if self.head is not None:
-            return self.head(x)
-        return ad.linear(x, self.tok_emb.table)
+        return self.head(self.ln_f(self.blocks[-1](x, rows)))
 
     # -- adapter management --------------------------------------------------
 
@@ -136,6 +132,5 @@ class ToyBackbone(Module):
         out = {"tok_emb.table": self.tok_emb.table, "pos_emb": self.pos_emb}
         out.update(self.sem_proj.named_parameters("sem_proj"))
         out.update(self.ln_f.named_parameters("ln_f"))
-        if self.head is not None:
-            out.update(self.head.named_parameters("head"))
+        out.update(self.head.named_parameters("head"))
         return out

@@ -15,7 +15,7 @@ from .evaluate import evaluate_checkpoint
 from .profiler import PROFILE_KEYS
 from .quantizer import save_tokens
 from .refiner import attention_rows
-from .signal_io import WORK_FS, load_recording, preprocess, save_container
+from .signal_io import DEFAULT_BAND, WORK_FS, load_recording, preprocess, save_container
 from .synth import make_dataset
 from .training import load_model, make_llm_client, profile_recording, profile_signal, run_stage
 
@@ -183,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="container directory or CSV file")
     p.add_argument("--fs", type=float, default=None, help="sampling rate for CSV input")
     p.add_argument("--target-fs", type=float, default=WORK_FS)
-    p.add_argument("--low", type=float, default=0.1)
-    p.add_argument("--high", type=float, default=75.0)
+    p.add_argument("--low", type=float, default=DEFAULT_BAND[0])
+    p.add_argument("--high", type=float, default=DEFAULT_BAND[1])
     p.add_argument("--notch", type=float, default=50.0, help="notch frequency (0 disables)")
 
     p = sub.add_parser("tokenize", help="quantize a container into discrete tokens")

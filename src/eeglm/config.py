@@ -22,13 +22,7 @@ DEFAULTS: dict = {
         "classes": ["class-a", "class-b", "class-c"],
     },
     "encoder": {"embed_dim": 16, "n_heads": 2, "ffn_mult": 4, "max_patches": 64},
-    "quantizer": {
-        "num_codes": 64,
-        "code_dim": 16,
-        "beta": 0.25,
-        "kmeans_warm_start": True,
-        "revival_epochs": 2,
-    },
+    "quantizer": {"num_codes": 64, "code_dim": 16, "beta": 0.25, "revival_epochs": 2},
     "refiner": {"n_experts": 4, "n_heads": 2, "ffn_mult": 2},
     "backbone": {
         "v_text": 512,
@@ -37,7 +31,6 @@ DEFAULTS: dict = {
         "n_heads": 4,
         "ffn_mult": 4,
         "max_len": 256,
-        "tied_head": False,
     },
     "lora": {"rank": 4, "alpha": 8.0},
     "optimizer": {
@@ -56,7 +49,6 @@ DEFAULTS: dict = {
         "init_from": None,
         "lambda_orth": 0.1,
         "star_lr_scale": 0.1,
-        "class_balancing": True,
     },
     "llm": {"mode": "stub", "endpoint": "", "model": "", "token_env": "EEGLM_LLM_TOKEN"},
 }
@@ -124,7 +116,7 @@ def parse_override(spec: str) -> dict:
 
 
 # The bound of each numeric config value (of each element, for a list). Unbounded: the
-# n_heads keys (MultiHeadAttention checks them) and clip_norm (<= 0 turns clipping off).
+# n_heads keys (MultiHeadAttention checks them).
 BOUNDS = {
     ">= 0": "seed quantizer.beta optimizer.weight_decay schedule.warmup_steps schedule.min_lr "
     "train.lambda_orth",
@@ -132,7 +124,8 @@ BOUNDS = {
     "quantizer.code_dim quantizer.revival_epochs refiner.n_experts refiner.ffn_mult backbone.n_layers "
     "backbone.embed_dim backbone.ffn_mult backbone.max_len lora.rank train.epochs",
     ">= 2": "backbone.v_text",
-    "> 0": "lora.alpha optimizer.lr optimizer.eps optimizer.recon_lr_scale train.star_lr_scale",
+    "> 0": "lora.alpha optimizer.lr optimizer.eps optimizer.clip_norm optimizer.recon_lr_scale "
+    "train.star_lr_scale",
     "in [0, 1)": "optimizer.betas",
 }
 _HOLDS = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,

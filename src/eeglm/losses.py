@@ -32,7 +32,7 @@ def _mse(a, b) -> Tensor:
     return ad.mean(ad.mul(diff, diff))
 
 
-def loss_dsha(x, x_hat, x_fre, x_fre_hat, h, z_q, beta: float = 0.25) -> Tensor:
+def loss_dsha(x, x_hat, x_fre, x_fre_hat, h, z_q, beta: float) -> Tensor:
     """Time + frequency reconstruction errors plus the commitment loss."""
     return ad.add(
         ad.add(_mse(x, x_hat), _mse(x_fre, x_fre_hat)), quant_loss(h, z_q, beta)
@@ -86,7 +86,7 @@ def loss_ntp(
     )
 
 
-def loss_cpt(text_loss, eeg_loss, orth, lambda_orth: float = 0.1) -> Tensor:
+def loss_cpt(text_loss, eeg_loss, orth, lambda_orth: float) -> Tensor:
     """Pre-training objective: both NTP terms plus the weighted diversity penalty."""
     return ad.add(
         ad.add(ad.as_tensor(text_loss), ad.as_tensor(eeg_loss)),

@@ -95,9 +95,9 @@ class LayerNorm(Module):
 class FeedForward(Module):
     """Two-layer gelu MLP (no internal residual), one `ad.ffn` tape node."""
 
-    def __init__(self, dim: int, hidden: int, rng: np.random.Generator, out_dim: int | None = None):
+    def __init__(self, dim: int, hidden: int, rng: np.random.Generator):
         self.fc1 = Linear(dim, hidden, rng)
-        self.fc2 = Linear(hidden, out_dim or dim, rng)
+        self.fc2 = Linear(hidden, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.ffn(x, self.fc1.affine(), self.fc2.affine())

@@ -106,11 +106,8 @@ class AdamW:
 
 
 def clip_global_norm(grads: dict[str, Array], max_norm: float) -> dict[str, Array]:
-    """Scale all gradients jointly so their global L2 norm is at most max_norm;
-    max_norm <= 0 turns clipping off. Returns `grads` itself when nothing
-    is scaled."""
-    if max_norm <= 0:
-        return grads
+    """Scale all gradients jointly so their global L2 norm is at most max_norm.
+    Returns `grads` itself when nothing is scaled."""
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g * g))

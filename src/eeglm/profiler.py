@@ -271,20 +271,11 @@ def spectral_stats(rows: np.ndarray, fs: float) -> list[SpectralStats]:
 
 
 def spatial_summary(
-    rec: Recording,
-    hier: BthHierarchy,
-    k: int = DEFAULT_TOP_K,
-    stats: Sequence[TemporalStats] | None = None,
+    rec: Recording, hier: BthHierarchy, stats: Sequence[TemporalStats]
 ) -> tuple[tuple[RegionStats, ...], tuple[ChannelRank, ...]]:
-    """Region-level aggregates plus the Top-K channels by signal variance.
-
-    `stats` are the channels' temporal statistics in channel order when the
-    caller already has them; they are computed otherwise."""
-    if k < 1:
-        raise ConfigError(f"top-k channel count must be >= 1, got {k}")
+    """Region-level aggregates plus the DEFAULT_TOP_K channels by signal
+    variance; `stats` are the channels' temporal statistics in channel order."""
     hier.montage.require(rec.channels)
-    if stats is None:
-        stats = temporal_stats(rec.data)
     stat_rows = np.array(
         [[s.mean, s.std, s.energy, s.peak_to_peak, s.kurtosis] for s in stats]
     )
@@ -296,7 +287,7 @@ def spatial_summary(
         for name, row, count in zip(hier.group_names[level - 1], agg, counts):
             regions.append(RegionStats(name, int(count), *(float(v) for v in row)))
     variances = rec.data.var(axis=1)
-    order = np.argsort(-variances, kind="stable")[: min(k, rec.n_channels)]
+    order = np.argsort(-variances, kind="stable")[:DEFAULT_TOP_K]
     top = tuple(ChannelRank(rec.channels[i], float(variances[i])) for i in order)
     return tuple(regions), top
 

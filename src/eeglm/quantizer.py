@@ -27,7 +27,6 @@ class QuantizerConfig:
     num_codes: int
     code_dim: int
     beta: float
-    kmeans_warm_start: bool
     revival_epochs: int
 
 
@@ -90,19 +89,16 @@ class VectorQuantizer(Module):
         # number of consecutive completed epochs each entry went unused
         self.epoch_counts = np.zeros(cfg.num_codes, dtype=np.int64)
         self.unused_epochs = np.zeros(cfg.num_codes, dtype=np.int64)
-        self._warmed = not cfg.kmeans_warm_start
 
     def quantize_rows(self, rows: np.ndarray) -> np.ndarray:
         return nearest_indices(rows, self.codebook.data)
 
     def warm_start(self, rows: np.ndarray, rng: np.random.Generator) -> None:
-        """Optional k-means initialisation of the codebook from sample rows.
+        """k-means initialisation of the codebook from sample rows.
 
         Seeding follows the k-means++ rule; clusters that empty out are
         reseeded to the row farthest from its assigned center.
         """
-        if self._warmed:
-            return
         n = self.cfg.num_codes
         if rows.shape[0] < n:
             reps = int(np.ceil(n / rows.shape[0]))
@@ -126,7 +122,6 @@ class VectorQuantizer(Module):
                     centers[j] = rows[far]
                     dist[far] = 0.0
         self.codebook.data[...] = centers  # in place: the optimizer owns the codebook
-        self._warmed = True
 
     def __call__(self, h_eeg: Tensor) -> tuple[TokenSequence, Tensor, Tensor, Tensor]:
         """Quantize C x P x E features.

@@ -26,7 +26,6 @@ def make_recording(
     fs: float = 200.0,
     seconds: float = 2.0,
     noise: float = 0.25,
-    amp: float = 1.0,
 ) -> Recording:
     """One sample: class tone + class-neutral slow drift + white noise."""
     if label not in CLASS_TONES:
@@ -40,7 +39,7 @@ def make_recording(
         phase = rng.uniform(0.0, 2.0 * np.pi)
         drift_phase = rng.uniform(0.0, 2.0 * np.pi)
         data[c] = (
-            amp * np.sin(2.0 * np.pi * tone * t + phase)
+            np.sin(2.0 * np.pi * tone * t + phase)
             + 0.2 * np.sin(2.0 * np.pi * 1.5 * t + drift_phase)
             + noise * rng.standard_normal(t.size)
         )

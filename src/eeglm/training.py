@@ -122,12 +122,10 @@ def _is_adapter(name: str) -> bool:
 
 def _load_into(model: PipelineModel, arrays: dict[str, np.ndarray]) -> None:
     """Give a freshly built model the parameter layout `arrays` were saved
-    from (a backbone adapter when they hold adapter entries) and load them;
-    a loaded codebook needs no k-means warm start."""
+    from (a backbone adapter when they hold adapter entries) and load them."""
     if any(map(_is_adapter, arrays)):
         model.backbone.apply_lora(**model.cfg["lora"], rng=np.random.default_rng(0))
     assign_parameters(model.named_parameters(), arrays)
-    model.quantizer._warmed = True
 
 
 def load_model(checkpoint_path: str | Path) -> tuple[PipelineModel, dict]:
@@ -343,7 +341,9 @@ class StageSpec:
         dict (group by group, each in parameter order) with its lr scales.
         A fresh start of a stage with a `lora_salt` first folds the adapter
         the model was loaded with and attaches a new one; a resumed run
-        keeps the adapter its checkpoint holds."""
+        keeps the adapter its checkpoint holds. `fresh` is kept for
+        `prepare`."""
+        self.fresh = fresh
         if fresh and self.lora_salt:
             model.backbone.merge_adapters()
             rng = np.random.default_rng([self.cfg["seed"], self.lora_salt])
@@ -393,7 +393,7 @@ class VqStage(StageSpec):
             c, p, w = ps.data.shape
             mags = dft_target(ps).magnitudes.reshape(c * p, w // 2 + 1)
             samples.append((ps.data, ps.data.reshape(c * p, w), mags))
-        if not model.quantizer._warmed:
+        if self.fresh:  # vq has no parent: a fresh start loaded no codebook
             rows = []
             for patches, _, _ in samples:
                 enc = model.encoder(patches)
@@ -455,13 +455,9 @@ class CptStage(StageSpec):
 # stage 3: decoupled supervised fine-tuning
 # ---------------------------------------------------------------------------
 
-def balanced_order(
-    labels: list[str], rng: np.random.Generator, balance: bool
-) -> np.ndarray:
-    """Epoch visit order: inverse-class-frequency resampling or a permutation."""
+def balanced_order(labels: list[str], rng: np.random.Generator) -> np.ndarray:
+    """Epoch visit order: resampling by inverse class frequency."""
     n = len(labels)
-    if not balance:
-        return rng.permutation(n)
     uniques, counts = np.unique(labels, return_counts=True)
     freq = dict(zip(uniques.tolist(), counts.tolist()))
     weights = np.array([1.0 / freq[lab] for lab in labels])
@@ -484,8 +480,7 @@ class SftStage(StageSpec):
         return [(_is_adapter, 1.0), (_under("refiner."), star)]
 
     def order(self, items, rng):
-        labels = [item.label for item in items]
-        return balanced_order(labels, rng, self.cfg["train"]["class_balancing"])
+        return balanced_order([item.label for item in items], rng)
 
     def step(self, model, item):
         experts = model.refiner(item.h_text, item.z_q)

@@ -127,9 +127,7 @@ def _case_fusion(seed):
 
 def _case_quantizer_bridge(seed):
     rng = np.random.default_rng(seed)
-    q_cfg = QuantizerConfig(
-        num_codes=8, code_dim=4, beta=0.25, kmeans_warm_start=False, revival_epochs=2
-    )
+    q_cfg = QuantizerConfig(num_codes=8, code_dim=4, beta=0.25, revival_epochs=2)
     quant = VectorQuantizer(q_cfg, embed_dim=6, rng=rng)
     x = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
     params = list(quant.down.named_parameters("down").values())
@@ -180,7 +178,7 @@ def _case_refiner_project(seed):
 def _toy_backbone(seed, rng):
     cfg = BackboneConfig(
         vocab=VocabSpec(v_text=10, n_codes=5),
-        n_layers=1, embed_dim=8, n_heads=2, ffn_mult=2, max_len=24, sem_dim=4, tied_head=False,
+        n_layers=1, embed_dim=8, n_heads=2, ffn_mult=2, max_len=24, sem_dim=4,
     )
     model = ToyBackbone(cfg, np.random.default_rng(seed))
     n_text = int(rng.integers(1, 4))
@@ -439,7 +437,7 @@ def test_06_loss_masking(tmp_path):
     rng = np.random.default_rng(606)
     cfg_bb = BackboneConfig(
         vocab=VocabSpec(v_text=12, n_codes=6),
-        n_layers=1, embed_dim=16, n_heads=2, ffn_mult=2, max_len=32, sem_dim=4, tied_head=False,
+        n_layers=1, embed_dim=16, n_heads=2, ffn_mult=2, max_len=32, sem_dim=4,
     )
     model = ToyBackbone(cfg_bb, np.random.default_rng(6))
     seq = assemble_sequence(

@@ -18,8 +18,7 @@ from oracles import matmul, softmax, transpose
 
 VOCAB = VocabSpec(v_text=40, n_codes=12)
 CFG = BackboneConfig(
-    vocab=VOCAB, n_layers=2, embed_dim=16, n_heads=2, ffn_mult=2, max_len=48, sem_dim=6,
-    tied_head=False,
+    vocab=VOCAB, n_layers=2, embed_dim=16, n_heads=2, ffn_mult=2, max_len=48, sem_dim=6
 )
 
 
@@ -104,8 +103,7 @@ def test_sem_gradient_reaches_projection(rng):
 
 def test_sequence_longer_than_positions_rejected(rng):
     cfg = BackboneConfig(
-        vocab=VOCAB, n_layers=1, embed_dim=8, n_heads=2, ffn_mult=4, max_len=4, sem_dim=6,
-        tied_head=False,
+        vocab=VOCAB, n_layers=1, embed_dim=8, n_heads=2, ffn_mult=4, max_len=4, sem_dim=6
     )
     model = make_backbone(cfg)
     seq = demo_sequence(rng)
@@ -114,25 +112,10 @@ def test_sequence_longer_than_positions_rejected(rng):
             model.logits(seq)
 
 
-def test_tied_head_uses_embedding_table(rng):
-    cfg = BackboneConfig(
-        vocab=VOCAB, n_layers=1, embed_dim=16, n_heads=2, ffn_mult=2, max_len=48,
-        sem_dim=6, tied_head=True,
-    )
-    model = make_backbone(cfg, seed=4)
-    assert model.head is None
-    seq = demo_sequence(rng)
-    with Graph():
-        logits = model.logits(seq)
-        grads = backward(ad.sum_(ad.mul(logits, logits)), wrt=[model.tok_emb.table])
-    assert logits.shape == (seq.length, VOCAB.v_total)
-    assert np.abs(grads[model.tok_emb.table]).max() > 0
-
-
 def test_backbone_gradients_match_finite_differences(rng):
     cfg = BackboneConfig(
         vocab=VocabSpec(v_text=10, n_codes=5),
-        n_layers=1, embed_dim=8, n_heads=2, ffn_mult=2, max_len=24, sem_dim=4, tied_head=False,
+        n_layers=1, embed_dim=8, n_heads=2, ffn_mult=2, max_len=24, sem_dim=4,
     )
     model = ToyBackbone(cfg, np.random.default_rng(5))
     seq = assemble_sequence([1, 2], rng.standard_normal((2, 4)), [0, 3], cfg.vocab)
@@ -231,8 +214,9 @@ def test_sft_requires_answer_span(rng):
 
 def test_cpt_arithmetic():
     with Graph():
-        total = loss_cpt(Tensor(np.float64(1.0)), Tensor(np.float64(2.0)), Tensor(np.float64(0.5)))
-        plain = loss_cpt(Tensor(np.float64(1.0)), Tensor(np.float64(2.0)), Tensor(np.float64(0.5)), lambda_orth=0.0)
+        terms = [Tensor(np.float64(v)) for v in (1.0, 2.0, 0.5)]
+        total = loss_cpt(*terms, lambda_orth=0.1)
+        plain = loss_cpt(*terms, lambda_orth=0.0)
     assert abs(total.data - 3.05) < 1e-12
     assert abs(plain.data - 3.0) < 1e-12
 
@@ -247,7 +231,9 @@ def test_dsha_loss_zero_on_perfect_reconstruction(rng):
     f = rng.standard_normal((3, 5))
     h = rng.standard_normal((3, 4))
     with Graph():
-        loss = loss_dsha(x, Tensor(x.copy()), f, Tensor(f.copy()), Tensor(h.copy()), Tensor(h.copy()))
+        loss = loss_dsha(
+            x, Tensor(x.copy()), f, Tensor(f.copy()), Tensor(h.copy()), Tensor(h.copy()), beta=0.25
+        )
     assert loss.data == 0.0
 
 
@@ -256,14 +242,14 @@ def test_dsha_loss_unit_time_shift(rng):
     f = rng.standard_normal((3, 5))
     h = rng.standard_normal((3, 4))
     with Graph():
-        loss = loss_dsha(x, Tensor(x + 1.0), f, Tensor(f.copy()), Tensor(h.copy()), Tensor(h.copy()))
+        loss = loss_dsha(
+            x, Tensor(x + 1.0), f, Tensor(f.copy()), Tensor(h.copy()), Tensor(h.copy()), beta=0.25
+        )
     assert abs(loss.data - 1.0) < 1e-12
 
 
 def test_codebook_gradient_comes_only_from_alignment_term(rng):
-    cfg = QuantizerConfig(
-        num_codes=6, code_dim=4, beta=0.25, kmeans_warm_start=False, revival_epochs=2
-    )
+    cfg = QuantizerConfig(num_codes=6, code_dim=4, beta=0.25, revival_epochs=2)
     quant = VectorQuantizer(cfg, embed_dim=4, rng=np.random.default_rng(11))
     h = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
     with Graph():
@@ -352,12 +338,6 @@ def test_merge_adapters_preserves_forward(rng):
 # ---------------------------------------------------------------------------
 
 
-TIED = BackboneConfig(
-    vocab=VOCAB, n_layers=2, embed_dim=16, n_heads=2, ffn_mult=2, max_len=48,
-    sem_dim=6, tied_head=True,
-)
-
-
 def _linear_chain(layer, x):
     return ad.add(matmul(x, transpose(layer.w)), layer.b)
 
@@ -388,15 +368,11 @@ def unfused_logits(model, seq):
         x = ad.add(x, _attention_chain(block.attn, _norm_chain(block.ln1, x)))
         hidden = ad.gelu(_linear_chain(block.ffn.fc1, _norm_chain(block.ln2, x)))
         x = ad.add(x, _linear_chain(block.ffn.fc2, hidden))
-    x = _norm_chain(model.ln_f, x)
-    if model.head is None:
-        return matmul(x, transpose(model.tok_emb.table))
-    return matmul(x, transpose(model.head.w))
+    return matmul(_norm_chain(model.ln_f, x), transpose(model.head.w))
 
 
-@pytest.mark.parametrize("cfg", [CFG, TIED], ids=["head", "tied"])
-def test_logits_without_rows_equal_the_unfused_chain_bit_for_bit(rng, cfg):
-    model = make_backbone(cfg, seed=20)
+def test_logits_without_rows_equal_the_unfused_chain_bit_for_bit(rng):
+    model = make_backbone(seed=20)
     seq = demo_sequence(rng, answer=True)
     with Graph():
         fused = model.logits(seq).data
@@ -404,9 +380,8 @@ def test_logits_without_rows_equal_the_unfused_chain_bit_for_bit(rng, cfg):
     assert np.array_equal(fused, chain)
 
 
-@pytest.mark.parametrize("cfg", [CFG, TIED], ids=["head", "tied"])
-def test_logits_on_rows_equal_those_rows_of_the_full_logits(rng, cfg):
-    model = make_backbone(cfg, seed=21)
+def test_logits_on_rows_equal_those_rows_of_the_full_logits(rng):
+    model = make_backbone(seed=21)
     seq = demo_sequence(rng, answer=True)
     rows = np.array([seq.length - 2, 0, 5, 6, 11])
     with Graph():
@@ -443,9 +418,8 @@ def _values_and_grads(fn, wrt):
     return [float(v.data) for v in (text, eeg, answer)], {n: grads[p] for n, p in wrt.items()}
 
 
-@pytest.mark.parametrize("cfg", [CFG, TIED], ids=["head", "tied"])
-def test_row_losses_match_a_full_row_reference(rng, cfg):
-    model = make_backbone(cfg, seed=22)
+def test_row_losses_match_a_full_row_reference(rng):
+    model = make_backbone(seed=22)
     model.apply_lora(rank=2, alpha=4.0, rng=np.random.default_rng(23))
     for p in adapter_parameters(model).values():
         p.data[...] = 0.1 * rng.standard_normal(p.data.shape)
@@ -485,7 +459,7 @@ def test_span_nll_rejects_logits_of_another_row_count(rng):
 def test_two_block_backbone_gradients_through_the_rows_path(rng):
     cfg = BackboneConfig(
         vocab=VocabSpec(v_text=10, n_codes=5),
-        n_layers=2, embed_dim=8, n_heads=2, ffn_mult=2, max_len=24, sem_dim=4, tied_head=True,
+        n_layers=2, embed_dim=8, n_heads=2, ffn_mult=2, max_len=24, sem_dim=4,
     )
     model = ToyBackbone(cfg, np.random.default_rng(24))
     seq = assemble_sequence(

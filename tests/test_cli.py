@@ -139,7 +139,6 @@ README_SET = [
         (["--set", "optimizer.betas=[0.9, true]"], 2),
         (["--set", "data.classes=[1, 2]"], 2),
         (["--set", "data.montage=4"], 2),
-        (["--set", "quantizer.kmeans_warm_start=1"], 2),
         (README_SET, 0),
         (["--set", "optimizer.lr=1"], 0),  # an int stands for a float
         (["--set", "train.init_from=null"], 0),
@@ -700,34 +699,50 @@ def _stored_config(edit):
 
 
 @pytest.mark.parametrize(
-    "make_ckpt",
+    "make_ckpt, named",
     [
-        _stored_config(lambda cfg: cfg["refiner"].update(ffn_mult=-1)),
-        _stored_config(lambda cfg: cfg["encoder"].update(embed_dim="x")),
-        _stored_config(lambda cfg: cfg.update(quantizer=5)),
-        _stored_config(lambda cfg: cfg["encoder"].update(n_heads=3)),
+        (_stored_config(lambda cfg: cfg["refiner"].update(ffn_mult=-1)), "refiner.ffn_mult"),
+        (_stored_config(lambda cfg: cfg["encoder"].update(embed_dim="x")), "encoder.embed_dim"),
+        (_stored_config(lambda cfg: cfg.update(quantizer=5)), "'quantizer'"),
+        (_stored_config(lambda cfg: cfg["encoder"].update(n_heads=3)), "3 heads"),
+        # a key of an earlier config, written by a checkpoint from before its removal
+        (_stored_config(lambda cfg: cfg["quantizer"].update(kmeans_warm_start=True)),
+         "unknown config key 'quantizer.kmeans_warm_start'"),
     ],
-    ids=["out-of-bounds", "mistyped", "table-a-number", "heads-do-not-split"],
+    ids=["out-of-bounds", "mistyped", "table-a-number", "heads-do-not-split", "removed-key"],
 )
-def test_tokenize_refuses_a_bad_stored_config(env, tmp_path, capsys, make_ckpt):
+def test_tokenize_refuses_a_bad_stored_config(env, tmp_path, capsys, make_ckpt, named):
     ckpt = make_ckpt(tmp_path, env)
     rc = main(env["base"] + [
         "--out", str(tmp_path / "t.tok"), "tokenize",
         "--container", str(env["data"] / "sample_0000"), "--checkpoint", str(ckpt),
     ])
     assert rc == 3
-    assert str(ckpt) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and named in err
     assert not (tmp_path / "t.tok").exists()
 
 
 def test_stored_config_missing_keys_take_the_defaults(env, tmp_path):
     def drop(cfg):
-        del cfg["refiner"]["n_heads"], cfg["quantizer"]["kmeans_warm_start"]
+        del cfg["refiner"]["n_heads"], cfg["quantizer"]["revival_epochs"]
 
     model, _ = load_model(_stored_config(drop)(tmp_path, env))
     assert model.cfg["refiner"]["n_heads"] == DEFAULTS["refiner"]["n_heads"]
     assert model.refiner.cfg.n_heads == DEFAULTS["refiner"]["n_heads"]
-    assert model.quantizer.cfg.kmeans_warm_start is DEFAULTS["quantizer"]["kmeans_warm_start"]
+    assert model.quantizer.cfg.revival_epochs == DEFAULTS["quantizer"]["revival_epochs"]
+
+
+def test_init_from_reads_a_checkpoint_whose_config_holds_a_removed_key(env, tmp_path):
+    # --init-from reads the weights and the stage, not the stored config
+    old = _stored_config(lambda cfg: cfg["quantizer"].update(kmeans_warm_start=True))
+    rc = main(env["base"] + [
+        "--out", str(tmp_path / "cpt"), "train", "--stage", "cpt", "--data", str(env["data"]),
+        "--init-from", str(old(tmp_path, env)), "--epochs", "1",
+    ])
+    assert rc == 0
+    weights = Path("checkpoints", "epoch_0000", "weights.bin")
+    assert (tmp_path / "cpt" / weights).read_bytes() == (env["runs"]["cpt"] / weights).read_bytes()
 
 
 

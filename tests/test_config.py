@@ -80,9 +80,7 @@ def test_non_object_json_file(tmp_path):
 def test_parse_override_json_values():
     assert parse_override("optimizer.lr=0.25") == {"optimizer": {"lr": 0.25}}
     assert parse_override('data.montage="synthetic-4"') == {"data": {"montage": "synthetic-4"}}
-    assert parse_override("quantizer.kmeans_warm_start=false") == {
-        "quantizer": {"kmeans_warm_start": False}
-    }
+    assert parse_override("x.flag=false") == {"x": {"flag": False}}
 
 
 def test_parse_override_plain_string_fallback():
@@ -117,9 +115,8 @@ def test_validate_rejects_empty_classes():
 
 
 # numeric values with no bound of their own: MultiHeadAttention checks the
-# head counts against the width they split, and clip_norm <= 0 turns
-# clipping off; both are still checked to be finite
-UNBOUNDED = {"encoder.n_heads", "refiner.n_heads", "backbone.n_heads", "optimizer.clip_norm"}
+# head counts against the width they split; they are still checked to be finite
+UNBOUNDED = {"encoder.n_heads", "refiner.n_heads", "backbone.n_heads"}
 ZERO_ALLOWED = {"seed", "quantizer.beta", "optimizer.weight_decay", "schedule.warmup_steps",
                 "schedule.min_lr", "train.lambda_orth"}
 BOUNDED = [(key, bound) for bound, keys in BOUNDS.items() for key in keys.split()]

@@ -167,9 +167,7 @@ def test_state_arrays_resume_gives_the_same_next_step():
 
 def test_parameters_written_in_place_stay_in_the_buffer():
     rng = np.random.default_rng(0)
-    cfg = QuantizerConfig(
-        num_codes=4, code_dim=3, beta=0.25, kmeans_warm_start=True, revival_epochs=2
-    )
+    cfg = QuantizerConfig(num_codes=4, code_dim=3, beta=0.25, revival_epochs=2)
     quant = VectorQuantizer(cfg, 5, rng)
     lin = Linear(3, 2, rng)
     lin.attach_lora(1, 1.0, rng)

@@ -13,6 +13,7 @@ import pytest
 
 from eeglm.errors import ConfigError, DataError, MontageError, TransportError
 from eeglm.profiler import (
+    DEFAULT_TOP_K,
     PROFILE_KEYS,
     PROMPT_SECTIONS,
     WELCH_SECONDS,
@@ -197,29 +198,36 @@ def variance_tuned_recording(variances, fs=200.0, n=2000, seed=3):
     return Recording(channels=labels, fs=fs, data=rows)
 
 
+def spatial(rec, hier):
+    """`spatial_summary` with the recording's own channel statistics."""
+    return spatial_summary(rec, hier, temporal_stats(rec.data))
+
+
 def test_top_k_selects_highest_variance():
     rec = Recording(
-        channels=("X0", "X1", "X2"),
+        channels=("X0", "X1", "X2", "X3"),
         fs=200.0,
         data=np.stack(
             [
                 1.0 * np.tile([1.0, -1.0], 500),
                 3.0 * np.tile([1.0, -1.0], 500),
                 2.0 * np.tile([1.0, -1.0], 500),
+                0.5 * np.tile([1.0, -1.0], 500),
             ]
         ),
     )
-    hier = build_hierarchy(tiny_montage(3))
-    _, top = spatial_summary(rec, hier, k=2)
-    assert [e.label for e in top] == ["X1", "X2"]
-    assert top[0].variance > top[1].variance
+    hier = build_hierarchy(tiny_montage(4))
+    _, top = spatial(rec, hier)
+    assert DEFAULT_TOP_K == 3
+    assert [e.label for e in top] == ["X1", "X2", "X0"]
+    assert top[0].variance > top[1].variance > top[2].variance
 
 
 def test_top_k_clamps_to_channel_count():
-    rec = variance_tuned_recording([1.0, 2.0, 3.0])
-    hier = build_hierarchy(tiny_montage(3))
-    _, top = spatial_summary(rec, hier, k=5)
-    assert len(top) == 3
+    rec = variance_tuned_recording([1.0, 2.0])
+    hier = build_hierarchy(tiny_montage(2))
+    _, top = spatial(rec, hier)
+    assert len(top) == 2
 
 
 def test_extract_features_computes_each_temporal_stat_once(monkeypatch):
@@ -237,7 +245,7 @@ def test_extract_features_computes_each_temporal_stat_once(monkeypatch):
     feats = extract_features(rec, build_hierarchy(tiny_montage(4)))
     # one batched call over the channels plus one over the whole recording
     assert calls == [(4, 800), (1, 3200)]
-    regions, top = spatial_summary(rec, build_hierarchy(tiny_montage(4)))
+    regions, top = spatial(rec, build_hierarchy(tiny_montage(4)))
     assert feats.region_stats == regions and feats.top_channels == top
 
 
@@ -277,7 +285,7 @@ def test_spatial_summary_rejects_foreign_montage():
     rec = variance_tuned_recording([1.0, 2.0, 3.0])
     hier = build_hierarchy(tiny_montage(4))
     with pytest.raises(MontageError, match="do not match"):
-        spatial_summary(rec, hier, k=1)
+        spatial(rec, hier)
 
 
 def test_top_k_matches_full_sort_oracle(rng):
@@ -285,7 +293,7 @@ def test_top_k_matches_full_sort_oracle(rng):
     data = rng.standard_normal((19, 1000)) * rng.uniform(0.1, 10.0, size=(19, 1))
     rec = Recording(channels=mont.labels, fs=200.0, data=data)
     hier = build_hierarchy(mont)
-    _, top = spatial_summary(rec, hier, k=3)
+    _, top = spatial(rec, hier)
     order = sorted(range(19), key=lambda i: (-data[i].var(), i))
     assert [e.label for e in top] == [mont.labels[i] for i in order[:3]]
 
@@ -298,15 +306,15 @@ def test_top_k_invariant_to_channel_offsets(rng):
         channels=mont.labels, fs=200.0, data=data + rng.uniform(-5, 5, size=(19, 1))
     )
     hier = build_hierarchy(mont)
-    _, top_a = spatial_summary(rec_a, hier, k=4)
-    _, top_b = spatial_summary(rec_b, hier, k=4)
+    _, top_a = spatial(rec_a, hier)
+    _, top_b = spatial(rec_b, hier)
     assert [e.label for e in top_a] == [e.label for e in top_b]
 
 
 def test_region_aggregates_average_member_channels():
     rec = variance_tuned_recording([1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     hier = build_hierarchy(tiny_montage(6))
-    regions, _ = spatial_summary(rec, hier, k=1)
+    regions, _ = spatial(rec, hier)
     by_name = {r.name: r for r in regions}
     # anterior holds channels X0 and X3 under the tiny montage's round-robin
     member_rows = rec.data[[0, 3]]

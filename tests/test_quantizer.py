@@ -83,9 +83,7 @@ def test_quant_loss_gradients():
 
 def test_straight_through_contract():
     rng = np.random.default_rng(4)
-    cfg = QuantizerConfig(
-        num_codes=8, code_dim=4, beta=0.25, kmeans_warm_start=False, revival_epochs=2
-    )
+    cfg = QuantizerConfig(num_codes=8, code_dim=4, beta=0.25, revival_epochs=2)
     quant = VectorQuantizer(cfg, embed_dim=6, rng=rng)
     h = Tensor(rng.standard_normal((2, 3, 6)), requires_grad=True)
     with Graph():
@@ -100,9 +98,7 @@ def test_straight_through_contract():
 
 def test_codebook_receives_gradient_through_quant_loss():
     rng = np.random.default_rng(5)
-    cfg = QuantizerConfig(
-        num_codes=8, code_dim=4, beta=0.25, kmeans_warm_start=False, revival_epochs=2
-    )
+    cfg = QuantizerConfig(num_codes=8, code_dim=4, beta=0.25, revival_epochs=2)
     quant = VectorQuantizer(cfg, embed_dim=6, rng=rng)
     h = Tensor(rng.standard_normal((2, 2, 6)), requires_grad=True)
     with Graph():
@@ -127,9 +123,7 @@ def test_codebook_health_cases():
 
 def test_dead_entry_revival():
     rng = np.random.default_rng(6)
-    cfg = QuantizerConfig(
-        num_codes=4, code_dim=3, beta=0.25, kmeans_warm_start=False, revival_epochs=2
-    )
+    cfg = QuantizerConfig(num_codes=4, code_dim=3, beta=0.25, revival_epochs=2)
     quant = VectorQuantizer(cfg, embed_dim=3, rng=rng)
     pool = rng.standard_normal((10, 3))
     # entry 3 never used for two epochs
@@ -144,9 +138,7 @@ def test_dead_entry_revival():
 
 def test_kmeans_warm_start_moves_codebook():
     rng = np.random.default_rng(7)
-    cfg = QuantizerConfig(
-        num_codes=4, code_dim=2, beta=0.25, kmeans_warm_start=True, revival_epochs=2
-    )
+    cfg = QuantizerConfig(num_codes=4, code_dim=2, beta=0.25, revival_epochs=2)
     quant = VectorQuantizer(cfg, embed_dim=2, rng=rng)
     before = quant.codebook.data.copy()
     clusters = np.concatenate([

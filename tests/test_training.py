@@ -15,6 +15,7 @@ from eeglm.checkpoint import load_checkpoint, save_checkpoint
 from eeglm.config import resolve_config
 from eeglm.errors import ConfigError, DataError, MontageError
 from eeglm.optim import AdamW
+from eeglm.quantizer import VectorQuantizer
 from eeglm.signal_io import Recording
 from eeglm.synth import make_dataset, load_corpus
 from eeglm.training import (
@@ -289,6 +290,34 @@ def test_resume_drops_rows_logged_after_the_checkpoint(tmp_path, data_dir, monke
     assert [int(r[0]) for r in rows] == list(range(1, 13))
 
 
+def test_vq_resume_keeps_the_checkpoints_codebook(tmp_path, data_dir, monkeypatch):
+    # only a fresh vq start warm-starts the codebook by k-means
+    calls = []
+    real_warm_start = VectorQuantizer.warm_start
+
+    def counted(self, rows, rng):
+        calls.append(rows.shape)
+        return real_warm_start(self, rows, rng)
+
+    monkeypatch.setattr(VectorQuantizer, "warm_start", counted)
+    run = tmp_path / "run"
+    run_vq_stage(toy_cfg(data_dir, train={"epochs": 1}), run)
+    assert len(calls) == 1
+    saved = load_checkpoint(run / "checkpoints" / "epoch_0000")[0]["quant.codebook"]
+    prepared = []
+    real_prepare = VqStage.prepare
+
+    def snapshot(self, model, corpus):
+        items = real_prepare(self, model, corpus)
+        prepared.append(model.quantizer.codebook.data.copy())
+        return items
+
+    monkeypatch.setattr(VqStage, "prepare", snapshot)
+    run_vq_stage(toy_cfg(data_dir, train={"epochs": 2}), run, resume=True)
+    assert len(calls) == 1
+    assert len(prepared) == 1 and np.array_equal(prepared[0], saved)
+
+
 def test_resume_refuses_another_stages_checkpoint(tmp_path, chain):
     root, _, _, cfg_sft = chain
     run = tmp_path / "run"
@@ -428,11 +457,9 @@ def test_balanced_order_oversamples_rare_class():
     labels = ["a"] * 9 + ["b"]
     hits = 0
     for epoch in range(200):
-        order = balanced_order(labels, np.random.default_rng(epoch), True)
+        order = balanced_order(labels, np.random.default_rng(epoch))
         hits += int(np.sum(order == 9))
     assert 0.45 <= hits / 2000 <= 0.55  # rare class drawn ~half the time
-    plain = balanced_order(labels, np.random.default_rng(0), False)
-    assert sorted(plain.tolist()) == list(range(10))
 
 
 def test_sft_requires_cpt_init(tmp_path, data_dir, chain):
