@@ -745,6 +745,28 @@ def test_init_from_reads_a_checkpoint_whose_config_holds_a_removed_key(env, tmp_
     assert (tmp_path / "cpt" / weights).read_bytes() == (env["runs"]["cpt"] / weights).read_bytes()
 
 
+# each a switch of an earlier config whose one value in use became a constant
+REMOVED_KEYS = ["quantizer.kmeans_warm_start", "train.class_balancing", "backbone.tied_head"]
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+@pytest.mark.parametrize("command", ["eval", "attn-export"])
+def test_sft_checkpoint_whose_config_holds_a_removed_key_is_refused(env, tmp_path, capsys, command, key):
+    section, name = key.split(".")
+    ckpt = _edited_checkpoint(
+        tmp_path, env["ckpt_sft"], lambda manifest: manifest["meta"]["config"][section].update({name: True})
+    )
+    out = tmp_path / "out"
+    source = ["--data", str(env["eval_data"])] if command == "eval" else [
+        "--container", str(env["data"] / "sample_0000")
+    ]
+    rc = main(env["base"] + ["--out", str(out), command, "--checkpoint", str(ckpt)] + source)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and f"unknown config key '{key}'" in err
+    assert not out.exists()
+
+
 
 def test_eval_report_shape(env, tmp_path, capsys):
     rc = main(env["base"] + [
