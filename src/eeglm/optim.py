@@ -16,8 +16,9 @@ class AdamW:
     Weight decay is decoupled from the moment estimates:
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p).
     The parameters, in dict order, are copied into one contiguous f64 buffer
-    `flat`, and each `Tensor.data` becomes a view of it; `m`, `v` and the
-    per-element `lr_scales` have the same length. Write a parameter in place
+    `flat`, and each `Tensor.data` becomes a view of it; `m` and `v` have the
+    same length. `lr_runs` holds the lr scales as (start, stop, scale) runs
+    over `flat`, one per stretch of equal scale. Write a parameter in place
     (`t.data[...] = x`), never rebind it (`t.data = x`): a rebound tensor has
     left the buffer, so the optimizer neither reads nor moves it.
     """
@@ -36,9 +37,15 @@ class AdamW:
         self.weight_decay = weight_decay
         self.t = 0  # steps taken
         sizes = [p.data.size for p in self.params.values()]
-        self._cuts = np.cumsum(sizes)[:-1]
+        ends = np.cumsum(sizes).tolist()
+        self._cuts = ends[:-1]
         scales = lr_scales or {}
-        self.lr_scales = np.repeat([scales.get(name, 1.0) for name in self.params], sizes)
+        self.lr_runs: list[tuple[int, int, float]] = []
+        for name, a, b in zip(self.params, [0, *ends], ends):
+            scale = scales.get(name, 1.0)
+            if self.lr_runs and self.lr_runs[-1][2] == scale:
+                a = self.lr_runs.pop()[0]
+            self.lr_runs.append((a, b, scale))
         # one allocation: the parameters, their moments and the step's two work buffers
         self.flat, self.m, self.v, self._grad, self._scratch = np.zeros((5, sum(sizes)))
         for name, view in self._views(self.flat).items():
@@ -74,8 +81,8 @@ class AdamW:
         g /= s
         np.multiply(self.flat, self.weight_decay, out=s)
         g += s
-        np.multiply(self.lr_scales, lr, out=s)
-        g *= s
+        for a, b, scale in self.lr_runs:
+            g[a:b] *= scale * lr
         self.flat -= g
 
     # ---- checkpoint support ----

@@ -532,6 +532,7 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
         opt.load_state(meta["opt_step"], arrays)
         start_epoch, step, last = meta["epoch"] + 1, meta["step"], meta
         epoch_avgs = list(meta.get("epoch_avg_loss", []))
+    del arrays  # copied into the model and the optimizer; the stage does not hold them
     # a run refused on its data (montage, labels, profiles) writes nothing
     items = spec.prepare(model, corpus)
     for sub in ("checkpoints", "artifacts"):
@@ -554,6 +555,7 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
                 named = clip_global_norm(grads, opt_cfg["clip_norm"])
                 lr_t = cosine_schedule(step, total_steps, opt_cfg["lr"], **cfg["schedule"])
                 opt.step(named, lr=lr_t)
+                del grads, named  # copied into opt's buffer: not held through the next step
                 step += 1
                 logger.log(step, *vals, lr_t)
                 sums = [s + v for s, v in zip(sums, vals)]

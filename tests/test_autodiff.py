@@ -216,12 +216,35 @@ def test_tape_freed_when_graph_exits():
             loss = ad.sum_(hidden)
             del hidden
             grad = ad.backward(loss, wrt=[w])[w]
-            assert len(graph) == 3 and ref() is not None
-        # the intermediate was held only by the tape; no cyclic GC needed
-        assert ref() is None and len(graph) == 0
+            # the intermediate was held only by the tape's nodes, released
+            # by the sweep (no cyclic GC needed); the slots still count
+            assert ref() is None and len(graph) == 3
+        assert len(graph) == 0
     finally:
         gc.enable()
     assert grad.shape == (3, 3)
+
+
+def test_tape_kept_by_a_sweep_without_wrt():
+    w = t(np.ones((3, 3)))
+    with ad.Graph() as graph:
+        hidden = tanh(matmul(w, w))
+        loss = ad.sum_(hidden)
+        first = ad.backward(loss)
+        second = ad.backward(loss)
+        assert len(graph) == 3
+    for key in (w, hidden, loss):
+        np.testing.assert_array_equal(first[key], second[key])
+
+
+@pytest.mark.parametrize("wrt_again", [True, False], ids=["wrt", "no-wrt"])
+def test_second_backward_on_a_spent_tape_raises(wrt_again):
+    w = t(np.ones((2, 2)))
+    with ad.Graph():
+        loss = ad.sum_(tanh(matmul(w, w)))
+        ad.backward(loss, wrt=[w])
+        with pytest.raises(RuntimeError, match="released"):
+            ad.backward(loss, wrt=[w] if wrt_again else None)
 
 
 def test_detach_blocks_gradient():

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import copy
 import csv
+import gc
 import json
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -316,6 +318,43 @@ def test_vq_resume_keeps_the_checkpoints_codebook(tmp_path, data_dir, monkeypatc
     run_vq_stage(toy_cfg(data_dir, train={"epochs": 2}), run, resume=True)
     assert len(calls) == 1
     assert len(prepared) == 1 and np.array_equal(prepared[0], saved)
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+def test_a_step_holds_neither_the_start_checkpoint_nor_the_last_steps_gradients(
+    tmp_path, chain, monkeypatch, resume
+):
+    root, _, cfg_cpt, _ = chain
+    cfg, run = copy.deepcopy(cfg_cpt), tmp_path / "run"
+    if resume:  # two more epochs after the chain's two
+        shutil.copytree(root / "cpt", run)
+        cfg["train"]["epochs"] = 4
+    spent, alive = [], []  # weakrefs to what a step no longer needs; live ones per step
+    real_load, real_clip, real_step = training.load_checkpoint, training.clip_global_norm, CptStage.step
+
+    def load(path):
+        arrays, meta = real_load(path)
+        spent.extend(map(weakref.ref, arrays.values()))
+        return arrays, meta
+
+    def clip(grads, max_norm):
+        named = real_clip(grads, max_norm)
+        spent.extend(weakref.ref(g) for d in (grads, named) for g in d.values())
+        return named
+
+    def step(self, model, item):
+        alive.append(sum(ref() is not None for ref in spent))
+        return real_step(self, model, item)
+
+    monkeypatch.setattr(training, "load_checkpoint", load)
+    monkeypatch.setattr(training, "clip_global_norm", clip)
+    monkeypatch.setattr(CptStage, "step", step)
+    gc.disable()  # reference counting alone must free them
+    try:
+        run_cpt_stage(cfg, run, resume=resume)
+    finally:
+        gc.enable()
+    assert len(spent) > 100 and alive == [0] * 8
 
 
 def test_resume_refuses_another_stages_checkpoint(tmp_path, chain):
