@@ -6,9 +6,9 @@ block: on exit the graph drops its nodes, so the step's intermediate tensors
 are freed by reference counting as soon as nothing else holds them, and
 `backward` must run inside the block. `backward` walks the tape once in
 reverse construction order, accumulating vector-Jacobian products additively
-at fan-out points; with `wrt` it also releases each node as it passes it,
-so such a tape can be swept only once. There is no higher-order
-differentiation: gradients are plain numpy arrays, not tensors on a tape.
+at fan-out points, and releases each node as it passes it, so a tape can
+be swept only once. There is no higher-order differentiation: gradients are
+plain numpy arrays, not tensors on a tape.
 
 The fused primitives each record one node whose vjp replays, in the same
 order, the numpy expressions of the chain of smaller ops it stands for:
@@ -55,9 +55,10 @@ class Graph:
     The tape lives for one `with` block. On exit `nodes` becomes None, which
     releases every recorded node and, with them, the intermediate tensors
     only the tape kept alive; `backward` on a loss from a released graph
-    raises. Call `backward` (and read `len(graph)`) inside the block. A
-    `backward(..., wrt=...)` sets each slot of `nodes` to None as it passes
-    it, so `len(graph)` still counts the recorded nodes after the sweep.
+    raises. Call `backward` (and read `len(graph)`) inside the block.
+    `backward` sets each slot of `nodes` to None as it passes it, so a tape
+    can be swept only once, and `len(graph)` still counts the recorded nodes
+    after the sweep.
     """
 
     __slots__ = ("nodes",)
@@ -168,8 +169,9 @@ def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, 
     gradient is dropped as soon as its node's vjp has used it, so the sweep
     holds no more than the gradients still to be propagated; the mapping
     then holds the tensors listed in `wrt` (with zeros when the loss does not
-    depend on them) and the reached leaves, and each tape node is released
-    once the sweep has passed it: a second `backward` on the graph raises.
+    depend on them) and the reached leaves. Either way each tape node is
+    released once the sweep has passed it: a second `backward` on the graph
+    raises.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -186,9 +188,10 @@ def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, 
         for i in reversed(range(len(nodes))):
             node = nodes[i]
             if node is None:
-                raise RuntimeError("backward called on a graph an earlier backward(..., wrt=...) released")
-            if keep is not None:
-                nodes[i] = None  # `node` keeps it alive until its vjp has run
+                raise RuntimeError(
+                    "backward called on a graph an earlier backward released; a tape can be swept only once"
+                )
+            nodes[i] = None  # `node` keeps it alive until its vjp has run
             if keep is None or node.out in keep:
                 gout = grads.get(node.out)
             else:

@@ -107,14 +107,17 @@ def test_flat_update_matches_per_tensor_reference_bit_for_bit():
     shapes = {"w": (4, 3), "b": (4,), "scaled": (2, 5), "idle": (3,), "t": (3, 6)}
     init = {n: rng.standard_normal(s) for n, s in shapes.items()}
     tensors = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
-    hyper = dict(betas=(0.9, 0.98), eps=1e-8, weight_decay=0.01, lr_scales={"scaled": 0.3})
+    third = 1.0 / 3.0  # a scale whose product with lr rounds unlike two products
+    scales = {"b": third, "scaled": third, "t": third}
+    hyper = dict(betas=(0.9, 0.98), eps=1e-8, weight_decay=0.01, lr_scales=scales)
     opt = AdamW(tensors, **hyper)
+    # neighbours of equal scale share one run; "t", past "idle", has its own
+    assert opt.lr_runs == [(0, 12, 1.0), (12, 26, third), (26, 29, 1.0), (29, 47, third)]
     ref = dict(init)
     state = {"t": 0, "m": {}, "v": {}}
-    for step in range(3):
+    for lr in rng.uniform(1e-4, 1.0, 50):
         grads = {n: rng.standard_normal(s) for n, s in shapes.items() if n != "idle"}
         grads["t"] = rng.standard_normal((6, 3)).T  # a non-contiguous gradient
-        lr = 0.1 / (step + 1)
         opt.step(grads, lr=lr)
         _reference_adamw(ref, grads, state, lr, **hyper)
     moments = opt.state_arrays()
@@ -123,34 +126,6 @@ def test_flat_update_matches_per_tensor_reference_bit_for_bit():
         np.testing.assert_array_equal(moments[f"opt.m/{name}"], state["m"][name])
         np.testing.assert_array_equal(moments[f"opt.v/{name}"], state["v"][name])
     assert not np.array_equal(tensors["idle"].data, init["idle"])  # decay moves it
-
-
-def _per_element_step(opt, grads, lr, lr_scales):
-    """The flat parameters after `opt.step(grads, lr)`, with the lr scales
-    as one array of the buffer's length: the form `lr_runs` replaces."""
-    b1, b2 = opt.betas
-    t = opt.t + 1
-    g = np.concatenate([np.ravel(grads[n]) for n in opt.params])
-    m = opt.m * b1 + g * (1.0 - b1)
-    v = opt.v * b2 + (g * g) * (1.0 - b2)
-    update = (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + opt.eps) + opt.flat * opt.weight_decay
-    return opt.flat - update * (lr_scales * lr)
-
-
-def test_lr_runs_give_the_per_element_update_bit_for_bit():
-    rng = np.random.default_rng(9)
-    names, sizes = "abcdef", (3, 5, 2, 4, 1, 6)
-    params = {n: Tensor(rng.standard_normal(k), requires_grad=True) for n, k in zip(names, sizes)}
-    star = 1.0 / 3.0
-    scales = {"b": star, "c": star, "e": 0.7}
-    opt = AdamW(params, **dict(HYPER, weight_decay=0.01), lr_scales=scales)
-    assert opt.lr_runs == [(0, 3, 1.0), (3, 10, star), (10, 14, 1.0), (14, 15, 0.7), (15, 21, 1.0)]
-    per_element = np.repeat([scales.get(n, 1.0) for n in names], sizes)
-    for lr in rng.uniform(1e-4, 1.0, 50):
-        grads = {n: rng.standard_normal(k) for n, k in zip(names, sizes)}
-        want = _per_element_step(opt, grads, lr, per_element)
-        opt.step(grads, lr=lr)
-        np.testing.assert_array_equal(opt.flat, want)
 
 
 @pytest.mark.parametrize(
