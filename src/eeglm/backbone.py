@@ -41,7 +41,8 @@ class TransformerBlock(Module):
         normed = query = self.ln1(x)
         if rows is not None:
             x, query = ad.take(x, rows), ad.take(normed, rows)
-        x = ad.add(x, self.attn(query, normed, causal=True, positions=rows))
+        # [0]: the weights (heads x rows x positions) are freed before the FFN runs
+        x = ad.add(x, self.attn(query, normed, causal=True, positions=rows)[0])
         return ad.add(x, self.ffn(self.ln2(x)))
 
 
@@ -60,36 +61,28 @@ class ToyBackbone(Module):
         self.ln_f = LayerNorm(e)
         self.head = Linear(e, cfg.vocab.v_total, rng, bias=False)
 
-    def embed_sequence(self, seq: HybridSequence, sem: Tensor | None = None) -> Tensor:
-        """Token embeddings with the sem span replaced by projected rows.
-
-        `sem` overrides the stored rows with a live tensor so gradients can
-        flow back into whatever produced them.
-        """
+    def embed_sequence(self, seq: HybridSequence, sem: Tensor) -> Tensor:
+        """Token embeddings with the sem span replaced by the projected rows
+        `sem` (one per span position), so gradients flow back into whatever
+        produced them."""
         n = seq.length
         if n > self.cfg.max_len:
             raise ConfigError(f"sequence length {n} exceeds max_len {self.cfg.max_len}")
         sem_s, sem_e = seq.spans.get("sem", (0, 0))
-        if sem_e > sem_s:
-            rows = Tensor(seq.sem) if sem is None else sem
-            if rows.shape != (sem_e - sem_s, self.cfg.sem_dim):
-                raise ConfigError(
-                    f"sem rows {rows.shape} do not fit span of {sem_e - sem_s} "
-                    f"positions at width {self.cfg.sem_dim}"
-                )
-            parts = [
-                self.tok_emb(seq.ids[:sem_s]),
-                self.sem_proj(rows),
-                self.tok_emb(seq.ids[sem_e:]),
-            ]
-            x = ad.concat(parts, axis=0)
-        else:
-            x = self.tok_emb(seq.ids)
+        if sem.shape != (sem_e - sem_s, self.cfg.sem_dim):
+            raise ConfigError(
+                f"sem rows {sem.shape} do not fit span of {sem_e - sem_s} "
+                f"positions at width {self.cfg.sem_dim}"
+            )
+        parts = [
+            self.tok_emb(seq.ids[:sem_s]),
+            self.sem_proj(sem),
+            self.tok_emb(seq.ids[sem_e:]),
+        ]
+        x = ad.concat(parts, axis=0)
         return ad.add(x, ad.slice_(self.pos_emb, slice(0, n)))
 
-    def logits(
-        self, seq: HybridSequence, sem: Tensor | None = None, rows=None
-    ) -> Tensor:
+    def logits(self, seq: HybridSequence, sem: Tensor, rows=None) -> Tensor:
         """Next-token logits, one row per position of `seq`, or one row per
         entry of `rows` (positions, in the order given). Every block but the
         last runs over every position; the last computes its keys and values

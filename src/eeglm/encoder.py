@@ -84,7 +84,7 @@ class CsaBlock(Module):
         self.ffn = FeedForward(cfg.embed_dim, cfg.ffn_mult * cfg.embed_dim, rng)
 
     def __call__(self, query: Tensor, key_value: Tensor) -> Tensor:
-        mixed = self.attn(query, key_value)
+        mixed = self.attn(query, key_value)[0]
         return self.ffn(self.ln(ad.add(mixed, query)))
 
 

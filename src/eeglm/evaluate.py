@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import DataError
 from . import metrics
+from .losses import span_rows
 from .metrics import EvalBatch
 from .synth import load_corpus
 from .training import PipelineModel, PreparedSequence, load_model, prepare_sequences
@@ -22,8 +23,8 @@ def label_probabilities(
 ) -> dict[str, float]:
     """Next-token probabilities at the answer slot, renormalized over labels."""
     experts = model.refiner(item.h_text, item.z_q)
-    slot = item.seq.spans["answer"][0] - 1
-    row = model.backbone.logits(item.seq, sem=experts.s_sem, rows=[slot]).data[0]
+    slot = span_rows(item.seq, "answer")[:1]
+    row = model.backbone.logits(item.seq, experts.s_sem, rows=slot).data[0]
     labels = list(label_tokens)
     scores = np.array([row[label_tokens[lab]] for lab in labels])
     scores = np.exp(scores - scores.max())

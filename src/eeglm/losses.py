@@ -70,9 +70,7 @@ def span_nll(logits: Tensor, seq: HybridSequence, span: str) -> Tensor:
     return ad.neg(ad.mean(picked))
 
 
-def loss_ntp(
-    seq: HybridSequence, backbone: ToyBackbone, sem: Tensor | None = None
-) -> tuple[Tensor, Tensor]:
+def loss_ntp(seq: HybridSequence, backbone: ToyBackbone, sem: Tensor) -> tuple[Tensor, Tensor]:
     """Text-span and signal-span next-token losses on one hybrid sequence.
 
     The backbone computes only the rows the two spans read: the text rows,
@@ -94,7 +92,7 @@ def loss_cpt(text_loss, eeg_loss, orth, lambda_orth: float) -> Tensor:
     )
 
 
-def loss_sft(seq: HybridSequence, backbone: ToyBackbone, sem: Tensor | None = None) -> Tensor:
+def loss_sft(seq: HybridSequence, backbone: ToyBackbone, sem: Tensor) -> Tensor:
     """Answer-only instruction loss; everything else is context."""
     rows = span_rows(seq, "answer")
     if rows.size == 0:

@@ -107,11 +107,10 @@ class MultiHeadAttention(Module):
     """Scaled-dot-product attention over 2-D (tokens x features) inputs,
     projections included, as one `ad.attention_layer` tape node.
 
-    `last_attention` stores the most recent head-averaged weight matrix
-    (queries x keys) as a plain array for exports and tests. `positions`
-    gives the causal positions of the query rows when they are a subset of
-    the keys' positions; the backbone's last block passes the rows a loss
-    reads, so there `last_attention` has one row per read row.
+    A call returns the output and the softmax weights (heads x queries x
+    keys) as a plain array. `positions` gives the causal positions of the
+    query rows when they are a subset of the keys' positions; the
+    backbone's last block passes the rows a loss reads.
     """
 
     def __init__(self, dim: int, n_heads: int, rng: np.random.Generator):
@@ -122,17 +121,14 @@ class MultiHeadAttention(Module):
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
         self.n_heads = n_heads
-        self.last_attention: np.ndarray | None = None
 
     def __call__(
         self, query: Tensor, key_value: Tensor, causal: bool = False, positions=None
-    ) -> Tensor:
-        out, weights = ad.attention_layer(
+    ) -> tuple[Tensor, np.ndarray]:
+        return ad.attention_layer(
             query, key_value, self.wq.affine(), self.wk.affine(), self.wv.affine(),
             self.wo.affine(), self.n_heads, causal, positions,
         )
-        self.last_attention = weights.mean(axis=0)
-        return out
 
 
 class Embedding(Module):

@@ -76,7 +76,7 @@ class SemanticRefiner(Module):
         h_text = ad.as_tensor(h_text)
         if h_text.shape[0] == 0:
             raise ShapeError("text embedding is empty: nothing to calibrate on")
-        attended = self.cal_attn(self.q_lat, h_text)
+        attended = self.cal_attn(self.q_lat, h_text)[0]
         return ad.add(self.cal_ffn(self.cal_ln(attended)), attended)
 
     def aggregate(self, q_calib: Tensor, z_q: Tensor | np.ndarray) -> tuple[Tensor, np.ndarray]:
@@ -84,8 +84,8 @@ class SemanticRefiner(Module):
         z_q = ad.as_tensor(z_q)
         if z_q.shape[0] == 0:
             raise ShapeError("token stream is empty: nothing to aggregate")
-        out = self.agg_attn(q_calib, z_q)
-        return out, self.agg_attn.last_attention.copy()
+        out, weights = self.agg_attn(q_calib, z_q)
+        return out, weights.mean(axis=0)
 
     def project(self, o_star: Tensor) -> Tensor:
         """Final alignment head: normalized residual feed-forward."""

@@ -74,7 +74,6 @@ class HybridSequence:
     """BOS, text span, SEP, sem span, SEP, signal span, [SEP, instr, answer,] EOS."""
 
     ids: np.ndarray = field(repr=False)
-    sem: np.ndarray | None = field(repr=False)
     spans: dict[str, tuple[int, int]]  # half-open [start, end)
     vocab: VocabSpec
 
@@ -90,11 +89,6 @@ class HybridSequence:
                 raise AssemblyError(f"span {name!r} overlaps another span")
             occupied[s:e] = True
         sem_s, sem_e = self.spans.get("sem", (0, 0))
-        sem_len = 0 if self.sem is None else int(self.sem.shape[0])
-        if sem_e - sem_s != sem_len:
-            raise AssemblyError(
-                f"sem span holds {sem_e - sem_s} slots but {sem_len} continuous rows given"
-            )
         slot_positions = set(np.flatnonzero(ids == SEM_SLOT).tolist())
         if slot_positions != set(range(sem_s, sem_e)):
             raise AssemblyError("continuous-slot markers must fill exactly the sem span")
@@ -118,16 +112,16 @@ class HybridSequence:
 
 def assemble_sequence(
     text_ids,
-    sem: np.ndarray | None,
+    sem_len: int,
     eeg_ids,
     vocab: VocabSpec,
     instruction_ids=None,
     answer_ids=None,
 ) -> HybridSequence:
-    """Lay out one hybrid sequence; HybridSequence checks each span's id range."""
+    """Lay out one hybrid sequence with `sem_len` continuous slots;
+    HybridSequence checks each span's id range."""
     text_ids = np.asarray(text_ids, dtype=np.int64)
     eeg_ids = np.asarray(eeg_ids, dtype=np.int64)
-    sem_len = 0 if sem is None else int(np.asarray(sem).shape[0])
 
     parts = [np.array([vocab.bos], dtype=np.int64), text_ids]
     spans = {"text": (1, 1 + text_ids.size)}
@@ -162,6 +156,4 @@ def assemble_sequence(
         raise AssemblyError("instruction span requires an answer span")
 
     parts.append(np.array([vocab.eos], dtype=np.int64))
-    ids = np.concatenate(parts)
-    sem_arr = None if sem is None else np.asarray(sem, dtype=np.float64)
-    return HybridSequence(ids=ids, sem=sem_arr, spans=spans, vocab=vocab)
+    return HybridSequence(ids=np.concatenate(parts), spans=spans, vocab=vocab)

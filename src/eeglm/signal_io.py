@@ -65,23 +65,6 @@ class Recording:
         return int(self.data.shape[1])
 
 
-@dataclass(frozen=True)
-class PatchedSignal:
-    """C x P x W non-overlapping segments of a recording."""
-
-    data: np.ndarray = field(repr=False)
-    window: int
-    channels: tuple[str, ...] = ()
-    fs: float = WORK_FS
-
-
-@dataclass(frozen=True)
-class SpectralTarget:
-    """One-sided DFT magnitudes per channel per patch: C x P x (W//2+1)."""
-
-    magnitudes: np.ndarray = field(repr=False)
-
-
 # ---------------------------------------------------------------------------
 # ingestion
 # ---------------------------------------------------------------------------
@@ -286,18 +269,16 @@ def preprocess(
 # patching and spectra
 # ---------------------------------------------------------------------------
 
-def patch(rec: Recording, window: int) -> PatchedSignal:
-    """Cut each channel into floor(T/W) non-overlapping length-W segments."""
+def patch(rec: Recording, window: int) -> np.ndarray:
+    """Cut each channel into floor(T/W) non-overlapping length-W segments (C x P x W)."""
     t = rec.n_samples
     p = t // window
     if p == 0:
         raise DataError(f"recording too short to patch: T={t} < W={window}")
     trimmed = rec.data[:, : p * window]
-    data = trimmed.reshape(rec.n_channels, p, window)
-    return PatchedSignal(data=data, window=window, channels=rec.channels, fs=rec.fs)
+    return trimmed.reshape(rec.n_channels, p, window)
 
 
-def dft_target(ps: PatchedSignal) -> SpectralTarget:
-    """One-sided DFT magnitude spectrum of every patch."""
-    mags = np.abs(np.fft.rfft(ps.data, axis=-1))
-    return SpectralTarget(magnitudes=mags)
+def dft_target(patches: np.ndarray) -> np.ndarray:
+    """One-sided DFT magnitude spectrum of every patch: C x P x (W//2+1)."""
+    return np.abs(np.fft.rfft(patches, axis=-1))

@@ -36,7 +36,7 @@ from .profiler import (
 from .quantizer import QuantizerConfig, TokenSequence, VectorQuantizer, codebook_health
 from .refiner import HashedTextEmbedder, RefinerConfig, SemanticRefiner
 from .sequences import HybridSequence, VocabSpec, WhitespaceTokenizer, assemble_sequence
-from .signal_io import PatchedSignal, Recording, dft_target, patch
+from .signal_io import Recording, dft_target, patch
 from .synth import load_corpus
 from .topology import BthHierarchy
 
@@ -73,14 +73,14 @@ class PipelineModel:
             out.update(mod.named_parameters(prefix))
         return out
 
-    def patch(self, rec: Recording) -> PatchedSignal:
-        """Cut a recording of the model's montage into patches."""
+    def patch(self, rec: Recording) -> np.ndarray:
+        """Cut a recording of the model's montage into (C, P, W) patches."""
         self.encoder.hierarchy.montage.require(rec.channels)
         return patch(rec, self.cfg["data"]["patch_len"])
 
     def tokenize_recording(self, rec: Recording) -> tuple[TokenSequence, np.ndarray]:
         """Patch -> encode -> quantize one recording (no gradients recorded)."""
-        enc = self.encoder(self.patch(rec).data)
+        enc = self.encoder(self.patch(rec))
         tokens, _, _, z_q = self.quantizer(enc.h_eeg)
         return tokens, z_q.data.copy()
 
@@ -212,7 +212,6 @@ def prepare_sequences(
             )
     model.tokenizer.ensure_distinct(classes)
     instr_ids = model.tokenizer.encode(cfg["data"]["instruction"]) if with_answer else None
-    sem_slot = np.zeros((model.refiner.cfg.n_experts, model.refiner.cfg.embed_dim))
     out = []
     for name, rec, label in corpus:
         tokens, z_q = model.tokenize_recording(rec)
@@ -221,7 +220,7 @@ def prepare_sequences(
         answer_ids = model.tokenizer.encode(label) if with_answer else None
         seq = assemble_sequence(
             model.tokenizer.encode(text),
-            sem_slot,
+            model.refiner.cfg.n_experts,
             tokens.indices,
             model.vocab,
             instruction_ids=instr_ids,
@@ -247,7 +246,8 @@ class MetricsLogger:
     """Append-only per-step CSV with round-trip-exact float columns.
 
     When appending to an existing log, rows past step `keep_through` (logged
-    after the checkpoint a run resumes from) are dropped first.
+    after the checkpoint a run resumes from) are dropped first; a log without
+    the header row or with a step that is not an integer is refused as it is.
     """
 
     def __init__(self, path: str | Path, append: bool = False, keep_through: int | None = None):
@@ -255,7 +255,12 @@ class MetricsLogger:
         fresh = not (append and self.path.exists())
         if not fresh and keep_through is not None:
             lines = self.path.read_bytes().splitlines(keepends=True)
-            kept = [row for row in lines[1:] if int(row.split(b",", 1)[0]) <= keep_through]
+            if not lines or lines[0].rstrip() != ",".join(CSV_COLUMNS).encode():
+                raise DataError(f"{self.path}: first row is not the header")
+            try:
+                kept = [row for row in lines[1:] if int(row.split(b",", 1)[0]) <= keep_through]
+            except ValueError as e:
+                raise DataError(f"{self.path}: malformed step field: {e}") from e
             self.path.write_bytes(b"".join(lines[:1] + kept))
         self._fh = open(self.path, "w" if fresh else "a", newline="")
         self._writer = csv.writer(self._fh)
@@ -389,10 +394,10 @@ class VqStage(StageSpec):
     def prepare(self, model, corpus):
         samples = []
         for _, rec, _ in corpus:
-            ps = model.patch(rec)
-            c, p, w = ps.data.shape
-            mags = dft_target(ps).magnitudes.reshape(c * p, w // 2 + 1)
-            samples.append((ps.data, ps.data.reshape(c * p, w), mags))
+            patches = model.patch(rec)
+            c, p, w = patches.shape
+            mags = dft_target(patches).reshape(c * p, w // 2 + 1)
+            samples.append((patches, patches.reshape(c * p, w), mags))
         if self.fresh:  # vq has no parent: a fresh start loaded no codebook
             rows = []
             for patches, _, _ in samples:
@@ -442,7 +447,7 @@ class CptStage(StageSpec):
 
     def step(self, model, item):
         experts = model.refiner(item.h_text, item.z_q)
-        text_l, eeg_l = loss_ntp(item.seq, model.backbone, sem=experts.s_sem)
+        text_l, eeg_l = loss_ntp(item.seq, model.backbone, experts.s_sem)
         orth = model.refiner.orth_loss()
         total = loss_cpt(text_l, eeg_l, orth, self.cfg["train"]["lambda_orth"])
         return total, (float(total.data), float(text_l.data), float(eeg_l.data), float(orth.data))
@@ -484,7 +489,7 @@ class SftStage(StageSpec):
 
     def step(self, model, item):
         experts = model.refiner(item.h_text, item.z_q)
-        loss = loss_sft(item.seq, model.backbone, sem=experts.s_sem)
+        loss = loss_sft(item.seq, model.backbone, experts.s_sem)
         lt = float(loss.data)
         return loss, (lt, lt, 0.0, 0.0)
 
@@ -537,11 +542,11 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
     items = spec.prepare(model, corpus)
     for sub in ("checkpoints", "artifacts"):
         (run / sub).mkdir(parents=True, exist_ok=True)
-    (run / "config.json").write_text(json.dumps(cfg, indent=2))
-
+    # a resumed run refused on its metrics log keeps its config.json too
     logger = MetricsLogger(run / "metrics.csv", append=resumed, keep_through=step)
     total_steps = cfg["train"]["epochs"] * len(items)
     try:
+        (run / "config.json").write_text(json.dumps(cfg, indent=2))
         for epoch in range(start_epoch, cfg["train"]["epochs"]):
             rng_e = np.random.default_rng([cfg["seed"], epoch])
             sums = [0.0] * 4
@@ -577,7 +582,6 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
 
 
 STAGE_RUNNERS = {spec.name: partial(_train, spec) for spec in (VqStage, CptStage, SftStage)}
-run_vq_stage, run_cpt_stage, run_sft_stage = STAGE_RUNNERS.values()
 
 
 def run_stage(cfg: dict, run_dir: str | Path, resume: bool = False) -> dict:

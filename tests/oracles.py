@@ -8,6 +8,7 @@ unfused reference chains that the fused kernels (`ad.linear`, `ad.mix`,
 attention between the projections as a node of its own, the middle of the
 four-`linear` chain that `ad.attention_layer` fuses. `pool_level` and
 `broadcast_level` are the numpy oracles of the encoder's hierarchy pooling.
+`AttentionSpy` keeps the weights an attention module returns inside a model.
 """
 
 from __future__ import annotations
@@ -69,6 +70,18 @@ def attention(q, k, v, n_heads: int, causal: bool = False, positions=None) -> tu
         return grads(g, q.requires_grad, k.requires_grad, v.requires_grad)
 
     return ad._record(out, (q, k, v), vjp), weights
+
+
+class AttentionSpy:
+    """Stands in for a `MultiHeadAttention` and keeps the weights of every call."""
+
+    def __init__(self, attn):
+        self.attn, self.weights = attn, []
+
+    def __call__(self, *args, **kw):
+        out, weights = self.attn(*args, **kw)
+        self.weights.append(weights)
+        return out, weights
 
 
 def pool_level(features: np.ndarray, hier: BthHierarchy, level: int) -> np.ndarray:

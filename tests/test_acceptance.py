@@ -44,7 +44,6 @@ from eeglm.refiner import RefinerConfig, SemanticRefiner
 from eeglm.sequences import VocabSpec, assemble_sequence
 from eeglm.signal_io import (
     FREQ_BANDS,
-    PatchedSignal,
     Recording,
     bandpass_notch,
     dft_target,
@@ -53,7 +52,7 @@ from eeglm.signal_io import (
 )
 from eeglm.synth import make_dataset, make_recording
 from eeglm.topology import build_hierarchy, builtin_montage, synthetic_montage
-from eeglm.training import run_cpt_stage, run_vq_stage
+from eeglm.training import STAGE_RUNNERS
 
 from gradcheck import check_directional
 from oracles import broadcast_level, pool_level
@@ -183,22 +182,19 @@ def _toy_backbone(seed, rng):
     model = ToyBackbone(cfg, np.random.default_rng(seed))
     n_text = int(rng.integers(1, 4))
     n_eeg = int(rng.integers(1, 4))
-    seq = assemble_sequence(
-        rng.integers(1, 10, size=n_text).tolist(),
-        rng.standard_normal((2, 4)),
-        rng.integers(0, 5, size=n_eeg).tolist(),
-        cfg.vocab,
-    )
-    return model, seq
+    text = rng.integers(1, 10, size=n_text).tolist()
+    sem = Tensor(rng.standard_normal((2, 4)))
+    seq = assemble_sequence(text, 2, rng.integers(0, 5, size=n_eeg).tolist(), cfg.vocab)
+    return model, seq, sem
 
 
 def _case_backbone(seed):
     rng = np.random.default_rng(seed)
-    model, seq = _toy_backbone(seed, rng)
+    model, seq, sem = _toy_backbone(seed, rng)
     params = [p for p in model.named_parameters().values() if p.requires_grad]
 
     def fn(_):
-        text_l, eeg_l = loss_ntp(seq, model)
+        text_l, eeg_l = loss_ntp(seq, model, sem)
         return ad.add(text_l, eeg_l)
 
     return check_directional(fn, params, rng)
@@ -206,14 +202,14 @@ def _case_backbone(seed):
 
 def _case_lora(seed):
     rng = np.random.default_rng(seed)
-    model, seq = _toy_backbone(seed, rng)
+    model, seq, sem = _toy_backbone(seed, rng)
     model.apply_lora(rank=2, alpha=4.0, rng=np.random.default_rng(seed + 1))
     adapters = {n: t for n, t in model.named_parameters().items() if "lora_" in n}
     for t in adapters.values():  # move off the zero init so both factors matter
         t.data = 0.1 * rng.standard_normal(t.data.shape)
 
     def fn(_):
-        text_l, eeg_l = loss_ntp(seq, model)
+        text_l, eeg_l = loss_ntp(seq, model, sem)
         return ad.add(text_l, eeg_l)
 
     return check_directional(fn, list(adapters.values()), rng)
@@ -359,7 +355,7 @@ def test_04_signal_oracles():
     )
 
     x = rng.standard_normal((2, 3, 200))
-    mags = dft_target(PatchedSignal(data=x, window=200)).magnitudes
+    mags = dft_target(x)
     # one-sided Parseval for even window: DC and Nyquist once, middle twice
     lhs = mags[..., 0] ** 2 + mags[..., -1] ** 2 + 2 * np.sum(mags[..., 1:-1] ** 2, axis=-1)
     rhs = 200.0 * np.sum(x**2, axis=-1)
@@ -415,7 +411,7 @@ def test_05_first_stage_convergence(tmp_path):
         "schedule": {"warmup_steps": 20},
     }])
     t0 = time.time()
-    summary = run_vq_stage(cfg, tmp_path / "run")
+    summary = STAGE_RUNNERS["vq"](cfg, tmp_path / "run")
     elapsed = time.time() - t0
     ratio = summary["final_over_first"]
     perplexity = summary["codebook_health"]["perplexity"]
@@ -440,13 +436,13 @@ def test_06_loss_masking(tmp_path):
         n_layers=1, embed_dim=16, n_heads=2, ffn_mult=2, max_len=32, sem_dim=4,
     )
     model = ToyBackbone(cfg_bb, np.random.default_rng(6))
+    sem = Tensor(rng.standard_normal((3, 4)))
     seq = assemble_sequence(
-        [1, 2, 3], rng.standard_normal((3, 4)), [0, 4], cfg_bb.vocab,
-        instruction_ids=[5, 6], answer_ids=[7],
+        [1, 2, 3], 3, [0, 4], cfg_bb.vocab, instruction_ids=[5, 6], answer_ids=[7]
     )
 
     with Graph():
-        logits = model.logits(seq)
+        logits = model.logits(seq, sem)
         pretrain = ad.add(span_nll(logits, seq, "text"), span_nll(logits, seq, "eeg"))
         grads = backward(pretrain, wrt=[logits])
     g = grads[logits]
@@ -454,7 +450,7 @@ def test_06_loss_masking(tmp_path):
     sem_rows_zero = bool(np.all(g[sem_s - 1:sem_e] == 0.0))
 
     with Graph():
-        logits = model.logits(seq)
+        logits = model.logits(seq, sem)
         answer_only = span_nll(logits, seq, "answer")
         grads = backward(answer_only, wrt=[logits])
     g = grads[logits]
@@ -467,8 +463,8 @@ def test_06_loss_masking(tmp_path):
 
     model.head.w.data = np.zeros_like(model.head.w.data)
     with Graph():
-        text_l, eeg_l = loss_ntp(seq, model)
-        sft_l = loss_sft(seq, model)
+        text_l, eeg_l = loss_ntp(seq, model, sem)
+        sft_l = loss_sft(seq, model, sem)
     expected = float(np.log(cfg_bb.vocab.v_total))
     uniform_err = max(
         abs(float(v.data) - expected) for v in (text_l, eeg_l, sft_l)
@@ -482,11 +478,11 @@ def test_06_loss_masking(tmp_path):
     over["train"] = {"epochs": 1}
     over["schedule"] = {"warmup_steps": 2}
     cfg = resolve_config(None, [over])
-    run_vq_stage(cfg, tmp_path / "vq")
+    STAGE_RUNNERS["vq"](cfg, tmp_path / "vq")
     cfg["stage"] = "cpt"
     cfg["train"]["init_from"] = str(tmp_path / "vq" / "checkpoints" / "epoch_0000")
     cfg["train"]["epochs"] = 2
-    run_cpt_stage(cfg, tmp_path / "cpt")
+    STAGE_RUNNERS["cpt"](cfg, tmp_path / "cpt")
     lam = cfg["train"]["lambda_orth"]
     worst_row = 0.0
     with open(tmp_path / "cpt" / "metrics.csv", newline="") as f:

@@ -14,7 +14,7 @@ from eeglm.optim import AdamW
 from eeglm.quantizer import QuantizerConfig, VectorQuantizer, quant_loss
 from eeglm.sequences import VocabSpec, assemble_sequence
 from gradcheck import check_directional
-from oracles import matmul, softmax, transpose
+from oracles import AttentionSpy, matmul, softmax, transpose
 
 VOCAB = VocabSpec(v_text=40, n_codes=12)
 CFG = BackboneConfig(
@@ -35,14 +35,16 @@ def adapter_parameters(model) -> dict[str, Tensor]:
 
 
 def demo_sequence(rng, sem_rows=2, answer=False):
+    """A hybrid sequence and the `sem_rows` continuous rows of its sem span."""
     text = rng.integers(0, VOCAB.v_text, size=4)
     eeg = rng.integers(0, VOCAB.n_codes, size=5)
-    sem = rng.standard_normal((sem_rows, CFG.sem_dim)) if sem_rows else None
+    sem = rng.standard_normal((sem_rows, CFG.sem_dim))
     if answer:
-        return assemble_sequence(
-            text, sem, eeg, VOCAB, instruction_ids=rng.integers(0, 40, 3), answer_ids=[7]
+        seq = assemble_sequence(
+            text, sem_rows, eeg, VOCAB, instruction_ids=rng.integers(0, 40, 3), answer_ids=[7]
         )
-    return assemble_sequence(text, sem, eeg, VOCAB)
+        return seq, sem
+    return assemble_sequence(text, sem_rows, eeg, VOCAB), sem
 
 
 # ---------------------------------------------------------------------------
@@ -52,29 +54,29 @@ def demo_sequence(rng, sem_rows=2, answer=False):
 
 def test_logits_extent(rng):
     model = make_backbone()
-    seq = demo_sequence(rng)
+    seq, sem = demo_sequence(rng)
     with Graph():
-        out = model.logits(seq)
+        out = model.logits(seq, Tensor(sem))
     assert out.shape == (seq.length, VOCAB.v_total)
 
 
 def test_causality_perturbation_probe(rng):
     model = make_backbone(seed=1)
-    seq = demo_sequence(rng)
+    seq, sem = demo_sequence(rng)
     with Graph():
-        base = model.logits(seq).data.copy()
+        base = model.logits(seq, Tensor(sem)).data.copy()
     s, e = seq.spans["eeg"]
     p = e - 2
     ids = seq.ids.copy()
     ids[p] = VOCAB.eeg_offset + ((ids[p] - VOCAB.eeg_offset + 3) % VOCAB.n_codes)
     perturbed = assemble_sequence(
         seq.ids[seq.spans["text"][0] : seq.spans["text"][1]],
-        seq.sem,
+        len(sem),
         ids[s:e] - VOCAB.eeg_offset,
         VOCAB,
     )
     with Graph():
-        changed = model.logits(perturbed).data
+        changed = model.logits(perturbed, Tensor(sem)).data
     np.testing.assert_allclose(changed[:p], base[:p], atol=1e-12)
     assert not np.allclose(changed[p], base[p])
 
@@ -83,18 +85,27 @@ def test_sem_rows_enter_through_projection(rng):
     model = make_backbone(seed=2)
     model.sem_proj.w.data = np.zeros_like(model.sem_proj.w.data)
     model.sem_proj.b.data = np.zeros_like(model.sem_proj.b.data)
-    seq = demo_sequence(rng)
+    seq, sem = demo_sequence(rng)
     with Graph():
-        x = model.embed_sequence(seq)
+        x = model.embed_sequence(seq, Tensor(sem))
     s, e = seq.spans["sem"]
     np.testing.assert_allclose(x.data[s:e], model.pos_emb.data[s:e], atol=1e-12)
 
 
+def test_sem_rows_must_match_span(rng):
+    model = make_backbone()
+    seq, sem = demo_sequence(rng, sem_rows=1)
+    for rows in (np.zeros((2, CFG.sem_dim)), np.zeros((0, CFG.sem_dim)), sem[:, :4]):
+        with pytest.raises(ConfigError, match="do not fit span of 1 positions"):
+            with Graph():
+                model.embed_sequence(seq, Tensor(rows))
+
+
 def test_sem_gradient_reaches_projection(rng):
     model = make_backbone(seed=3)
-    seq = demo_sequence(rng)
+    seq, sem = demo_sequence(rng)
     with Graph():
-        text_loss, eeg_loss = loss_ntp(seq, model)
+        text_loss, eeg_loss = loss_ntp(seq, model, Tensor(sem))
         grads = backward(
             ad.add(text_loss, eeg_loss), wrt=list(model.sem_proj.named_parameters().values())
         )
@@ -106,10 +117,10 @@ def test_sequence_longer_than_positions_rejected(rng):
         vocab=VOCAB, n_layers=1, embed_dim=8, n_heads=2, ffn_mult=4, max_len=4, sem_dim=6
     )
     model = make_backbone(cfg)
-    seq = demo_sequence(rng)
+    seq, sem = demo_sequence(rng)
     with pytest.raises(ConfigError, match="max_len"):
         with Graph():
-            model.logits(seq)
+            model.logits(seq, Tensor(sem))
 
 
 def test_backbone_gradients_match_finite_differences(rng):
@@ -118,11 +129,12 @@ def test_backbone_gradients_match_finite_differences(rng):
         n_layers=1, embed_dim=8, n_heads=2, ffn_mult=2, max_len=24, sem_dim=4,
     )
     model = ToyBackbone(cfg, np.random.default_rng(5))
-    seq = assemble_sequence([1, 2], rng.standard_normal((2, 4)), [0, 3], cfg.vocab)
+    seq = assemble_sequence([1, 2], 2, [0, 3], cfg.vocab)
+    sem = Tensor(rng.standard_normal((2, 4)))
     params = [p for p in model.named_parameters().values() if p.requires_grad]
 
     def loss_fn(_):
-        text_loss, eeg_loss = loss_ntp(seq, model)
+        text_loss, eeg_loss = loss_ntp(seq, model, sem)
         return ad.add(text_loss, eeg_loss)
 
     assert check_directional(loss_fn, params, rng) < 1e-4
@@ -140,9 +152,9 @@ def zero_head(model: ToyBackbone) -> None:
 def test_uniform_logits_give_log_vocab(rng):
     model = make_backbone(seed=6)
     zero_head(model)
-    seq = demo_sequence(rng)
+    seq, sem = demo_sequence(rng)
     with Graph():
-        text_loss, eeg_loss = loss_ntp(seq, model)
+        text_loss, eeg_loss = loss_ntp(seq, model, Tensor(sem))
     expected = np.log(VOCAB.v_total)
     assert abs(text_loss.data - expected) < 1e-9
     assert abs(eeg_loss.data - expected) < 1e-9
@@ -151,17 +163,17 @@ def test_uniform_logits_give_log_vocab(rng):
 def test_uniform_logits_sft_loss(rng):
     model = make_backbone(seed=7)
     zero_head(model)
-    seq = demo_sequence(rng, answer=True)
+    seq, sem = demo_sequence(rng, answer=True)
     with Graph():
-        loss = loss_sft(seq, model)
+        loss = loss_sft(seq, model, Tensor(sem))
     assert abs(loss.data - np.log(VOCAB.v_total)) < 1e-9
 
 
 def test_ntp_gradient_zero_at_sem_target_rows(rng):
     model = make_backbone(seed=8)
-    seq = demo_sequence(rng, sem_rows=3)
+    seq, sem = demo_sequence(rng, sem_rows=3)
     with Graph():
-        logits = model.logits(seq)
+        logits = model.logits(seq, Tensor(sem))
         total = ad.add(span_nll(logits, seq, "text"), span_nll(logits, seq, "eeg"))
         grads = backward(total, wrt=[logits])
     g = grads[logits]
@@ -178,9 +190,9 @@ def test_ntp_gradient_zero_at_sem_target_rows(rng):
 
 def test_sft_gradient_zero_outside_answer_rows(rng):
     model = make_backbone(seed=9)
-    seq = demo_sequence(rng, answer=True)
+    seq, sem = demo_sequence(rng, answer=True)
     with Graph():
-        logits = model.logits(seq)
+        logits = model.logits(seq, Tensor(sem))
         loss = span_nll(logits, seq, "answer")
         grads = backward(loss, wrt=[logits])
     g = grads[logits]
@@ -195,10 +207,11 @@ def test_sft_gradient_zero_outside_answer_rows(rng):
 
 def test_single_token_eeg_span_nll(rng):
     model = make_backbone(seed=10)
-    seq = assemble_sequence([1, 2], None, [4], VOCAB)
+    seq = assemble_sequence([1, 2], 0, [4], VOCAB)
+    sem = Tensor(np.zeros((0, CFG.sem_dim)))
     with Graph():
-        logits = model.logits(seq)
-        _, eeg_loss = loss_ntp(seq, model)
+        logits = model.logits(seq, sem)
+        _, eeg_loss = loss_ntp(seq, model, sem)
     s, _ = seq.spans["eeg"]
     row = logits.data[s - 1]
     log_probs = row - (np.log(np.sum(np.exp(row - row.max()))) + row.max())
@@ -207,9 +220,9 @@ def test_single_token_eeg_span_nll(rng):
 
 def test_sft_requires_answer_span(rng):
     model = make_backbone()
-    seq = demo_sequence(rng)
+    seq, sem = demo_sequence(rng)
     with pytest.raises(AssemblyError):
-        loss_sft(seq, model)
+        loss_sft(seq, model, Tensor(sem))
 
 
 def test_cpt_arithmetic():
@@ -272,12 +285,12 @@ def test_codebook_gradient_comes_only_from_alignment_term(rng):
 
 def test_fresh_adapter_keeps_forward_bit_exact(rng):
     model = make_backbone(seed=12)
-    seq = demo_sequence(rng)
+    seq, sem = demo_sequence(rng)
     with Graph():
-        before = model.logits(seq).data.copy()
+        before = model.logits(seq, Tensor(sem)).data.copy()
     model.apply_lora(rank=2, alpha=4.0, rng=np.random.default_rng(13))
     with Graph():
-        after = model.logits(seq).data
+        after = model.logits(seq, Tensor(sem)).data
     np.testing.assert_array_equal(before, after)
 
 
@@ -298,7 +311,7 @@ def test_rank_one_adapter_outer_product():
 def test_training_step_moves_only_adapter_parameters(rng):
     model = make_backbone(seed=14)
     model.apply_lora(rank=2, alpha=4.0, rng=np.random.default_rng(15))
-    seq = demo_sequence(rng)
+    seq, sem = demo_sequence(rng)
     trainable = {n: p for n, p in model.named_parameters().items() if p.requires_grad}
     assert set(trainable) == set(adapter_parameters(model))
     frozen_before = {k: v.data.copy() for k, v in model.named_parameters().items()}
@@ -307,7 +320,7 @@ def test_training_step_moves_only_adapter_parameters(rng):
     # init, so it only starts moving once lora_b is nonzero.
     for _ in range(2):
         with Graph():
-            text_loss, eeg_loss = loss_ntp(seq, model)
+            text_loss, eeg_loss = loss_ntp(seq, model, Tensor(sem))
             grads = backward(ad.add(text_loss, eeg_loss), wrt=list(trainable.values()))
         opt.step({k: grads[v] for k, v in trainable.items()}, lr=0.1)
     after = model.named_parameters()
@@ -323,13 +336,13 @@ def test_merge_adapters_preserves_forward(rng):
     model.apply_lora(rank=2, alpha=4.0, rng=np.random.default_rng(17))
     for name, p in adapter_parameters(model).items():
         p.data = 0.01 * np.random.default_rng(18).standard_normal(p.data.shape)
-    seq = demo_sequence(rng)
+    seq, sem = demo_sequence(rng)
     with Graph():
-        before = model.logits(seq).data.copy()
+        before = model.logits(seq, Tensor(sem)).data.copy()
     model.merge_adapters()
     assert not adapter_parameters(model)
     with Graph():
-        after = model.logits(seq).data
+        after = model.logits(seq, Tensor(sem)).data
     np.testing.assert_allclose(after, before, atol=1e-12)
 
 
@@ -361,9 +374,9 @@ def _norm_chain(ln, x):
     return ad.layer_norm(x, ln.gamma, ln.beta, ln.eps)
 
 
-def unfused_logits(model, seq):
+def unfused_logits(model, seq, sem):
     """The full-row forward as a chain of unfused ops, every position."""
-    x = model.embed_sequence(seq)
+    x = model.embed_sequence(seq, sem)
     for block in model.blocks:
         x = ad.add(x, _attention_chain(block.attn, _norm_chain(block.ln1, x)))
         hidden = ad.gelu(_linear_chain(block.ffn.fc1, _norm_chain(block.ln2, x)))
@@ -373,35 +386,38 @@ def unfused_logits(model, seq):
 
 def test_logits_without_rows_equal_the_unfused_chain_bit_for_bit(rng):
     model = make_backbone(seed=20)
-    seq = demo_sequence(rng, answer=True)
+    seq, sem = demo_sequence(rng, answer=True)
     with Graph():
-        fused = model.logits(seq).data
-        chain = unfused_logits(model, seq).data
+        fused = model.logits(seq, Tensor(sem)).data
+        chain = unfused_logits(model, seq, Tensor(sem)).data
     assert np.array_equal(fused, chain)
 
 
 def test_logits_on_rows_equal_those_rows_of_the_full_logits(rng):
     model = make_backbone(seed=21)
-    seq = demo_sequence(rng, answer=True)
+    seq, sem = demo_sequence(rng, answer=True)
+    sem = Tensor(sem)
     rows = np.array([seq.length - 2, 0, 5, 6, 11])
     with Graph():
-        full = model.logits(seq).data
-        part = model.logits(seq, rows=rows).data
-        one = model.logits(seq, rows=[7]).data
+        full = model.logits(seq, sem).data
+        part = model.logits(seq, sem, rows=rows).data
     assert part.shape == (rows.size, VOCAB.v_total)
     np.testing.assert_allclose(part, full[rows], rtol=0, atol=1e-12)
+    # the last block's attention weights hold one row per query it computed
+    spy = model.blocks[-1].attn = AttentionSpy(model.blocks[-1].attn)
+    with Graph():
+        one = model.logits(seq, sem, rows=[7]).data
     np.testing.assert_allclose(one, full[[7]], rtol=0, atol=1e-12)
-    # the last block's attention holds one row per query it computed
-    assert model.blocks[-1].attn.last_attention.shape == (1, seq.length)
+    assert [w.shape for w in spy.weights] == [(CFG.n_heads, 1, seq.length)]
 
 
 def test_logits_rows_outside_the_sequence_rejected(rng):
     model = make_backbone()
-    seq = demo_sequence(rng)
+    seq, sem = demo_sequence(rng)
     for bad in ([seq.length], [-1], [[0, 1]]):
         with pytest.raises(ShapeError, match="logit rows"):
             with Graph():
-                model.logits(seq, rows=bad)
+                model.logits(seq, Tensor(sem), rows=bad)
 
 
 def _full_row_nll(logits, seq, span):
@@ -425,8 +441,8 @@ def test_row_losses_match_a_full_row_reference(rng):
         p.data[...] = 0.1 * rng.standard_normal(p.data.shape)
     for p in model.named_parameters().values():
         p.requires_grad = True
-    seq = demo_sequence(rng, answer=True)
-    sem = Tensor(seq.sem, requires_grad=True)
+    seq, sem = demo_sequence(rng, answer=True)
+    sem = Tensor(sem, requires_grad=True)
 
     def reference():
         logits = model.logits(seq, sem)
@@ -449,9 +465,9 @@ def test_row_losses_match_a_full_row_reference(rng):
 
 def test_span_nll_rejects_logits_of_another_row_count(rng):
     model = make_backbone()
-    seq = demo_sequence(rng)
+    seq, sem = demo_sequence(rng)
     with Graph():
-        logits = model.logits(seq, rows=[1, 2])
+        logits = model.logits(seq, Tensor(sem), rows=[1, 2])
         with pytest.raises(ShapeError, match="logit rows"):
             span_nll(logits, seq, "eeg")
 
@@ -463,13 +479,13 @@ def test_two_block_backbone_gradients_through_the_rows_path(rng):
     )
     model = ToyBackbone(cfg, np.random.default_rng(24))
     seq = assemble_sequence(
-        [1, 2, 3], rng.standard_normal((2, 4)), [0, 3, 1], cfg.vocab,
-        instruction_ids=[4, 5], answer_ids=[6, 7],
+        [1, 2, 3], 2, [0, 3, 1], cfg.vocab, instruction_ids=[4, 5], answer_ids=[6, 7]
     )
+    sem = Tensor(rng.standard_normal((2, 4)))
     params = [p for p in model.named_parameters().values() if p.requires_grad]
 
     def loss_fn(_):
-        text_loss, eeg_loss = loss_ntp(seq, model)
-        return ad.add(ad.add(text_loss, eeg_loss), loss_sft(seq, model))
+        text_loss, eeg_loss = loss_ntp(seq, model, sem)
+        return ad.add(ad.add(text_loss, eeg_loss), loss_sft(seq, model, sem))
 
     assert check_directional(loss_fn, params, rng) < 1e-4

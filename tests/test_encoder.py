@@ -11,7 +11,7 @@ from eeglm.encoder import CsaBlock, DualStreamEncoder, EncoderConfig, TemporalEm
 from eeglm.errors import ConfigError, ShapeError
 from eeglm.topology import Montage, build_hierarchy, get_montage
 from gradcheck import check_directional
-from oracles import matmul
+from oracles import AttentionSpy, matmul
 
 TOY = EncoderConfig(
     embed_dim=8, n_heads=2, ffn_mult=2, patch_len=40, max_patches=8, montage=None
@@ -70,8 +70,9 @@ def test_csa_singleton_key_attention_is_one():
     block = CsaBlock(TOY, rng)
     q = Tensor(rng.standard_normal((4, 8)))
     kv = Tensor(rng.standard_normal((1, 8)))
+    block.attn = AttentionSpy(block.attn)
     block(q, kv)
-    np.testing.assert_allclose(block.attn.last_attention, np.ones((4, 1)))
+    np.testing.assert_allclose(block.attn.weights[0], np.ones((TOY.n_heads, 4, 1)))
 
 
 def test_csa_identical_keys_degenerate_mixing():
@@ -106,11 +107,14 @@ def test_csa_gradcheck_small():
 def test_attention_rows_are_probability_vectors():
     rng = np.random.default_rng(7)
     enc = DualStreamEncoder(TOY, rng, hierarchy=build_hierarchy(tiny_montage(4)))
+    blocks = enc.global_blocks + enc.local_blocks + [enc.global_final, enc.local_final]
+    for block in blocks:
+        block.attn = AttentionSpy(block.attn)
     enc(rng.standard_normal((4, 2, 40)))
-    for block in enc.global_blocks + enc.local_blocks + [enc.global_final, enc.local_final]:
-        attn = block.attn.last_attention
+    for block in blocks:
+        (attn,) = block.attn.weights
         assert np.all(attn >= 0) and np.all(attn <= 1)
-        np.testing.assert_allclose(attn.sum(axis=-1), np.ones(attn.shape[0]), atol=1e-9)
+        np.testing.assert_allclose(attn.sum(axis=-1), np.ones(attn.shape[:-1]), atol=1e-9)
 
 
 def test_stream_shapes_fixed():

@@ -151,6 +151,42 @@ def test_kmeans_warm_start_moves_codebook():
     np.testing.assert_allclose(got, [-2.0, -0.5, 0.5, 2.0], atol=0.2)
 
 
+def test_warm_start_on_fewer_rows_than_codes_jitters_copies_by_1e_4():
+    # one row, three codes: the row is tiled three times and each copy moved
+    # by 1e-4 times the rng's first standard-normal draw; k-means++ then picks
+    # the three distinct copies and each stays its own one-member cluster
+    cfg = QuantizerConfig(num_codes=3, code_dim=2, beta=0.25, revival_epochs=2)
+    quant = VectorQuantizer(cfg, embed_dim=2, rng=np.random.default_rng(0))
+    row = np.array([[1.0, -1.0]])
+    quant.warm_start(row, np.random.default_rng(8))
+    copies = np.tile(row, (3, 1)) + 1e-4 * np.random.default_rng(8).standard_normal((3, 2))
+    got = quant.codebook.data
+    assert sorted(map(tuple, got)) == sorted(map(tuple, copies))
+    assert 0 < np.abs(got - row).max() < 1e-3
+
+
+class _SeedRowZero:
+    """k-means++ seeding that picks row 0 for every center, whatever its odds."""
+
+    def integers(self, n):
+        return 0
+
+    def choice(self, n, p):
+        return 0
+
+
+def test_warm_start_reseeds_an_empty_cluster_to_the_farthest_row():
+    # all three centers start at row 0 = (2, 0), so every row joins cluster 0
+    # (ties take the lowest index), at distances 0, 4 and 3. Cluster 1 takes
+    # the farthest row (-2, 0), cluster 2 the next farthest (5, 0), and the
+    # next assignment gives each center its own row.
+    cfg = QuantizerConfig(num_codes=3, code_dim=2, beta=0.25, revival_epochs=2)
+    quant = VectorQuantizer(cfg, embed_dim=2, rng=np.random.default_rng(0))
+    rows = np.array([[2.0, 0.0], [-2.0, 0.0], [5.0, 0.0]])
+    quant.warm_start(rows, _SeedRowZero())
+    np.testing.assert_array_equal(quant.codebook.data, rows)
+
+
 def test_token_dump_roundtrip(tmp_path):
     seqs = [
         TokenSequence(indices=np.array([0, 3, 2, 1, 1, 0]), channels=2, patches=3),

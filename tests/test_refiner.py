@@ -17,7 +17,7 @@ from eeglm.refiner import (
     attention_rows,
 )
 from gradcheck import check_directional
-from oracles import matmul, transpose
+from oracles import AttentionSpy, matmul, transpose
 
 TOY = RefinerConfig(n_experts=2, embed_dim=8, n_heads=2, ffn_mult=2)
 
@@ -34,9 +34,10 @@ def make_refiner(cfg=TOY, seed=0) -> SemanticRefiner:
 def test_calibrate_single_text_row_gets_unit_attention(rng):
     ref = make_refiner()
     h_text = rng.standard_normal((1, 8))
+    ref.cal_attn = AttentionSpy(ref.cal_attn)
     with Graph():
         q_calib = ref.calibrate(h_text)
-    np.testing.assert_allclose(ref.cal_attn.last_attention, np.ones((2, 1)), atol=1e-12)
+    np.testing.assert_allclose(ref.cal_attn.weights[0], np.ones((TOY.n_heads, 2, 1)), atol=1e-12)
     # with one key the attention mix ignores the queries entirely, so the
     # calibrated rows collapse to a single shared vector
     np.testing.assert_allclose(q_calib.data[0], q_calib.data[1], atol=1e-12)

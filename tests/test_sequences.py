@@ -29,8 +29,7 @@ def test_vocab_partition_never_collides():
 
 
 def test_layout_example_three_text_two_sem_four_eeg():
-    sem = np.zeros((2, 4))
-    seq = assemble_sequence([7, 8, 9], sem, [0, 1, 2, 3], VOCAB)
+    seq = assemble_sequence([7, 8, 9], 2, [0, 1, 2, 3], VOCAB)
     assert seq.length == 13
     assert seq.spans["text"] == (1, 4)
     assert seq.spans["sem"] == (5, 7)
@@ -43,7 +42,7 @@ def test_layout_example_three_text_two_sem_four_eeg():
 
 
 def test_eeg_ids_offset_by_text_vocab():
-    seq = assemble_sequence([1], None, [5], VocabSpec(v_text=100, n_codes=50))
+    seq = assemble_sequence([1], 0, [5], VocabSpec(v_text=100, n_codes=50))
     s, e = seq.spans["eeg"]
     assert seq.ids[s:e].tolist() == [105]
 
@@ -51,20 +50,19 @@ def test_eeg_ids_offset_by_text_vocab():
 def test_round_trip_recovers_ids_and_spans(rng):
     text = rng.integers(0, 100, size=6)
     eeg = rng.integers(0, 50, size=9)
-    sem = rng.standard_normal((3, 4))
-    seq = assemble_sequence(text, sem, eeg, VOCAB)
+    seq = assemble_sequence(text, 3, eeg, VOCAB)
     decoded_text = seq.ids[slice(*seq.spans["text"])]
     decoded_eeg = seq.ids[slice(*seq.spans["eeg"])] - VOCAB.eeg_offset
     np.testing.assert_array_equal(decoded_text, text)
     np.testing.assert_array_equal(decoded_eeg, eeg)
-    rebuilt = assemble_sequence(decoded_text, sem, decoded_eeg, VOCAB)
+    rebuilt = assemble_sequence(decoded_text, 3, decoded_eeg, VOCAB)
     np.testing.assert_array_equal(rebuilt.ids, seq.ids)
     assert rebuilt.spans == seq.spans
 
 
 def test_round_trip_with_instruction_and_answer(rng):
     seq = assemble_sequence(
-        [1, 2], None, [3], VOCAB, instruction_ids=[10, 11], answer_ids=[12]
+        [1, 2], 0, [3], VOCAB, instruction_ids=[10, 11], answer_ids=[12]
     )
     # bos, 1, 2, sep, (empty sem), sep, eeg, sep, 10, 11, 12, eos
     assert seq.spans["instr"] == (7, 9)
@@ -76,7 +74,7 @@ def test_round_trip_with_instruction_and_answer(rng):
 
 def test_instruction_without_answer_rejected():
     with pytest.raises(AssemblyError):
-        assemble_sequence([1], None, [2], VOCAB, instruction_ids=[3])
+        assemble_sequence([1], 0, [2], VOCAB, instruction_ids=[3])
 
 
 def test_overlapping_spans_rejected():
@@ -84,7 +82,6 @@ def test_overlapping_spans_rejected():
     with pytest.raises(AssemblyError, match="overlap"):
         HybridSequence(
             ids=ids,
-            sem=None,
             spans={"text": (1, 3), "sem": (4, 4), "eeg": (2, 6)},
             vocab=VOCAB,
         )
@@ -92,12 +89,12 @@ def test_overlapping_spans_rejected():
 
 def test_out_of_range_text_ids_rejected():
     with pytest.raises(AssemblyError):
-        assemble_sequence([100], None, [0], VOCAB)
+        assemble_sequence([100], 0, [0], VOCAB)
 
 
 def test_out_of_range_eeg_ids_rejected():
     with pytest.raises(AssemblyError):
-        assemble_sequence([0], None, [50], VOCAB)
+        assemble_sequence([0], 0, [50], VOCAB)
 
 
 @pytest.mark.parametrize(
@@ -115,18 +112,7 @@ def test_out_of_range_eeg_ids_rejected():
 )
 def test_ids_outside_their_span_range_rejected(text, eeg, instr, answer):
     with pytest.raises(AssemblyError):
-        assemble_sequence(text, None, eeg, VOCAB, instruction_ids=instr, answer_ids=answer)
-
-
-def test_sem_rows_must_match_span():
-    ids = np.array([VOCAB.bos, 1, VOCAB.sep, SEM_SLOT, VOCAB.sep, 105, VOCAB.eos])
-    with pytest.raises(AssemblyError, match="sem"):
-        HybridSequence(
-            ids=ids,
-            sem=np.zeros((2, 4)),
-            spans={"text": (1, 2), "sem": (3, 4), "eeg": (5, 6)},
-            vocab=VOCAB,
-        )
+        assemble_sequence(text, 0, eeg, VOCAB, instruction_ids=instr, answer_ids=answer)
 
 
 def test_slot_markers_only_inside_sem_span():
@@ -134,7 +120,6 @@ def test_slot_markers_only_inside_sem_span():
     with pytest.raises(AssemblyError):
         HybridSequence(
             ids=ids,
-            sem=np.zeros((1, 4)),
             spans={"text": (1, 2), "sem": (3, 4), "eeg": (5, 6)},
             vocab=VOCAB,
         )
@@ -142,7 +127,7 @@ def test_slot_markers_only_inside_sem_span():
 
 def test_decoded_eeg_ids_within_code_range(rng):
     eeg = rng.integers(0, 50, size=30)
-    seq = assemble_sequence([], None, eeg, VOCAB)
+    seq = assemble_sequence([], 0, eeg, VOCAB)
     decoded = seq.ids[slice(*seq.spans["eeg"])] - VOCAB.eeg_offset
     assert decoded.min() >= 0 and decoded.max() < 50
 

@@ -9,7 +9,6 @@ import pytest
 
 from eeglm.errors import ConfigError, DataError
 from eeglm.signal_io import (
-    PatchedSignal,
     Recording,
     bandpass_notch,
     dft_target,
@@ -236,17 +235,17 @@ def test_robust_scale_needs_four_samples():
 
 def test_patch_floor_semantics():
     rec = Recording(channels=("A",), fs=200.0, data=np.arange(450.0)[None, :])
-    ps = patch(rec, 200)
-    assert ps.data.shape == (1, 2, 200)
-    np.testing.assert_array_equal(ps.data[0, 0], np.arange(200.0))
-    np.testing.assert_array_equal(ps.data[0, 1], np.arange(200.0, 400.0))
+    patches = patch(rec, 200)
+    assert patches.shape == (1, 2, 200)
+    np.testing.assert_array_equal(patches[0, 0], np.arange(200.0))
+    np.testing.assert_array_equal(patches[0, 1], np.arange(200.0, 400.0))
 
 
 def test_patch_identity_and_error():
     rec = Recording(channels=("A",), fs=200.0, data=np.arange(200.0)[None, :])
-    ps = patch(rec, 200)
-    assert ps.data.shape == (1, 1, 200)
-    np.testing.assert_array_equal(ps.data[0, 0], rec.data[0])
+    patches = patch(rec, 200)
+    assert patches.shape == (1, 1, 200)
+    np.testing.assert_array_equal(patches[0, 0], rec.data[0])
     short = Recording(channels=("A",), fs=200.0, data=np.zeros((1, 199)))
     with pytest.raises(DataError):
         patch(short, 200)
@@ -255,22 +254,19 @@ def test_patch_identity_and_error():
 def test_patch_concat_reproduces_prefix():
     rng = np.random.default_rng(8)
     rec = Recording(channels=("A", "B"), fs=200.0, data=rng.standard_normal((2, 430)))
-    ps = patch(rec, 100)
-    rebuilt = ps.data.reshape(2, -1)
+    rebuilt = patch(rec, 100).reshape(2, -1)
     np.testing.assert_array_equal(rebuilt, rec.data[:, :400])
 
 
 def test_dft_target_tone_bin():
     x = tone(10, 200, 1.0)
-    ps = PatchedSignal(data=x[None, None, :], window=200)
-    mags = dft_target(ps).magnitudes
+    mags = dft_target(x[None, None, :])
     assert mags.shape == (1, 1, 101)
     assert int(np.argmax(mags[0, 0])) == 10
 
 
 def test_dft_target_zero_patch():
-    ps = PatchedSignal(data=np.zeros((2, 3, 200)), window=200)
-    np.testing.assert_array_equal(dft_target(ps).magnitudes, np.zeros((2, 3, 101)))
+    np.testing.assert_array_equal(dft_target(np.zeros((2, 3, 200))), np.zeros((2, 3, 101)))
 
 
 def test_parseval_consistency():
@@ -281,8 +277,7 @@ def test_parseval_consistency():
     rhs = np.sum(x**2)
     assert abs(lhs - rhs) < 1e-9
     # one-sided magnitudes agree with the two-sided spectrum's lower half
-    ps = PatchedSignal(data=x[None, None, :], window=200)
-    mags = dft_target(ps).magnitudes[0, 0]
+    mags = dft_target(x[None, None, :])[0, 0]
     np.testing.assert_allclose(mags, np.abs(two_sided[:101]), atol=1e-9)
 
 

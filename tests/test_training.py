@@ -6,6 +6,7 @@ import copy
 import csv
 import gc
 import json
+import re
 import shutil
 import weakref
 
@@ -32,9 +33,6 @@ from eeglm.training import (
     find_latest_checkpoint,
     load_model,
     prepare_sequences,
-    run_cpt_stage,
-    run_sft_stage,
-    run_vq_stage,
 )
 
 TOY = {
@@ -79,15 +77,15 @@ def chain(tmp_path_factory, data_dir):
     """One vq -> cpt -> sft chain shared by the read-only assertions below."""
     root = tmp_path_factory.mktemp("runs")
     cfg_vq = toy_cfg(data_dir)
-    run_vq_stage(cfg_vq, root / "vq")
+    STAGE_RUNNERS["vq"](cfg_vq, root / "vq")
     cfg_cpt = toy_cfg(data_dir)
     cfg_cpt["stage"] = "cpt"
     cfg_cpt["train"]["init_from"] = str(root / "vq" / "checkpoints" / "epoch_0001")
-    run_cpt_stage(cfg_cpt, root / "cpt")
+    STAGE_RUNNERS["cpt"](cfg_cpt, root / "cpt")
     cfg_sft = toy_cfg(data_dir)
     cfg_sft["stage"] = "sft"
     cfg_sft["train"]["init_from"] = str(root / "cpt" / "checkpoints" / "epoch_0001")
-    run_sft_stage(cfg_sft, root / "sft")
+    STAGE_RUNNERS["sft"](cfg_sft, root / "sft")
     return root, cfg_vq, cfg_cpt, cfg_sft
 
 
@@ -199,7 +197,7 @@ def test_vq_run_dir_layout(chain):
 
 def test_vq_loss_decreases(tmp_path, data_dir):
     cfg = toy_cfg(data_dir, train={"epochs": 6})
-    summary = run_vq_stage(cfg, tmp_path / "run")
+    summary = STAGE_RUNNERS["vq"](cfg, tmp_path / "run")
     avgs = summary["epoch_avg_loss"]
     assert summary["steps"] == 24
     assert avgs[-1] < avgs[0]
@@ -257,7 +255,7 @@ def test_resume_opens_the_fresh_starts_trainable_set(tmp_path, chain, stage):
 
 def test_resume_refuses_moments_of_another_trainable_set(tmp_path, data_dir, monkeypatch):
     run = tmp_path / "run"
-    run_vq_stage(toy_cfg(data_dir, train={"epochs": 1}), run)
+    STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 1}), run)
     config_before = (run / "config.json").read_text()
     real_groups = VqStage.groups
 
@@ -266,8 +264,28 @@ def test_resume_refuses_moments_of_another_trainable_set(tmp_path, data_dir, mon
 
     monkeypatch.setattr(VqStage, "groups", groups_with_refiner)
     with pytest.raises(DataError, match=r"'opt\.m/refiner\."):
-        run_vq_stage(toy_cfg(data_dir, train={"epochs": 2}), run, resume=True)
+        STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 2}), run, resume=True)
     assert (run / "config.json").read_text() == config_before
+    assert sorted(p.name for p in (run / "checkpoints").iterdir()) == ["epoch_0000"]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda log: b"", "first row is not the header"),
+        (lambda log: log.replace(b"\n1,", b"\nx,", 1), "malformed step field"),
+    ],
+    ids=["emptied", "step-x"],
+)
+def test_resume_refuses_a_malformed_metrics_log_as_it_is(tmp_path, data_dir, damage, message):
+    run = tmp_path / "run"
+    STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 1}), run)
+    log = run / "metrics.csv"
+    log.write_bytes(damage(log.read_bytes()))
+    before = {p: p.read_bytes() for p in (log, run / "config.json")}
+    with pytest.raises(DataError, match=re.escape(f"{log}: {message}")):
+        STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 2}), run, resume=True)
+    assert {p: p.read_bytes() for p in before} == before
     assert sorted(p.name for p in (run / "checkpoints").iterdir()) == ["epoch_0000"]
 
 
@@ -283,11 +301,11 @@ def test_resume_drops_rows_logged_after_the_checkpoint(tmp_path, data_dir, monke
 
     monkeypatch.setattr(training, "save_stage_checkpoint", crash_at_epoch_1)
     with pytest.raises(RuntimeError, match="interrupted"):
-        run_vq_stage(toy_cfg(data_dir, train={"epochs": 3}), run)
+        STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 3}), run)
     _, rows = read_metrics(run / "metrics.csv")
     assert [int(r[0]) for r in rows] == list(range(1, 9))
     monkeypatch.setattr(training, "save_stage_checkpoint", real_save)
-    run_vq_stage(toy_cfg(data_dir, train={"epochs": 3}), run, resume=True)
+    STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 3}), run, resume=True)
     _, rows = read_metrics(run / "metrics.csv")
     assert [int(r[0]) for r in rows] == list(range(1, 13))
 
@@ -303,7 +321,7 @@ def test_vq_resume_keeps_the_checkpoints_codebook(tmp_path, data_dir, monkeypatc
 
     monkeypatch.setattr(VectorQuantizer, "warm_start", counted)
     run = tmp_path / "run"
-    run_vq_stage(toy_cfg(data_dir, train={"epochs": 1}), run)
+    STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 1}), run)
     assert len(calls) == 1
     saved = load_checkpoint(run / "checkpoints" / "epoch_0000")[0]["quant.codebook"]
     prepared = []
@@ -315,7 +333,7 @@ def test_vq_resume_keeps_the_checkpoints_codebook(tmp_path, data_dir, monkeypatc
         return items
 
     monkeypatch.setattr(VqStage, "prepare", snapshot)
-    run_vq_stage(toy_cfg(data_dir, train={"epochs": 2}), run, resume=True)
+    STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 2}), run, resume=True)
     assert len(calls) == 1
     assert len(prepared) == 1 and np.array_equal(prepared[0], saved)
 
@@ -351,7 +369,7 @@ def test_a_step_holds_neither_the_start_checkpoint_nor_the_last_steps_gradients(
     monkeypatch.setattr(CptStage, "step", step)
     gc.disable()  # reference counting alone must free them
     try:
-        run_cpt_stage(cfg, run, resume=resume)
+        STAGE_RUNNERS["cpt"](cfg, run, resume=resume)
     finally:
         gc.enable()
     assert len(spent) > 100 and alive == [0] * 8
@@ -362,14 +380,14 @@ def test_resume_refuses_another_stages_checkpoint(tmp_path, chain):
     run = tmp_path / "run"
     shutil.copytree(root / "cpt", run)
     with pytest.raises(ConfigError, match="sft stage must start from a sft checkpoint"):
-        run_sft_stage(copy.deepcopy(cfg_sft), run, resume=True)
+        STAGE_RUNNERS["sft"](copy.deepcopy(cfg_sft), run, resume=True)
     assert sorted(p.name for p in (run / "checkpoints").iterdir()) == ["epoch_0000", "epoch_0001"]
     assert (run / "config.json").read_text() == (root / "cpt" / "config.json").read_text()
 
 
 def test_find_latest_skips_incomplete_checkpoints(tmp_path, data_dir):
     run = tmp_path / "run"
-    run_vq_stage(toy_cfg(data_dir, train={"epochs": 1}), run)
+    STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 1}), run)
     (run / "checkpoints" / "epoch_0007").mkdir()  # no manifest inside
     path, _ = find_latest_checkpoint(run)
     assert path.name == "epoch_0000"
@@ -408,12 +426,12 @@ def test_cpt_requires_vq_init(tmp_path, data_dir):
     cfg = toy_cfg(data_dir)
     cfg["stage"] = "cpt"
     with pytest.raises(ConfigError, match="train.init_from"):
-        run_cpt_stage(cfg, tmp_path / "run")
+        STAGE_RUNNERS["cpt"](cfg, tmp_path / "run")
     bogus = tmp_path / "bogus"
     save_checkpoint(bogus, {"x": np.zeros(1)}, {"stage": "sft", "config": cfg})
     cfg["train"]["init_from"] = str(bogus)
     with pytest.raises(ConfigError, match="must start from a vq checkpoint"):
-        run_cpt_stage(cfg, tmp_path / "run2")
+        STAGE_RUNNERS["cpt"](cfg, tmp_path / "run2")
 
 
 def test_cpt_csv_identity(chain):
@@ -506,10 +524,10 @@ def test_sft_requires_cpt_init(tmp_path, data_dir, chain):
     cfg = toy_cfg(data_dir)
     cfg["stage"] = "sft"
     with pytest.raises(ConfigError, match="train.init_from"):
-        run_sft_stage(cfg, tmp_path / "run")
+        STAGE_RUNNERS["sft"](cfg, tmp_path / "run")
     cfg["train"]["init_from"] = str(root / "vq" / "checkpoints" / "epoch_0001")
     with pytest.raises(ConfigError, match="must start from a cpt checkpoint"):
-        run_sft_stage(cfg, tmp_path / "run2")
+        STAGE_RUNNERS["sft"](cfg, tmp_path / "run2")
 
 
 def test_sft_metrics_and_summary(chain):
@@ -532,10 +550,10 @@ def test_sft_resume_continues(tmp_path, data_dir, chain):
     run = tmp_path / "run"
     cfg = copy.deepcopy(cfg_sft)
     cfg["train"]["epochs"] = 1
-    run_sft_stage(cfg, run)
+    STAGE_RUNNERS["sft"](cfg, run)
     cfg = copy.deepcopy(cfg_sft)
     cfg["train"]["epochs"] = 2
-    run_sft_stage(cfg, run, resume=True)
+    STAGE_RUNNERS["sft"](cfg, run, resume=True)
     _, rows = read_metrics(run / "metrics.csv")
     assert [int(r[0]) for r in rows] == list(range(1, 9))
 
