@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import sys
 from dataclasses import asdict
@@ -20,6 +21,23 @@ from .synth import make_dataset
 from .training import load_model, make_llm_client, profile_recording, profile_signal, run_stage
 
 ATTN_HEADER = ("expert", "channel", "patch", "weight")
+
+# mallopt(3) parameters and the ceilings glibc's dynamic thresholds reach on 64-bit
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MALLOC_THRESHOLDS = ((M_MMAP_THRESHOLD, 32 << 20), (M_TRIM_THRESHOLD, 64 << 20))
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds, so the heap a training step
+    frees stays mapped for the next step instead of going back to the kernel
+    and being faulted in again page by page. No-op without mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc: macOS, Windows
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in MALLOC_THRESHOLDS:
+        mallopt(param, value)
 
 
 def _echo_config(out_dir: Path, cfg: dict) -> None:
@@ -130,8 +148,8 @@ def cmd_attn_export(args, cfg: dict) -> int:
             rec, model, Path(args.container).name, make_llm_client(cfg["llm"])
         )
         text = result.profile.flat_text()
-    experts = model.refiner(model.embedder.embed(text), z_q)
-    amap = experts.attention_map
+    q_calib = model.refiner.calibrate(model.embedder.embed(text))
+    amap = model.refiner.aggregate(q_calib, z_q)[1].mean(axis=0)
     n_experts = amap.shape[0]
     c, p = tokens.channels, tokens.patches
     # renormalize across channels within each (expert, patch) group so the
@@ -244,6 +262,7 @@ def _resolve(args) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _pin_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -22,9 +22,9 @@ def label_probabilities(
     model: PipelineModel, item: PreparedSequence, label_tokens: dict[str, int]
 ) -> dict[str, float]:
     """Next-token probabilities at the answer slot, renormalized over labels."""
-    experts = model.refiner(item.h_text, item.z_q)
+    sem = model.refiner(item.h_text, item.z_q)
     slot = span_rows(item.seq, "answer")[:1]
-    row = model.backbone.logits(item.seq, experts.s_sem, rows=slot).data[0]
+    row = model.backbone.logits(item.seq, sem, rows=slot).data[0]
     labels = list(label_tokens)
     scores = np.array([row[label_tokens[lab]] for lab in labels])
     scores = np.exp(scores - scores.max())

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,14 +24,6 @@ class RefinerConfig:
     embed_dim: int
     n_heads: int
     ffn_mult: int
-
-
-@dataclass(frozen=True)
-class ExpertSummary:
-    """Refined per-expert summaries plus the aggregation weights over tokens."""
-
-    s_sem: Tensor = field(repr=False)
-    attention_map: np.ndarray = field(repr=False)
 
 
 @lru_cache(maxsize=WORD_CACHE_SIZE)
@@ -80,21 +72,20 @@ class SemanticRefiner(Module):
         return ad.add(self.cal_ffn(self.cal_ln(attended)), attended)
 
     def aggregate(self, q_calib: Tensor, z_q: Tensor | np.ndarray) -> tuple[Tensor, np.ndarray]:
-        """Let calibrated experts pool the quantized token stream."""
+        """Let calibrated experts pool the quantized token stream; returns the
+        pooled rows and the (heads, n_experts, tokens) attention weights."""
         z_q = ad.as_tensor(z_q)
         if z_q.shape[0] == 0:
             raise ShapeError("token stream is empty: nothing to aggregate")
-        out, weights = self.agg_attn(q_calib, z_q)
-        return out, weights.mean(axis=0)
+        return self.agg_attn(q_calib, z_q)
 
     def project(self, o_star: Tensor) -> Tensor:
         """Final alignment head: normalized residual feed-forward."""
         return self.proj_ln(ad.add(o_star, self.proj_ffn(o_star)))
 
-    def __call__(self, h_text: Tensor | np.ndarray, z_q: Tensor | np.ndarray) -> ExpertSummary:
-        q_calib = self.calibrate(h_text)
-        out, attention_map = self.aggregate(q_calib, z_q)
-        return ExpertSummary(s_sem=self.project(out), attention_map=attention_map)
+    def __call__(self, h_text: Tensor | np.ndarray, z_q: Tensor | np.ndarray) -> Tensor:
+        """The (n_experts, embed_dim) semantic rows the backbone's bridge reads."""
+        return self.project(self.aggregate(self.calibrate(h_text), z_q)[0])
 
     def orth_loss(self) -> Tensor:
         """Frobenius deviation of the normalized expert Gram matrix from I."""

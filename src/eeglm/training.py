@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -16,9 +17,9 @@ from . import autodiff as ad
 from .autodiff import Graph, Tensor, backward
 from .backbone import BackboneConfig, ToyBackbone
 from .checkpoint import MANIFEST, assign_parameters, load_checkpoint, load_meta, save_checkpoint
-from .config import resolve_config
+from .config import leaves, resolve_config
 from .encoder import DualStreamEncoder, EncoderConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, UsageError
 from .losses import ReconstructionHeads, loss_cpt, loss_dsha, loss_ntp, loss_sft
 from .optim import AdamW, clip_global_norm, cosine_schedule
 from .profiler import (
@@ -41,6 +42,9 @@ from .synth import load_corpus
 from .topology import BthHierarchy
 
 CSV_COLUMNS = ("step", "loss_total", "loss_text", "loss_eeg", "loss_orth", "lr")
+# the config keys a --resume may change: the epoch budget, and the start
+# checkpoint, which a resumed run does not read
+RESUMABLE_KEYS = ("train.epochs", "train.init_from")
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +251,8 @@ class MetricsLogger:
 
     When appending to an existing log, rows past step `keep_through` (logged
     after the checkpoint a run resumes from) are dropped first; a log without
-    the header row or with a step that is not an integer is refused as it is.
+    the header row, with a step that is not an integer, or with a kept row
+    whose other fields are not five finite floats is refused as it is.
     """
 
     def __init__(self, path: str | Path, append: bool = False, keep_through: int | None = None):
@@ -257,10 +262,21 @@ class MetricsLogger:
             lines = self.path.read_bytes().splitlines(keepends=True)
             if not lines or lines[0].rstrip() != ",".join(CSV_COLUMNS).encode():
                 raise DataError(f"{self.path}: first row is not the header")
-            try:
-                kept = [row for row in lines[1:] if int(row.split(b",", 1)[0]) <= keep_through]
-            except ValueError as e:
-                raise DataError(f"{self.path}: malformed step field: {e}") from e
+            kept = []
+            for row in lines[1:]:
+                step, *fields = row.rstrip(b"\r\n").split(b",")
+                try:
+                    if int(step) > keep_through:
+                        continue
+                except ValueError as e:
+                    raise DataError(f"{self.path}: malformed step field: {e}") from e
+                try:
+                    ok = len(fields) == 5 and all(math.isfinite(float(f)) for f in fields)
+                except ValueError:
+                    ok = False
+                if not ok:
+                    raise DataError(f"{self.path}: row of step {int(step)} is not five finite floats")
+                kept.append(row)
             self.path.write_bytes(b"".join(lines[:1] + kept))
         self._fh = open(self.path, "w" if fresh else "a", newline="")
         self._writer = csv.writer(self._fh)
@@ -446,8 +462,7 @@ class CptStage(StageSpec):
         return [(_under("refiner."), 1.0), (lambda n: _is_adapter(n) or n in expansion, 1.0)]
 
     def step(self, model, item):
-        experts = model.refiner(item.h_text, item.z_q)
-        text_l, eeg_l = loss_ntp(item.seq, model.backbone, experts.s_sem)
+        text_l, eeg_l = loss_ntp(item.seq, model.backbone, model.refiner(item.h_text, item.z_q))
         orth = model.refiner.orth_loss()
         total = loss_cpt(text_l, eeg_l, orth, self.cfg["train"]["lambda_orth"])
         return total, (float(total.data), float(text_l.data), float(eeg_l.data), float(orth.data))
@@ -488,8 +503,7 @@ class SftStage(StageSpec):
         return balanced_order([item.label for item in items], rng)
 
     def step(self, model, item):
-        experts = model.refiner(item.h_text, item.z_q)
-        loss = loss_sft(item.seq, model.backbone, experts.s_sem)
+        loss = loss_sft(item.seq, model.backbone, model.refiner(item.h_text, item.z_q))
         lt = float(loss.data)
         return loss, (lt, lt, 0.0, 0.0)
 
@@ -513,6 +527,8 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
     """
     spec = spec_cls(cfg)
     run = Path(run_dir)
+    if not resume and ((run / "metrics.csv").exists() or any(run.glob("checkpoints/epoch_*"))):
+        raise UsageError(f"{run} already holds a run: --resume it or train into an empty --out")
     corpus = load_corpus(cfg["data"]["train_dir"], require_labels=spec.supervised)
     model = build_model(cfg)
     latest = find_latest_checkpoint(run) if resume else None
@@ -526,6 +542,15 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
         raise ConfigError(
             f"{spec.name} stage must start from a {want} checkpoint ({where}), got {got}"
         )
+    if resumed:
+        stored = meta["config"] if isinstance(meta.get("config"), dict) else {}
+        stored, now = ({k: json.dumps(v) for k, v in leaves(c)} for c in (stored, cfg))
+        changed = sorted({k for k, _ in stored.items() ^ now.items()} - set(RESUMABLE_KEYS))
+        if changed:
+            raise ConfigError(
+                f"--resume may change only {', '.join(RESUMABLE_KEYS)} from the config of "
+                f"{source}, but {', '.join(changed)} differ"
+            )
     if meta:
         _load_into(model, arrays)
     trainable, lr_scales = spec.open(model, fresh=not resumed)

@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import eeglm
+from eeglm import cli
 from eeglm.checkpoint import load_checkpoint, save_checkpoint
 from eeglm.cli import ATTN_HEADER, main
 from eeglm.config import DEFAULTS
@@ -543,6 +547,19 @@ def test_train_resume_reads_the_checkpoint_once(env, tmp_path, monkeypatch):
     assert loaded == [run / "checkpoints" / "epoch_0000"]
 
 
+def test_train_keeps_one_run_per_directory_with_exit_2(env, tmp_path, capsys):
+    run = tmp_path / "run"
+    argv = env["base"] + ["--out", str(run), "train", "--stage", "vq", "--data", str(env["data"])]
+    assert main(argv + ["--epochs", "1"]) == 0
+    before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(argv + ["--epochs", "1"]) == 2
+    assert f"{run} already holds a run" in capsys.readouterr().err
+    assert main(["--set", "optimizer.lr=0.5"] + argv + ["--epochs", "2", "--resume"]) == 2
+    assert "but optimizer.lr differ" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+
 def test_train_missing_data_exits_3(env, tmp_path):
     rc = main(env["base"] + [
         "--out", str(tmp_path / "run"), "train", "--stage", "vq",
@@ -880,3 +897,95 @@ def test_import_path_leaves_scipy_signal_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# -- allocator set-up --------------------------------------------------------
+
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # <malloc.h>, mallopt(3)
+
+
+class FakeMallopt:
+    """Stands in for libc's mallopt: records its calls, reports success."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_malloc_thresholds_are_pinned_by_two_mallopt_calls(monkeypatch):
+    libc, opened = SimpleNamespace(mallopt=FakeMallopt()), []
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: opened.append(name) or libc)
+    cli._pin_malloc_thresholds()
+    assert opened == [None]
+    assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+    assert libc.mallopt.calls == [(M_MMAP_THRESHOLD, 32 * 2**20), (M_TRIM_THRESHOLD, 64 * 2**20)]
+
+
+def _no_library(name):
+    raise OSError("no such library")
+
+
+def _no_default_library(name):
+    raise TypeError("expected str, bytes or os.PathLike object, not NoneType")
+
+
+@pytest.mark.parametrize(
+    "cdll",
+    [lambda name: object(), _no_library, _no_default_library],
+    ids=["no-mallopt", "oserror", "no-default-library"],
+)
+def test_malloc_thresholds_are_left_alone_without_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cli._pin_malloc_thresholds()
+
+
+def test_main_pins_the_malloc_thresholds(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_pin_malloc_thresholds", lambda: calls.append("pinned"))
+    assert main(["synth"]) == 2  # refused for want of --out, after the pin is set
+    assert calls == ["pinned"]
+
+
+# a cpt run in a fresh process: minor page faults per training step
+_FAULTS_CHILD = """
+import json, resource, sys
+from pathlib import Path
+from eeglm import cli, training
+mode, argv = sys.argv[1], sys.argv[2:]
+args = cli.build_parser().parse_args(argv)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+if mode == "cli":
+    assert cli.main(argv) == 0
+else:
+    training.run_stage(cli._resolve(args), args.out)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults / json.loads(Path(args.out, "artifacts", "summary.json").read_text())["steps"])
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_cli_training_steps_reuse_their_freed_heap(tmp_path):
+    # the README quick-start sizes, 6 samples: a cpt step frees a tape of
+    # several MB, which glibc's default trim threshold hands back each step
+    quick = ["--seed", "7", "--set", "data.montage=synthetic-4", "--set", "quantizer.num_codes=32",
+             "--set", "quantizer.code_dim=8", "--set", "schedule.warmup_steps=20"]
+    data, vq = tmp_path / "data", tmp_path / "vq"
+    assert main(quick + ["--out", str(data), "synth", "--per-class", "2",
+                         "--montage", "synthetic-4"]) == 0
+    assert main(quick + ["--out", str(vq), "train", "--stage", "vq", "--data", str(data),
+                         "--epochs", "1"]) == 0
+    src = str(Path(eeglm.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    per_step = {}
+    for mode in ("library", "cli"):
+        argv = quick + ["--out", str(tmp_path / mode), "train", "--stage", "cpt",
+                        "--data", str(data), "--epochs", "3",
+                        "--init-from", str(vq / "checkpoints" / "epoch_0000")]
+        out = subprocess.run([sys.executable, "-c", _FAULTS_CHILD, mode, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        per_step[mode] = float(out.stdout.split()[-1])
+    assert per_step["cli"] <= per_step["library"] / 4, per_step

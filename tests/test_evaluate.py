@@ -90,8 +90,8 @@ def test_label_probabilities_match_renormalized_softmax(binary_setup):
     assert set(probs) == set(tokens)
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
     # restricting a softmax then renormalizing equals renormalized full softmax
-    experts = model.refiner(item.h_text, item.z_q)
-    row = model.backbone.logits(item.seq, experts.s_sem).data[
+    sem = model.refiner(item.h_text, item.z_q)
+    row = model.backbone.logits(item.seq, sem).data[
         item.seq.spans["answer"][0] - 1
     ]
     full = np.exp(row - row.max())

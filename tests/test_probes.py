@@ -63,7 +63,7 @@ def test_traced_losses_read_every_row_the_backbone_computes(tmp_path):
     try:
         for item in items:
             with Graph():
-                sem = model.refiner(item.h_text, item.z_q).s_sem
+                sem = model.refiner(item.h_text, item.z_q)
                 training.loss_ntp(item.seq, model.backbone, sem)
                 training.loss_sft(item.seq, model.backbone, sem)
             evaluate.label_probabilities(model, item, tokens)

@@ -10,7 +10,6 @@ from eeglm.autodiff import Graph, Tensor, backward
 from eeglm.errors import NumericError, ShapeError
 from eeglm.optim import AdamW
 from eeglm.refiner import (
-    ExpertSummary,
     HashedTextEmbedder,
     RefinerConfig,
     SemanticRefiner,
@@ -88,19 +87,19 @@ def test_aggregate_constant_tokens_reduce_to_value_projection(rng):
     z_q = np.tile(u, (5, 1))
     with Graph():
         q_calib = ref.calibrate(rng.standard_normal((2, 8)))
-        out, amap = ref.aggregate(q_calib, z_q)
+        out, weights = ref.aggregate(q_calib, z_q)
         expected = ref.agg_attn.wo(ref.agg_attn.wv(Tensor(u.reshape(1, -1))))
     np.testing.assert_allclose(out.data, np.tile(expected.data, (2, 1)), atol=1e-10)
-    np.testing.assert_allclose(amap.sum(axis=1), np.ones(2), atol=1e-9)
+    np.testing.assert_allclose(weights.sum(axis=2), np.ones((2, 2)), atol=1e-9)
 
 
 def test_aggregate_attention_rows_sum_to_one(rng):
     ref = make_refiner(seed=2)
     with Graph():
         q_calib = ref.calibrate(rng.standard_normal((4, 8)))
-        _, amap = ref.aggregate(q_calib, rng.standard_normal((7, 8)))
-    assert amap.shape == (2, 7)
-    np.testing.assert_allclose(amap.sum(axis=1), np.ones(2), atol=1e-9)
+        _, weights = ref.aggregate(q_calib, rng.standard_normal((7, 8)))
+    assert weights.shape == (TOY.n_heads, 2, 7)
+    np.testing.assert_allclose(weights.sum(axis=2), np.ones((TOY.n_heads, 2)), atol=1e-9)
 
 
 def test_aggregate_matches_hand_unrolled_attention(rng):
@@ -109,7 +108,7 @@ def test_aggregate_matches_hand_unrolled_attention(rng):
     q_in = rng.standard_normal((2, 4))
     z_q = rng.standard_normal((3, 4))
     with Graph():
-        out, amap = ref.aggregate(Tensor(q_in), z_q)
+        out, weights = ref.aggregate(Tensor(q_in), z_q)
 
     att = ref.agg_attn
 
@@ -118,10 +117,11 @@ def test_aggregate_matches_hand_unrolled_attention(rng):
 
     q, k, v = lin(q_in, att.wq), lin(z_q, att.wk), lin(z_q, att.wv)
     scores = q @ k.T / np.sqrt(4.0)
-    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
-    weights /= weights.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(amap, weights, atol=1e-12)
-    np.testing.assert_allclose(out.data, lin(weights @ v, att.wo), atol=1e-12)
+    expected = np.exp(scores - scores.max(axis=1, keepdims=True))
+    expected /= expected.sum(axis=1, keepdims=True)
+    assert weights.shape == (1, 2, 3)
+    np.testing.assert_allclose(weights[0], expected, atol=1e-12)
+    np.testing.assert_allclose(out.data, lin(expected @ v, att.wo), atol=1e-12)
 
 
 def test_aggregate_rejects_empty_stream(rng):
@@ -165,14 +165,14 @@ def test_project_gradients_match_finite_differences(rng):
     assert check_directional(loss_fn, params, rng) < 1e-4
 
 
-def test_full_refiner_returns_expert_summary(rng):
+def test_full_refiner_returns_the_projected_aggregate(rng):
     ref = make_refiner(seed=9)
+    h_text, z_q = rng.standard_normal((6, 8)), rng.standard_normal((10, 8))
     with Graph():
-        summary = ref(rng.standard_normal((6, 8)), rng.standard_normal((10, 8)))
-    assert isinstance(summary, ExpertSummary)
-    assert summary.s_sem.shape == (2, 8)
-    assert summary.attention_map.shape == (2, 10)
-    np.testing.assert_allclose(summary.attention_map.sum(axis=1), np.ones(2), atol=1e-9)
+        sem = ref(h_text, z_q)
+        staged = ref.project(ref.aggregate(ref.calibrate(h_text), z_q)[0])
+    assert isinstance(sem, Tensor) and sem.shape == (2, 8)
+    np.testing.assert_array_equal(sem.data, staged.data)
 
 
 def test_full_refiner_deterministic(rng):
@@ -183,8 +183,7 @@ def test_full_refiner_deterministic(rng):
         a = ref(h_text, z_q)
     with Graph():
         b = ref(h_text, z_q)
-    np.testing.assert_array_equal(a.s_sem.data, b.s_sem.data)
-    np.testing.assert_array_equal(a.attention_map, b.attention_map)
+    np.testing.assert_array_equal(a.data, b.data)
 
 
 # ---------------------------------------------------------------------------

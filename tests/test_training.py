@@ -16,7 +16,7 @@ import pytest
 from eeglm import training
 from eeglm.checkpoint import load_checkpoint, save_checkpoint
 from eeglm.config import resolve_config
-from eeglm.errors import ConfigError, DataError, MontageError
+from eeglm.errors import ConfigError, DataError, MontageError, UsageError
 from eeglm.optim import AdamW
 from eeglm.quantizer import VectorQuantizer
 from eeglm.signal_io import Recording
@@ -274,8 +274,14 @@ def test_resume_refuses_moments_of_another_trainable_set(tmp_path, data_dir, mon
     [
         (lambda log: b"", "first row is not the header"),
         (lambda log: log.replace(b"\n1,", b"\nx,", 1), "malformed step field"),
+        (lambda log: re.sub(rb"\n1,[^,]*,", b"\n1,abc,", log, count=1),
+         "row of step 1 is not five finite floats"),
+        (lambda log: re.sub(rb"\n2,[^,]*,", b"\n2,nan,", log, count=1),
+         "row of step 2 is not five finite floats"),
+        (lambda log: re.sub(rb"\n3,.*", b"\n3,1.0,0.0", log, count=1),
+         "row of step 3 is not five finite floats"),
     ],
-    ids=["emptied", "step-x"],
+    ids=["emptied", "step-x", "loss-abc", "loss-nan", "short-row"],
 )
 def test_resume_refuses_a_malformed_metrics_log_as_it_is(tmp_path, data_dir, damage, message):
     run = tmp_path / "run"
@@ -383,6 +389,49 @@ def test_resume_refuses_another_stages_checkpoint(tmp_path, chain):
         STAGE_RUNNERS["sft"](copy.deepcopy(cfg_sft), run, resume=True)
     assert sorted(p.name for p in (run / "checkpoints").iterdir()) == ["epoch_0000", "epoch_0001"]
     assert (run / "config.json").read_text() == (root / "cpt" / "config.json").read_text()
+
+
+@pytest.mark.parametrize("leftover", ["metrics.csv", "checkpoints/epoch_0000"])
+def test_a_fresh_run_refuses_a_run_directory_that_holds_a_run(tmp_path, data_dir, leftover):
+    run = tmp_path / "run"
+    (run / leftover).parent.mkdir(parents=True, exist_ok=True)
+    (run / leftover).touch()
+    before = sorted(run.rglob("*"))
+    with pytest.raises(UsageError, match=re.escape(f"{run} already holds a run")):
+        STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 1}), run)
+    assert sorted(run.rglob("*")) == before and (run / leftover).read_bytes() == b""
+
+
+@pytest.mark.parametrize(
+    "changes, named",
+    [
+        ({"optimizer": {"lr": 0.5}}, "optimizer.lr"),
+        ({"seed": 9, "optimizer": {"clip_norm": 2.0}}, "optimizer.clip_norm, seed"),
+    ],
+    ids=["lr", "seed-and-clip"],
+)
+def test_resume_refuses_a_changed_config_naming_the_keys(tmp_path, data_dir, changes, named):
+    run = tmp_path / "run"
+    STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 1}), run)
+    before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+    cfg = toy_cfg(data_dir, train={"epochs": 2})
+    for key, value in changes.items():
+        cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
+    with pytest.raises(ConfigError, match=re.escape(f"but {named} differ")):
+        STAGE_RUNNERS["vq"](cfg, run, resume=True)
+    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+
+def test_resume_may_change_the_epochs_and_the_start_checkpoint(tmp_path, chain):
+    root, _, cfg_cpt, _ = chain
+    run = tmp_path / "run"
+    cfg = copy.deepcopy(cfg_cpt)
+    cfg["train"]["epochs"] = 1
+    STAGE_RUNNERS["cpt"](cfg, run)
+    assert training.RESUMABLE_KEYS == ("train.epochs", "train.init_from")
+    cfg["train"]["epochs"] = 2
+    cfg["train"]["init_from"] = str(root / "vq" / "checkpoints" / "epoch_0000")
+    assert STAGE_RUNNERS["cpt"](cfg, run, resume=True)["steps"] == 8
 
 
 def test_find_latest_skips_incomplete_checkpoints(tmp_path, data_dir):
