@@ -1,0 +1,128 @@
+"""Traced memory of the training steps of the README quick start's stages
+and of a 19-channel vq stage.
+
+Usage, from the root of an eeglm checkout::
+
+    PYTHONPATH=src python3 scripts/step_memory.py [--per-class N] [--set KEY=VALUE ...]
+
+In a temporary directory, the script makes the quick start's training set
+(``synth --per-class 8 --montage synthetic-4``, seed 7) and trains its vq,
+cpt and sft stages for one epoch each with the quick start's settings, each
+stage starting from the one before it. It then makes a 19-channel set (the
+``builtin-1020`` montage, 500 Hz, 6 s recordings, seed 7), preprocesses every
+recording and trains vq on it for one epoch (``vq-19ch``). Every command goes
+through ``eeglm.cli.main``; its own output goes to stderr. ``--per-class``
+sets the samples per class of both sets, and each ``--set`` is passed to
+every command after the quick start's own.
+
+Each stage runs under ``tracemalloc``. For each stage the script prints the
+number of steps and, each the largest over those steps: the traced bytes
+live when the step enters ``backward`` (the model, the optimizer state, the
+stage's data and the step's tape); the tape, those bytes less the ones live
+when the step entered its ``Graph``; and the step's traced peak, from
+entering its ``Graph`` to the end of the optimizer step. Traced bytes count
+the memory Python and numpy allocate, not the process's resident set.
+"""
+
+from __future__ import annotations
+
+import argparse
+import shutil
+import sys
+import tempfile
+import tracemalloc
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from eeglm import cli, training
+from eeglm.optim import AdamW
+
+QUICK_SET = [
+    "--set", 'data.montage="synthetic-4"', "--set", "quantizer.num_codes=32",
+    "--set", "quantizer.code_dim=8", "--set", "optimizer.lr=0.003",
+    "--set", "schedule.warmup_steps=20",
+]
+# the 19-channel 10-20 montage with the quantizer at its package defaults
+WIDE_SET = [
+    "--set", 'data.montage="builtin-1020"', "--set", "optimizer.lr=0.003",
+    "--set", "schedule.warmup_steps=20",
+]
+
+
+def run(argv: list[str]) -> None:
+    with redirect_stdout(sys.stderr):
+        code = cli.main(argv)
+    if code:
+        raise SystemExit(f"eeglm {' '.join(argv)} exited {code}")
+
+
+def measure(argv: list[str]) -> tuple[int, int, int, int]:
+    """Run one training command under tracemalloc: its step count and the
+    largest traced bytes at backward entry, tape and step peak."""
+    starts: list[int] = []
+    at_backward: list[int] = []
+    peaks: list[int] = []
+    real_graph, real_backward, real_step = training.Graph, training.backward, AdamW.step
+
+    class StepGraph(real_graph):
+        def __enter__(self):
+            tracemalloc.reset_peak()
+            starts.append(tracemalloc.get_traced_memory()[0])
+            return super().__enter__()
+
+    def backward(loss, wrt=None):
+        at_backward.append(tracemalloc.get_traced_memory()[0])
+        return real_backward(loss, wrt)
+
+    def step(self, grads, lr):
+        real_step(self, grads, lr)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+
+    training.Graph, training.backward, AdamW.step = StepGraph, backward, step
+    tracemalloc.start()
+    try:
+        run(argv)
+    finally:
+        tracemalloc.stop()
+        training.Graph, training.backward, AdamW.step = real_graph, real_backward, real_step
+    tapes = [entry - start for start, entry in zip(starts, at_backward)]
+    return len(peaks), max(at_backward), max(tapes), max(peaks)
+
+
+def main(argv: list[str] | None = None) -> None:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--per-class", type=int, default=8, help="samples per class of each set")
+    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    args = p.parse_args(argv)
+    extra = [a for kv in args.set for a in ("--set", kv)]
+    n = str(args.per_class)
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+
+        def train(out: str, stage: str, data: Path, init: str | None, settings: list[str]):
+            argv = ["--seed", "7", "--out", str(work / out), *settings, *extra,
+                    "train", "--stage", stage, "--data", str(data), "--epochs", "1"]
+            if init:
+                argv += ["--init-from", str(work / init / "checkpoints" / "epoch_0000")]
+            rows.append((out, *measure(argv)))
+
+        data, raw, clean = work / "train-data", work / "raw-19ch", work / "clean-19ch"
+        run(["--seed", "7", "--out", str(data), *extra,
+             "synth", "--per-class", n, "--montage", "synthetic-4"])
+        train("vq", "vq", data, None, QUICK_SET)
+        train("cpt", "cpt", data, "vq", QUICK_SET)
+        train("sft", "sft", data, "cpt", QUICK_SET)
+        run(["--seed", "7", "--out", str(raw), *extra, "synth", "--per-class", n,
+             "--montage", "builtin-1020", "--fs", "500", "--seconds", "6"])
+        for sample in sorted(p for p in raw.iterdir() if (p / "manifest.json").is_file()):
+            run(["--out", str(clean / sample.name), "preprocess", str(sample)])
+        shutil.copy(raw / "labels.csv", clean / "labels.csv")
+        train("vq-19ch", "vq", clean, None, WIDE_SET)
+    print(f"{'stage':<8} {'steps':>5} {'at_backward_bytes':>18} {'tape_bytes':>11} {'step_peak_bytes':>16}")
+    for name, steps, entry, tape, peak in rows:
+        print(f"{name:<8} {steps:>5} {entry:>18} {tape:>11} {peak:>16}")
+
+
+if __name__ == "__main__":
+    main()

@@ -21,6 +21,11 @@ order, the numpy expressions of the chain of smaller ops it stands for:
 - `conv1d`: one im2col matrix product forward, two backward;
 - `mix`: a constant matrix along the leading axis (reshape, matmul, reshape).
 
+`eeglm.losses` builds its span and reconstruction losses as such nodes too.
+A node keeps only what its vjp reads, and rebuilds what is cheap to
+recompute from its inputs instead of holding it: `ffn` recomputes its
+activation and `conv1d` its im2col columns.
+
 A fused node lists an input once per use, in the order the unfused chain's
 vjps reach it, so `backward` sums an input's gradient in the same order
 (for self-attention: value, then key, then query projection). Heads are
@@ -143,9 +148,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    def detach(self) -> "Tensor":
-        return Tensor._wrap(self.data)
 
 
 def as_tensor(x) -> Tensor:
@@ -274,12 +276,6 @@ def div(a, b) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor._wrap(-a.data)
-    return _record(out, (a,), lambda g: (-g,))
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     with np.errstate(invalid="ignore"):
@@ -365,23 +361,6 @@ def take(a, indices) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def pick(a, rows, cols) -> Tensor:
-    """Select a[rows[i], cols[i]] for each i from a 2-D tensor."""
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"pick needs a 2-D tensor, got {a.data.shape}")
-    r = np.asarray(rows, dtype=np.int64)
-    c = np.asarray(cols, dtype=np.int64)
-    out = Tensor._wrap(a.data[r, c])
-
-    def vjp(g: Array):
-        full = np.zeros_like(a.data)
-        np.add.at(full, (r, c), g)
-        return (full,)
-
-    return _record(out, (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -399,16 +378,6 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gg, a.data.shape).copy(),)
 
     return _record(out, (a,), vjp)
-
-
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([a.data.shape[ax] for ax in axes]))
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +498,9 @@ def ffn(x, fc1: Affine, fc2: Affine) -> Tensor:
     """linear(gelu(linear(x, *fc1)), *fc2) as one tape node.
 
     Values and gradients are those of the three-node chain, bit for bit;
-    every intermediate passes the finiteness check its own node would.
+    every intermediate passes the finiteness check its own node would. The
+    node holds the pre-activation h and the gelu's cdf, and its vjp
+    recomputes the activation h * cdf rather than holding it.
     """
     x = as_tensor(x)
     h, low1 = _affine(x.data, *fc1)
@@ -538,7 +509,7 @@ def ffn(x, fc1: Affine, fc2: Affine) -> Tensor:
     out = Tensor._wrap(y)
 
     def vjp(g: Array):
-        ga, grads = _inner_grads(_affine_grads(g, a, low2, _needs_grad(x, fc1), *fc2), fc2[2])
+        ga, grads = _inner_grads(_affine_grads(g, h * cdf, low2, _needs_grad(x, fc1), *fc2), fc2[2])
         if ga is None:
             return grads + [None] * len(_affine_inputs(x, *fc1))
         return grads + _affine_grads(_gelu_grad(ga, h, cdf), x.data, low1, x.requires_grad, *fc1)
@@ -549,19 +520,6 @@ def ffn(x, fc1: Affine, fc2: Affine) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalisation and attention helpers
 # ---------------------------------------------------------------------------
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - lse
-    out = Tensor._wrap(y)
-
-    def vjp(g: Array):
-        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
-
-    return _record(out, (a,), vjp)
-
 
 _CAUSAL_MASK = np.zeros((0, 0))
 
@@ -738,14 +696,31 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 # convolution
 # ---------------------------------------------------------------------------
 
+def _im2col(x: Array, k: int, stride: int, padding: int, lout: int) -> Array:
+    """The (Cin*K, N*Lout) im2col columns of x (N, Cin, L), laid out as
+    numpy's einsum lays them out for "nilk,oik->nol" (read transposed from
+    (N*Lout, K) rows when Cin is 1)."""
+    n, cin, length = x.shape
+    xp = np.zeros((n, cin, length + 2 * padding))
+    xp[:, :, padding : padding + length] = x
+    # the windows, win[n, i, l, j] = xp[n, i, l*stride + j], as a read-only view
+    sn, si, sl = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (n, cin, lout, k), (sn, si, stride * sl, sl), writeable=False
+    )
+    if cin == 1:
+        return np.ascontiguousarray(win[:, 0]).reshape(n * lout, k).T
+    return win.transpose(1, 3, 0, 2).reshape(cin * k, n * lout)
+
+
 def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D cross-correlation: x (N, Cin, L) with kernels w (Cout, Cin, K).
 
     The forward is one im2col matrix product, (Cout, Cin*K) kernels times
     (Cin*K, N*Lout) columns, and the weight and input gradients are one
-    product each. The columns are laid out as numpy's einsum lays them out
-    for "nilk,oik->nol" (read transposed from (N*Lout, K) rows when Cin is
-    1), so the products are einsum's BLAS calls and give its bits on the
+    product each. The node does not hold the columns: the vjp rebuilds them
+    from x. They are laid out as einsum lays them out (see `_im2col`), so
+    the products are einsum's BLAS calls and give its bits on the
     encoder's three convs (checked for N from 1 to 120). Where einsum
     leaves BLAS for its own loop, on some geometries with an axis of
     length 1 (Cin, Cout, K, N or Lout), the two can differ by a few units
@@ -767,26 +742,16 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
         if b.data.shape != (cout,):
             raise ShapeError(f"conv1d bias shape {b.data.shape} != ({cout},)")
         inputs = (x, w, b)
-    xp = np.zeros((n, cin, length + 2 * padding))
-    xp[:, :, padding : padding + length] = x.data
-    # the windows, win[n, i, l, j] = xp[n, i, l*stride + j], as a read-only view
-    sn, si, sl = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (n, cin, lout, k), (sn, si, stride * sl, sl), writeable=False
-    )
-    if cin == 1:
-        cols = np.ascontiguousarray(win[:, 0]).reshape(n * lout, k).T
-    else:
-        cols = win.transpose(1, 3, 0, 2).reshape(cin * k, n * lout)
     kernels = w.data.reshape(cout, cin * k)
-    out_data = np.matmul(kernels, cols)
+    out_data = np.matmul(kernels, _im2col(x.data, k, stride, padding, lout))
     if b is not None:
         out_data += b.data[:, None]
     out = Tensor._wrap(out_data.reshape(cout, n, lout).transpose(1, 0, 2))
 
     def vjp(g: Array):
         g_rows = np.transpose(g, (0, 2, 1)).reshape(n * lout, cout)
-        dw = np.matmul(cols, g_rows).reshape(cin, k, cout).transpose(2, 0, 1)
+        dw = np.matmul(_im2col(x.data, k, stride, padding, lout), g_rows)
+        dw = dw.reshape(cin, k, cout).transpose(2, 0, 1)
         dx = None
         if x.requires_grad:
             g_cols = np.transpose(g, (1, 0, 2)).reshape(cout, n * lout)
@@ -819,11 +784,6 @@ def straight_through(h: Tensor, z_q: Tensor) -> Tensor:
         )
     out = Tensor._wrap(z_q.data.copy())
     return _record(out, (h, z_q), lambda g: (g, None))
-
-
-def detach(a: Tensor) -> Tensor:
-    """Stop-gradient: same values, no tape connection."""
-    return as_tensor(a).detach()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ The manifest lists (name, shape, offset) per entry, with offsets in bytes
 into `weights.bin`, in manifest order. Values are stored as f32 and upcast
 to f64 on load. Writes go to temporary names first and are renamed into
 place, weights before manifest, so a complete manifest implies a complete
-checkpoint.
+checkpoint. A checkpoint written over an older one first removes the old
+manifest, so a write stopped between the two renames leaves weights without
+a manifest, which `load_checkpoint` refuses, rather than new weights under
+an old manifest.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict 
         for blob in blobs:
             f.write(blob)
     tmp_manifest.write_text(json.dumps(manifest, indent=1))
+    (root / MANIFEST).unlink(missing_ok=True)
     os.replace(tmp_weights, root / WEIGHTS)
     os.replace(tmp_manifest, root / MANIFEST)
 

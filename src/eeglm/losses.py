@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Array, Tensor
 from .backbone import ToyBackbone
 from .errors import AssemblyError, ShapeError
 from .nn import Linear, Module
-from .quantizer import quant_loss
 from .sequences import HybridSequence
 
 
@@ -24,19 +23,47 @@ class ReconstructionHeads(Module):
         return self.time(features), self.freq(features)
 
 
-def _mse(a, b) -> Tensor:
-    a, b = ad.as_tensor(a), ad.as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"reconstruction pair shapes differ: {a.shape} vs {b.shape}")
-    diff = ad.sub(a, b)
-    return ad.mean(ad.mul(diff, diff))
-
-
 def loss_dsha(x, x_hat, x_fre, x_fre_hat, h, z_q, beta: float) -> Tensor:
-    """Time + frequency reconstruction errors plus the commitment loss."""
-    return ad.add(
-        ad.add(_mse(x, x_hat), _mse(x_fre, x_fre_hat)), quant_loss(h, z_q, beta)
-    )
+    """Time + frequency reconstruction errors plus the commitment loss, as
+    one tape node.
+
+    Each term is a mean of squares: (x - x_hat)^2, (x_fre - x_fre_hat)^2,
+    then ||sg[h] - z_q||^2 + beta ||h - sg[z_q]||^2, whose first term
+    carries gradient to the codebook rows z_q and its second to the encoder
+    features h. Value and gradients are those of the chain of sub, mul,
+    sum_ and mul nodes (`tests/oracles.py`), bit for bit. The node holds no
+    difference: its vjp recomputes each from its pair.
+    """
+    # in the order the chain's vjps reach them: the commitment pair, then
+    # the frequency and the time reconstruction pairs
+    pairs = [(ad.as_tensor(a), ad.as_tensor(b)) for a, b in ((h, z_q), (x_fre, x_fre_hat), (x, x_hat))]
+    means, scales = [], []
+    for a, b in pairs:
+        if a.shape != b.shape:
+            raise ShapeError(f"loss pair shapes differ: {a.shape} vs {b.shape}")
+        d = a.data - b.data
+        scales.append(1.0 / d.size)  # the chain's mean: the sum times 1 / count
+        means.append((d * d).sum() * scales[-1])
+    quant, fre, rec = means
+    out = Tensor._wrap((rec + fre) + (quant + quant * beta))
+
+    def vjp(g: Array):
+        grads = []
+        for i, ((a, b), c) in enumerate(zip(pairs, scales)):
+            if not (a.requires_grad or b.requires_grad):
+                grads += [None, None]
+                continue
+            d = a.data - b.data
+            ga = (g * beta if i == 0 else g) * c * d
+            ga += ga
+            gb = ga
+            if i == 0:  # h gets the beta-weighted term, z_q the codebook term
+                gb = g * c * d
+                gb += gb
+            grads += [ga, -gb]
+        return grads
+
+    return ad._record(out, tuple(t for pair in pairs for t in pair), vjp)
 
 
 def span_rows(seq: HybridSequence, span: str) -> np.ndarray:
@@ -47,27 +74,56 @@ def span_rows(seq: HybridSequence, span: str) -> np.ndarray:
 
 
 def span_nll(logits: Tensor, seq: HybridSequence, span: str) -> Tensor:
-    """Mean NLL of span tokens, each predicted from the preceding position.
+    """Mean NLL of span tokens, each predicted from the preceding position,
+    as one tape node.
 
     `logits` holds one row per position of `seq`, or only the rows
     `span_rows(seq, span)` in that order (what `ToyBackbone.logits` returns
-    for those rows).
+    for those rows). Value and gradient are those of the chain log_softmax
+    -> pick -> mean -> neg (`tests/oracles.py`), bit for bit. The node keeps
+    each read row's max and log-sum-exp, not its log-probabilities, and its
+    vjp writes the read rows' gradient into one array; rows it does not
+    read get zeros.
     """
     s, e = seq.spans.get(span, (0, 0))
     if e <= s:
         return Tensor(np.float64(0.0))
+    n = e - s
     if logits.shape[0] == seq.length:
-        rows = span_rows(seq, span)
-    elif logits.shape[0] == e - s:
-        rows = np.arange(e - s)
+        rows = slice(s - 1, e - 1)  # span_rows(seq, span)
+    elif logits.shape[0] == n:
+        rows = slice(0, n)
     else:
         raise ShapeError(
-            f"{span} span of {e - s} tokens needs {seq.length} or {e - s} logit rows, "
+            f"{span} span of {n} tokens needs {seq.length} or {n} logit rows, "
             f"got {logits.shape[0]}"
         )
-    log_probs = ad.log_softmax(logits, axis=-1)
-    picked = ad.pick(log_probs, rows, seq.ids[s:e])
-    return ad.neg(ad.mean(picked))
+    at = (np.arange(n), seq.ids[s:e])  # each read row's target
+    read = logits.data[rows]
+    top = read.max(axis=-1, keepdims=True)
+    shifted = read - top
+    picked = shifted[at]
+    lse = np.log(np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True))
+    picked -= lse[:, 0]
+    out = Tensor._wrap(-(picked.sum() * (1.0 / n)))
+
+    def vjp(g: Array):
+        # pick's gradient holds each read row's share of the mean at its
+        # target and zeros elsewhere, so log_softmax's vjp is share -
+        # exp(y) * share at a target and 0.0 - exp(y) * share elsewhere
+        share = (-g) * (1.0 / n)
+        grad = np.zeros_like(logits.data)
+        block = grad[rows]  # y rebuilt from the kept max and lse, then the vjp in place
+        np.subtract(read, top, out=block)
+        block -= lse
+        np.exp(block, out=block)
+        block *= share
+        hit = share - block[at]
+        np.subtract(0.0, block, out=block)
+        block[at] = hit
+        return (grad,)
+
+    return ad._record(out, (logits,), vjp)
 
 
 def loss_ntp(seq: HybridSequence, backbone: ToyBackbone, sem: Tensor) -> tuple[Tensor, Tensor]:

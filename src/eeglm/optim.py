@@ -17,10 +17,13 @@ class AdamW:
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p).
     The parameters, in dict order, are copied into one contiguous f64 buffer
     `flat`, and each `Tensor.data` becomes a view of it; `m` and `v` have the
-    same length. `lr_runs` holds the lr scales as (start, stop, scale) runs
-    over `flat`, one per stretch of equal scale. Write a parameter in place
-    (`t.data[...] = x`), never rebind it (`t.data = x`): a rebound tensor has
-    left the buffer, so the optimizer neither reads nor moves it.
+    same length. Between steps the optimizer holds these three buffers
+    alone: each step allocates its gradient and scratch buffers and drops
+    them when it returns. `lr_runs` holds the lr scales as (start, stop,
+    scale) runs over `flat`, one per stretch of equal scale. Write a
+    parameter in place (`t.data[...] = x`), never rebind it (`t.data = x`):
+    a rebound tensor has left the buffer, so the optimizer neither reads nor
+    moves it.
     """
 
     def __init__(
@@ -46,12 +49,11 @@ class AdamW:
             if self.lr_runs and self.lr_runs[-1][2] == scale:
                 a = self.lr_runs.pop()[0]
             self.lr_runs.append((a, b, scale))
-        # one allocation: the parameters, their moments and the step's two work buffers
-        self.flat, self.m, self.v, self._grad, self._scratch = np.zeros((5, sum(sizes)))
+        # one allocation: the parameters and their two moments
+        self.flat, self.m, self.v = np.zeros((3, sum(sizes)))
         for name, view in self._views(self.flat).items():
             view[...] = self.params[name].data
             self.params[name].data = view
-        self._grad_views = self._views(self._grad)
 
     def _views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
         parts = np.split(buf, self._cuts)
@@ -62,11 +64,16 @@ class AdamW:
         missing from `grads` has a zero gradient. Each line below is one
         factor or addend of the per-tensor expression, so the result is the
         same to the bit."""
-        for name, view in self._grad_views.items():
-            view[...] = grads.get(name, 0.0)
+        # the gradient, flattened in C order and parameter order as `flat`
+        # holds the parameters; it ends as the update
+        g = np.concatenate(
+            [grads[name] if name in grads else np.zeros(p.shape) for name, p in self.params.items()],
+            axis=None,
+        )
+        s = np.empty_like(g)
         b1, b2 = self.betas
         self.t += 1
-        g, s, m, v = self._grad, self._scratch, self.m, self.v  # g ends as the update
+        m, v = self.m, self.v
         m *= b1
         np.multiply(g, 1.0 - b1, out=s)
         m += s  # m = b1 * m + (1 - b1) * g

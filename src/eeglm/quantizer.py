@@ -3,8 +3,8 @@
 Encoder features (width E) pass through a learned linear bridge to the
 codebook width D, snap to their nearest codebook row (lowest index on
 ties), and return through a second bridge to E. The commitment loss
-carries gradients to both the codebook (through the selected rows) and
-the encoder (through the pre-quantization features).
+(`eeglm.losses.loss_dsha`) carries gradients to both the codebook (through
+the selected rows) and the encoder (through the pre-quantization features).
 """
 
 from __future__ import annotations
@@ -61,16 +61,6 @@ def nearest_indices(rows: np.ndarray, codebook: np.ndarray) -> np.ndarray:
         + np.sum(codebook * codebook, axis=1)[None, :]
     )
     return np.argmin(d2, axis=1)
-
-
-def quant_loss(h: Tensor, z_q: Tensor, beta: float) -> Tensor:
-    """Mean-form commitment loss: ||sg[h] - z_q||^2 + beta ||h - sg[z_q]||^2."""
-    codebook_term = ad.sub(ad.detach(h), z_q)
-    commit_term = ad.sub(h, ad.detach(z_q))
-    return ad.add(
-        ad.mean(ad.mul(codebook_term, codebook_term)),
-        ad.mul(ad.mean(ad.mul(commit_term, commit_term)), beta),
-    )
 
 
 class VectorQuantizer(Module):

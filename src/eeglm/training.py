@@ -250,12 +250,17 @@ class MetricsLogger:
     """Append-only per-step CSV with round-trip-exact float columns.
 
     When appending to an existing log, rows past step `keep_through` (logged
-    after the checkpoint a run resumes from) are dropped first; a log without
-    the header row, with a step that is not an integer, or with a kept row
-    whose other fields are not five finite floats is refused as it is.
+    after the checkpoint a run resumes from) are dropped first. A log is
+    refused as it is when it lacks the header row, has a step that is not an
+    integer, or its kept rows are not steps 1..`keep_through` in order, each
+    with five finite floats and `loss_total == (loss_text + loss_eeg) +
+    loss_orth * lambda_orth` as the row prints them.
     """
 
-    def __init__(self, path: str | Path, append: bool = False, keep_through: int | None = None):
+    def __init__(
+        self, path: str | Path, append: bool = False, keep_through: int | None = None,
+        lambda_orth: float = 0.0,
+    ):
         self.path = Path(path)
         fresh = not (append and self.path.exists())
         if not fresh and keep_through is not None:
@@ -270,13 +275,23 @@ class MetricsLogger:
                         continue
                 except ValueError as e:
                     raise DataError(f"{self.path}: malformed step field: {e}") from e
+                if int(step) != len(kept) + 1:
+                    raise DataError(f"{self.path}: row {len(kept) + 1} holds step {int(step)}")
                 try:
-                    ok = len(fields) == 5 and all(math.isfinite(float(f)) for f in fields)
+                    vals = [float(f) for f in fields]
                 except ValueError:
-                    ok = False
-                if not ok:
+                    vals = []
+                if len(vals) != 5 or not all(map(math.isfinite, vals)):
                     raise DataError(f"{self.path}: row of step {int(step)} is not five finite floats")
+                total, text, eeg, orth, _ = vals
+                if total != (text + eeg) + orth * lambda_orth:
+                    raise DataError(
+                        f"{self.path}: row of step {int(step)} has loss_total {total!r} != "
+                        f"loss_text + loss_eeg + {lambda_orth!r} * loss_orth"
+                    )
                 kept.append(row)
+            if len(kept) != keep_through:
+                raise DataError(f"{self.path}: holds {len(kept)} rows up to step {keep_through}")
             self.path.write_bytes(b"".join(lines[:1] + kept))
         self._fh = open(self.path, "w" if fresh else "a", newline="")
         self._writer = csv.writer(self._fh)
@@ -568,7 +583,9 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
     for sub in ("checkpoints", "artifacts"):
         (run / sub).mkdir(parents=True, exist_ok=True)
     # a resumed run refused on its metrics log keeps its config.json too
-    logger = MetricsLogger(run / "metrics.csv", append=resumed, keep_through=step)
+    logger = MetricsLogger(
+        run / "metrics.csv", append=resumed, keep_through=step, lambda_orth=cfg["train"]["lambda_orth"]
+    )
     total_steps = cfg["train"]["epochs"] * len(items)
     try:
         (run / "config.json").write_text(json.dumps(cfg, indent=2))

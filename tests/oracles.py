@@ -1,12 +1,15 @@
 """Reference ops that only the tests use.
 
-`tanh`, `softmax`, `matmul`, `transpose` and `attention` are tape ops in
-the style of `eeglm.autodiff`: `tanh` is a smooth test nonlinearity for the
-finite-difference checks; `softmax`, `matmul` and `transpose` build the
-unfused reference chains that the fused kernels (`ad.linear`, `ad.mix`,
-`ad.attention_layer`) must match to the bit; and `attention` is the
-attention between the projections as a node of its own, the middle of the
-four-`linear` chain that `ad.attention_layer` fuses. `pool_level` and
+`tanh`, `softmax`, `log_softmax`, `pick`, `mean`, `neg`, `detach`,
+`matmul`, `transpose` and `attention` are tape ops in the style of
+`eeglm.autodiff`: `tanh` is a smooth test nonlinearity for the
+finite-difference checks; the others build the unfused reference chains
+that the fused kernels (`ad.linear`, `ad.mix`, `ad.attention_layer`) and
+the fused losses must match to the bit. `attention` is the attention
+between the projections as a node of its own, the middle of the
+four-`linear` chain that `ad.attention_layer` fuses. `span_nll`,
+`quant_loss` and `loss_dsha` are the chains that `eeglm.losses.span_nll`
+and `eeglm.losses.loss_dsha` each record as one node. `pool_level` and
 `broadcast_level` are the numpy oracles of the encoder's hierarchy pooling.
 `AttentionSpy` keeps the weights an attention module returns inside a model.
 """
@@ -33,6 +36,81 @@ def softmax(a, axis: int = -1) -> Tensor:
     y = e / e.sum(axis=axis, keepdims=True)
     out = Tensor._wrap(y)
     return ad._record(out, (a,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
+
+
+def log_softmax(a, axis: int = -1) -> Tensor:
+    a = ad.as_tensor(a)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    y = shifted - lse
+    out = Tensor._wrap(y)
+    return ad._record(out, (a,), lambda g: (g - np.exp(y) * g.sum(axis=axis, keepdims=True),))
+
+
+def pick(a, rows, cols) -> Tensor:
+    """Select a[rows[i], cols[i]] for each i from a 2-D tensor."""
+    a = ad.as_tensor(a)
+    if a.data.ndim != 2:
+        raise ShapeError(f"pick needs a 2-D tensor, got {a.data.shape}")
+    r = np.asarray(rows, dtype=np.int64)
+    c = np.asarray(cols, dtype=np.int64)
+    out = Tensor._wrap(a.data[r, c])
+
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, (r, c), g)
+        return (full,)
+
+    return ad._record(out, (a,), vjp)
+
+
+def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+    a = ad.as_tensor(a)
+    if axis is None:
+        count = a.data.size
+    else:
+        axes = axis if isinstance(axis, tuple) else (axis,)
+        count = int(np.prod([a.data.shape[ax] for ax in axes]))
+    return ad.mul(ad.sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
+
+
+def neg(a) -> Tensor:
+    a = ad.as_tensor(a)
+    return ad._record(Tensor._wrap(-a.data), (a,), lambda g: (-g,))
+
+
+def detach(a) -> Tensor:
+    """Stop-gradient: same values, no tape connection."""
+    return Tensor._wrap(ad.as_tensor(a).data)
+
+
+def span_nll(logits, seq, span: str) -> Tensor:
+    """`eeglm.losses.span_nll` as the chain log_softmax -> pick -> mean -> neg
+    over every row of `logits` (one per position of `seq`, or the span's)."""
+    s, e = seq.spans[span]
+    lo = s - 1 if logits.shape[0] == seq.length else 0
+    log_probs = log_softmax(logits, axis=-1)
+    return neg(mean(pick(log_probs, np.arange(lo, lo + e - s), seq.ids[s:e])))
+
+
+def quant_loss(h, z_q, beta: float) -> Tensor:
+    """Mean-form commitment loss: ||sg[h] - z_q||^2 + beta ||h - sg[z_q]||^2."""
+    codebook_term = ad.sub(detach(h), z_q)
+    commit_term = ad.sub(h, detach(z_q))
+    return ad.add(
+        mean(ad.mul(codebook_term, codebook_term)),
+        ad.mul(mean(ad.mul(commit_term, commit_term)), beta),
+    )
+
+
+def _mse(a, b) -> Tensor:
+    diff = ad.sub(a, b)
+    return mean(ad.mul(diff, diff))
+
+
+def loss_dsha(x, x_hat, x_fre, x_fre_hat, h, z_q, beta: float) -> Tensor:
+    """`eeglm.losses.loss_dsha` as its chain of nodes."""
+    return ad.add(ad.add(_mse(x, x_hat), _mse(x_fre, x_fre_hat)), quant_loss(h, z_q, beta))
 
 
 def transpose(a, axes=None) -> Tensor:

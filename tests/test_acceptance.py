@@ -39,7 +39,7 @@ from eeglm.profiler import (
     verbalize,
 )
 from eeglm.profiler import StubClient
-from eeglm.quantizer import QuantizerConfig, VectorQuantizer, nearest_indices, quant_loss
+from eeglm.quantizer import QuantizerConfig, VectorQuantizer, nearest_indices
 from eeglm.refiner import RefinerConfig, SemanticRefiner
 from eeglm.sequences import VocabSpec, assemble_sequence
 from eeglm.signal_io import (
@@ -64,6 +64,7 @@ from test_metrics import (
     oracle_weighted_f1,
 )
 from test_profiler import SAMPLE_BODY
+from test_quantizer import quant_loss
 
 
 def gate(idx: int, name: str, ok: bool, detail: str) -> None:

@@ -11,10 +11,12 @@ from eeglm.backbone import BackboneConfig, ToyBackbone
 from eeglm.errors import AssemblyError, ConfigError, ShapeError
 from eeglm.losses import loss_cpt, loss_dsha, loss_ntp, loss_sft, span_nll
 from eeglm.optim import AdamW
-from eeglm.quantizer import QuantizerConfig, VectorQuantizer, quant_loss
+from eeglm.quantizer import QuantizerConfig, VectorQuantizer
 from eeglm.sequences import VocabSpec, assemble_sequence
 from gradcheck import check_directional
+import oracles
 from oracles import AttentionSpy, matmul, softmax, transpose
+from test_quantizer import quant_loss
 
 VOCAB = VocabSpec(v_text=40, n_codes=12)
 CFG = BackboneConfig(
@@ -271,8 +273,8 @@ def test_codebook_gradient_comes_only_from_alignment_term(rng):
         grads_full = backward(full, wrt=[quant.codebook])
     with Graph():
         z_q = ad.take(quant.codebook, quant.quantize_rows(h.data))
-        diff = ad.sub(h, ad.detach(z_q))
-        commit_only = ad.mul(ad.mean(ad.mul(diff, diff)), 0.25)
+        diff = ad.sub(h, oracles.detach(z_q))
+        commit_only = ad.mul(oracles.mean(ad.mul(diff, diff)), 0.25)
         grads_commit = backward(commit_only, wrt=[quant.codebook])
     assert np.abs(grads_full[quant.codebook]).max() > 0
     assert np.all(grads_commit[quant.codebook] == 0.0)
@@ -420,12 +422,6 @@ def test_logits_rows_outside_the_sequence_rejected(rng):
                 model.logits(seq, Tensor(sem), rows=bad)
 
 
-def _full_row_nll(logits, seq, span):
-    s, e = seq.spans[span]
-    log_probs = ad.log_softmax(logits, axis=-1)
-    return ad.neg(ad.mean(ad.pick(log_probs, np.arange(s - 1, e - 1), seq.ids[s:e])))
-
-
 def _values_and_grads(fn, wrt):
     """The three span losses of `fn` and the gradients of their sum."""
     with Graph():
@@ -446,7 +442,7 @@ def test_row_losses_match_a_full_row_reference(rng):
 
     def reference():
         logits = model.logits(seq, sem)
-        return [_full_row_nll(logits, seq, span) for span in ("text", "eeg", "answer")]
+        return [oracles.span_nll(logits, seq, span) for span in ("text", "eeg", "answer")]
 
     def rows_path():
         return [*loss_ntp(seq, model, sem), loss_sft(seq, model, sem)]

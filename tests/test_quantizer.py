@@ -14,9 +14,15 @@ from eeglm.quantizer import (
     VectorQuantizer,
     codebook_health,
     nearest_indices,
-    quant_loss,
     save_tokens,
 )
+from eeglm.losses import loss_dsha
+
+
+def quant_loss(h, z_q, beta: float):
+    """The commitment loss alone: `loss_dsha` with reconstruction pairs that agree."""
+    zero = np.zeros((1, 1))
+    return loss_dsha(zero, Tensor(zero), zero, Tensor(zero), h, z_q, beta)
 
 
 def test_quantize_hand_case():

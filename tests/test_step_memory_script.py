@@ -1,0 +1,23 @@
+"""The step-memory script, run on a two-sample toy set."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_step_memory_prints_each_stage_on_a_toy_set():
+    env = dict(os.environ, PYTHONPATH=str(SCRIPTS.parent / "src"))
+    argv = [sys.executable, str(SCRIPTS / "step_memory.py"),
+            "--per-class", "1", "--set", 'data.classes=["class-a","class-b"]']
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = (line.split() for line in proc.stdout.splitlines())
+    assert header == ["stage", "steps", "at_backward_bytes", "tape_bytes", "step_peak_bytes"]
+    assert [row[0] for row in rows] == ["vq", "cpt", "sft", "vq-19ch"]
+    for _, steps, entry, tape, peak in rows:
+        assert int(steps) == 2 and 0 < int(tape) < int(entry) <= int(peak)

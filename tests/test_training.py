@@ -6,9 +6,12 @@ import copy
 import csv
 import gc
 import json
+import os
 import re
 import shutil
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +22,9 @@ from eeglm.config import resolve_config
 from eeglm.errors import ConfigError, DataError, MontageError, UsageError
 from eeglm.optim import AdamW
 from eeglm.quantizer import VectorQuantizer
-from eeglm.signal_io import Recording
-from eeglm.synth import make_dataset, load_corpus
+from eeglm.signal_io import WORK_FS, Recording, preprocess
+from eeglm.synth import make_dataset, make_recording, load_corpus
+from eeglm.topology import get_montage
 from eeglm.training import (
     CSV_COLUMNS,
     MetricsLogger,
@@ -269,6 +273,12 @@ def test_resume_refuses_moments_of_another_trainable_set(tmp_path, data_dir, mon
     assert sorted(p.name for p in (run / "checkpoints").iterdir()) == ["epoch_0000"]
 
 
+def _rows(log: bytes, edit) -> bytes:
+    """The log with its rows after the header replaced by edit(rows)."""
+    header, *rows = log.splitlines(keepends=True)
+    return b"".join([header, *edit(rows)])
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -280,8 +290,14 @@ def test_resume_refuses_moments_of_another_trainable_set(tmp_path, data_dir, mon
          "row of step 2 is not five finite floats"),
         (lambda log: re.sub(rb"\n3,.*", b"\n3,1.0,0.0", log, count=1),
          "row of step 3 is not five finite floats"),
+        (lambda log: _rows(log, lambda r: [r[0], r[0], *r[2:]]), "row 2 holds step 1"),
+        (lambda log: _rows(log, lambda r: [r[0], *r[2:]]), "row 2 holds step 3"),
+        (lambda log: _rows(log, lambda r: r[:-1]), "holds 3 rows up to step 4"),
+        (lambda log: re.sub(rb"\n3,[^,]*,", b"\n3,999.0,", log, count=1),
+         "row of step 3 has loss_total 999.0 != loss_text + loss_eeg + 0.1 * loss_orth"),
     ],
-    ids=["emptied", "step-x", "loss-abc", "loss-nan", "short-row"],
+    ids=["emptied", "step-x", "loss-abc", "loss-nan", "short-row", "repeated-row", "missing-row",
+         "missing-last-row", "loss-identity"],
 )
 def test_resume_refuses_a_malformed_metrics_log_as_it_is(tmp_path, data_dir, damage, message):
     run = tmp_path / "run"
@@ -293,6 +309,48 @@ def test_resume_refuses_a_malformed_metrics_log_as_it_is(tmp_path, data_dir, dam
         STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 2}), run, resume=True)
     assert {p: p.read_bytes() for p in before} == before
     assert sorted(p.name for p in (run / "checkpoints").iterdir()) == ["epoch_0000"]
+
+
+def test_resume_checks_the_loss_identity_with_the_runs_lambda(tmp_path, chain):
+    root, _, cfg_cpt, _ = chain
+    run = tmp_path / "run"
+    shutil.copytree(root / "cpt", run)
+    log = run / "metrics.csv"
+    header, *rows = log.read_bytes().splitlines(keepends=True)
+    step, total, text, eeg, orth, lr = rows[4].split(b",")
+    assert float(orth) > 0.0 and cfg_cpt["train"]["lambda_orth"] == 0.1
+    # the same loss_total with loss_orth doubled: a λ of 0.05 would accept it
+    rows[4] = b",".join([step, total, text, eeg, repr(2 * float(orth)).encode(), lr])
+    log.write_bytes(b"".join([header, *rows]))
+    cfg = copy.deepcopy(cfg_cpt)
+    cfg["train"]["epochs"] = 3
+    with pytest.raises(DataError, match=re.escape(f"{log}: row of step 5 has loss_total")):
+        STAGE_RUNNERS["cpt"](cfg, run, resume=True)
+
+
+def test_a_checkpoint_write_stopped_between_its_renames_leaves_no_manifest(
+    tmp_path, data_dir, monkeypatch
+):
+    run = tmp_path / "run"
+    STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 1}), run)
+    ckpt = run / "checkpoints" / "epoch_0000"
+    arrays, meta = load_checkpoint(ckpt)
+    real_replace = os.replace
+
+    def killed_after_the_weights(src, dst):
+        real_replace(src, dst)
+        if Path(dst).name == "weights.bin":
+            raise RuntimeError("killed")
+
+    monkeypatch.setattr(os, "replace", killed_after_the_weights)
+    with pytest.raises(RuntimeError, match="killed"):
+        save_checkpoint(ckpt, {name: a + 1.0 for name, a in arrays.items()}, meta)
+    monkeypatch.undo()
+    assert (ckpt / "weights.bin").is_file() and not (ckpt / "manifest.json").exists()
+    assert find_latest_checkpoint(run) is None
+    with pytest.raises(DataError) as refused:
+        load_checkpoint(ckpt)
+    assert refused.value.exit_code == 3
 
 
 def test_resume_drops_rows_logged_after_the_checkpoint(tmp_path, data_dir, monkeypatch):
@@ -379,6 +437,56 @@ def test_a_step_holds_neither_the_start_checkpoint_nor_the_last_steps_gradients(
     finally:
         gc.enable()
     assert len(spent) > 100 and alive == [0] * 8
+
+
+QUICK_START = {
+    "data": {"montage": "synthetic-4"}, "quantizer": {"num_codes": 32, "code_dim": 8},
+    "optimizer": {"lr": 0.003}, "schedule": {"warmup_steps": 20},
+}
+WIDE = {"data": {"montage": "builtin-1020"}, "optimizer": {"lr": 0.003}, "schedule": {"warmup_steps": 20}}
+
+
+def one_step_peak(spec_cls, overrides, rec) -> int:
+    """Traced peak bytes of one training step of a fresh stage on one
+    recording, with the model, the optimizer and the data allocated under
+    the trace, as the stage loop takes the step."""
+    cfg = resolve_config(None, [overrides])
+    tracemalloc.start()
+    try:
+        model = build_model(cfg)
+        spec = spec_cls(cfg)
+        trainable, scales = spec.open(model, fresh=True)
+        hyper = {k: cfg["optimizer"][k] for k in ("betas", "eps", "weight_decay")}
+        opt = AdamW(trainable, lr_scales=scales, **hyper)
+        (item,) = spec.prepare(model, [("sample_0000", rec, "class-a")])
+        tracemalloc.reset_peak()
+        with training.Graph():
+            loss, _ = spec.step(model, item)
+            grads = training.backward(loss, wrt=list(trainable.values()))
+            grads = {k: grads[v] for k, v in trainable.items()}
+        opt.step(training.clip_global_norm(grads, cfg["optimizer"]["clip_norm"]), lr=1e-3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "spec_cls, overrides, montage, fs, seconds, bound_mb",
+    # measured at 14.7 and 9.8 MB; 17.7 and 13.9 MB while the losses were
+    # chains of small nodes, ffn and conv1d held their activation and im2col
+    # columns, and AdamW held two work buffers between steps
+    [(CptStage, QUICK_START, "synthetic-4", 200.0, 2.0, 16.0),
+     (VqStage, WIDE, "builtin-1020", 500.0, 6.0, 11.5)],
+    ids=["cpt-quick-start", "vq-19-channels"],
+)
+def test_a_training_step_stays_under_its_traced_memory_bound(
+    spec_cls, overrides, montage, fs, seconds, bound_mb
+):
+    channels = get_montage(montage).labels
+    rec = make_recording("class-a", channels, np.random.default_rng(7), fs=fs, seconds=seconds)
+    if fs != WORK_FS:
+        rec = preprocess(rec)
+    assert one_step_peak(spec_cls, overrides, rec) < bound_mb * 1e6
 
 
 def test_resume_refuses_another_stages_checkpoint(tmp_path, chain):
