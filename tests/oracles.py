@@ -12,15 +12,24 @@ four-`linear` chain that `ad.attention_layer` fuses. `span_nll`,
 and `eeglm.losses.loss_dsha` each record as one node. `pool_level` and
 `broadcast_level` are the numpy oracles of the encoder's hierarchy pooling.
 `AttentionSpy` keeps the weights an attention module returns inside a model.
+`resample`, `bandpass_notch` and `preprocess` are the preprocessing chain
+of `eeglm.signal_io` as it ran on scipy.signal, the reference its numpy
+filters are held to.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
+import scipy.signal as sps
 
 from eeglm import autodiff as ad
 from eeglm.autodiff import Tensor
 from eeglm.errors import MontageError, ShapeError
+from eeglm.signal_io import DEFAULT_BAND, WORK_FS, Recording, robust_scale
 from eeglm.topology import BthHierarchy
 
 
@@ -186,3 +195,51 @@ def broadcast_level(group_features: np.ndarray, hier: BthHierarchy, level: int) 
         )
     full = mat @ groups.reshape(mat.shape[1], -1)
     return full.reshape(mat.shape[0], groups.shape[1], groups.shape[2])
+
+
+def resample(rec: Recording, target_fs: float) -> Recording:
+    """Polyphase windowed-sinc resampling on scipy.signal: firwin taps
+    (Kaiser beta=8.6, 64 taps/phase) and resample_poly's "line" extension."""
+    if target_fs == rec.fs:
+        return rec
+    frac = Fraction(target_fs / rec.fs).limit_denominator(1000)
+    up, down = frac.numerator, frac.denominator
+    out_len = int(math.floor(rec.n_samples * target_fs / rec.fs))
+    # windowed-sinc low-pass at the tighter Nyquist edge, 64 taps per branch
+    max_rate = max(up, down)
+    half_len = 32 * max_rate
+    cutoff = 1.0 / max_rate
+    taps = sps.firwin(2 * half_len + 1, cutoff, window=("kaiser", 8.6))
+    out = sps.resample_poly(rec.data, up, down, axis=1, window=taps, padtype="line")
+    out = out[:, :out_len]
+    return replace(rec, fs=float(target_fs), data=out)
+
+
+def bandpass_notch(
+    rec: Recording,
+    low: float = DEFAULT_BAND[0],
+    high: float = DEFAULT_BAND[1],
+    notch: float | None = 50.0,
+) -> Recording:
+    """Zero-phase 4th-order Butterworth band-pass plus a Q=30 notch on
+    scipy.signal: butter sections and iirnotch, each run by Gustafsson's
+    filtfilt, after demeaning."""
+    sos = sps.butter(4, [low, high], btype="bandpass", fs=rec.fs, output="sos")
+    out = rec.data - rec.data.mean(axis=1, keepdims=True)
+    for section in sos:
+        out = sps.filtfilt(section[:3], section[3:], out, axis=1, method="gust")
+    if notch is not None:
+        b, a = sps.iirnotch(notch, Q=30.0, fs=rec.fs)
+        out = sps.filtfilt(b, a, out, axis=1, method="gust")
+    return replace(rec, data=out)
+
+
+def preprocess(
+    rec: Recording,
+    target_fs: float = WORK_FS,
+    low: float = DEFAULT_BAND[0],
+    high: float = DEFAULT_BAND[1],
+    notch: float | None = 50.0,
+) -> Recording:
+    """Full chain: resample -> band-pass/notch -> robust scale."""
+    return robust_scale(bandpass_notch(resample(rec, target_fs), low, high, notch))

@@ -24,7 +24,7 @@ from eeglm.config import DEFAULTS
 from eeglm.errors import DataError
 from eeglm.evaluate import BINARY_METRICS
 from eeglm.profiler import StubClient
-from eeglm.signal_io import load_container
+from eeglm.signal_io import Recording, load_container, save_container
 from eeglm.synth import make_dataset
 from eeglm.training import load_model, profile_recording
 
@@ -339,6 +339,35 @@ def test_nonfinite_sampling_rate_exits_with_its_code(env, tmp_path, capsys, make
     args = make_args(tmp_path, env)
     assert main(env["base"] + ["--out", str(tmp_path / "out")] + args) == code
     assert "sampling rate must be positive and finite" in capsys.readouterr().err
+
+
+def _container_at(root: Path, fs: float, samples: int) -> Path:
+    data = np.random.default_rng(0).standard_normal((2, samples))
+    save_container(Recording(channels=("X0", "X1"), fs=fs, data=data), root / "rec")
+    return root / "rec"
+
+
+@pytest.mark.parametrize("fs", [1e12, 3e5])
+def test_preprocess_refuses_a_rate_ratio_no_fraction_holds(env, tmp_path, capsys, fs):
+    # 200/1e12 has no fraction with a denominator up to 1000 but 0; 200/3e5
+    # = 1/1500 would be held as 1/1000, resampled to 300 Hz and labelled 200
+    sample = _container_at(tmp_path, fs, 60_000)
+    out = tmp_path / "out"
+    assert main(env["base"] + ["--out", str(out), "preprocess", str(sample)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"fs={fs} Hz" in err and "to 200.0 Hz" in err
+    assert not out.exists()
+
+
+def test_preprocess_holds_173_61_hz_as_1061_over_921(env, tmp_path):
+    # 200/173.61 = 1.1520074; 1061/921 = 1.1520087 is within 1.2e-6 of it
+    sample = _container_at(tmp_path, 173.61, 1042)
+    out = tmp_path / "out"
+    assert main(env["base"] + ["--out", str(out), "preprocess", str(sample)]) == 0
+    rec = load_container(out)
+    assert rec.fs == 200.0
+    assert rec.n_samples == 1200  # floor(1042 * 200 / 173.61)
 
 
 
@@ -884,19 +913,31 @@ def test_attn_export_profile_must_be_an_object(env, tmp_path, capsys, payload):
     assert str(profile) in capsys.readouterr().err
 
 
-def test_import_path_leaves_scipy_signal_unloaded():
-    # only `eeglm preprocess` needs scipy's filters, and it loads them itself;
-    # the profiler's Welch runs on numpy.fft
+IMPORT_PATH_PROBE = """
+import sys
+import eeglm.evaluate, eeglm.training
+from eeglm import cli
+out = sys.argv[1]
+synth = ["--out", out + "/raw", "synth", "--per-class", "1", "--montage", "builtin-1020",
+         "--fs", "500", "--seconds", "6"]
+if cli.main(synth) or cli.main(["--out", out + "/clean", "preprocess", out + "/raw/sample_0000"]):
+    sys.exit("a command failed")
+print("scipy.signal" in sys.modules or "scipy.fft" in sys.modules)
+"""
+
+
+def test_import_path_leaves_scipy_signal_unloaded(tmp_path):
+    # `eeglm preprocess` resamples and filters on numpy alone, and the
+    # profiler's Welch runs on numpy.fft: not even a 19-channel 500 Hz
+    # recording's preprocessing loads scipy.signal or scipy.fft
     src = str(Path(eeglm.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys, eeglm.cli, eeglm.evaluate, eeglm.training; "
-        "print('scipy.signal' in sys.modules or 'scipy.fft' in sys.modules)"
-    )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", IMPORT_PATH_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "False"
+    assert json.loads((tmp_path / "clean" / "manifest.json").read_text())["fs"] == 200.0
 
 
 # -- allocator set-up --------------------------------------------------------

@@ -74,6 +74,16 @@ def test_cosine_schedule_shape():
     assert abs(lrs[-1] - 0.1) < 0.02           # decays towards min_lr
 
 
+def test_cosine_schedule_hand_worked_decay():
+    # 10 warmup steps, then a cosine over the remaining 90: step 10 is the
+    # first decay step (cos 0 = 1), step 55 its midpoint (cos(pi/2) = 0)
+    base, min_lr = 1.0, 0.1
+    first = cosine_schedule(10, 100, base, 10, min_lr=min_lr)
+    middle = cosine_schedule(55, 100, base, 10, min_lr=min_lr)
+    assert first == pytest.approx(base, abs=1e-15)               # 0.1 + 0.5 * 0.9 * 2
+    assert middle == pytest.approx((base + min_lr) / 2, abs=1e-15)  # 0.1 + 0.5 * 0.9 * 1
+
+
 def test_optimizer_state_roundtrip():
     p = Tensor(np.array([1.0]), requires_grad=True)
     opt = AdamW({"p": p}, **HYPER)
