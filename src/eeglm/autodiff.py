@@ -34,19 +34,51 @@ tape records no view op for the head layout.
 
 Operations validate shapes eagerly and raise instead of producing NaN/Inf;
 every completed operation leaves only finite values behind.
+
+gelu's erf is scipy's compiled ufunc, loaded from its extension module alone
+(`_load_erf`): importing this module does not import the `scipy.special`
+package.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .errors import NumericError, ShapeError
 
 Array = np.ndarray
+
+_ERF_MODULE = "scipy.special._special_ufuncs"
+
+
+def _load_erf(search: Sequence[str]):
+    """scipy's erf ufunc, from its compiled module in the `search` directories
+    alone, without running the `scipy.special` package's __init__. The module
+    is registered under its own name, so a later `import scipy.special` reuses
+    it and its `erf` is this object. Where the module or its `erf` is missing
+    (older scipy releases), this imports the package."""
+    module = sys.modules.get(_ERF_MODULE)
+    if module is None:
+        spec = importlib.machinery.PathFinder.find_spec(_ERF_MODULE, search)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_ERF_MODULE] = module
+    erf = getattr(module, "erf", None)
+    if erf is None:
+        from scipy.special import erf
+    return erf
+
+
+_SCIPY = importlib.util.find_spec("scipy")
+_erf = _load_erf([os.path.join(d, "special") for d in (_SCIPY.submodule_search_locations if _SCIPY else ())])
 
 _GRAPH_STACK: list["Graph"] = []
 

@@ -200,7 +200,8 @@ def resample(rec: Recording, target_fs: float) -> Recording:
     and resample_poly's ceil(T * up / down) falls short of it; equal rates
     short-circuit to the identity. The values are those of
     scipy.signal.resample_poly(x, up, down, window=taps, padtype="line"):
-    outputs past either end read the line through the first and last samples.
+    outputs past either end read the line through the first and last samples,
+    so a recording of fewer than 2 samples is refused.
     """
     if not (math.isfinite(target_fs) and target_fs > 0):
         raise ConfigError(f"target sampling rate must be positive and finite, got {target_fs}")
@@ -219,6 +220,11 @@ def resample(rec: Recording, target_fs: float) -> Recording:
     out_len = int(math.floor(t * ratio))
     if out_len == 0:
         raise DataError(f"{t} samples at fs={rec.fs} Hz resample to none at {target_fs} Hz")
+    if t < 2:
+        raise DataError(
+            f"cannot resample a {t}-sample recording at fs={rec.fs} Hz: the end "
+            "extension is the line through its first and last samples, which needs 2"
+        )
     # windowed-sinc low-pass at the tighter Nyquist edge, 64 taps per branch
     max_rate = max(up, down)
     half_len = 32 * max_rate
@@ -235,7 +241,7 @@ def resample(rec: Recording, target_fs: float) -> Recording:
     last = ((skip + out_len - 1) * down) // up
     idx = np.arange(first, last + 1, dtype=np.float64)
     x0, x1 = rec.data[:, :1], rec.data[:, -1:]
-    slope = (x1 - x0) / (t - 1) if t > 1 else np.full_like(x0, np.nan)
+    slope = (x1 - x0) / (t - 1)
     ext = np.where(idx < 0, x0 + idx * slope, x1 + (idx - (t - 1)) * slope)
     ext[:, -first : t - first] = rec.data
     windows = np.lib.stride_tricks.sliding_window_view(ext, per_phase, axis=1)

@@ -14,7 +14,8 @@ and `eeglm.losses.loss_dsha` each record as one node. `pool_level` and
 `AttentionSpy` keeps the weights an attention module returns inside a model.
 `resample`, `bandpass_notch` and `preprocess` are the preprocessing chain
 of `eeglm.signal_io` as it ran on scipy.signal, the reference its numpy
-filters are held to.
+filters are held to. `gelu` is gelu's value chain on `scipy.special.erf`,
+which `ad.gelu` and `ad.ffn` must match to the bit however they load erf.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.signal as sps
+import scipy.special
 
 from eeglm import autodiff as ad
 from eeglm.autodiff import Tensor
@@ -37,6 +39,14 @@ def tanh(a) -> Tensor:
     a = ad.as_tensor(a)
     out = Tensor._wrap(np.tanh(a.data))
     return ad._record(out, (a,), lambda g: (g * (1.0 - out.data * out.data),))
+
+
+def gelu(x: np.ndarray) -> np.ndarray:
+    """0.5*x*(1 + erf(x/sqrt(2))) in eeglm's operation order."""
+    cdf = scipy.special.erf(x * (1.0 / math.sqrt(2.0)))
+    cdf += 1.0
+    cdf *= 0.5
+    return x * cdf
 
 
 def softmax(a, axis: int = -1) -> Tensor:

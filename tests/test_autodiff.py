@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import gc
+import math
+import sys
+import types
 import weakref
 
 import numpy as np
 import pytest
+import scipy.special
 
 from eeglm import autodiff as ad
 from eeglm.errors import NumericError, ShapeError
 from eeglm.nn import MultiHeadAttention
 from eeglm.topology import build_hierarchy, get_montage
 from gradcheck import check_gradients, relative_error
-from oracles import attention, detach, log_softmax, matmul, mean, pick, softmax, tanh, transpose
+from oracles import attention, detach, gelu, log_softmax, matmul, mean, pick, softmax, tanh, transpose
 
 
 def t(data, rg=True):
@@ -74,6 +78,50 @@ def test_layer_norm_normalisation_contract():
 
 def test_gelu_zero_is_zero():
     assert ad.gelu(t([0.0])).data[0] == 0.0
+
+
+# the gelu inputs of the encoder's and the backbone's feed-forward layers
+GELU_SHAPES = [(4, 16, 64), (193, 256), (16, 2, 64)]
+
+
+@pytest.mark.parametrize("shape", GELU_SHAPES)
+def test_gelu_matches_the_scipy_erf_chain_to_the_bit(shape):
+    x = np.random.default_rng(47).normal(0.0, 3.0, shape)
+    assert ad.gelu(t(x)).data.tobytes() == gelu(x).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# erf loading and parameter initialisation
+# ---------------------------------------------------------------------------
+
+def test_erf_loader_falls_back_to_scipy_special_without_the_extension(monkeypatch, tmp_path):
+    # older scipy releases have no erf extension module: the loader then
+    # imports the package, whatever directory it searched
+    monkeypatch.delitem(sys.modules, ad._ERF_MODULE)
+    assert ad._load_erf([str(tmp_path)]) is scipy.special.erf
+    assert ad._ERF_MODULE not in sys.modules
+
+
+def test_erf_loader_falls_back_to_scipy_special_without_its_erf(monkeypatch):
+    monkeypatch.setitem(sys.modules, ad._ERF_MODULE, types.ModuleType(ad._ERF_MODULE))
+    assert ad._load_erf([]) is scipy.special.erf
+
+
+def test_erf_loader_reads_the_extension_in_scipy_special(monkeypatch):
+    monkeypatch.delitem(sys.modules, ad._ERF_MODULE)
+    assert ad._load_erf(scipy.special.__path__) is scipy.special.erf
+    assert sys.modules[ad._ERF_MODULE].erf is scipy.special.erf
+
+
+@pytest.mark.parametrize(
+    "shape, fan_in, bound",
+    [((2, 3), 16, 0.25), ((2, 3), None, 1 / math.sqrt(3)), ((2, 3), 0, 1.0), ((), None, 1.0)],
+    ids=["fan-in-16", "default-fan-in", "fan-in-0", "scalar"],
+)
+def test_parameter_is_uniform_within_one_over_root_fan_in(shape, fan_in, bound):
+    p = ad.parameter(shape, np.random.default_rng(0), fan_in=fan_in)
+    expected = np.random.default_rng(0).uniform(-bound, bound, shape)
+    assert p.requires_grad and p.data.tobytes() == expected.tobytes()
 
 
 def test_non_finite_construction_rejected():
@@ -763,6 +811,17 @@ def test_ffn_is_one_node_with_the_linear_gelu_linear_chain_numbers(lora, frozen_
     assert np.array_equal(l1, l2)
     for ga, gb in zip(g1, g2):
         assert np.array_equal(ga, gb)
+
+
+@pytest.mark.parametrize("shape", GELU_SHAPES)
+def test_ffn_forward_matches_the_scipy_erf_chain_to_the_bit(shape):
+    # fc1 is the identity, so the gelu reads N(0, 9) values of `shape`
+    rng = np.random.default_rng(48)
+    x = t(rng.normal(0.0, 3.0, shape))
+    n = shape[-1]
+    fc1, fc2 = (t(np.eye(n)), None, None), _affine(rng, (n, n), False)
+    expected = ad.linear(t(gelu(ad.linear(x, *fc1).data)), *fc2)
+    assert ad.ffn(x, fc1, fc2).data.tobytes() == expected.data.tobytes()
 
 
 @pytest.mark.parametrize("lora", [False, True])

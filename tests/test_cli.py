@@ -370,6 +370,27 @@ def test_preprocess_holds_173_61_hz_as_1061_over_921(env, tmp_path):
     assert rec.n_samples == 1200  # floor(1042 * 200 / 173.61)
 
 
+def test_preprocess_refuses_a_one_sample_recording(env, tmp_path, capsys):
+    # the resampler extends past both ends along the line through the first
+    # and last samples; one sample has no such line, which is no filter fault
+    sample = _container_at(tmp_path, 100.0, 1)
+    out = tmp_path / "out"
+    assert main(env["base"] + ["--out", str(out), "preprocess", str(sample)]) == 3
+    err = capsys.readouterr().err
+    assert "1-sample recording at fs=100.0 Hz" in err
+    assert "filter" not in err
+    assert not out.exists()
+
+
+def test_preprocess_resamples_two_samples_at_100_hz_to_four(env, tmp_path):
+    sample = _container_at(tmp_path, 100.0, 2)
+    out = tmp_path / "out"
+    assert main(env["base"] + ["--out", str(out), "preprocess", str(sample)]) == 0
+    rec = load_container(out)
+    assert (rec.fs, rec.n_samples) == (200.0, 4)
+    assert np.isfinite(rec.data).all()
+
+
 
 # -- tokenize -----------------------------------------------------------------
 
@@ -914,30 +935,50 @@ def test_attn_export_profile_must_be_an_object(env, tmp_path, capsys, payload):
 
 
 IMPORT_PATH_PROBE = """
-import sys
+import json, sys
 import eeglm.evaluate, eeglm.training
-from eeglm import cli
+from eeglm import autodiff, cli
 out = sys.argv[1]
 synth = ["--out", out + "/raw", "synth", "--per-class", "1", "--montage", "builtin-1020",
          "--fs", "500", "--seconds", "6"]
 if cli.main(synth) or cli.main(["--out", out + "/clean", "preprocess", out + "/raw/sample_0000"]):
     sys.exit("a command failed")
-print("scipy.signal" in sys.modules or "scipy.fft" in sys.modules)
+loaded = sorted(m for m in sys.modules if m.startswith("scipy") or m == "numpy.f2py")
+import scipy.special
+print(json.dumps({"loaded": loaded, "same_erf": autodiff._erf is scipy.special.erf}))
+"""
+
+SCIPY_FIRST_PROBE = """
+import json, sys
+import scipy.special
+ufuncs = sys.modules["scipy.special._special_ufuncs"]
+from eeglm import autodiff
+print(json.dumps({"same_erf": autodiff._erf is scipy.special.erf,
+                  "same_module": sys.modules["scipy.special._special_ufuncs"] is ufuncs}))
 """
 
 
-def test_import_path_leaves_scipy_signal_unloaded(tmp_path):
-    # `eeglm preprocess` resamples and filters on numpy alone, and the
-    # profiler's Welch runs on numpy.fft: not even a 19-channel 500 Hz
-    # recording's preprocessing loads scipy.signal or scipy.fft
+def _probe(code, *args):
     src = str(Path(eeglm.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", IMPORT_PATH_PROBE, str(tmp_path)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.splitlines()[-1] == "False"
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_path_loads_only_scipys_erf_extension(tmp_path):
+    # `eeglm preprocess` resamples and filters on numpy alone, the
+    # profiler's Welch runs on numpy.fft, and gelu's erf comes from scipy's
+    # compiled ufunc module alone: not even a 19-channel 500 Hz recording's
+    # preprocessing loads scipy.signal, scipy.fft or the scipy.special
+    # package (with its scipy._lib._array_api and numpy.f2py)
+    probe = _probe(IMPORT_PATH_PROBE, str(tmp_path))
+    assert probe["loaded"] == ["scipy.special._special_ufuncs"]
+    assert probe["same_erf"]  # a later `import scipy.special` reuses the ufunc
     assert json.loads((tmp_path / "clean" / "manifest.json").read_text())["fs"] == 200.0
+
+
+def test_eeglm_imported_after_scipy_special_uses_its_erf():
+    assert _probe(SCIPY_FIRST_PROBE) == {"same_erf": True, "same_module": True}
 
 
 # -- allocator set-up --------------------------------------------------------
