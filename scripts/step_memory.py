@@ -17,10 +17,11 @@ every command after the quick start's own.
 
 Each stage runs under ``tracemalloc``. For each stage the script prints the
 number of steps and, each the largest over those steps: the traced bytes
-live when the step enters ``backward`` (the model, the optimizer state, the
-stage's data and the step's tape); the tape, those bytes less the ones live
-when the step entered its ``Graph``; and the step's traced peak, from
-entering its ``Graph`` to the end of the optimizer step. Traced bytes count
+live when the step enters its ``Graph`` (what the stage holds: the model,
+the optimizer state and the stage's data); the traced bytes live when the
+step enters ``backward`` (those and the step's tape); the tape, the second
+less the first; and the step's traced peak, from entering its ``Graph`` to
+the end of the optimizer step. Traced bytes count
 the memory Python and numpy allocate, not the process's resident set.
 """
 
@@ -56,9 +57,10 @@ def run(argv: list[str]) -> None:
         raise SystemExit(f"eeglm {' '.join(argv)} exited {code}")
 
 
-def measure(argv: list[str]) -> tuple[int, int, int, int]:
+def measure(argv: list[str]) -> tuple[int, int, int, int, int]:
     """Run one training command under tracemalloc: its step count and the
-    largest traced bytes at backward entry, tape and step peak."""
+    largest traced bytes held at a step's start, at backward entry, of the
+    tape and at the step's peak."""
     starts: list[int] = []
     at_backward: list[int] = []
     peaks: list[int] = []
@@ -86,7 +88,7 @@ def measure(argv: list[str]) -> tuple[int, int, int, int]:
         tracemalloc.stop()
         training.Graph, training.backward, AdamW.step = real_graph, real_backward, real_step
     tapes = [entry - start for start, entry in zip(starts, at_backward)]
-    return len(peaks), max(at_backward), max(tapes), max(peaks)
+    return len(peaks), max(starts), max(at_backward), max(tapes), max(peaks)
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -119,9 +121,10 @@ def main(argv: list[str] | None = None) -> None:
             run(["--out", str(clean / sample.name), "preprocess", str(sample)])
         shutil.copy(raw / "labels.csv", clean / "labels.csv")
         train("vq-19ch", "vq", clean, None, WIDE_SET)
-    print(f"{'stage':<8} {'steps':>5} {'at_backward_bytes':>18} {'tape_bytes':>11} {'step_peak_bytes':>16}")
-    for name, steps, entry, tape, peak in rows:
-        print(f"{name:<8} {steps:>5} {entry:>18} {tape:>11} {peak:>16}")
+    print(f"{'stage':<8} {'steps':>5} {'held_bytes':>11} {'at_backward_bytes':>18} "
+          f"{'tape_bytes':>11} {'step_peak_bytes':>16}")
+    for name, steps, held, entry, tape, peak in rows:
+        print(f"{name:<8} {steps:>5} {held:>11} {entry:>18} {tape:>11} {peak:>16}")
 
 
 if __name__ == "__main__":

@@ -51,8 +51,8 @@ def evaluate_checkpoint(
             f"evaluation needs a supervised fine-tuning checkpoint, got stage "
             f"{meta.get('stage')!r}"
         )
-    corpus = load_corpus(data_dir, require_labels=True)
     classes = list(model.cfg["data"]["classes"])
+    corpus = load_corpus(data_dir, require_labels=True, classes=classes)
     prepared = prepare_sequences(model, corpus, with_answer=True)
     label_tokens = model.tokenizer.ensure_distinct(classes)
 

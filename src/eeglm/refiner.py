@@ -40,11 +40,11 @@ class HashedTextEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         words = text.lower().split()
-        rows = np.zeros((len(words), self.embed_dim))
-        for i, word in enumerate(words):
-            for h in _word_hashes(word):
-                rows[i, h % self.embed_dim] += 1.0
-        rows /= N_HASHES
+        n, dim = len(words), self.embed_dim
+        hashes = np.array([_word_hashes(w) for w in words], dtype=np.uint64).reshape(n, N_HASHES)
+        # each word's slots as flat indices into its row; counts are exact integers
+        slots = (hashes % dim).astype(np.intp) + dim * np.arange(n)[:, None]
+        rows = np.bincount(slots.ravel(), minlength=n * dim).reshape(n, dim) / N_HASHES
         norms = np.linalg.norm(rows, axis=1, keepdims=True)
         return rows / np.maximum(norms, 1e-12)
 

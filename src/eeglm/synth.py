@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -90,27 +91,55 @@ def make_dataset(
 
 
 def read_labels(dataset_dir: str | Path) -> dict[str, str]:
-    """Read labels.csv as {sample name: label}."""
+    """Read labels.csv as {sample name: label}; a sample named twice is refused."""
     path = Path(dataset_dir) / LABELS_FILE
     try:
         with open(path, newline="") as f:
-            rows = list(csv.reader(f))
+            reader = csv.reader(f)
+            rows = [(reader.line_num, row) for row in reader]
     except OSError as e:
         raise DataError(f"cannot read label file {path}: {e}") from e
-    if not rows or rows[0] != ["name", "label"]:
+    if not rows or rows[0][1] != ["name", "label"]:
         raise DataError(f"label file {path} must start with a 'name,label' header")
-    out = {}
-    for row in rows[1:]:
+    out, lines = {}, {}
+    for line, row in rows[1:]:
         if len(row) != 2:
             raise DataError(f"malformed label row {row!r} in {path}")
-        out[row[0]] = row[1]
+        name = row[0]
+        if name in lines:
+            raise DataError(
+                f"label file {path} names sample {name!r} twice, on lines {lines[name]} and {line}"
+            )
+        out[name], lines[name] = row[1], line
     return out
 
 
+class Corpus(Sequence):
+    """A dataset's containers in name order with their labels. An entry is
+    a (name, Recording, label) triple whose recording is read from disk each
+    time the entry is accessed and is not kept, so iterating holds one
+    recording at a time. A slice is a Corpus of the same entries."""
+
+    def __init__(self, sample_dirs: list[Path], labels: list[str | None]):
+        self.sample_dirs, self.labels = sample_dirs, labels
+
+    def __len__(self) -> int:
+        return len(self.sample_dirs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Corpus(self.sample_dirs[i], self.labels[i])
+        return self.sample_dirs[i].name, load_container(self.sample_dirs[i]), self.labels[i]
+
+
 def load_corpus(
-    dataset_dir: str | Path, require_labels: bool = False
-) -> list[tuple[str, Recording, str | None]]:
-    """Load every container under a dataset directory with optional labels."""
+    dataset_dir: str | Path,
+    require_labels: bool = False,
+    classes: Sequence[str] | None = None,
+) -> Corpus:
+    """List the containers under a dataset directory with their labels,
+    reading no recording. With `require_labels` every sample needs a row in
+    labels.csv; with `classes` every sample's label must be one of them."""
     root = Path(dataset_dir)
     if not root.is_dir():
         raise DataError(f"dataset directory {root} does not exist")
@@ -127,5 +156,9 @@ def load_corpus(
         label = labels.get(sample.name)
         if require_labels and label is None:
             raise DataError(f"sample {sample.name!r} missing from {LABELS_FILE}")
-        out.append((sample.name, load_container(sample), label))
-    return out
+        if classes is not None and label not in classes:
+            raise DataError(
+                f"label {label!r} of sample {sample.name!r} not in configured classes {list(classes)}"
+            )
+        out.append(label)
+    return Corpus(sample_dirs, out)

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -201,20 +202,15 @@ class PreparedSequence:
 
 def prepare_sequences(
     model: PipelineModel,
-    corpus: list[tuple[str, Recording, str | None]],
+    corpus: Sequence[tuple[str, Recording, str | None]],
     with_answer: bool,
 ) -> list[PreparedSequence]:
-    """Tokenize, profile, and assemble every sample once (frozen-stage work),
-    after checking every label when `with_answer`."""
+    """Tokenize, profile, and assemble every sample once (frozen-stage work).
+    With `with_answer`, every label must be one of the configured classes,
+    as `load_corpus(..., classes=...)` checks."""
     cfg = model.cfg
     client = make_llm_client(cfg["llm"])
-    classes = list(cfg["data"]["classes"])
-    for name, _, label in corpus if with_answer else ():
-        if label not in classes:
-            raise DataError(
-                f"label {label!r} of sample {name!r} not in configured classes {classes}"
-            )
-    model.tokenizer.ensure_distinct(classes)
+    model.tokenizer.ensure_distinct(cfg["data"]["classes"])
     instr_ids = model.tokenizer.encode(cfg["data"]["instruction"]) if with_answer else None
     out = []
     for name, rec, label in corpus:
@@ -393,10 +389,10 @@ class StageSpec:
             tensor.requires_grad = name in trainable
         return trainable, scales
 
-    def prepare(self, model: PipelineModel, corpus: list) -> list:
+    def prepare(self, model: PipelineModel, corpus: Sequence) -> Sequence:
         return prepare_sequences(model, corpus, with_answer=self.supervised)
 
-    def order(self, items: list, rng: np.random.Generator) -> np.ndarray:
+    def order(self, items: Sequence, rng: np.random.Generator) -> np.ndarray:
         return rng.permutation(len(items))
 
     def end_epoch(self, model: PipelineModel, rng: np.random.Generator) -> dict:
@@ -423,24 +419,28 @@ class VqStage(StageSpec):
         return [(_under("encoder."), 1.0), (_under("recon."), recon), (_under("quant."), 1.0)]
 
     def prepare(self, model, corpus):
-        samples = []
+        """Read each recording once to check that it can be patched on the
+        model's montage and, on a fresh start, to warm-start the codebook.
+        The items are the corpus itself: each step reads its recording again,
+        so the stage holds no signal between steps."""
+        rows = []
         for _, rec, _ in corpus:
             patches = model.patch(rec)
-            c, p, w = patches.shape
-            mags = dft_target(patches).reshape(c * p, w // 2 + 1)
-            samples.append((patches, patches.reshape(c * p, w), mags))
-        if self.fresh:  # vq has no parent: a fresh start loaded no codebook
-            rows = []
-            for patches, _, _ in samples:
+            if self.fresh:  # vq has no parent: a fresh start loaded no codebook
                 enc = model.encoder(patches)
                 c, p, e = enc.h_eeg.shape
                 rows.append(model.quantizer.down(ad.reshape(enc.h_eeg, (c * p, e))).data)
+        if self.fresh:
             model.quantizer.warm_start(np.concatenate(rows), np.random.default_rng(self.cfg["seed"]))
         self.pool: list[np.ndarray] = []
-        return samples
+        return corpus
 
     def step(self, model, item):
-        patches, x_rows, f_rows = item
+        _, rec, _ = item
+        patches = model.patch(rec)
+        c, p, w = patches.shape
+        x_rows = patches.reshape(c * p, w)
+        f_rows = dft_target(patches).reshape(c * p, w // 2 + 1)
         enc = model.encoder(patches)
         _, z_up, h_down, z_q = model.quantizer(enc.h_eeg)
         x_hat, f_hat = model.recon(z_up)
@@ -544,7 +544,9 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
     run = Path(run_dir)
     if not resume and ((run / "metrics.csv").exists() or any(run.glob("checkpoints/epoch_*"))):
         raise UsageError(f"{run} already holds a run: --resume it or train into an empty --out")
-    corpus = load_corpus(cfg["data"]["train_dir"], require_labels=spec.supervised)
+    # labels are checked here, before anything is read, tokenized or written
+    classes = cfg["data"]["classes"] if spec.supervised else None
+    corpus = load_corpus(cfg["data"]["train_dir"], require_labels=spec.supervised, classes=classes)
     model = build_model(cfg)
     latest = find_latest_checkpoint(run) if resume else None
     resumed = latest is not None

@@ -16,6 +16,8 @@ and `eeglm.losses.loss_dsha` each record as one node. `pool_level` and
 of `eeglm.signal_io` as it ran on scipy.signal, the reference its numpy
 filters are held to. `gelu` is gelu's value chain on `scipy.special.erf`,
 which `ad.gelu` and `ad.ffn` must match to the bit however they load erf.
+`hashed_embed` is `HashedTextEmbedder.embed` as one scalar update per word
+and hash, which the vectorised embedder must match to the bit.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import scipy.special
 from eeglm import autodiff as ad
 from eeglm.autodiff import Tensor
 from eeglm.errors import MontageError, ShapeError
+from eeglm.hashing import fnv1a_64
 from eeglm.signal_io import DEFAULT_BAND, WORK_FS, Recording, robust_scale
 from eeglm.topology import BthHierarchy
 
@@ -253,3 +256,16 @@ def preprocess(
 ) -> Recording:
     """Full chain: resample -> band-pass/notch -> robust scale."""
     return robust_scale(bandpass_notch(resample(rec, target_fs), low, high, notch))
+
+
+def hashed_embed(text: str, dim: int, n_hashes: int = 4) -> np.ndarray:
+    """One row per word: 1/n_hashes in the column of each of its seeded
+    hashes, added one at a time, then each row L2-normalized."""
+    words = text.lower().split()
+    rows = np.zeros((len(words), dim))
+    for i, word in enumerate(words):
+        for seed in range(n_hashes):
+            rows[i, fnv1a_64(f"{seed}:{word}") % dim] += 1.0
+    rows /= n_hashes
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows / np.maximum(norms, 1e-12)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import eeglm
-from eeglm import cli
+from eeglm import cli, training
 from eeglm.checkpoint import load_checkpoint, save_checkpoint
 from eeglm.cli import ATTN_HEADER, main
 from eeglm.config import DEFAULTS
@@ -610,6 +610,38 @@ def test_train_keeps_one_run_per_directory_with_exit_2(env, tmp_path, capsys):
     assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
 
+def test_a_recording_that_vanishes_mid_run_exits_3_and_the_run_resumes(
+    env, tmp_path, capsys, monkeypatch
+):
+    # vq reads its recordings at every step: one removed after epoch 0's checkpoint
+    data = tmp_path / "data"
+    shutil.copytree(env["data"], data)
+    gone, hidden = data / "sample_0002", tmp_path / "sample_0002"
+    real_save = training.save_stage_checkpoint
+
+    def save_then_remove(run_dir, model, opt, stage, epoch, step, extra):
+        path = real_save(run_dir, model, opt, stage, epoch, step, extra)
+        if epoch == 0:
+            gone.rename(hidden)
+        return path
+
+    monkeypatch.setattr(training, "save_stage_checkpoint", save_then_remove)
+    run = tmp_path / "run"
+    train = ["train", "--stage", "vq", "--data", str(data)]
+    argv = env["base"] + ["--out", str(run), *train]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(gone) in err[0]
+    assert (run / "checkpoints" / "epoch_0000" / "manifest.json").is_file()
+    assert not (run / "checkpoints" / "epoch_0001").exists()
+    hidden.rename(gone)
+    monkeypatch.setattr(training, "save_stage_checkpoint", real_save)
+    assert main(argv + ["--resume"]) == 0
+    steps = [row.split(",")[0] for row in (run / "metrics.csv").read_text().splitlines()[1:]]
+    assert steps == [str(k) for k in range(1, 9)]
+    assert (run / "checkpoints" / "epoch_0001" / "manifest.json").is_file()
+
+
 def test_train_missing_data_exits_3(env, tmp_path):
     rc = main(env["base"] + [
         "--out", str(tmp_path / "run"), "train", "--stage", "vq",
@@ -846,6 +878,22 @@ def test_eval_report_shape(env, tmp_path, capsys):
     report = json.loads((tmp_path / "ev" / "report.json").read_text())
     assert report["n_samples"] == 4
     assert report["metrics"] == printed["metrics"]
+
+
+def test_eval_refuses_a_labels_file_that_names_a_sample_twice(env, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(env["eval_data"], data)
+    with open(data / "labels.csv", "a") as f:
+        f.write("sample_0000,class-b\n")
+    out = tmp_path / "ev"
+    rc = main(env["base"] + [
+        "--out", str(out), "eval", "--checkpoint", str(env["ckpt_sft"]), "--data", str(data),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(data / "labels.csv") in err[0] and "'sample_0000' twice" in err[0]
+    assert not out.exists()
 
 
 def test_eval_rejects_vq_checkpoint(env):

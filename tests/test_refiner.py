@@ -7,16 +7,23 @@ import pytest
 
 from eeglm import autodiff as ad
 from eeglm.autodiff import Graph, Tensor, backward
+from eeglm.config import resolve_config
 from eeglm.errors import NumericError, ShapeError
+from eeglm.hashing import fnv1a_64
 from eeglm.optim import AdamW
+from eeglm.profiler import StubClient
 from eeglm.refiner import (
+    N_HASHES,
     HashedTextEmbedder,
     RefinerConfig,
     SemanticRefiner,
     attention_rows,
 )
+from eeglm.synth import load_corpus, make_dataset
+from eeglm.topology import build_hierarchy, get_montage
+from eeglm.training import profile_signal
 from gradcheck import check_directional
-from oracles import AttentionSpy, matmul, transpose
+from oracles import AttentionSpy, hashed_embed, matmul, transpose
 
 TOY = RefinerConfig(n_experts=2, embed_dim=8, n_heads=2, ffn_mult=2)
 
@@ -299,6 +306,36 @@ def test_embedder_distinguishes_words():
     emb = HashedTextEmbedder(embed_dim=64)
     a, b = emb.embed("alpha"), emb.embed("gamma")
     assert not np.allclose(a, b)
+
+
+def _same_bits(text: str, dim: int) -> bool:
+    return HashedTextEmbedder(dim).embed(text).tobytes() == hashed_embed(text, dim, N_HASHES).tobytes()
+
+
+def test_embedder_matches_the_per_hash_loop_on_lm_infer_profiles(tmp_path):
+    # the 96 profiles of perfbench's lm_infer set: `synth` at seed 8, 32 per class
+    make_dataset(tmp_path, n_per_class=32, montage="synthetic-4", seed=8)
+    hier = build_hierarchy(get_montage("synthetic-4"))
+    data_cfg = resolve_config(None, [{"data": {"montage": "synthetic-4"}}])["data"]
+    texts = set()
+    for name, rec, _ in load_corpus(tmp_path):
+        _, _, result = profile_signal(rec, hier, data_cfg, name, StubClient())
+        texts.add(result.profile.flat_text())
+    assert len(texts) == 96
+    for text in texts:
+        assert len(text.split()) > 100 and _same_bits(text, 8) and _same_bits(text, 6)
+
+
+def test_embedder_counts_repeated_words_and_colliding_hashes():
+    assert _same_bits("alpha beta alpha alpha", 8)
+    # a word's hashes take distinct columns when the width is a power of two;
+    # at width 6, find a word two of whose hashes share a column
+    word = next(
+        w for w in (f"w{k}" for k in range(1000))
+        if len({h % 6 for h in (fnv1a_64(f"{s}:{w}") for s in range(N_HASHES))}) < N_HASHES
+    )
+    assert np.max(HashedTextEmbedder(6).embed(word)) > 1 / np.sqrt(N_HASHES)
+    assert _same_bits(f"{word} x {word}", 6)
 
 
 def test_attention_rows_layout(rng):

@@ -17,7 +17,10 @@ def test_step_memory_prints_each_stage_on_a_toy_set():
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     header, *rows = (line.split() for line in proc.stdout.splitlines())
-    assert header == ["stage", "steps", "at_backward_bytes", "tape_bytes", "step_peak_bytes"]
+    assert header == [
+        "stage", "steps", "held_bytes", "at_backward_bytes", "tape_bytes", "step_peak_bytes"
+    ]
     assert [row[0] for row in rows] == ["vq", "cpt", "sft", "vq-19ch"]
-    for _, steps, entry, tape, peak in rows:
+    for _, steps, held, entry, tape, peak in rows:
         assert int(steps) == 2 and 0 < int(tape) < int(entry) <= int(peak)
+        assert 0 < int(held) < int(entry)

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from eeglm import synth
 from eeglm.errors import ConfigError, DataError
 from eeglm.profiler import spectral_stats
 from eeglm.synth import (
@@ -114,3 +115,33 @@ def test_read_labels_rejects_bad_header(tmp_path):
     (out / "labels.csv").write_text("sample,klass\nx,y\n")
     with pytest.raises(DataError, match="header"):
         read_labels(out)
+
+
+def test_load_corpus_refuses_a_sample_named_twice(tmp_path):
+    out = tmp_path / "data"
+    make_dataset(out, n_per_class=1, montage="synthetic-2", seed=10)
+    with open(out / "labels.csv", "a") as f:  # header and three rows before it
+        f.write("sample_0000,class-c\n")
+    with pytest.raises(DataError) as refused:
+        load_corpus(out, require_labels=True)
+    message = str(refused.value)
+    assert str(out / "labels.csv") in message
+    assert "'sample_0000' twice, on lines 2 and 5" in message
+    assert refused.value.exit_code == 3
+
+
+def test_load_corpus_reads_a_recording_each_time_its_entry_is_accessed(tmp_path, monkeypatch):
+    out = tmp_path / "data"
+    make_dataset(out, n_per_class=1, montage="synthetic-2", seed=11)
+    reads = []
+    real_load = synth.load_container
+    monkeypatch.setattr(synth, "load_container", lambda p: reads.append(p.name) or real_load(p))
+    corpus = load_corpus(out, require_labels=True, classes=list(CLASS_TONES))
+    assert reads == [] and len(corpus) == 3
+    assert corpus.labels == ["class-a", "class-b", "class-c"]
+    first = corpus[0]
+    assert first[0] == "sample_0000" and np.array_equal(first[1].data, corpus[0][1].data)
+    assert reads == ["sample_0000", "sample_0000"]
+    tail = corpus[1:]
+    assert reads == ["sample_0000", "sample_0000"] and [e[0] for e in tail] == ["sample_0001", "sample_0002"]
+    assert corpus[-1][2] == "class-c"

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eeglm import training
+from eeglm import synth, training
 from eeglm.checkpoint import load_checkpoint, save_checkpoint
 from eeglm.config import resolve_config
 from eeglm.errors import ConfigError, DataError, MontageError, UsageError
@@ -142,15 +142,20 @@ def test_prepare_sequences_unsupervised_has_no_answer(data_dir):
     assert set(prep[0].seq.spans) == {"text", "sem", "eeg"}
 
 
-def test_prepare_sequences_label_errors(data_dir):
-    model = build_model(toy_cfg(data_dir))
-    corpus = load_corpus(data_dir, require_labels=True)
-    nameless = [(corpus[0][0], corpus[0][1], None)]
+def test_load_corpus_label_errors(tmp_path, data_dir, monkeypatch):
+    # the class check reads labels.csv and no recording
+    monkeypatch.setattr(synth, "load_container", None)
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    classes = toy_cfg(data_dir)["data"]["classes"]
+    header, first, *rest = (data / "labels.csv").read_text().splitlines()
+    assert first.startswith("sample_0000,")
+    (data / "labels.csv").write_text("\n".join([header, *rest]) + "\n")
     with pytest.raises(DataError, match="label None .* not in configured classes"):
-        prepare_sequences(model, nameless, with_answer=True)
-    foreign = [(corpus[0][0], corpus[0][1], "class-z")]
+        load_corpus(data, classes=classes)
+    (data / "labels.csv").write_text("\n".join([header, "sample_0000,class-z", *rest]) + "\n")
     with pytest.raises(DataError, match="not in configured classes"):
-        prepare_sequences(model, foreign, with_answer=True)
+        load_corpus(data, require_labels=True, classes=classes)
 
 
 # -- metrics logger ---------------------------------------------------------
@@ -437,6 +442,93 @@ def test_a_step_holds_neither_the_start_checkpoint_nor_the_last_steps_gradients(
     finally:
         gc.enable()
     assert len(spent) > 100 and alive == [0] * 8
+
+
+def _count_reads(monkeypatch) -> list[str]:
+    """The names of the containers read through the corpus, in read order."""
+    reads = []
+    real_load = synth.load_container
+
+    def load(path):
+        reads.append(Path(path).name)
+        return real_load(path)
+
+    monkeypatch.setattr(synth, "load_container", load)
+    return reads
+
+
+def test_each_stage_reads_its_recordings_when_it_uses_them(tmp_path, chain, data_dir, monkeypatch):
+    from eeglm.evaluate import evaluate_checkpoint
+
+    root, cfg_vq, cfg_cpt, cfg_sft = chain
+    names = sorted(p.name for p in data_dir.glob("sample_*"))
+    reads = _count_reads(monkeypatch)
+    # vq: every recording once in prepare, then once per step of each of 2 epochs
+    STAGE_RUNNERS["vq"](cfg_vq, tmp_path / "vq")
+    assert sorted(reads) == sorted(names * 3)
+    # cpt, sft and eval prepare their sequences from one read each, labels checked with none
+    for stage, cfg in (("cpt", cfg_cpt), ("sft", cfg_sft)):
+        reads.clear()
+        STAGE_RUNNERS[stage](cfg, tmp_path / stage)
+        assert reads == names
+    reads.clear()
+    evaluate_checkpoint(root / "sft" / "checkpoints" / "epoch_0001", data_dir)
+    assert reads == names
+
+
+def test_a_vq_step_starts_with_at_most_one_recording_alive(tmp_path, data_dir, monkeypatch):
+    loaded, alive = [], []  # weakrefs to every recording's data; live ones per step
+    real_load, real_graph = synth.load_container, training.Graph
+
+    def load(path):
+        rec = real_load(path)
+        loaded.append(weakref.ref(rec.data))
+        return rec
+
+    class StepGraph(real_graph):
+        def __enter__(self):
+            alive.append(sum(ref() is not None for ref in loaded))
+            return super().__enter__()
+
+    monkeypatch.setattr(synth, "load_container", load)
+    monkeypatch.setattr(training, "Graph", StepGraph)
+    gc.disable()  # reference counting alone must free them
+    try:
+        STAGE_RUNNERS["vq"](toy_cfg(data_dir), tmp_path / "run")
+    finally:
+        gc.enable()
+    assert len(alive) == 8 and max(alive) <= 1 and len(loaded) == 12
+
+
+def test_vq_memory_at_backward_does_not_grow_with_the_set(tmp_path, monkeypatch):
+    at_backward = []
+    real_backward = training.backward
+
+    def backward(loss, wrt=None):
+        at_backward.append(tracemalloc.get_traced_memory()[0])
+        return real_backward(loss, wrt)
+
+    monkeypatch.setattr(training, "backward", backward)
+
+    def largest_at_backward(n_per_class: int, traced: bool = True) -> int:
+        data, run = tmp_path / f"data-{n_per_class}", tmp_path / f"run-{n_per_class}-{traced}"
+        if not data.exists():  # 30 s recordings, so that one outweighs the per-step pool rows
+            make_dataset(data, n_per_class=n_per_class, classes=("class-a", "class-b"),
+                         montage="synthetic-2", seconds=30.0, seed=0)
+        cfg = toy_cfg(data, encoder={"max_patches": 32}, train={"epochs": 1})
+        at_backward.clear()
+        if traced:
+            tracemalloc.start()
+        try:
+            STAGE_RUNNERS["vq"](cfg, run)
+        finally:
+            tracemalloc.stop()
+        return max(at_backward)
+
+    largest_at_backward(1, traced=False)  # first-use allocations happen outside the trace
+    two, eight = largest_at_backward(1), largest_at_backward(4)
+    one_recording = 2 * 6000 * 8  # 2 channels x 6000 float64 samples
+    assert eight - two < one_recording
 
 
 QUICK_START = {
