@@ -50,11 +50,6 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict 
     os.replace(tmp_manifest, root / MANIFEST)
 
 
-def load_meta(path: str | Path) -> dict:
-    """A checkpoint's metadata, read from its manifest alone."""
-    return read_json_object(Path(path) / MANIFEST, DataError, "checkpoint manifest").get("meta", {})
-
-
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint directory back as float64 arrays plus metadata."""
     root = Path(path)

@@ -52,7 +52,7 @@ def evaluate_checkpoint(
             f"{meta.get('stage')!r}"
         )
     classes = list(model.cfg["data"]["classes"])
-    corpus = load_corpus(data_dir, require_labels=True, classes=classes)
+    corpus = load_corpus(data_dir, classes=classes)
     prepared = prepare_sequences(model, corpus, with_answer=True)
     label_tokens = model.tokenizer.ensure_distinct(classes)
 

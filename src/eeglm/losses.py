@@ -77,29 +77,21 @@ def span_nll(logits: Tensor, seq: HybridSequence, span: str) -> Tensor:
     """Mean NLL of span tokens, each predicted from the preceding position,
     as one tape node.
 
-    `logits` holds one row per position of `seq`, or only the rows
-    `span_rows(seq, span)` in that order (what `ToyBackbone.logits` returns
-    for those rows). Value and gradient are those of the chain log_softmax
-    -> pick -> mean -> neg (`tests/oracles.py`), bit for bit. The node keeps
-    each read row's max and log-sum-exp, not its log-probabilities, and its
-    vjp writes the read rows' gradient into one array; rows it does not
-    read get zeros.
+    `logits` holds the rows `span_rows(seq, span)` in that order (what
+    `ToyBackbone.logits` returns for those rows). Value and gradient are
+    those of the chain log_softmax -> pick -> mean -> neg
+    (`tests/oracles.py`), bit for bit. The node keeps each row's max and
+    log-sum-exp, not its log-probabilities, and its vjp writes the rows'
+    gradient into one array.
     """
     s, e = seq.spans.get(span, (0, 0))
     if e <= s:
         return Tensor(np.float64(0.0))
     n = e - s
-    if logits.shape[0] == seq.length:
-        rows = slice(s - 1, e - 1)  # span_rows(seq, span)
-    elif logits.shape[0] == n:
-        rows = slice(0, n)
-    else:
-        raise ShapeError(
-            f"{span} span of {n} tokens needs {seq.length} or {n} logit rows, "
-            f"got {logits.shape[0]}"
-        )
-    at = (np.arange(n), seq.ids[s:e])  # each read row's target
-    read = logits.data[rows]
+    if logits.shape[0] != n:
+        raise ShapeError(f"{span} span of {n} tokens needs {n} logit rows, got {logits.shape[0]}")
+    at = (np.arange(n), seq.ids[s:e])  # each row's target
+    read = logits.data
     top = read.max(axis=-1, keepdims=True)
     shifted = read - top
     picked = shifted[at]
@@ -108,19 +100,17 @@ def span_nll(logits: Tensor, seq: HybridSequence, span: str) -> Tensor:
     out = Tensor._wrap(-(picked.sum() * (1.0 / n)))
 
     def vjp(g: Array):
-        # pick's gradient holds each read row's share of the mean at its
-        # target and zeros elsewhere, so log_softmax's vjp is share -
-        # exp(y) * share at a target and 0.0 - exp(y) * share elsewhere
+        # pick's gradient holds each row's share of the mean at its target
+        # and zeros elsewhere, so log_softmax's vjp is share - exp(y) *
+        # share at a target and 0.0 - exp(y) * share elsewhere
         share = (-g) * (1.0 / n)
-        grad = np.zeros_like(logits.data)
-        block = grad[rows]  # y rebuilt from the kept max and lse, then the vjp in place
-        np.subtract(read, top, out=block)
-        block -= lse
-        np.exp(block, out=block)
-        block *= share
-        hit = share - block[at]
-        np.subtract(0.0, block, out=block)
-        block[at] = hit
+        grad = np.subtract(read, top)  # y rebuilt from the kept max and lse, then the vjp in place
+        grad -= lse
+        np.exp(grad, out=grad)
+        grad *= share
+        hit = share - grad[at]
+        np.subtract(0.0, grad, out=grad)
+        grad[at] = hit
         return (grad,)
 
     return ad._record(out, (logits,), vjp)

@@ -41,7 +41,6 @@ class AdamW:
         self.t = 0  # steps taken
         sizes = [p.data.size for p in self.params.values()]
         ends = np.cumsum(sizes).tolist()
-        self._cuts = ends[:-1]
         scales = lr_scales or {}
         self.lr_runs: list[tuple[int, int, float]] = []
         for name, a, b in zip(self.params, [0, *ends], ends):
@@ -51,13 +50,10 @@ class AdamW:
             self.lr_runs.append((a, b, scale))
         # one allocation: the parameters and their two moments
         self.flat, self.m, self.v = np.zeros((3, sum(sizes)))
-        for name, view in self._views(self.flat).items():
-            view[...] = self.params[name].data
-            self.params[name].data = view
-
-    def _views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
-        parts = np.split(buf, self._cuts)
-        return {name: part.reshape(p.shape) for (name, p), part in zip(self.params.items(), parts)}
+        for p, part in zip(self.params.values(), np.split(self.flat, ends[:-1])):
+            view = part.reshape(p.shape)
+            view[...] = p.data
+            p.data = view
 
     def step(self, grads: dict[str, Array], lr: float) -> None:
         """Update every parameter in one in-place pass at rate `lr`; a name
@@ -94,29 +90,26 @@ class AdamW:
 
     # ---- checkpoint support ----
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """Views of the moments keyed `opt.m/<name>`, then `opt.v/<name>`, in
-        parameter order: the names a checkpoint stores them under."""
-        return {
-            f"opt.{key}/{name}": view
-            for key, buf in (("m", self.m), ("v", self.v))
-            for name, view in self._views(buf).items()
-        }
+        """The moments under the names a checkpoint stores them: `opt.m` and
+        `opt.v`, each one flat buffer in parameter order."""
+        return {"opt.m": self.m, "opt.v": self.v}
 
-    def load_state(self, step: int, arrays: dict[str, np.ndarray]) -> None:
-        """Resume after `step` steps with the moments `arrays` holds under the
-        `state_arrays` names. A moment that is missing or of another shape,
-        or one stored for a parameter this optimizer does not own, raises
-        `DataError`: the arrays come from a run that trained another set."""
-        state = self.state_arrays()
-        for key in arrays:
-            if key.startswith("opt.") and key not in state:
-                raise DataError(f"optimizer state {key!r} is for a parameter not trained here")
-        for key, view in state.items():
-            if key not in arrays or np.shape(arrays[key]) != view.shape:
-                got = np.shape(arrays[key]) if key in arrays else "nothing"
-                raise DataError(f"optimizer state {key!r}: expected shape {view.shape}, got {got}")
-            view[...] = arrays[key]
-        self.t = int(step)
+    def load_state(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+        """Resume after `meta["step"]` steps with the moments `arrays` holds
+        under the `state_arrays` names, saved for the parameters that
+        `meta["trainable"]` names. Moments of another length, or saved for
+        another trainable set, raise `DataError`."""
+        for key, buf in self.state_arrays().items():
+            got = np.shape(arrays[key]) if key in arrays else "nothing"
+            if got != buf.shape:
+                raise DataError(f"optimizer state {key!r}: expected shape {buf.shape}, got {got}")
+        if meta.get("trainable") != list(self.params):
+            raise DataError(
+                f"optimizer state 'opt.m' and 'opt.v' were saved for another trainable set "
+                f"than the {len(self.params)} parameters trained here"
+            )
+        self.m[...], self.v[...] = arrays["opt.m"], arrays["opt.v"]
+        self.t = int(meta["step"])
 
 
 def clip_global_norm(grads: dict[str, Array], max_norm: float) -> dict[str, Array]:

@@ -90,8 +90,9 @@ def make_dataset(
     return manifest
 
 
-def read_labels(dataset_dir: str | Path) -> dict[str, str]:
-    """Read labels.csv as {sample name: label}; a sample named twice is refused."""
+def read_labels(dataset_dir: str | Path) -> dict[str, tuple[str, int]]:
+    """Read labels.csv as {sample name: (label, line number)}; a sample
+    named twice is refused."""
     path = Path(dataset_dir) / LABELS_FILE
     try:
         with open(path, newline="") as f:
@@ -101,16 +102,16 @@ def read_labels(dataset_dir: str | Path) -> dict[str, str]:
         raise DataError(f"cannot read label file {path}: {e}") from e
     if not rows or rows[0][1] != ["name", "label"]:
         raise DataError(f"label file {path} must start with a 'name,label' header")
-    out, lines = {}, {}
+    out: dict[str, tuple[str, int]] = {}
     for line, row in rows[1:]:
         if len(row) != 2:
             raise DataError(f"malformed label row {row!r} in {path}")
-        name = row[0]
-        if name in lines:
+        name, label = row
+        if name in out:
             raise DataError(
-                f"label file {path} names sample {name!r} twice, on lines {lines[name]} and {line}"
+                f"label file {path} names sample {name!r} twice, on lines {out[name][1]} and {line}"
             )
-        out[name], lines[name] = row[1], line
+        out[name] = (label, line)
     return out
 
 
@@ -132,33 +133,35 @@ class Corpus(Sequence):
         return self.sample_dirs[i].name, load_container(self.sample_dirs[i]), self.labels[i]
 
 
-def load_corpus(
-    dataset_dir: str | Path,
-    require_labels: bool = False,
-    classes: Sequence[str] | None = None,
-) -> Corpus:
+def load_corpus(dataset_dir: str | Path, classes: Sequence[str] | None = None) -> Corpus:
     """List the containers under a dataset directory with their labels,
-    reading no recording. With `require_labels` every sample needs a row in
-    labels.csv; with `classes` every sample's label must be one of them."""
+    reading no recording. With `classes`, labels.csv must name every
+    container once, each with one of `classes`, and no sample without one."""
     root = Path(dataset_dir)
     if not root.is_dir():
         raise DataError(f"dataset directory {root} does not exist")
     sample_dirs = sorted(p for p in root.iterdir() if (p / "manifest.json").is_file())
     if not sample_dirs:
         raise DataError(f"no containers found under {root}")
-    labels: dict[str, str] = {}
+    labels: dict[str, tuple[str, int]] = {}
     if (root / LABELS_FILE).is_file():
         labels = read_labels(root)
-    elif require_labels:
+    elif classes is not None:
         raise DataError(f"dataset {root} has no {LABELS_FILE}")
     out = []
     for sample in sample_dirs:
-        label = labels.get(sample.name)
-        if require_labels and label is None:
+        label, _ = labels.pop(sample.name, (None, 0))
+        if classes is not None and label is None:
             raise DataError(f"sample {sample.name!r} missing from {LABELS_FILE}")
         if classes is not None and label not in classes:
             raise DataError(
                 f"label {label!r} of sample {sample.name!r} not in configured classes {list(classes)}"
             )
         out.append(label)
+    if classes is not None and labels:  # what is left names no container
+        name, (_, line) = next(iter(labels.items()))
+        raise DataError(
+            f"label file {root / LABELS_FILE} names sample {name!r} on line {line}, "
+            f"which has no container in {root}"
+        )
     return Corpus(sample_dirs, out)

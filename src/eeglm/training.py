@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph, Tensor, backward
 from .backbone import BackboneConfig, ToyBackbone
-from .checkpoint import MANIFEST, assign_parameters, load_checkpoint, load_meta, save_checkpoint
+from .checkpoint import MANIFEST, assign_parameters, load_checkpoint, save_checkpoint
 from .config import leaves, resolve_config
 from .encoder import DualStreamEncoder, EncoderConfig
 from .errors import ConfigError, DataError, UsageError
@@ -245,22 +245,23 @@ def prepare_sequences(
 class MetricsLogger:
     """Append-only per-step CSV with round-trip-exact float columns.
 
-    When appending to an existing log, rows past step `keep_through` (logged
-    after the checkpoint a run resumes from) are dropped first. A log is
-    refused as it is when it lacks the header row, has a step that is not an
+    Without `keep_through` the log starts fresh. With it, a run resumes the
+    existing log: rows past step `keep_through` (logged after the checkpoint
+    the run resumes from) are dropped first. A log is refused as it is when
+    it cannot be read, lacks the header row, has a step that is not an
     integer, or its kept rows are not steps 1..`keep_through` in order, each
     with five finite floats and `loss_total == (loss_text + loss_eeg) +
     loss_orth * lambda_orth` as the row prints them.
     """
 
-    def __init__(
-        self, path: str | Path, append: bool = False, keep_through: int | None = None,
-        lambda_orth: float = 0.0,
-    ):
+    def __init__(self, path: str | Path, keep_through: int | None = None, lambda_orth: float = 0.0):
         self.path = Path(path)
-        fresh = not (append and self.path.exists())
-        if not fresh and keep_through is not None:
-            lines = self.path.read_bytes().splitlines(keepends=True)
+        fresh = keep_through is None
+        if not fresh:
+            try:
+                lines = self.path.read_bytes().splitlines(keepends=True)
+            except OSError as e:
+                raise DataError(f"{self.path}: cannot read the log to resume: {e.strerror}") from e
             if not lines or lines[0].rstrip() != ",".join(CSV_COLUMNS).encode():
                 raise DataError(f"{self.path}: first row is not the header")
             kept = []
@@ -313,7 +314,7 @@ def save_stage_checkpoint(
         "stage": stage,
         "epoch": epoch,
         "step": step,
-        "opt_step": opt.t,
+        "trainable": list(opt.params),
         "config": model.cfg,
     }
     meta.update(extra)
@@ -322,10 +323,10 @@ def save_stage_checkpoint(
     return path
 
 
-def find_latest_checkpoint(run_dir: str | Path) -> tuple[Path, dict] | None:
-    """Newest complete epoch checkpoint under run_dir/checkpoints, if any,
-    with its metadata; only the manifest is read (a manifest is written last,
-    so its presence means the checkpoint is complete)."""
+def find_latest_checkpoint(run_dir: str | Path) -> Path | None:
+    """Newest complete epoch checkpoint under run_dir/checkpoints, if any; a
+    manifest is written last, so its presence means the checkpoint is
+    complete."""
     ckpt_root = Path(run_dir) / "checkpoints"
     if not ckpt_root.is_dir():
         return None
@@ -338,7 +339,7 @@ def find_latest_checkpoint(run_dir: str | Path) -> tuple[Path, dict] | None:
                 best = (idx, entry)
     if best is None:
         return None
-    return best[1], load_meta(best[1])
+    return best[1]
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +523,6 @@ class SftStage(StageSpec):
         lt = float(loss.data)
         return loss, (lt, lt, 0.0, 0.0)
 
-    def end_epoch(self, model, rng):
-        return {"plan": dict(self.plan)}
-
     def summary(self, epoch_avgs, last):
         return {"plan": self.plan}
 
@@ -546,12 +544,12 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
         raise UsageError(f"{run} already holds a run: --resume it or train into an empty --out")
     # labels are checked here, before anything is read, tokenized or written
     classes = cfg["data"]["classes"] if spec.supervised else None
-    corpus = load_corpus(cfg["data"]["train_dir"], require_labels=spec.supervised, classes=classes)
+    corpus = load_corpus(cfg["data"]["train_dir"], classes=classes)
     model = build_model(cfg)
     latest = find_latest_checkpoint(run) if resume else None
     resumed = latest is not None
     # a resumed run continues its own checkpoint, a fresh one its parent's
-    source, want = (latest[0], spec.name) if resumed else (cfg["train"]["init_from"], spec.parent)
+    source, want = (latest, spec.name) if resumed else (cfg["train"]["init_from"], spec.parent)
     arrays, meta = load_checkpoint(source) if want and source else ({}, {})
     if meta.get("stage") != want:
         where = "the run's newest checkpoint" if resumed else "train.init_from"
@@ -576,7 +574,7 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
     opt = AdamW(trainable, lr_scales=lr_scales, **hyper)
     start_epoch, step, epoch_avgs, last = 0, 0, [], {}
     if resumed:
-        opt.load_state(meta["opt_step"], arrays)
+        opt.load_state(meta, arrays)
         start_epoch, step, last = meta["epoch"] + 1, meta["step"], meta
         epoch_avgs = list(meta.get("epoch_avg_loss", []))
     del arrays  # copied into the model and the optimizer; the stage does not hold them
@@ -586,7 +584,8 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
         (run / sub).mkdir(parents=True, exist_ok=True)
     # a resumed run refused on its metrics log keeps its config.json too
     logger = MetricsLogger(
-        run / "metrics.csv", append=resumed, keep_through=step, lambda_orth=cfg["train"]["lambda_orth"]
+        run / "metrics.csv", keep_through=step if resumed else None,
+        lambda_orth=cfg["train"]["lambda_orth"],
     )
     total_steps = cfg["train"]["epochs"] * len(items)
     try:

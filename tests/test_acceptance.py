@@ -19,7 +19,7 @@ from eeglm.cli import main
 from eeglm.config import resolve_config
 from eeglm.encoder import CsaBlock, DualStreamEncoder, EncoderConfig, TemporalEmbedder
 from eeglm.errors import ConfigError
-from eeglm.losses import loss_ntp, loss_sft, span_nll
+from eeglm.losses import loss_ntp, loss_sft
 from eeglm.metrics import (
     EvalBatch,
     auc_pr,
@@ -64,6 +64,7 @@ from test_metrics import (
     oracle_weighted_f1,
 )
 from test_profiler import SAMPLE_BODY
+from test_losses import sliced_span_nll
 from test_quantizer import quant_loss
 
 
@@ -444,7 +445,7 @@ def test_06_loss_masking(tmp_path):
 
     with Graph():
         logits = model.logits(seq, sem)
-        pretrain = ad.add(span_nll(logits, seq, "text"), span_nll(logits, seq, "eeg"))
+        pretrain = ad.add(sliced_span_nll(logits, seq, "text"), sliced_span_nll(logits, seq, "eeg"))
         grads = backward(pretrain, wrt=[logits])
     g = grads[logits]
     sem_s, sem_e = seq.spans["sem"]
@@ -452,7 +453,7 @@ def test_06_loss_masking(tmp_path):
 
     with Graph():
         logits = model.logits(seq, sem)
-        answer_only = span_nll(logits, seq, "answer")
+        answer_only = sliced_span_nll(logits, seq, "answer")
         grads = backward(answer_only, wrt=[logits])
     g = grads[logits]
     ans_s, ans_e = seq.spans["answer"]

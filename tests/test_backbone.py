@@ -16,6 +16,7 @@ from eeglm.sequences import VocabSpec, assemble_sequence
 from gradcheck import check_directional
 import oracles
 from oracles import AttentionSpy, matmul, softmax, transpose
+from test_losses import sliced_span_nll
 from test_quantizer import quant_loss
 
 VOCAB = VocabSpec(v_text=40, n_codes=12)
@@ -176,7 +177,7 @@ def test_ntp_gradient_zero_at_sem_target_rows(rng):
     seq, sem = demo_sequence(rng, sem_rows=3)
     with Graph():
         logits = model.logits(seq, Tensor(sem))
-        total = ad.add(span_nll(logits, seq, "text"), span_nll(logits, seq, "eeg"))
+        total = ad.add(sliced_span_nll(logits, seq, "text"), sliced_span_nll(logits, seq, "eeg"))
         grads = backward(total, wrt=[logits])
     g = grads[logits]
     sem_s, sem_e = seq.spans["sem"]
@@ -195,7 +196,7 @@ def test_sft_gradient_zero_outside_answer_rows(rng):
     seq, sem = demo_sequence(rng, answer=True)
     with Graph():
         logits = model.logits(seq, Tensor(sem))
-        loss = span_nll(logits, seq, "answer")
+        loss = sliced_span_nll(logits, seq, "answer")
         grads = backward(loss, wrt=[logits])
     g = grads[logits]
     ans_s, ans_e = seq.spans["answer"]

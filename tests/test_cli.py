@@ -597,6 +597,67 @@ def test_train_resume_reads_the_checkpoint_once(env, tmp_path, monkeypatch):
     assert loaded == [run / "checkpoints" / "epoch_0000"]
 
 
+def _old_layout(ckpt: Path, out: Path) -> Path:
+    """`ckpt` written to `out` as checkpoints were laid out before the moments
+    were stored flat: one `opt.m/<name>` and one `opt.v/<name>` entry per
+    trainable parameter, no trainable names, and the step count repeated as
+    `opt_step`. The weights keep their bytes."""
+    weights = (ckpt / "weights.bin").read_bytes()
+    arrays, meta = load_checkpoint(ckpt)
+    names = meta.pop("trainable")
+    cuts = np.cumsum([arrays[n].size for n in names])[:-1]
+    for key in ("opt.m", "opt.v"):
+        for name, part in zip(names, np.split(arrays.pop(key), cuts)):
+            arrays[f"{key}/{name}"] = part.reshape(arrays[name].shape)
+    meta["opt_step"] = meta["step"]
+    save_checkpoint(out, arrays, meta)
+    assert (out / "weights.bin").read_bytes() == weights
+    return out
+
+
+def test_resume_from_an_old_layout_checkpoint_exits_3_and_changes_nothing(env, tmp_path, capsys):
+    run = tmp_path / "run"
+    argv = env["base"] + ["--out", str(run), "train", "--stage", "vq", "--data", str(env["data"])]
+    assert main(argv + ["--epochs", "1"]) == 0
+    ckpt = run / "checkpoints" / "epoch_0000"
+    _old_layout(ckpt, ckpt)
+    before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(argv + ["--epochs", "2", "--resume"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "optimizer state 'opt.m'" in err[0]
+    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+
+def test_old_layout_checkpoints_still_start_a_stage_and_serve_every_reader(env, tmp_path):
+    # only --resume reads the moments: the parameter entries keep their layout
+    sample = str(env["data"] / "sample_0000")
+
+    def outputs(name, ckpt_vq, ckpt_sft):
+        out = tmp_path / name
+        commands = {
+            "cpt": ["train", "--stage", "cpt", "--data", str(env["data"]),
+                    "--init-from", str(ckpt_vq), "--epochs", "1"],
+            "eval": ["eval", "--checkpoint", str(ckpt_sft), "--data", str(env["eval_data"])],
+            "tokens.txt": ["tokenize", "--container", sample, "--checkpoint", str(ckpt_vq)],
+            "attn.csv": ["attn-export", "--checkpoint", str(ckpt_sft), "--container", sample],
+        }
+        for sub, args in commands.items():
+            assert main(env["base"] + ["--out", str(out / sub), *args]) == 0
+        # the cpt run's config and manifests name the checkpoint it started from
+        return {
+            p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+            if p.is_file() and not (p.relative_to(out).parts[0] == "cpt"
+                                    and p.name in ("config.json", "manifest.json"))
+        }
+
+    old = outputs("old", _old_layout(env["ckpt_vq"], tmp_path / "old-vq"),
+                  _old_layout(env["ckpt_sft"], tmp_path / "old-sft"))
+    new = outputs("new", env["ckpt_vq"], env["ckpt_sft"])
+    assert Path("cpt", "checkpoints", "epoch_0000", "weights.bin") in new
+    assert old == new
+
+
 def test_train_keeps_one_run_per_directory_with_exit_2(env, tmp_path, capsys):
     run = tmp_path / "run"
     argv = env["base"] + ["--out", str(run), "train", "--stage", "vq", "--data", str(env["data"])]
@@ -893,6 +954,21 @@ def test_eval_refuses_a_labels_file_that_names_a_sample_twice(env, tmp_path, cap
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert str(data / "labels.csv") in err[0] and "'sample_0000' twice" in err[0]
+    assert not out.exists()
+
+
+def test_eval_refuses_a_label_row_without_a_container(env, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(env["eval_data"], data)
+    shutil.rmtree(data / "sample_0003")
+    out = tmp_path / "ev"
+    rc = main(env["base"] + [
+        "--out", str(out), "eval", "--checkpoint", str(env["ckpt_sft"]), "--data", str(data),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"label file {data / 'labels.csv'} names sample 'sample_0003' on line 5" in err[0]
     assert not out.exists()
 
 

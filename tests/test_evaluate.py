@@ -51,7 +51,7 @@ def write_sft_checkpoint(path, cfg, stage="sft"):
             cfg["lora"]["rank"], cfg["lora"]["alpha"], np.random.default_rng(0)
         )
     arrays = {n: t.data for n, t in model.named_parameters().items()}
-    meta = {"stage": stage, "epoch": 0, "step": 0, "opt_step": 0, "config": cfg}
+    meta = {"stage": stage, "epoch": 0, "step": 0, "config": cfg}
     save_checkpoint(path, arrays, meta)
     return path
 
@@ -83,7 +83,7 @@ def multi_setup(tmp_path_factory):
 def test_label_probabilities_match_renormalized_softmax(binary_setup):
     data, cfg, _ = binary_setup
     model = build_model(cfg)
-    corpus = load_corpus(data, require_labels=True)
+    corpus = load_corpus(data, classes=cfg["data"]["classes"])
     item = prepare_sequences(model, corpus[:1], with_answer=True)[0]
     tokens = model.tokenizer.ensure_distinct(cfg["data"]["classes"])
     probs = label_probabilities(model, item, tokens)

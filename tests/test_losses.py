@@ -33,10 +33,10 @@ def values_and_grads(loss_fn, args, upstream):
     return loss.data, [grads[t] for t in tensors], nodes
 
 
-def assert_matches_the_chain(fused, chain, args, upstream):
-    value, grads, nodes = values_and_grads(fused, args, upstream)
+def assert_matches_the_chain(fused, chain, args, upstream, nodes=1):
+    value, grads, fused_nodes = values_and_grads(fused, args, upstream)
     ref_value, ref_grads, _ = values_and_grads(chain, args, upstream)
-    assert nodes == 1
+    assert fused_nodes == nodes
     assert same_bits(value, ref_value)
     for g, ref in zip(grads, ref_grads):
         assert same_bits(g, ref)
@@ -48,6 +48,13 @@ def demo_sequence(rng):
         rng.integers(0, VOCAB.v_text, size=6), 2, rng.integers(0, VOCAB.n_codes, size=5), VOCAB,
         instruction_ids=rng.integers(0, VOCAB.v_text, size=3), answer_ids=[7, 9],
     )
+
+
+def sliced_span_nll(logits, seq, span: str) -> Tensor:
+    """`span_nll` over logits of every position of `seq`: the rows the span
+    reads are sliced out first, as `loss_ntp` slices the backbone's rows."""
+    s, e = seq.spans[span]
+    return span_nll(ad.slice_(logits, slice(s - 1, e - 1)), seq, span)
 
 
 def span_logits(rng, seq, span, full: bool) -> Tensor:
@@ -69,7 +76,10 @@ def test_span_nll_matches_the_chain_to_the_bit(span, full, upstream):
     rng = np.random.default_rng(1)
     seq = demo_sequence(rng)
     logits = span_logits(rng, seq, span, full)
-    (grad,) = assert_matches_the_chain(span_nll, oracles.span_nll, (logits, seq, span), upstream)
+    fused = sliced_span_nll if full else span_nll
+    (grad,) = assert_matches_the_chain(
+        fused, oracles.span_nll, (logits, seq, span), upstream, nodes=1 + full
+    )
     s, e = seq.spans[span]
     read = np.zeros(len(grad), dtype=bool)
     read[slice(s - 1, e - 1) if full else slice(None)] = True
@@ -95,7 +105,17 @@ def test_fd_span_nll(full):
     rng = np.random.default_rng(3)
     seq = demo_sequence(rng)
     logits = span_logits(rng, seq, "eeg", full)
-    assert check_gradients(lambda ts: span_nll(ts[0], seq, "eeg"), [logits]) < 1e-6
+    fused = sliced_span_nll if full else span_nll
+    assert check_gradients(lambda ts: fused(ts[0], seq, "eeg"), [logits]) < 1e-6
+
+
+def test_span_nll_refuses_logits_of_every_position():
+    rng = np.random.default_rng(4)
+    seq = demo_sequence(rng)
+    n = seq.spans["eeg"][1] - seq.spans["eeg"][0]
+    logits = span_logits(rng, seq, "eeg", full=True)
+    with pytest.raises(ShapeError, match=f"eeg span of {n} tokens needs {n} logit rows, got {seq.length}"):
+        span_nll(logits, seq, "eeg")
 
 
 # ---------------------------------------------------------------------------

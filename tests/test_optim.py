@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -90,9 +92,9 @@ def test_optimizer_state_roundtrip():
     opt.step({"p": np.array([0.3])}, lr=0.1)
     snap = {k: v.copy() for k, v in opt.state_arrays().items()}
     opt2 = AdamW({"p": p}, **HYPER)
-    opt2.load_state(opt.t, snap)
+    opt2.load_state({"step": opt.t, "trainable": ["p"]}, snap)
     assert opt2.t == 1
-    np.testing.assert_allclose(opt2.state_arrays()["opt.m/p"], opt.state_arrays()["opt.m/p"])
+    np.testing.assert_allclose(opt2.state_arrays()["opt.m"], opt.state_arrays()["opt.m"])
 
 
 
@@ -130,30 +132,51 @@ def test_flat_update_matches_per_tensor_reference_bit_for_bit():
         grads["t"] = rng.standard_normal((6, 3)).T  # a non-contiguous gradient
         opt.step(grads, lr=lr)
         _reference_adamw(ref, grads, state, lr, **hyper)
-    moments = opt.state_arrays()
     for name in shapes:
         np.testing.assert_array_equal(tensors[name].data, ref[name])
-        np.testing.assert_array_equal(moments[f"opt.m/{name}"], state["m"][name])
-        np.testing.assert_array_equal(moments[f"opt.v/{name}"], state["v"][name])
+    # each moment buffer is the per-tensor moments, flattened in parameter order
+    moments = opt.state_arrays()
+    for key in ("m", "v"):
+        flat = np.concatenate([state[key][name] for name in shapes], axis=None)
+        np.testing.assert_array_equal(moments[f"opt.{key}"], flat)
     assert not np.array_equal(tensors["idle"].data, init["idle"])  # decay moves it
 
 
+def _per_name_layout(meta, state):
+    """The layout checkpoints had before the moments were stored flat: one
+    `opt.m/<name>` and one `opt.v/<name>` entry per trainable parameter, and
+    no trainable names in the metadata."""
+    for key in ("opt.m", "opt.v"):
+        flat = state.pop(key)
+        state.update({f"{key}/a": flat[:6].reshape(3, 2), f"{key}/b": flat[6:]})
+    del meta["trainable"]
+
+
 @pytest.mark.parametrize(
-    "edit, named",
+    "edit, message",
     [
-        (lambda state: state.pop("opt.v/a"), "opt.v/a"),
-        (lambda state: state.update({"opt.m/a": np.full(1, 0.5)}), "opt.m/a"),
-        (lambda state: state.update({"opt.m/c": np.zeros(2)}), "opt.m/c"),
+        (lambda meta, state: state.pop("opt.v"), "'opt.v': expected shape (10,), got nothing"),
+        (lambda meta, state: state.update({"opt.m": np.full(1, 0.5)}),
+         "'opt.m': expected shape (10,), got (1,)"),
+        (lambda meta, state: meta.update(trainable=["a", "c"]),
+         "saved for another trainable set than the 2 parameters trained here"),
+        (lambda meta, state: meta.update(trainable=["b", "a"]),
+         "saved for another trainable set than the 2 parameters trained here"),
+        (_per_name_layout, "'opt.m': expected shape (10,), got nothing"),
     ],
-    ids=["missing", "broadcastable-shape", "foreign-parameter"],
+    ids=["missing", "broadcastable-shape", "foreign-parameter", "trainable-name-mismatch",
+         "per-name-layout"],
 )
-def test_load_state_refuses_moments_of_another_trainable_set(edit, named):
+def test_load_state_refuses_moments_of_another_trainable_set(edit, message):
     params = {n: Tensor(np.ones(s), requires_grad=True) for n, s in (("a", (3, 2)), ("b", (4,)))}
     opt = AdamW(params, **HYPER)
+    meta = {"step": 3, "trainable": ["a", "b"]}
     state = {k: v.copy() for k, v in opt.state_arrays().items()}
-    edit(state)
-    with pytest.raises(DataError, match=repr(named)):
-        AdamW(params, **HYPER).load_state(3, state)
+    edit(meta, state)
+    fresh = AdamW(params, **HYPER)
+    with pytest.raises(DataError, match=re.escape(message)):
+        fresh.load_state(meta, state)
+    assert fresh.t == 0 and not fresh.m.any() and not fresh.v.any()
 
 
 def test_state_arrays_resume_gives_the_same_next_step():
@@ -164,12 +187,11 @@ def test_state_arrays_resume_gives_the_same_next_step():
     opt = AdamW(first, **hyper)
     for _ in range(2):
         opt.step({n: rng.standard_normal(s) for n, s in shapes.items()}, lr=0.05)
-    keys = list(opt.state_arrays())
-    assert keys == ["opt.m/a", "opt.m/b", "opt.v/a", "opt.v/b"]
+    assert list(opt.state_arrays()) == ["opt.m", "opt.v"]
     saved = {k: v.copy() for k, v in opt.state_arrays().items()}
     second = {n: Tensor(t.data.copy(), requires_grad=True) for n, t in first.items()}
     fresh = AdamW(second, **hyper)
-    fresh.load_state(opt.t, saved)
+    fresh.load_state({"step": opt.t, "trainable": list(shapes)}, saved)
     grads = {n: rng.standard_normal(s) for n, s in shapes.items()}
     opt.step(grads, lr=0.05)
     fresh.step(grads, lr=0.05)

@@ -42,18 +42,40 @@ def test_patched_attribute_resolves(target, attr):
     assert callable(getattr(probes._resolve(target), attr))
 
 
-def test_traced_losses_read_every_row_the_backbone_computes(tmp_path):
-    make_dataset(tmp_path, n_per_class=1, classes=("class-a", "class-b"),
+def _toy_cfg(data: Path, **extra) -> dict:
+    """A toy config over a fresh two-recording dataset written to `data`."""
+    make_dataset(data, n_per_class=1, classes=("class-a", "class-b"),
                  montage="synthetic-2", seconds=2.0, seed=3)
-    cfg = resolve_config(None, [{
+    return resolve_config(None, [{
         "data": {"montage": "synthetic-2", "classes": ["class-a", "class-b"],
-                 "train_dir": str(tmp_path)},
+                 "train_dir": str(data)},
         "encoder": {"embed_dim": 8, "ffn_mult": 2, "max_patches": 8},
         "quantizer": {"num_codes": 8, "code_dim": 4},
         "refiner": {"n_experts": 2},
         "backbone": {"v_text": 64, "n_layers": 2, "embed_dim": 16, "n_heads": 2,
                      "ffn_mult": 2, "max_len": 192},
+        **extra,
     }])
+
+
+def test_marks_record_one_epoch_end_per_checkpoint(tmp_path):
+    # the stage rates read the stage from save_stage_checkpoint's fourth
+    # positional argument: (run_dir, model, opt, stage, ...)
+    cfg = _toy_cfg(tmp_path / "data", train={"epochs": 1})
+    marks = probes.Marks()
+    marks.install()
+    try:
+        training.STAGE_RUNNERS["vq"](cfg, tmp_path / "run")
+    finally:
+        marks.uninstall()
+    checkpoints = sorted(p.name for p in (tmp_path / "run" / "checkpoints").iterdir())
+    assert checkpoints == ["epoch_0000"]
+    assert [stage for stage, _ in marks.epoch_ends] == ["vq"]
+    assert all(isinstance(t, float) for _, t in marks.epoch_ends)
+
+
+def test_traced_losses_read_every_row_the_backbone_computes(tmp_path):
+    cfg = _toy_cfg(tmp_path)
     model = training.build_model(cfg)
     items = training.prepare_sequences(model, load_corpus(tmp_path), with_answer=True)
     tokens = model.tokenizer.ensure_distinct(cfg["data"]["classes"])

@@ -60,7 +60,8 @@ def test_dataset_layout_and_labels(tmp_path):
     assert sorted(manifest["samples"]) == manifest["samples"]
     assert len(manifest["samples"]) == 6
     labels = read_labels(out)
-    assert set(labels.values()) == {"class-a", "class-b", "class-c"}
+    assert {label for label, _ in labels.values()} == {"class-a", "class-b", "class-c"}
+    assert [line for _, line in labels.values()] == list(range(2, 8))
     on_disk = json.loads((out / "dataset.json").read_text())
     assert on_disk["classes"] == ["class-a", "class-b", "class-c"]
     for name in manifest["samples"]:
@@ -88,7 +89,7 @@ def test_dataset_seed_changes_signal(tmp_path):
 def test_load_corpus_round_trip(tmp_path):
     out = tmp_path / "data"
     make_dataset(out, n_per_class=2, montage="synthetic-2", seed=7)
-    corpus = load_corpus(out, require_labels=True)
+    corpus = load_corpus(out, classes=list(CLASS_TONES))
     assert [name for name, _, _ in corpus] == [f"sample_{i:04d}" for i in range(6)]
     for _, rec, label in corpus:
         assert rec.n_channels == 2
@@ -100,13 +101,13 @@ def test_load_corpus_missing_dir(tmp_path):
         load_corpus(tmp_path / "nope")
 
 
-def test_load_corpus_requires_labels_when_asked(tmp_path):
+def test_load_corpus_requires_labels_when_given_classes(tmp_path):
     out = tmp_path / "data"
     make_dataset(out, n_per_class=1, montage="synthetic-2", seed=8)
     (out / "labels.csv").unlink()
     assert load_corpus(out)[0][2] is None
     with pytest.raises(DataError, match="labels.csv"):
-        load_corpus(out, require_labels=True)
+        load_corpus(out, classes=list(CLASS_TONES))
 
 
 def test_read_labels_rejects_bad_header(tmp_path):
@@ -123,7 +124,7 @@ def test_load_corpus_refuses_a_sample_named_twice(tmp_path):
     with open(out / "labels.csv", "a") as f:  # header and three rows before it
         f.write("sample_0000,class-c\n")
     with pytest.raises(DataError) as refused:
-        load_corpus(out, require_labels=True)
+        load_corpus(out, classes=list(CLASS_TONES))
     message = str(refused.value)
     assert str(out / "labels.csv") in message
     assert "'sample_0000' twice, on lines 2 and 5" in message
@@ -136,7 +137,7 @@ def test_load_corpus_reads_a_recording_each_time_its_entry_is_accessed(tmp_path,
     reads = []
     real_load = synth.load_container
     monkeypatch.setattr(synth, "load_container", lambda p: reads.append(p.name) or real_load(p))
-    corpus = load_corpus(out, require_labels=True, classes=list(CLASS_TONES))
+    corpus = load_corpus(out, classes=list(CLASS_TONES))
     assert reads == [] and len(corpus) == 3
     assert corpus.labels == ["class-a", "class-b", "class-c"]
     first = corpus[0]

@@ -121,7 +121,7 @@ def test_tokenize_recording_rejects_foreign_montage(data_dir):
 
 def test_prepare_sequences_supervised(data_dir):
     model = build_model(toy_cfg(data_dir))
-    corpus = load_corpus(data_dir, require_labels=True)
+    corpus = load_corpus(data_dir, classes=toy_cfg(data_dir)["data"]["classes"])
     prep = prepare_sequences(model, corpus, with_answer=True)
     assert [p.name for p in prep] == [f"sample_{i:04d}" for i in range(4)]
     for item in prep:
@@ -148,14 +148,27 @@ def test_load_corpus_label_errors(tmp_path, data_dir, monkeypatch):
     data = tmp_path / "data"
     shutil.copytree(data_dir, data)
     classes = toy_cfg(data_dir)["data"]["classes"]
-    header, first, *rest = (data / "labels.csv").read_text().splitlines()
+    original = (data / "labels.csv").read_text()
+    header, first, *rest = original.splitlines()
     assert first.startswith("sample_0000,")
     (data / "labels.csv").write_text("\n".join([header, *rest]) + "\n")
-    with pytest.raises(DataError, match="label None .* not in configured classes"):
+    with pytest.raises(DataError, match="sample 'sample_0000' missing from labels.csv"):
         load_corpus(data, classes=classes)
     (data / "labels.csv").write_text("\n".join([header, "sample_0000,class-z", *rest]) + "\n")
     with pytest.raises(DataError, match="not in configured classes"):
-        load_corpus(data, require_labels=True, classes=classes)
+        load_corpus(data, classes=classes)
+    # without classes, labels are not checked
+    assert load_corpus(data).labels[0] == "class-z"
+    # a row whose container is gone: its sample would be left out silently
+    (data / "labels.csv").write_text(original)
+    assert rest[-1].startswith("sample_0003,")
+    shutil.rmtree(data / "sample_0003")
+    with pytest.raises(DataError, match=re.escape(
+        f"label file {data / 'labels.csv'} names sample 'sample_0003' on line 5, "
+        f"which has no container in {data}"
+    )):
+        load_corpus(data, classes=classes)
+    assert len(load_corpus(data)) == 3
 
 
 # -- metrics logger ---------------------------------------------------------
@@ -178,7 +191,7 @@ def test_metrics_logger_append_keeps_single_header(tmp_path):
     logger = MetricsLogger(path)
     logger.log(1, 1.0, 0.0, 1.0, 0.0, 1e-3)
     logger.close()
-    logger = MetricsLogger(path, append=True)
+    logger = MetricsLogger(path, keep_through=1)
     logger.log(2, 0.5, 0.0, 0.5, 0.0, 1e-3)
     logger.close()
     header, rows = read_metrics(path)
@@ -227,14 +240,22 @@ def test_resume_continues_step_counter(tmp_path, chain, stage):
     STAGE_RUNNERS[stage](cfg, run, resume=True)
     _, rows = read_metrics(run / "metrics.csv")
     assert [int(r[0]) for r in rows] == list(range(1, 17))
-    path, meta = find_latest_checkpoint(run)
+    path = find_latest_checkpoint(run)
     assert path.name == "epoch_0003"
+    meta = load_checkpoint(path)[1]
     assert meta["step"] == 16 and meta["epoch"] == 3
 
 
-def _moment_names(checkpoint):
+def _stored_trainable(checkpoint):
+    """The trainable names a checkpoint's moments were saved for, checked
+    against the two flat moment entries it holds."""
     manifest = json.loads((checkpoint / "manifest.json").read_text())
-    return [e["name"] for e in manifest["params"] if e["name"].startswith("opt.")]
+    names = manifest["meta"]["trainable"]
+    shapes = {e["name"]: e["shape"] for e in manifest["params"]}
+    size = sum(np.prod(shapes[n], dtype=int) for n in names)
+    assert [n for n in shapes if n.startswith("opt.")] == ["opt.m", "opt.v"]
+    assert shapes["opt.m"] == shapes["opt.v"] == [size]
+    return names
 
 
 @pytest.mark.parametrize("stage", ["vq", "cpt", "sft"])
@@ -248,8 +269,8 @@ def test_resume_opens_the_fresh_starts_trainable_set(tmp_path, chain, stage):
     cfg["train"]["epochs"] = 2
     STAGE_RUNNERS[stage](cfg, run, resume=True)
     first, second = (run / "checkpoints" / f"epoch_{e:04d}" for e in (0, 1))
-    moments = _moment_names(first)
-    assert moments and _moment_names(second) == moments
+    stored = _stored_trainable(first)
+    assert stored and _stored_trainable(second) == stored
 
     fresh_model = build_model(cfg)
     if cfg["train"]["init_from"]:
@@ -259,7 +280,7 @@ def test_resume_opens_the_fresh_starts_trainable_set(tmp_path, chain, stage):
     training._load_into(resumed_model, load_checkpoint(first)[0])
     resumed, resumed_scales = spec_cls(cfg).open(resumed_model, fresh=False)
     assert list(resumed_scales.items()) == list(fresh_scales.items())
-    assert list(resumed) == list(fresh) == [n[len("opt.m/"):] for n in moments[: len(fresh)]]
+    assert list(resumed) == list(fresh) == stored
 
 
 def test_resume_refuses_moments_of_another_trainable_set(tmp_path, data_dir, monkeypatch):
@@ -272,7 +293,7 @@ def test_resume_refuses_moments_of_another_trainable_set(tmp_path, data_dir, mon
         return real_groups(self, model) + [(lambda n: n.startswith("refiner."), 1.0)]
 
     monkeypatch.setattr(VqStage, "groups", groups_with_refiner)
-    with pytest.raises(DataError, match=r"'opt\.m/refiner\."):
+    with pytest.raises(DataError, match=r"optimizer state 'opt\.m': expected shape"):
         STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 2}), run, resume=True)
     assert (run / "config.json").read_text() == config_before
     assert sorted(p.name for p in (run / "checkpoints").iterdir()) == ["epoch_0000"]
@@ -300,20 +321,24 @@ def _rows(log: bytes, edit) -> bytes:
         (lambda log: _rows(log, lambda r: r[:-1]), "holds 3 rows up to step 4"),
         (lambda log: re.sub(rb"\n3,[^,]*,", b"\n3,999.0,", log, count=1),
          "row of step 3 has loss_total 999.0 != loss_text + loss_eeg + 0.1 * loss_orth"),
+        (lambda log: None, "cannot read the log to resume"),
     ],
     ids=["emptied", "step-x", "loss-abc", "loss-nan", "short-row", "repeated-row", "missing-row",
-         "missing-last-row", "loss-identity"],
+         "missing-last-row", "loss-identity", "missing-log"],
 )
 def test_resume_refuses_a_malformed_metrics_log_as_it_is(tmp_path, data_dir, damage, message):
     run = tmp_path / "run"
     STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 1}), run)
     log = run / "metrics.csv"
-    log.write_bytes(damage(log.read_bytes()))
-    before = {p: p.read_bytes() for p in (log, run / "config.json")}
+    damaged = damage(log.read_bytes())
+    if damaged is None:
+        log.unlink()
+    else:
+        log.write_bytes(damaged)
+    before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
     with pytest.raises(DataError, match=re.escape(f"{log}: {message}")):
         STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 2}), run, resume=True)
-    assert {p: p.read_bytes() for p in before} == before
-    assert sorted(p.name for p in (run / "checkpoints").iterdir()) == ["epoch_0000"]
+    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
 
 def test_resume_checks_the_loss_identity_with_the_runs_lambda(tmp_path, chain):
@@ -638,8 +663,7 @@ def test_find_latest_skips_incomplete_checkpoints(tmp_path, data_dir):
     run = tmp_path / "run"
     STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 1}), run)
     (run / "checkpoints" / "epoch_0007").mkdir()  # no manifest inside
-    path, _ = find_latest_checkpoint(run)
-    assert path.name == "epoch_0000"
+    assert find_latest_checkpoint(run).name == "epoch_0000"
     assert find_latest_checkpoint(tmp_path / "absent") is None
 
 
