@@ -6,11 +6,12 @@ Usage, from the root of an eeglm checkout::
     PYTHONPATH=<checkout>/src python3 scripts/quickstart_digest.py OUT
     PYTHONPATH=<checkout>/src python3 scripts/quickstart_digest.py --check FILE
 
+The commands come from ``recipe.py``, the table of the README recipe.
 Every command goes through ``eeglm.cli.main`` inside the empty directory
 OUT, with the relative paths the README uses, so two checkouts write the
-same files under the same names. The resumed copy stops vq, cpt and sft
-after 7, 3 and 4 epochs and ``--resume``s them to the README's 20, 8 and 10,
-in run directories of its own (``resume-vq``, ``resume-cpt``,
+same files under the same names. The resumed copy stops each stage after
+the epochs ``recipe.STOPS`` gives and ``--resume``s it to the quick
+start's, in run directories of its own (``resume-vq``, ``resume-cpt``,
 ``resume-sft``), each stage starting from the resumed one before it. The
 commands' own output goes to stderr. If a command fails, the script stops
 with its exit code. Otherwise it prints ``sha256  relpath`` for every file
@@ -56,48 +57,24 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
+import recipe  # noqa: E402
 from eeglm.cli import main  # noqa: E402
 
-# the README's SET, split on whitespace as the shell splits an unquoted $SET
-SET = """--set data.montage="synthetic-4" --set quantizer.num_codes=32
-     --set quantizer.code_dim=8 --set optimizer.lr=0.003
-     --set schedule.warmup_steps=20"""
 
-QUICK_START = (
-    "--seed 7 --out train-data synth --per-class 8 --montage synthetic-4",
-    "--seed 8 --out eval-data  synth --per-class 4 --montage synthetic-4",
-    "--seed 7 --out run-vq  $SET train --stage vq  --data train-data --epochs 20",
-    "--seed 7 --out run-cpt $SET train --stage cpt --data train-data --epochs 8"
-    " --init-from run-vq/checkpoints/epoch_0019",
-    "--seed 7 --out run-sft $SET train --stage sft --data train-data --epochs 10"
-    " --init-from run-cpt/checkpoints/epoch_0007",
-    "--seed 7 --out report $SET eval"
-    " --checkpoint run-sft/checkpoints/epoch_0009 --data eval-data",
-)
-
-RESUMED = (
-    "--seed 7 --out resume-vq  $SET train --stage vq  --data train-data --epochs 7",
-    "--seed 7 --out resume-vq  $SET train --stage vq  --data train-data --epochs 20 --resume",
-    "--seed 7 --out resume-cpt $SET train --stage cpt --data train-data --epochs 3"
-    " --init-from resume-vq/checkpoints/epoch_0019",
-    "--seed 7 --out resume-cpt $SET train --stage cpt --data train-data --epochs 8"
-    " --init-from resume-vq/checkpoints/epoch_0019 --resume",
-    "--seed 7 --out resume-sft $SET train --stage sft --data train-data --epochs 4"
-    " --init-from resume-cpt/checkpoints/epoch_0007",
-    "--seed 7 --out resume-sft $SET train --stage sft --data train-data --epochs 10"
-    " --init-from resume-cpt/checkpoints/epoch_0007 --resume",
-)
-
-OTHER_COMMANDS = (
-    "--out clean preprocess train-data/sample_0000",
-    "--out tokens.txt tokenize --container clean"
-    " --checkpoint run-vq/checkpoints/epoch_0019",
-    "$SET --out prof profile --container clean",
-    "--out attn.csv attn-export --checkpoint run-sft/checkpoints/epoch_0009"
-    " --container clean --profile prof/profile.json",
-    "--out attn-stub.csv attn-export --checkpoint run-sft/checkpoints/epoch_0009"
-    " --container clean",
-)
+def commands() -> list[list[str]]:
+    """The quick start, its stopped and resumed copy, then the other
+    subcommands on the quick start's products."""
+    vq, sft = recipe.last_checkpoint("vq"), recipe.last_checkpoint("sft")
+    attn = ["attn-export", "--checkpoint", sft, "--container", "clean"]
+    return [
+        *recipe.quick_start(),
+        *recipe.stopped_and_resumed(),
+        ["--out", "clean", "preprocess", "train-data/sample_0000"],
+        ["--out", "tokens.txt", "tokenize", "--container", "clean", "--checkpoint", vq],
+        [*recipe.SET, "--out", "prof", "profile", "--container", "clean"],
+        ["--out", "attn.csv", *attn, "--profile", "prof/profile.json"],
+        ["--out", "attn-stub.csv", *attn],
+    ]
 
 
 def header() -> str:
@@ -111,8 +88,7 @@ def header() -> str:
 
 def run_commands(out: Path) -> int:
     """Run every command inside `out`; the first non-zero exit code, or 0."""
-    for line in QUICK_START + RESUMED + OTHER_COMMANDS:
-        argv = line.replace("$SET", SET).split()
+    for argv in commands():
         with redirect_stdout(sys.stderr):
             code = main(argv)
         if code != 0:

@@ -5,15 +5,16 @@ Usage, from the root of an eeglm checkout::
 
     PYTHONPATH=src python3 scripts/step_memory.py [--per-class N] [--set KEY=VALUE ...]
 
-In a temporary directory, the script makes the quick start's training set
-(``synth --per-class 8 --montage synthetic-4``, seed 7) and trains its vq,
-cpt and sft stages for one epoch each with the quick start's settings, each
-stage starting from the one before it. It then makes a 19-channel set (the
-``builtin-1020`` montage, 500 Hz, 6 s recordings, seed 7), preprocesses every
-recording and trains vq on it for one epoch (``vq-19ch``). Every command goes
-through ``eeglm.cli.main``; its own output goes to stderr. ``--per-class``
-sets the samples per class of both sets, and each ``--set`` is passed to
-every command after the quick start's own.
+The settings come from ``recipe.py``, the table of the README recipe. In a
+temporary directory, the script makes the quick start's training set and
+trains its vq, cpt and sft stages for one epoch each with the quick start's
+settings, each stage starting from the one before it. It then makes the
+table's 19-channel set with the same seed, preprocesses every recording and
+trains vq on it for one epoch (``vq-19ch``) with the table's 19-channel
+settings. Every command goes through ``eeglm.cli.main``; its own output goes
+to stderr. ``--per-class`` sets the samples per class of both sets (the
+quick start's by default), and each ``--set`` is passed to every command
+after the quick start's own.
 
 Each stage runs under ``tracemalloc``. For each stage the script prints the
 number of steps and, each the largest over those steps: the traced bytes
@@ -35,19 +36,9 @@ import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import recipe
 from eeglm import cli, training
 from eeglm.optim import AdamW
-
-QUICK_SET = [
-    "--set", 'data.montage="synthetic-4"', "--set", "quantizer.num_codes=32",
-    "--set", "quantizer.code_dim=8", "--set", "optimizer.lr=0.003",
-    "--set", "schedule.warmup_steps=20",
-]
-# the 19-channel 10-20 montage with the quantizer at its package defaults
-WIDE_SET = [
-    "--set", 'data.montage="builtin-1020"', "--set", "optimizer.lr=0.003",
-    "--set", "schedule.warmup_steps=20",
-]
 
 
 def run(argv: list[str]) -> None:
@@ -72,7 +63,7 @@ def measure(argv: list[str]) -> tuple[int, int, int, int, int]:
             starts.append(tracemalloc.get_traced_memory()[0])
             return super().__enter__()
 
-    def backward(loss, wrt=None):
+    def backward(loss, wrt):
         at_backward.append(tracemalloc.get_traced_memory()[0])
         return real_backward(loss, wrt)
 
@@ -92,8 +83,10 @@ def measure(argv: list[str]) -> tuple[int, int, int, int, int]:
 
 
 def main(argv: list[str] | None = None) -> None:
+    synth = recipe.quick_start()[0]
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--per-class", type=int, default=8, help="samples per class of each set")
+    p.add_argument("--per-class", type=int, default=int(recipe.value(synth, "--per-class")),
+                   help="samples per class of each set")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     args = p.parse_args(argv)
     extra = [a for kv in args.set for a in ("--set", kv)]
@@ -102,25 +95,24 @@ def main(argv: list[str] | None = None) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
 
-        def train(out: str, stage: str, data: Path, init: str | None, settings: list[str]):
-            argv = ["--seed", "7", "--out", str(work / out), *settings, *extra,
+        def train(out: str, stage: str, data: Path, init: str | None, settings: tuple[str, ...]):
+            argv = ["--seed", recipe.SEED, "--out", str(work / out), *settings, *extra,
                     "train", "--stage", stage, "--data", str(data), "--epochs", "1"]
             if init:
                 argv += ["--init-from", str(work / init / "checkpoints" / "epoch_0000")]
             rows.append((out, *measure(argv)))
 
         data, raw, clean = work / "train-data", work / "raw-19ch", work / "clean-19ch"
-        run(["--seed", "7", "--out", str(data), *extra,
-             "synth", "--per-class", n, "--montage", "synthetic-4"])
-        train("vq", "vq", data, None, QUICK_SET)
-        train("cpt", "cpt", data, "vq", QUICK_SET)
-        train("sft", "sft", data, "cpt", QUICK_SET)
-        run(["--seed", "7", "--out", str(raw), *extra, "synth", "--per-class", n,
-             "--montage", "builtin-1020", "--fs", "500", "--seconds", "6"])
+        run([*extra, *recipe.replace(recipe.replace(synth, "--out", str(data)), "--per-class", n)])
+        train("vq", "vq", data, None, recipe.SET)
+        train("cpt", "cpt", data, "vq", recipe.SET)
+        train("sft", "sft", data, "cpt", recipe.SET)
+        run(["--seed", recipe.SEED, "--out", str(raw), *extra,
+             "synth", "--per-class", n, *recipe.WIDE_SYNTH])
         for sample in sorted(p for p in raw.iterdir() if (p / "manifest.json").is_file()):
             run(["--out", str(clean / sample.name), "preprocess", str(sample)])
         shutil.copy(raw / "labels.csv", clean / "labels.csv")
-        train("vq-19ch", "vq", clean, None, WIDE_SET)
+        train("vq-19ch", "vq", clean, None, recipe.WIDE_SET)
     print(f"{'stage':<8} {'steps':>5} {'held_bytes':>11} {'at_backward_bytes':>18} "
           f"{'tape_bytes':>11} {'step_peak_bytes':>16}")
     for name, steps, held, entry, tape, peak in rows:

@@ -195,21 +195,18 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     return out
 
 
-def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, Array]:
-    """Reverse sweep from a scalar loss.
+def backward(loss: Tensor, wrt: Iterable[Tensor]) -> dict[Tensor, Array]:
+    """Reverse sweep from a scalar loss: the gradient of each tensor in `wrt`.
 
-    Without `wrt`, returns a mapping from every reached tensor (leaves and
-    intermediates) to its gradient array. With `wrt`, each intermediate's
-    gradient is dropped as soon as its node's vjp has used it, so the sweep
-    holds no more than the gradients still to be propagated; the mapping
-    then holds the tensors listed in `wrt` (with zeros when the loss does not
-    depend on them) and the reached leaves. Either way each tape node is
-    released once the sweep has passed it: a second `backward` on the graph
-    raises.
+    The mapping holds exactly the tensors listed in `wrt`, with zeros for
+    those the loss does not depend on. Every other gradient is dropped as
+    soon as its node's vjp has used it, so the sweep holds no more than the
+    gradients still to be propagated, and each tape node is released once
+    the sweep has passed it: a second `backward` on the graph raises.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    keep = None if wrt is None else dict.fromkeys(wrt)
+    keep = dict.fromkeys(wrt)
     grads: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
     graph = loss.graph
     if graph is not None:
@@ -226,10 +223,7 @@ def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, 
                     "backward called on a graph an earlier backward released; a tape can be swept only once"
                 )
             nodes[i] = None  # `node` keeps it alive until its vjp has run
-            if keep is None or node.out in keep:
-                gout = grads.get(node.out)
-            else:
-                gout = grads.pop(node.out, None)
+            gout = grads.get(node.out) if node.out in keep else grads.pop(node.out, None)
             if gout is None:
                 continue
             for inp, gin in zip(node.inputs, node.vjp(gout)):
@@ -237,11 +231,7 @@ def backward(loss: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, 
                     continue
                 acc = grads.get(inp)
                 grads[inp] = gin if acc is None else acc + gin
-    if keep is not None:
-        for t in keep:
-            if t not in grads:
-                grads[t] = np.zeros_like(t.data)
-    return grads
+    return {t: grads[t] if t in grads else np.zeros_like(t.data) for t in keep}
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:

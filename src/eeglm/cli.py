@@ -13,7 +13,7 @@ from pathlib import Path
 from .config import STAGES, parse_override, resolve_config
 from .errors import DataError, EeglmError, UsageError, read_json_object
 from .evaluate import evaluate_checkpoint
-from .profiler import PROFILE_KEYS
+from .profiler import SemanticProfile
 from .quantizer import save_tokens
 from .refiner import attention_rows
 from .signal_io import DEFAULT_BAND, WORK_FS, load_recording, preprocess, save_container
@@ -140,9 +140,10 @@ def cmd_attn_export(args, cfg: dict) -> int:
     tokens, z_q = model.tokenize_recording(rec)
     if args.profile:
         record = read_json_object(args.profile, DataError, "profile file")
-        text = " ".join(str(record[k]) for k in PROFILE_KEYS if k in record)
-        if not text.strip():
-            raise DataError(f"profile file {args.profile} holds none of the expected keys")
+        try:
+            text = SemanticProfile.from_dict(record).flat_text()
+        except DataError as exc:
+            raise DataError(f"profile file {args.profile}: {exc}") from None
     else:
         _, _, result = profile_recording(
             rec, model, Path(args.container).name, make_llm_client(cfg["llm"])

@@ -11,7 +11,7 @@ feature vector per (channel, patch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,17 +36,6 @@ class EncoderConfig:
         l2 = (l1 + 2 * 1 - 3) // 1 + 1
         l3 = (l2 + 2 * 1 - 3) // 1 + 1
         return l3
-
-
-@dataclass
-class EncoderOutput:
-    """H_EEG plus every intermediate needed by fusion oracles and exports."""
-
-    h_eeg: Tensor                      # C x P x E
-    features: Tensor                   # shallow per-channel features, C x P x E
-    levels: list[Tensor]               # pooled features per level, n_i x P x E
-    g_hist: list[Tensor] = field(default_factory=list)  # global stream states
-    l_hist: list[Tensor] = field(default_factory=list)  # local stream states
 
 
 class TemporalEmbedder(Module):
@@ -118,8 +107,8 @@ class DualStreamEncoder(Module):
         full = [ad.mix(self.hierarchy.member_matrix(level), levels[level - 1]) for level in (2, 3, 4)]
         return ad.mul(ad.add(ad.add(full[0], full[1]), full[2]), 1.0 / 3.0)
 
-    def __call__(self, patches: np.ndarray) -> EncoderOutput:
-        """Encode one recording's (C, P, W) patch array."""
+    def __call__(self, patches: np.ndarray) -> Tensor:
+        """Encode one recording's (C, P, W) patch array into H_EEG, C x P x E."""
         c, p, _ = patches.shape
         if p > self.cfg.max_patches:
             raise ConfigError(f"{p} patches exceed configured maximum {self.cfg.max_patches}")
@@ -130,20 +119,14 @@ class DualStreamEncoder(Module):
         levels = self.pool_levels(feats)
 
         g = _flat(levels[0])
-        g_hist = [g]
         for block, finer in zip(self.global_blocks, levels[1:]):
             g = block(g, _flat(finer))
-            g_hist.append(g)
         l = _flat(levels[4])
-        l_hist = [l]
         for block, coarser in zip(self.local_blocks, levels[3::-1]):
             l = block(l, _flat(coarser))
-            l_hist.append(l)
 
         g = self.global_final(g, g)
         l = self.local_final(l, l)
-        g_hist.append(g)
-        l_hist.append(l)
 
         # fusion: broadcast the (1 x P x E) global stream to channels,
         # concatenate with the local stream, project 2E -> E, then add the
@@ -151,5 +134,4 @@ class DualStreamEncoder(Module):
         g_broad = ad.mix(self.hierarchy.member_matrix(1), ad.reshape(g, (1, p, e)))
         l_full = ad.reshape(l, (c, p, e))
         fused = self.fuse_proj(ad.concat([g_broad, l_full], axis=-1))
-        h_eeg = ad.add(fused, self.broadcast_mean_234(levels))
-        return EncoderOutput(h_eeg=h_eeg, features=feats, levels=levels, g_hist=g_hist, l_hist=l_hist)
+        return ad.add(fused, self.broadcast_mean_234(levels))

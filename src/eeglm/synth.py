@@ -60,6 +60,9 @@ def make_dataset(
     """Write a labeled dataset directory: containers + labels.csv + dataset.json."""
     if n_per_class < 1:
         raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
+    for name, value in (("fs", fs), ("seconds", seconds), ("noise", noise)):
+        if not np.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     channels = get_montage(montage).labels
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)

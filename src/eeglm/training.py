@@ -85,8 +85,7 @@ class PipelineModel:
 
     def tokenize_recording(self, rec: Recording) -> tuple[TokenSequence, np.ndarray]:
         """Patch -> encode -> quantize one recording (no gradients recorded)."""
-        enc = self.encoder(self.patch(rec))
-        tokens, _, _, z_q = self.quantizer(enc.h_eeg)
+        tokens, _, _, z_q = self.quantizer(self.encoder(self.patch(rec)))
         return tokens, z_q.data.copy()
 
 
@@ -428,9 +427,9 @@ class VqStage(StageSpec):
         for _, rec, _ in corpus:
             patches = model.patch(rec)
             if self.fresh:  # vq has no parent: a fresh start loaded no codebook
-                enc = model.encoder(patches)
-                c, p, e = enc.h_eeg.shape
-                rows.append(model.quantizer.down(ad.reshape(enc.h_eeg, (c * p, e))).data)
+                h_eeg = model.encoder(patches)
+                c, p, e = h_eeg.shape
+                rows.append(model.quantizer.down(ad.reshape(h_eeg, (c * p, e))).data)
         if self.fresh:
             model.quantizer.warm_start(np.concatenate(rows), np.random.default_rng(self.cfg["seed"]))
         self.pool: list[np.ndarray] = []
@@ -442,8 +441,7 @@ class VqStage(StageSpec):
         c, p, w = patches.shape
         x_rows = patches.reshape(c * p, w)
         f_rows = dft_target(patches).reshape(c * p, w // 2 + 1)
-        enc = model.encoder(patches)
-        _, z_up, h_down, z_q = model.quantizer(enc.h_eeg)
+        _, z_up, h_down, z_q = model.quantizer(model.encoder(patches))
         x_hat, f_hat = model.recon(z_up)
         loss = loss_dsha(x_rows, x_hat, f_rows, f_hat, h_down, z_q, self.cfg["quantizer"]["beta"])
         self.pool.append(h_down.data)
@@ -565,6 +563,11 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
             raise ConfigError(
                 f"--resume may change only {', '.join(RESUMABLE_KEYS)} from the config of "
                 f"{source}, but {', '.join(changed)} differ"
+            )
+        if meta["epoch"] + 1 > cfg["train"]["epochs"]:
+            raise ConfigError(
+                f"--resume asks for {cfg['train']['epochs']} epoch(s), fewer than the "
+                f"{meta['epoch'] + 1} that {source} already holds"
             )
     if meta:
         _load_into(model, arrays)

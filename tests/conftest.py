@@ -2,10 +2,34 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session")
+def quick_start(tmp_path_factory) -> SimpleNamespace:
+    """`scripts/quickstart_digest.py OUT`, run once for the session in a
+    subprocess with one OpenBLAS thread: the README quick start, its stopped
+    and resumed copy and the other subcommands, in the empty directory OUT.
+    Holds `out`, the finished process `proc` (its stdout is the listing) and
+    its wall time `seconds`."""
+    out = tmp_path_factory.mktemp("quick-start")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, str(ROOT / "scripts" / "quickstart_digest.py"), str(out)]
+    t0 = time.perf_counter()
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    return SimpleNamespace(out=out, proc=proc, seconds=time.perf_counter() - t0)

@@ -15,7 +15,6 @@ import pytest
 from eeglm import autodiff as ad
 from eeglm.autodiff import Graph, Tensor, backward
 from eeglm.backbone import BackboneConfig, ToyBackbone
-from eeglm.cli import main
 from eeglm.config import resolve_config
 from eeglm.encoder import CsaBlock, DualStreamEncoder, EncoderConfig, TemporalEmbedder
 from eeglm.errors import ConfigError
@@ -54,6 +53,7 @@ from eeglm.synth import make_dataset, make_recording
 from eeglm.topology import build_hierarchy, builtin_montage, synthetic_montage
 from eeglm.training import STAGE_RUNNERS
 
+import recipe
 from gradcheck import check_directional
 from oracles import broadcast_level, pool_level
 from test_metrics import (
@@ -117,13 +117,13 @@ def _make_encoder(seed):
 def _case_dual_stream(seed):
     enc, x, rng = _make_encoder(seed)
     params = [p for p in enc.named_parameters().values() if p.requires_grad]
-    return check_directional(lambda _: _sq(enc(x).h_eeg), params, rng)
+    return check_directional(lambda _: _sq(enc(x)), params, rng)
 
 
 def _case_fusion(seed):
     enc, x, rng = _make_encoder(seed)
     params = list(enc.fuse_proj.named_parameters("fuse").values())
-    return check_directional(lambda _: _sq(enc(x).h_eeg), params, rng)
+    return check_directional(lambda _: _sq(enc(x)), params, rng)
 
 
 def _case_quantizer_bridge(seed):
@@ -519,49 +519,14 @@ def test_06_loss_masking(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_07_end_to_end_sft(tmp_path):
-    t0 = time.time()
-    train_dir, eval_dir = tmp_path / "train", tmp_path / "eval"
-    base = [
-        "--seed", "7",
-        "--set", 'data.montage="synthetic-4"',
-        "--set", "quantizer.num_codes=32", "--set", "quantizer.code_dim=8",
-        "--set", "optimizer.lr=0.003", "--set", "schedule.warmup_steps=20",
-    ]
-
-    assert main([
-        "--seed", "7", "--out", str(train_dir),
-        "synth", "--per-class", "8", "--montage", "synthetic-4",
-    ]) == 0
-    assert main([
-        "--seed", "8", "--out", str(eval_dir),
-        "synth", "--per-class", "4", "--montage", "synthetic-4",
-    ]) == 0
-
-    runs = {s: tmp_path / f"run-{s}" for s in ("vq", "cpt", "sft")}
-    assert main(base + [
-        "--out", str(runs["vq"]), "train", "--stage", "vq",
-        "--data", str(train_dir), "--epochs", "20",
-    ]) == 0
-    assert main(base + [
-        "--out", str(runs["cpt"]), "train", "--stage", "cpt",
-        "--data", str(train_dir), "--epochs", "8",
-        "--init-from", str(runs["vq"] / "checkpoints" / "epoch_0019"),
-    ]) == 0
-    sft_epochs = 10
-    assert main(base + [
-        "--out", str(runs["sft"]), "train", "--stage", "sft",
-        "--data", str(train_dir), "--epochs", str(sft_epochs),
-        "--init-from", str(runs["cpt"] / "checkpoints" / "epoch_0007"),
-    ]) == 0
-    assert main(base + [
-        "--out", str(tmp_path / "report"), "eval",
-        "--checkpoint", str(runs["sft"] / "checkpoints" / f"epoch_{sft_epochs - 1:04d}"),
-        "--data", str(eval_dir),
-    ]) == 0
-    report = json.loads((tmp_path / "report" / "report.json").read_text())
+def test_07_end_to_end_sft(quick_start):
+    # the README quick start, run by the session fixture
+    assert quick_start.proc.returncode == 0, quick_start.proc.stderr[-2000:]
+    _, _, sft = recipe.training()
+    sft_epochs = int(recipe.value(sft, "--epochs"))
+    report = json.loads((quick_start.out / "report" / "report.json").read_text())
     bacc = report["metrics"]["balanced_accuracy"]
-    elapsed = time.time() - t0
+    elapsed = quick_start.seconds
     ok = bacc >= 0.90 and sft_epochs <= 30 and elapsed < 900.0
     gate(
         7, "end-to-end fine-tuning",

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import eeglm
+import recipe
 from eeglm import cli, training
 from eeglm.checkpoint import load_checkpoint, save_checkpoint
 from eeglm.cli import ATTN_HEADER, main
@@ -107,6 +108,17 @@ def test_synth_layout_seed_and_determinism(env, tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("flag", ["--fs", "--seconds", "--noise"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_refuses_a_non_finite_setting_and_writes_nothing(tmp_path, capsys, flag, value):
+    out = tmp_path / "ds"
+    rc = main(["--out", str(out), "synth", "--per-class", "1", "--montage", "synthetic-2",
+               flag, value])
+    assert rc == 2
+    assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_needs_out(env, capsys):
     assert main(env["base"] + ["synth"]) == 2
     assert "--out" in capsys.readouterr().err
@@ -123,13 +135,6 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-README_SET = [
-    "--set", 'data.montage="synthetic-4"', "--set", "quantizer.num_codes=32",
-    "--set", "quantizer.code_dim=8", "--set", "optimizer.lr=0.003",
-    "--set", "schedule.warmup_steps=20",
-]
-
-
 @pytest.mark.parametrize(
     "overrides, code",
     [
@@ -143,7 +148,7 @@ README_SET = [
         (["--set", "optimizer.betas=[0.9, true]"], 2),
         (["--set", "data.classes=[1, 2]"], 2),
         (["--set", "data.montage=4"], 2),
-        (README_SET, 0),
+        (list(recipe.SET), 0),
         (["--set", "optimizer.lr=1"], 0),  # an int stands for a float
         (["--set", "train.init_from=null"], 0),
     ],
@@ -671,6 +676,23 @@ def test_train_keeps_one_run_per_directory_with_exit_2(env, tmp_path, capsys):
     assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
 
+def test_resume_with_fewer_epochs_than_the_run_holds_exits_2_and_changes_nothing(
+    env, tmp_path, capsys
+):
+    run = tmp_path / "run"
+    argv = env["base"] + ["--out", str(run), "train", "--stage", "vq", "--data", str(env["data"])]
+    assert main(argv + ["--epochs", "2"]) == 0
+    before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(argv + ["--epochs", "1", "--resume"]) == 2
+    assert "asks for 1 epoch(s), fewer than the 2 that" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+    # a finished run resumed with its own epochs writes its summary again, to the same bytes
+    (run / "artifacts" / "summary.json").unlink()
+    assert main(argv + ["--epochs", "2", "--resume"]) == 0
+    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+
 def test_a_recording_that_vanishes_mid_run_exits_3_and_the_run_resumes(
     env, tmp_path, capsys, monkeypatch
 ):
@@ -1045,6 +1067,31 @@ def test_attn_export_bad_profile_exits_3(env, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("damage", ["one-key", "numbers"])
+def test_attn_export_refuses_a_profile_missing_a_key_or_with_a_non_string_field(
+    env, tmp_path, capsys, damage
+):
+    sample = env["data"] / "sample_0000"
+    assert main(env["base"] + ["--out", str(tmp_path / "prof"), "profile",
+                               "--container", str(sample)]) == 0
+    profile = tmp_path / "prof" / "profile.json"
+    record = json.loads(profile.read_text())
+    if damage == "one-key":
+        record = {"Feature Summary": record["Feature Summary"]}
+    else:
+        record = {k: 5 for k in record}
+    profile.write_text(json.dumps(record))
+    capsys.readouterr()
+    out = tmp_path / "x.csv"
+    rc = main(env["base"] + [
+        "--out", str(out), "attn-export", "--checkpoint", str(env["ckpt_sft"]),
+        "--container", str(sample), "--profile", str(profile),
+    ])
+    assert rc == 3
+    assert str(profile) in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("payload", ["Feature Summary", 7], ids=["string", "number"])
 def test_attn_export_profile_must_be_an_object(env, tmp_path, capsys, payload):
     profile = tmp_path / "profile.json"
@@ -1063,8 +1110,7 @@ import json, sys
 import eeglm.evaluate, eeglm.training
 from eeglm import autodiff, cli
 out = sys.argv[1]
-synth = ["--out", out + "/raw", "synth", "--per-class", "1", "--montage", "builtin-1020",
-         "--fs", "500", "--seconds", "6"]
+synth = ["--out", out + "/raw", "synth", "--per-class", "1", *sys.argv[2:]]
 if cli.main(synth) or cli.main(["--out", out + "/clean", "preprocess", out + "/raw/sample_0000"]):
     sys.exit("a command failed")
 loaded = sorted(m for m in sys.modules if m.startswith("scipy") or m == "numpy.f2py")
@@ -1095,7 +1141,7 @@ def test_import_path_loads_only_scipys_erf_extension(tmp_path):
     # compiled ufunc module alone: not even a 19-channel 500 Hz recording's
     # preprocessing loads scipy.signal, scipy.fft or the scipy.special
     # package (with its scipy._lib._array_api and numpy.f2py)
-    probe = _probe(IMPORT_PATH_PROBE, str(tmp_path))
+    probe = _probe(IMPORT_PATH_PROBE, str(tmp_path), *recipe.WIDE_SYNTH)
     assert probe["loaded"] == ["scipy.special._special_ufuncs"]
     assert probe["same_erf"]  # a later `import scipy.special` reuses the ufunc
     assert json.loads((tmp_path / "clean" / "manifest.json").read_text())["fs"] == 200.0
@@ -1176,11 +1222,10 @@ print(faults / json.loads(Path(args.out, "artifacts", "summary.json").read_text(
 def test_cli_training_steps_reuse_their_freed_heap(tmp_path):
     # the README quick-start sizes, 6 samples: a cpt step frees a tape of
     # several MB, which glibc's default trim threshold hands back each step
-    quick = ["--seed", "7", "--set", "data.montage=synthetic-4", "--set", "quantizer.num_codes=32",
-             "--set", "quantizer.code_dim=8", "--set", "schedule.warmup_steps=20"]
+    quick = ["--seed", recipe.SEED, *recipe.SET]
     data, vq = tmp_path / "data", tmp_path / "vq"
-    assert main(quick + ["--out", str(data), "synth", "--per-class", "2",
-                         "--montage", "synthetic-4"]) == 0
+    synth = recipe.replace(recipe.quick_start()[0], "--out", str(data))
+    assert main(recipe.replace(synth, "--per-class", "2")) == 0
     assert main(quick + ["--out", str(vq), "train", "--stage", "vq", "--data", str(data),
                          "--epochs", "1"]) == 0
     src = str(Path(eeglm.__file__).parents[1])

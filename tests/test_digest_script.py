@@ -1,16 +1,15 @@
 """The quick-start digest script's committed listing and its comparison.
 
-Making a listing runs the whole quick start (about 25 s), so one test runs
-the script's `--check` against the committed listing and the others check
-the comparison, on the committed listing and edits of it.
+Making a listing runs the whole quick start, so the suite makes one, in the
+session fixture `quick_start`: one test compares it with the committed
+listing, and the others check the comparison, on the committed listing and
+edits of it.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -91,11 +90,9 @@ def test_check_fails_on_bytes_and_only_notes_the_environment(digest, monkeypatch
     assert ("run-cpt: 1 file(s) differ" in out) == edit
 
 
-def test_quick_start_writes_the_committed_bytes():
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SCRIPTS.parent / "src"))
-    argv = [sys.executable, str(SCRIPTS / "quickstart_digest.py"), "--check", str(SCRIPTS / "quickstart_digest.expected")]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
-    if proc.returncode == 1 and proc.stdout.startswith("environment differs"):
-        pytest.skip(f"the listing was made elsewhere and the bytes differ: {proc.stdout.splitlines()[0]}")
-    assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]
-    assert "same bytes" in proc.stdout
+def test_quick_start_writes_the_committed_bytes(digest, quick_start):
+    assert quick_start.proc.returncode == 0, quick_start.proc.stderr[-2000:]
+    listing, want = quick_start.proc.stdout.splitlines(), expected()
+    if listing[1:] != want[1:] and listing[:1] != want[:1]:
+        pytest.skip(f"the listing was made elsewhere and the bytes differ: {listing[0]}")
+    assert listing[1:] == want[1:], "\n".join(digest.compare(want, listing))

@@ -29,6 +29,23 @@ def tiny_montage(c: int) -> Montage:
     return Montage(labels=labels, region_map=region)
 
 
+def streams(enc, x, positions):
+    """The pooled levels and the final global (P x E) and local (C*P x E)
+    stream states of `enc` on patches `x`, rebuilt from its blocks in the
+    order DualStreamEncoder.__call__ runs them, with position rows
+    `positions`."""
+    c, p, _ = x.shape
+    e = enc.cfg.embed_dim
+    levels = enc.pool_levels(ad.add(enc.embedder(x), enc.positions(positions)))
+    g = ad.reshape(levels[0], (p, e))
+    for block, finer in zip(enc.global_blocks, levels[1:]):
+        g = block(g, ad.reshape(finer, (finer.shape[0] * p, e)))
+    l = ad.reshape(levels[4], (c * p, e))
+    for block, coarser in zip(enc.local_blocks, levels[3::-1]):
+        l = block(l, ad.reshape(coarser, (coarser.shape[0] * p, e)))
+    return levels, enc.global_final(g, g), enc.local_final(l, l)
+
+
 def test_conv_stack_length_for_w200():
     cfg = EncoderConfig(
         embed_dim=16, n_heads=2, ffn_mult=4, patch_len=200, max_patches=64, montage=None
@@ -124,11 +141,12 @@ def test_stream_shapes_fixed():
         embed_dim=4, n_heads=2, ffn_mult=2, patch_len=40, max_patches=4, montage=None
     )
     enc = DualStreamEncoder(cfg, rng, hierarchy=hier)
-    out = enc(rng.standard_normal((2, 1, 40)))
+    x = rng.standard_normal((2, 1, 40))
+    _, g, l = streams(enc, x, np.arange(1))
     # global stream holds 1 token per patch, local stream C per patch
-    assert out.g_hist[-1].shape == (1, 4)
-    assert out.l_hist[-1].shape == (2, 4)
-    assert out.h_eeg.shape == (2, 1, 4)
+    assert g.shape == (1, 4)
+    assert l.shape == (2, 4)
+    assert enc(x).shape == (2, 1, 4)
 
 
 def test_output_extent_c19():
@@ -137,8 +155,7 @@ def test_output_extent_c19():
         embed_dim=16, n_heads=2, ffn_mult=2, patch_len=40, max_patches=4, montage=None
     )
     enc = DualStreamEncoder(cfg, rng)
-    out = enc(rng.standard_normal((19, 3, 40)))
-    assert out.h_eeg.shape == (19, 3, 16)
+    assert enc(rng.standard_normal((19, 3, 40))).shape == (19, 3, 16)
 
 
 def test_channel_count_mismatch_rejected():
@@ -154,8 +171,8 @@ def test_forward_deterministic():
     rng = np.random.default_rng(11)
     enc = DualStreamEncoder(TOY, rng, hierarchy=build_hierarchy(tiny_montage(3)))
     x = rng.standard_normal((3, 2, 40))
-    a = enc(x).h_eeg.data
-    b = enc(x).h_eeg.data
+    a = enc(x).data
+    b = enc(x).data
     assert np.array_equal(a, b)
 
 
@@ -169,23 +186,12 @@ def test_patch_permutation_equivariance():
     # permute patches *after* embedding: run the dual-stream machinery on
     # permuted level inputs by permuting the raw patches and the position
     # rows consistently
-    base = enc(x)
+    _, g_base, l_base = streams(enc, x, np.arange(4))
+    g_base = g_base.data.reshape(1, 4, 8)
+    l_base = l_base.data.reshape(3, 4, 8)
 
-    # manual run with permuted patch axis everywhere downstream
-    feats = enc.embedder(x[:, perm, :])
-    feats = ad.add(feats, enc.positions(np.arange(4)[perm]))
-    levels = enc.pool_levels(feats)
-    g = ad.reshape(levels[0], (1 * 4, 8))
-    for block, finer in zip(enc.global_blocks, levels[1:]):
-        g = block(g, ad.reshape(finer, (finer.shape[0] * 4, 8)))
-    l = ad.reshape(levels[4], (3 * 4, 8))
-    for block, coarser in zip(enc.local_blocks, levels[3::-1]):
-        l = block(l, ad.reshape(coarser, (coarser.shape[0] * 4, 8)))
-    g = enc.global_final(g, g)
-    l = enc.local_final(l, l)
-
-    g_base = base.g_hist[-1].data.reshape(1, 4, 8)
-    l_base = base.l_hist[-1].data.reshape(3, 4, 8)
+    # the same run with the patch axis permuted everywhere downstream
+    _, g, l = streams(enc, x[:, perm, :], np.arange(4)[perm])
     np.testing.assert_allclose(g.data.reshape(1, 4, 8), g_base[:, perm, :], atol=1e-9)
     np.testing.assert_allclose(l.data.reshape(3, 4, 8), l_base[:, perm, :], atol=1e-9)
 
@@ -197,16 +203,16 @@ def test_fusion_zero_projection_leaves_level_mean():
     enc.fuse_proj.w.data = np.zeros_like(enc.fuse_proj.w.data)
     enc.fuse_proj.b.data = np.zeros_like(enc.fuse_proj.b.data)
     x = rng.standard_normal((3, 2, 40))
-    out = enc(x)
+    levels, _, _ = streams(enc, x, np.arange(2))
     # brute-force fusion oracle: mean over levels 2..4 of channel-broadcast
     # pooled features
     from oracles import broadcast_level
 
     expect = np.zeros((3, 2, 8))
     for level in (2, 3, 4):
-        expect += broadcast_level(out.levels[level - 1].data, hier, level)
+        expect += broadcast_level(levels[level - 1].data, hier, level)
     expect /= 3.0
-    np.testing.assert_allclose(out.h_eeg.data, expect, atol=1e-12)
+    np.testing.assert_allclose(enc(x).data, expect, atol=1e-12)
 
 
 def test_fusion_additive_structure():
@@ -222,14 +228,15 @@ def test_fusion_additive_structure():
     )
     enc = DualStreamEncoder(cfg, rng, hierarchy=hier)
     enc.fuse_proj.b.data = np.zeros_like(enc.fuse_proj.b.data)
-    out = enc(rng.standard_normal((2, 1, 40)))
+    x = rng.standard_normal((2, 1, 40))
+    levels, g, l = streams(enc, x, np.arange(1))
 
-    g = out.g_hist[-1].data.reshape(1, 1, 4)
-    l = out.l_hist[-1].data.reshape(2, 1, 4)
+    g = g.data.reshape(1, 1, 4)
+    l = l.data.reshape(2, 1, 4)
     cat = np.concatenate([np.broadcast_to(g, (2, 1, 4)), l], axis=-1)
-    mean234 = sum(broadcast_level(out.levels[k - 1].data, hier, k) for k in (2, 3, 4)) / 3.0
+    mean234 = sum(broadcast_level(levels[k - 1].data, hier, k) for k in (2, 3, 4)) / 3.0
     w = enc.fuse_proj.w.data
-    np.testing.assert_allclose(out.h_eeg.data, cat @ w.T + mean234, atol=1e-12)
+    np.testing.assert_allclose(enc(x).data, cat @ w.T + mean234, atol=1e-12)
 
     # zero the global half: the fused contribution depends on L_final only
     w_local_only = w.copy()
@@ -245,8 +252,8 @@ def test_full_encoder_gradcheck():
     params = [p for p in enc.named_parameters().values() if p.requires_grad]
 
     def fn(_):
-        out = enc(x)
-        return ad.sum_(ad.mul(out.h_eeg, out.h_eeg))
+        h_eeg = enc(x)
+        return ad.sum_(ad.mul(h_eeg, h_eeg))
 
     err = check_directional(fn, params, np.random.default_rng(16))
     assert err < 1e-4
@@ -294,9 +301,9 @@ def test_encoder_values_and_gradients_equal_the_chain_pooling_to_the_bit(montage
         enc = cls(TOY, np.random.default_rng(18), hierarchy=hier)
         params = enc.named_parameters()
         with Graph():
-            out = enc(x)
-            grads = backward(ad.sum_(ad.mul(out.h_eeg, out.h_eeg)), wrt=params.values())
-        return out.h_eeg.data, {name: grads[p] for name, p in params.items()}
+            h_eeg = enc(x)
+            grads = backward(ad.sum_(ad.mul(h_eeg, h_eeg)), wrt=params.values())
+        return h_eeg.data, {name: grads[p] for name, p in params.items()}
 
     h_fused, g_fused = run(DualStreamEncoder)
     monkeypatch.setattr(ad, "mix", _chain_mix)

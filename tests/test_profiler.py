@@ -34,6 +34,7 @@ from eeglm.profiler import (
 from eeglm.signal_io import FREQ_BANDS, Recording, preprocess
 from eeglm.synth import CLASS_TONES, make_recording
 from eeglm.topology import Montage, build_hierarchy, builtin_montage, get_montage
+import recipe
 from profiler_oracle import spectral_stats_1d, temporal_stats_1d
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -251,7 +252,7 @@ def test_extract_features_computes_each_temporal_stat_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "montage, fs, seconds",
-    [("builtin-1020", 500.0, 6.0), ("synthetic-4", 200.0, 2.0)],
+    [(recipe.WIDE_MONTAGE, recipe.WIDE_FS, recipe.WIDE_SECONDS), ("synthetic-4", 200.0, 2.0)],
     ids=["signal-wide", "synthetic-4"],
 )
 def test_batched_features_match_the_per_channel_oracle(montage, fs, seconds):
@@ -520,7 +521,8 @@ def profile_server():
     _ProfileHandler.seen_headers = []
     _ProfileHandler.reply = None
     server = HTTPServer(("127.0.0.1", 0), _ProfileHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, so that shutdown() returns without waiting out the default 0.5 s
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/"
     server.shutdown()

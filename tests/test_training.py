@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import recipe
 from eeglm import synth, training
 from eeglm.checkpoint import load_checkpoint, save_checkpoint
-from eeglm.config import resolve_config
+from eeglm.config import parse_override, resolve_config
 from eeglm.errors import ConfigError, DataError, MontageError, UsageError
 from eeglm.optim import AdamW
 from eeglm.quantizer import VectorQuantizer
@@ -556,18 +557,15 @@ def test_vq_memory_at_backward_does_not_grow_with_the_set(tmp_path, monkeypatch)
     assert eight - two < one_recording
 
 
-QUICK_START = {
-    "data": {"montage": "synthetic-4"}, "quantizer": {"num_codes": 32, "code_dim": 8},
-    "optimizer": {"lr": 0.003}, "schedule": {"warmup_steps": 20},
-}
-WIDE = {"data": {"montage": "builtin-1020"}, "optimizer": {"lr": 0.003}, "schedule": {"warmup_steps": 20}}
+QUICK_START = [parse_override(kv) for kv in recipe.SET[1::2]]
+WIDE = [parse_override(kv) for kv in recipe.WIDE_SET[1::2]]
 
 
 def one_step_peak(spec_cls, overrides, rec) -> int:
     """Traced peak bytes of one training step of a fresh stage on one
     recording, with the model, the optimizer and the data allocated under
     the trace, as the stage loop takes the step."""
-    cfg = resolve_config(None, [overrides])
+    cfg = resolve_config(None, overrides)
     tracemalloc.start()
     try:
         model = build_model(cfg)
@@ -592,8 +590,8 @@ def one_step_peak(spec_cls, overrides, rec) -> int:
     # measured at 14.7 and 9.8 MB; 17.7 and 13.9 MB while the losses were
     # chains of small nodes, ffn and conv1d held their activation and im2col
     # columns, and AdamW held two work buffers between steps
-    [(CptStage, QUICK_START, "synthetic-4", 200.0, 2.0, 16.0),
-     (VqStage, WIDE, "builtin-1020", 500.0, 6.0, 11.5)],
+    [(CptStage, QUICK_START, recipe.value(recipe.quick_start()[0], "--montage"), 200.0, 2.0, 16.0),
+     (VqStage, WIDE, recipe.WIDE_MONTAGE, recipe.WIDE_FS, recipe.WIDE_SECONDS, 11.5)],
     ids=["cpt-quick-start", "vq-19-channels"],
 )
 def test_a_training_step_stays_under_its_traced_memory_bound(
