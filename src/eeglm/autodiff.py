@@ -1,4 +1,4 @@
-"""Dense float64 tensors with tape-based reverse-mode automatic differentiation.
+"""Dense `DTYPE` (float32) tensors with tape-based reverse-mode automatic differentiation.
 
 A `Graph` is an append-only tape recording every differentiable operation
 executed while it is the active context. A tape lives for one `with Graph()`
@@ -33,7 +33,7 @@ split and merged by numpy reshapes and transposes inside the node, so the
 tape records no view op for the head layout.
 
 Operations validate shapes eagerly and raise instead of producing NaN/Inf;
-every completed operation leaves only finite values behind.
+each leaves only finite values behind, in arrays of its inputs' dtype.
 
 gelu's erf is scipy's compiled ufunc, loaded from its extension module alone
 (`_load_erf`): importing this module does not import the `scipy.special`
@@ -54,6 +54,7 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 Array = np.ndarray
+DTYPE = np.float32  # of every tensor made from outside values
 
 _ERF_MODULE = "scipy.special._special_ufuncs"
 
@@ -146,12 +147,12 @@ def _active_graph() -> Graph | None:
 
 
 class Tensor:
-    """A dense float64 array plus a flag marking it as differentiable."""
+    """A dense array of `DTYPE` plus a flag marking it as differentiable."""
 
     __slots__ = ("data", "requires_grad", "graph", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data, dtype=DTYPE)
         if not _all_finite(arr):
             raise NumericError("tensor initialised with non-finite values")
         self.data = arr
@@ -183,7 +184,7 @@ class Tensor:
 
 
 def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
@@ -299,10 +300,11 @@ def div(a, b) -> Tensor:
 
 
 def sqrt(a) -> Tensor:
+    """Square root; its gradient at 0 is 0 (a norm's subgradient at its minimum), not inf."""
     a = as_tensor(a)
     with np.errstate(invalid="ignore"):
         out = Tensor._wrap(np.sqrt(a.data))
-    return _record(out, (a,), lambda g: (g * 0.5 / out.data,))
+    return _record(out, (a,), lambda g: (np.divide(g / 2, out.data, out=np.zeros_like(g), where=out.data > 0),))
 
 
 def _gelu(x: Array) -> tuple[Array, Array]:
@@ -419,6 +421,7 @@ def mix(mat: Array, x) -> Tensor:
     if x.data.shape[:1] != mat.shape[1:]:
         raise ShapeError(f"mix of a {mat.shape} matrix needs x led by its width, got {x.data.shape}")
     n_out, n_in = mat.shape
+    mat = mat.astype(x.data.dtype, copy=False)
     out = Tensor._wrap(np.matmul(mat, x.data.reshape(n_in, -1)).reshape((n_out,) + x.data.shape[1:]))
     return _record(out, (x,), lambda g: (np.matmul(mat.T, g.reshape(n_out, -1)).reshape(x.data.shape),))
 
@@ -546,12 +549,12 @@ def ffn(x, fc1: Affine, fc2: Affine) -> Tensor:
 _CAUSAL_MASK = np.zeros((0, 0))
 
 
-def _causal_mask(n: int) -> Array:
-    """Read-only (n', n') additive mask, n' >= n: -1e9 above the diagonal,
-    0 elsewhere. One array is cached and grown on demand; callers slice it."""
+def _causal_mask(n: int, dtype) -> Array:
+    """Read-only (n', n') additive mask of `dtype`, n' >= n: -1e9 above the diagonal,
+    0 elsewhere. One array is cached and rebuilt on demand; callers slice it."""
     global _CAUSAL_MASK
-    if _CAUSAL_MASK.shape[0] < n:
-        _CAUSAL_MASK = np.triu(np.full((n, n), -1e9), k=1)
+    if _CAUSAL_MASK.shape[0] < n or _CAUSAL_MASK.dtype != dtype:
+        _CAUSAL_MASK = np.triu(np.full((n, n), -1e9, dtype=dtype), k=1)
         _CAUSAL_MASK.setflags(write=False)
     return _CAUSAL_MASK
 
@@ -601,14 +604,14 @@ def _attend(q: Array, k: Array, v: Array, n_heads: int, causal: bool, positions)
     w *= scale
     if causal:
         if positions is None:
-            w += _causal_mask(max(tq, tk))[:tq, :tk]
+            w += _causal_mask(max(tq, tk), w.dtype)[:tq, :tk]
         else:
             pos = np.asarray(positions, dtype=np.int64)
             if pos.shape != (tq,) or (tq and (pos.min() < 0 or pos.max() >= tk)):
                 raise ShapeError(
                     f"attention needs {tq} query positions in [0, {tk}), got {pos.tolist()}"
                 )
-            w += _causal_mask(tk)[pos, :tk]
+            w += _causal_mask(tk, w.dtype)[pos, :tk]
     w -= np.maximum.reduce(w, axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= np.add.reduce(w, axis=-1, keepdims=True)
@@ -723,7 +726,7 @@ def _im2col(x: Array, k: int, stride: int, padding: int, lout: int) -> Array:
     numpy's einsum lays them out for "nilk,oik->nol" (read transposed from
     (N*Lout, K) rows when Cin is 1)."""
     n, cin, length = x.shape
-    xp = np.zeros((n, cin, length + 2 * padding))
+    xp = np.zeros((n, cin, length + 2 * padding), dtype=x.dtype)
     xp[:, :, padding : padding + length] = x
     # the windows, win[n, i, l, j] = xp[n, i, l*stride + j], as a read-only view
     sn, si, sl = xp.strides
@@ -778,7 +781,7 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
         if x.requires_grad:
             g_cols = np.transpose(g, (1, 0, 2)).reshape(cout, n * lout)
             dcols = np.matmul(np.transpose(kernels), g_cols).reshape(cin, k, n, lout)
-            dxp = np.zeros((n, cin, length + 2 * padding))
+            dxp = np.zeros((n, cin, length + 2 * padding), dtype=dcols.dtype)
             # by tap, highest first: each position sums its terms in ascending
             # output order, the order of a loop over output positions
             for j in range(k - 1, -1, -1):

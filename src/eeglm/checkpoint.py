@@ -1,8 +1,8 @@
 """Checkpoint format: JSON manifest + sibling little-endian float32 blob.
 
-The manifest lists (name, shape, offset) per entry, with offsets in bytes
-into `weights.bin`, in manifest order. Values are stored as f32 and upcast
-to f64 on load. Writes go to temporary names first and are renamed into
+The manifest records the dtype (`"dtype": "<f4"`) and lists (name, shape, offset)
+per entry, with offsets in bytes into `weights.bin`, in manifest order. Values load
+back as stored, float32. Writes go to temporary names first and are renamed into
 place, weights before manifest, so a complete manifest implies a complete
 checkpoint. A checkpoint written over an older one first removes the old
 manifest, so a write stopped between the two renames leaves weights without
@@ -23,6 +23,7 @@ from .errors import DataError, read_json_object
 
 MANIFEST = "manifest.json"
 WEIGHTS = "weights.bin"
+DTYPE = "<f4"  # of every stored value
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
@@ -33,17 +34,16 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict 
     offset = 0
     blobs = []
     for name, arr in arrays.items():
-        data = np.ascontiguousarray(np.asarray(arr, dtype=np.float64), dtype="<f4")
+        data = np.ascontiguousarray(arr, dtype=DTYPE)  # a float32 tensor as it is
         entries.append({"name": name, "shape": list(data.shape), "offset": offset})
-        blobs.append(data.tobytes())
+        blobs.append(data)
         offset += data.nbytes
-    manifest = {"params": entries, "meta": meta or {}}
+    manifest = {"dtype": DTYPE, "params": entries, "meta": meta or {}}
 
     tmp_weights = root / (WEIGHTS + ".tmp")
     tmp_manifest = root / (MANIFEST + ".tmp")
     with open(tmp_weights, "wb") as f:
-        for blob in blobs:
-            f.write(blob)
+        f.writelines(blobs)
     tmp_manifest.write_text(json.dumps(manifest, indent=1))
     (root / MANIFEST).unlink(missing_ok=True)
     os.replace(tmp_weights, root / WEIGHTS)
@@ -51,11 +51,13 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict 
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint directory back as float64 arrays plus metadata."""
+    """Read a checkpoint directory back as float32 arrays plus metadata."""
     root = Path(path)
     manifest = read_json_object(root / MANIFEST, DataError, "checkpoint manifest")
+    if manifest.get("dtype", DTYPE) != DTYPE:  # a manifest without one was written as <f4
+        raise DataError(f"checkpoint {root}: dtype {manifest['dtype']!r}, not {DTYPE!r}")
     try:
-        raw = (root / WEIGHTS).read_bytes()
+        raw = np.fromfile(root / WEIGHTS, dtype=np.uint8)
     except OSError as e:
         raise DataError(f"cannot read checkpoint weights in {root}: {e}") from e
     arrays: dict[str, np.ndarray] = {}
@@ -68,15 +70,13 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             raise DataError(f"checkpoint {root}: entry {name!r} has shape {shape!r}, not a list of sizes >= 0")
         if type(offset) is not int or offset % 4:
             raise DataError(f"checkpoint {root}: entry {name!r} has offset {offset!r}, not a multiple of 4 bytes")
-        count = math.prod(shape)
-        end = offset + 4 * count
+        end = offset + 4 * math.prod(shape)
         if offset < 0 or end > len(raw):
             raise DataError(
                 f"checkpoint {root}: entry {name!r} spans bytes {offset} to {end}, "
                 f"file holds {len(raw)}"
             )
-        flat = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        arrays[name] = flat.astype(np.float64).reshape(shape)
+        arrays[name] = raw[offset:end].view(DTYPE).reshape(shape)
     return arrays, manifest.get("meta", {})
 
 

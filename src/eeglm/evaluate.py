@@ -25,11 +25,10 @@ def label_probabilities(
     sem = model.refiner(item.h_text, item.z_q)
     slot = span_rows(item.seq, "answer")[:1]
     row = model.backbone.logits(item.seq, sem, rows=slot).data[0]
-    labels = list(label_tokens)
-    scores = np.array([row[label_tokens[lab]] for lab in labels])
+    scores = row[list(label_tokens.values())].astype(np.float64)  # renormalised in float64
     scores = np.exp(scores - scores.max())
     scores /= scores.sum()
-    return dict(zip(labels, scores.tolist()))
+    return dict(zip(label_tokens, scores.tolist()))
 
 
 def _binary_mapping(classes: list[str], y_labels: list[str]) -> list[str]:

@@ -86,7 +86,7 @@ def span_nll(logits: Tensor, seq: HybridSequence, span: str) -> Tensor:
     """
     s, e = seq.spans.get(span, (0, 0))
     if e <= s:
-        return Tensor(np.float64(0.0))
+        return Tensor._view(np.zeros((), logits.data.dtype))
     n = e - s
     if logits.shape[0] != n:
         raise ShapeError(f"{span} span of {n} tokens needs {n} logit rows, got {logits.shape[0]}")

@@ -15,9 +15,9 @@ class AdamW:
 
     Weight decay is decoupled from the moment estimates:
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p).
-    The parameters, in dict order, are copied into one contiguous f64 buffer
-    `flat`, and each `Tensor.data` becomes a view of it; `m` and `v` have the
-    same length. Between steps the optimizer holds these three buffers
+    The parameters, in dict order, are copied into one contiguous buffer
+    `flat` of their dtype, and each `Tensor.data` becomes a view of it; `m`
+    and `v` have the same length. Between steps the optimizer holds these three buffers
     alone: each step allocates its gradient and scratch buffers and drops
     them when it returns. `lr_runs` holds the lr scales as (start, stop,
     scale) runs over `flat`, one per stretch of equal scale. Write a
@@ -49,7 +49,7 @@ class AdamW:
                 a = self.lr_runs.pop()[0]
             self.lr_runs.append((a, b, scale))
         # one allocation: the parameters and their two moments
-        self.flat, self.m, self.v = np.zeros((3, sum(sizes)))
+        self.flat, self.m, self.v = np.zeros((3, sum(sizes)), np.result_type(*(p.data for p in params.values())))
         for p, part in zip(self.params.values(), np.split(self.flat, ends[:-1])):
             view = part.reshape(p.shape)
             view[...] = p.data
@@ -63,7 +63,7 @@ class AdamW:
         # the gradient, flattened in C order and parameter order as `flat`
         # holds the parameters; it ends as the update
         g = np.concatenate(
-            [grads[name] if name in grads else np.zeros(p.shape) for name, p in self.params.items()],
+            [grads[name] if name in grads else np.zeros_like(p.data) for name, p in self.params.items()],
             axis=None,
         )
         s = np.empty_like(g)
@@ -115,10 +115,7 @@ class AdamW:
 def clip_global_norm(grads: dict[str, Array], max_norm: float) -> dict[str, Array]:
     """Scale all gradients jointly so their global L2 norm is at most max_norm.
     Returns `grads` itself when nothing is scaled."""
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    norm = math.sqrt(total)
+    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))  # summed in float64
     if norm <= max_norm:
         return grads
     scale = max_norm / norm

@@ -60,9 +60,11 @@ def make_dataset(
     """Write a labeled dataset directory: containers + labels.csv + dataset.json."""
     if n_per_class < 1:
         raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
-    for name, value in (("fs", fs), ("seconds", seconds), ("noise", noise)):
-        if not np.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+    for name, value, zero_ok in (("fs", fs, False), ("seconds", seconds, False), ("noise", noise, True)):
+        if not (np.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+            raise ConfigError(f"{name} must be finite and {'>= 0' if zero_ok else '> 0'}, got {value}")
+    if not 0.5 < fs * seconds < np.inf:  # round(fs * seconds) samples, at least one
+        raise ConfigError(f"duration {seconds}s at {fs} Hz yields {fs * seconds:g} samples, not at least one")
     channels = get_montage(montage).labels
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)

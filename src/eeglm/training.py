@@ -399,6 +399,9 @@ class StageSpec:
         """Extra metadata for the epoch checkpoint."""
         return {}
 
+    def resume(self, model: PipelineModel, meta: dict) -> None:
+        """Restore what a resumed run needs from `meta` besides the parameters and moments."""
+
     def summary(self, epoch_avgs: list, last: dict) -> dict:
         """Extra summary entries; `last` is the newest checkpoint's metadata
         (at least `epoch_avg_loss` and the `end_epoch` extras)."""
@@ -408,6 +411,9 @@ class StageSpec:
 # ---------------------------------------------------------------------------
 # stage 1: reconstruction + quantization
 # ---------------------------------------------------------------------------
+
+COUNTERS = ("epoch_counts", "unused_epochs")  # the quantizer's usage counters a vq checkpoint holds
+
 
 class VqStage(StageSpec):
     """Train encoder, reconstruction heads and codebook on raw containers."""
@@ -449,10 +455,20 @@ class VqStage(StageSpec):
         return loss, (lt, 0.0, lt, 0.0)
 
     def end_epoch(self, model, rng):
-        health = codebook_health(model.quantizer.epoch_counts.copy())
-        model.quantizer.end_epoch(np.concatenate(self.pool), rng)
+        q = model.quantizer
+        health = codebook_health(q.epoch_counts.copy())
+        q.end_epoch(np.concatenate(self.pool), rng)
         self.pool = []
-        return {"codebook_health": health}
+        return {"codebook_health": health, **{key: getattr(q, key).tolist() for key in COUNTERS}}
+
+    def resume(self, model, meta):
+        """Restore the codebook's usage counters, which decide its revivals."""
+        n = model.quantizer.cfg.num_codes
+        for key in COUNTERS:
+            saved = meta.get(key)
+            if not (isinstance(saved, list) and len(saved) == n and all(type(c) is int for c in saved)):
+                raise DataError(f"--resume needs codebook counter {key!r} ({n} integers) in the vq checkpoint")
+            getattr(model.quantizer, key)[...] = saved
 
     def summary(self, epoch_avgs, last):
         return {
@@ -478,8 +494,9 @@ class CptStage(StageSpec):
     def step(self, model, item):
         text_l, eeg_l = loss_ntp(item.seq, model.backbone, model.refiner(item.h_text, item.z_q))
         orth = model.refiner.orth_loss()
-        total = loss_cpt(text_l, eeg_l, orth, self.cfg["train"]["lambda_orth"])
-        return total, (float(total.data), float(text_l.data), float(eeg_l.data), float(orth.data))
+        lam = self.cfg["train"]["lambda_orth"]
+        text, eeg, o = float(text_l.data), float(eeg_l.data), float(orth.data)
+        return loss_cpt(text_l, eeg_l, orth, lam), ((text + eeg) + o * lam, text, eeg, o)  # total in float64
 
     def summary(self, epoch_avgs, last):
         return {"uniform_eeg_nll": float(np.log(self.cfg["quantizer"]["num_codes"]))}
@@ -578,6 +595,7 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
     start_epoch, step, epoch_avgs, last = 0, 0, [], {}
     if resumed:
         opt.load_state(meta, arrays)
+        spec.resume(model, meta)
         start_epoch, step, last = meta["epoch"] + 1, meta["step"], meta
         epoch_avgs = list(meta.get("epoch_avg_loss", []))
     del arrays  # copied into the model and the optimizer; the stage does not hold them

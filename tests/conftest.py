@@ -12,12 +12,22 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from eeglm import autodiff as ad
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def float64(monkeypatch):
+    """Tensors in float64 for one test (`autodiff.DTYPE`): for the
+    finite-difference gradchecks, which float32 cannot resolve, and for
+    checks of closed-form identities at float64 tolerances."""
+    monkeypatch.setattr(ad, "DTYPE", np.float64)
 
 
 @pytest.fixture(scope="session")

@@ -231,6 +231,7 @@ GRAD_SUITES = (
 )
 
 
+@pytest.mark.usefixtures("float64")
 def test_01_gradient_suite():
     t0 = time.time()
     worst = {}
@@ -431,6 +432,7 @@ def test_05_first_stage_convergence(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("float64")
 def test_06_loss_masking(tmp_path):
     rng = np.random.default_rng(606)
     cfg_bb = BackboneConfig(

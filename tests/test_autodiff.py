@@ -56,6 +56,7 @@ def test_softmax_stability_no_overflow():
     np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-12)
 
 
+@pytest.mark.usefixtures("float64")
 def test_softmax_rows_sum_to_one_and_bounded():
     rng = np.random.default_rng(3)
     x = t(rng.uniform(-5, 5, size=(6, 9)))
@@ -86,7 +87,7 @@ GELU_SHAPES = [(4, 16, 64), (193, 256), (16, 2, 64)]
 
 @pytest.mark.parametrize("shape", GELU_SHAPES)
 def test_gelu_matches_the_scipy_erf_chain_to_the_bit(shape):
-    x = np.random.default_rng(47).normal(0.0, 3.0, shape)
+    x = np.random.default_rng(47).normal(0.0, 3.0, shape).astype(ad.DTYPE)
     assert ad.gelu(t(x)).data.tobytes() == gelu(x).tobytes()
 
 
@@ -120,7 +121,7 @@ def test_erf_loader_reads_the_extension_in_scipy_special(monkeypatch):
 )
 def test_parameter_is_uniform_within_one_over_root_fan_in(shape, fan_in, bound):
     p = ad.parameter(shape, np.random.default_rng(0), fan_in=fan_in)
-    expected = np.random.default_rng(0).uniform(-bound, bound, shape)
+    expected = np.random.default_rng(0).uniform(-bound, bound, shape).astype(ad.DTYPE)
     assert p.requires_grad and p.data.tobytes() == expected.tobytes()
 
 
@@ -139,10 +140,11 @@ def test_non_finite_values_rejected_at_construction_and_by_ops(bad):
 
 def test_finite_values_whose_sum_overflows_are_accepted():
     # the fast path sums the values; the sum overflows, the values do not
+    big = np.finfo(ad.DTYPE).max
     with np.errstate(over="ignore"):
-        x = ad.Tensor([1e308, 1e308])
+        x = ad.Tensor([big, big])
         y = ad.mul(x, 1.0)
-    np.testing.assert_array_equal(y.data, [1e308, 1e308])
+    np.testing.assert_array_equal(y.data, [big, big])
 
 
 def test_division_by_zero_raises_instead_of_inf():
@@ -320,10 +322,12 @@ def _fd_case(fn, shapes, seed, tol=1e-6):
     assert err < tol, f"relative error {err}"
 
 
+@pytest.mark.usefixtures("float64")
 def test_fd_matmul_rectangular():
     _fd_case(lambda ts: ad.sum_(matmul(ts[0], ts[1])), [(3, 4), (4, 2)], seed=1)
 
 
+@pytest.mark.usefixtures("float64")
 def test_fd_matmul_batched_with_broadcast():
     _fd_case(
         lambda ts: ad.sum_(ad.mul(matmul(ts[0], ts[1]), ts[2])),
@@ -332,16 +336,19 @@ def test_fd_matmul_batched_with_broadcast():
     )
 
 
+@pytest.mark.usefixtures("float64")
 def test_fd_softmax_jvp():
     x = t([1.0, 2.0, 3.0])
     err = check_gradients(lambda ts: ad.sum_(ad.mul(softmax(ts[0]), ts[1])), [x, t([0.3, -0.2, 0.9], rg=False)])
     assert err < 1e-6
 
 
+@pytest.mark.usefixtures("float64")
 def test_fd_log_softmax():
     _fd_case(lambda ts: ad.sum_(ad.mul(log_softmax(ts[0], axis=-1), ts[1])), [(4, 6), (4, 6)], seed=4)
 
 
+@pytest.mark.usefixtures("float64")
 def test_fd_layer_norm():
     _fd_case(
         lambda ts: ad.sum_(ad.mul(ad.layer_norm(ts[0], ts[1], ts[2]), ts[3])),
@@ -351,6 +358,7 @@ def test_fd_layer_norm():
     )
 
 
+@pytest.mark.usefixtures("float64")
 def test_fd_elementwise_chain():
     _fd_case(
         lambda ts: ad.sum_(tanh(ad.mul(ad.add(ts[0], ts[1]), ad.sub(ts[0], 0.3)))),
@@ -359,6 +367,7 @@ def test_fd_elementwise_chain():
     )
 
 
+@pytest.mark.usefixtures("float64")
 def test_fd_div_sqrt():
     def fn(ts):
         a = ad.add(ad.mul(ts[0], ts[0]), 2.0)  # strictly positive
@@ -367,10 +376,12 @@ def test_fd_div_sqrt():
     _fd_case(fn, [(2, 3), (2, 3)], seed=7)
 
 
+@pytest.mark.usefixtures("float64")
 def test_fd_gelu():
     _fd_case(lambda ts: ad.sum_(ad.gelu(ts[0])), [(4, 4)], seed=8)
 
 
+@pytest.mark.usefixtures("float64")
 def test_fd_reshape_transpose_concat_slice():
     def fn(ts):
         a = transpose(ad.reshape(ts[0], (4, 3)), (1, 0))
@@ -381,6 +392,7 @@ def test_fd_reshape_transpose_concat_slice():
     _fd_case(fn, [(12,), (3, 4)], seed=9)
 
 
+@pytest.mark.usefixtures("float64")
 def test_fd_take_with_duplicate_rows():
     def fn(ts):
         rows = ad.take(ts[0], np.array([0, 2, 2, 1]))
@@ -389,6 +401,7 @@ def test_fd_take_with_duplicate_rows():
     _fd_case(fn, [(3, 5)], seed=10)
 
 
+@pytest.mark.usefixtures("float64")
 def test_fd_pick():
     def fn(ts):
         vals = pick(ts[0], np.array([0, 1, 1]), np.array([2, 0, 0]))
@@ -397,6 +410,7 @@ def test_fd_pick():
     _fd_case(fn, [(2, 4)], seed=11)
 
 
+@pytest.mark.usefixtures("float64")
 def test_fd_mean_and_sum_axes():
     def fn(ts):
         return ad.add(
@@ -407,6 +421,7 @@ def test_fd_mean_and_sum_axes():
     _fd_case(fn, [(3, 4)], seed=12)
 
 
+@pytest.mark.usefixtures("float64")
 def test_fd_conv1d():
     def fn(ts):
         out = ad.conv1d(ts[0], ts[1], ts[2], stride=2, padding=3)
@@ -415,6 +430,7 @@ def test_fd_conv1d():
     _fd_case(fn, [(2, 2, 11), (3, 2, 5), (3,)], seed=13, tol=1e-5)
 
 
+@pytest.mark.usefixtures("float64")
 def test_fd_conv1d_frozen_input_first_conv_geometry():
     # the encoder's first conv: raw patches in, so no input gradient is formed
     rng = np.random.default_rng(14)
@@ -456,6 +472,7 @@ def test_conv1d_output_length_matches_formula():
     assert out.shape == (1, 16, 25)
 
 
+@pytest.mark.usefixtures("float64")
 def test_fd_matmul_gradient_tight_tolerance():
     # gradient of sum(a@b) w.r.t. a, rel err < 1e-6 at h=1e-5
     rng = np.random.default_rng(20)
@@ -496,6 +513,7 @@ def _linear_fn(bias, lora):
     return fn
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("x_shape", [(4, 5), (2, 4, 5)])
 @pytest.mark.parametrize("bias", [True, False])
 @pytest.mark.parametrize("lora", [True, False])
@@ -537,6 +555,7 @@ def test_linear_shape_mismatch_names_both_shapes():
         ad.linear(t(np.zeros((4, 5))), t(np.zeros((3, 6))))
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("causal", [False, True])
 @pytest.mark.parametrize("tq,tk", [(3, 5), (4, 4)])
 def test_fd_attention(causal, tq, tk):
@@ -582,9 +601,10 @@ def test_attention_is_one_node_with_the_unfused_chain_numbers():
     for ga, gb in zip(g1, g2):
         assert np.array_equal(ga, gb)
     # causal: no query attends to a later key
-    assert np.all(np.triu(w2, k=1) < 1e-300)
+    assert np.all(np.triu(w2, k=1) == 0.0)
 
 
+@pytest.mark.usefixtures("float64")
 def test_fd_attention_query_subset():
     # causal, fewer queries than keys, positions not contiguous and not sorted
     positions = [4, 1, 3]
@@ -719,6 +739,7 @@ def test_attention_layer_is_one_node_with_the_four_linear_chain_numbers(name):
         assert np.array_equal(ga, gb)
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("name", list(ATTENTION_CASES))
 def test_fd_attention_layer(name):
     query, kv, projs, positions = _attention_case(name, seed=41)
@@ -822,6 +843,7 @@ def test_ffn_forward_matches_the_scipy_erf_chain_to_the_bit(shape):
     assert ad.ffn(x, fc1, fc2).data.tobytes() == expected.data.tobytes()
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("lora", [False, True])
 def test_fd_ffn(lora):
     rng = np.random.default_rng(45)
@@ -835,7 +857,7 @@ def test_fused_sub_layers_refuse_non_finite_intermediates():
     rng = np.random.default_rng(46)
     x = t(np.full((3, 4), 1e3))
     fc1, fc2 = _affine(rng, (4, 4), False), _affine(rng, (4, 4), False)
-    fc1[0].data[0, 0] = 1e308  # the first product overflows
+    fc1[0].data[0, 0] = np.finfo(fc1[0].data.dtype).max  # finite; the first product overflows
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError):
             ad.ffn(x, fc1, fc2)
@@ -882,7 +904,7 @@ def test_conv1d_matmul_form_equals_the_einsum_form_bitwise(n, cin, length, cout,
     w, b = t(rng.standard_normal((cout, cin, k))), t(rng.standard_normal(cout))
     with ad.Graph() as graph:
         out = ad.conv1d(x, w, b, stride=stride, padding=padding)
-        g = rng.standard_normal(out.shape)
+        g = rng.standard_normal(out.shape).astype(out.data.dtype)  # the gradient at the op's dtype
         grads = graph.nodes[-1].vjp(g)
         assert len(graph) == 1
     ref = _conv1d_einsum(x.data, w.data, b.data, stride, padding, g)
@@ -891,6 +913,7 @@ def test_conv1d_matmul_form_equals_the_einsum_form_bitwise(n, cin, length, cout,
         assert np.array_equal(got, want)
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("n, cin, length, cout, k, stride, padding", [
     (5, 3, 4, 1, 2, 3, 0),  # one output channel, one output position
     (3, 5, 4, 3, 4, 3, 1),  # one output position
@@ -946,6 +969,7 @@ def test_mix_is_one_node_with_the_reshape_matmul_reshape_numbers(name):
     assert np.array_equal(g1[0], g2[0])
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("x_shape", [(4, 3), (4, 2, 3)])
 def test_fd_mix(x_shape):
     mat = np.random.default_rng(49).uniform(-1, 1, (3, 4))

@@ -126,6 +126,7 @@ def test_sequence_longer_than_positions_rejected(rng):
             model.logits(seq, Tensor(sem))
 
 
+@pytest.mark.usefixtures("float64")
 def test_backbone_gradients_match_finite_differences(rng):
     cfg = BackboneConfig(
         vocab=VocabSpec(v_text=10, n_codes=5),
@@ -152,6 +153,7 @@ def zero_head(model: ToyBackbone) -> None:
     model.head.w.data = np.zeros_like(model.head.w.data)
 
 
+@pytest.mark.usefixtures("float64")
 def test_uniform_logits_give_log_vocab(rng):
     model = make_backbone(seed=6)
     zero_head(model)
@@ -163,6 +165,7 @@ def test_uniform_logits_give_log_vocab(rng):
     assert abs(eeg_loss.data - expected) < 1e-9
 
 
+@pytest.mark.usefixtures("float64")
 def test_uniform_logits_sft_loss(rng):
     model = make_backbone(seed=7)
     zero_head(model)
@@ -208,6 +211,7 @@ def test_sft_gradient_zero_outside_answer_rows(rng):
             assert np.all(g[row] == 0.0)
 
 
+@pytest.mark.usefixtures("float64")
 def test_single_token_eeg_span_nll(rng):
     model = make_backbone(seed=10)
     seq = assemble_sequence([1, 2], 0, [4], VOCAB)
@@ -334,6 +338,7 @@ def test_training_step_moves_only_adapter_parameters(rng):
             np.testing.assert_array_equal(after[name].data, arr)
 
 
+@pytest.mark.usefixtures("float64")
 def test_merge_adapters_preserves_forward(rng):
     model = make_backbone(seed=16)
     model.apply_lora(rank=2, alpha=4.0, rng=np.random.default_rng(17))
@@ -396,6 +401,7 @@ def test_logits_without_rows_equal_the_unfused_chain_bit_for_bit(rng):
     assert np.array_equal(fused, chain)
 
 
+@pytest.mark.usefixtures("float64")
 def test_logits_on_rows_equal_those_rows_of_the_full_logits(rng):
     model = make_backbone(seed=21)
     seq, sem = demo_sequence(rng, answer=True)
@@ -431,6 +437,7 @@ def _values_and_grads(fn, wrt):
     return [float(v.data) for v in (text, eeg, answer)], {n: grads[p] for n, p in wrt.items()}
 
 
+@pytest.mark.usefixtures("float64")
 def test_row_losses_match_a_full_row_reference(rng):
     model = make_backbone(seed=22)
     model.apply_lora(rank=2, alpha=4.0, rng=np.random.default_rng(23))
@@ -469,6 +476,7 @@ def test_span_nll_rejects_logits_of_another_row_count(rng):
             span_nll(logits, seq, "eeg")
 
 
+@pytest.mark.usefixtures("float64")
 def test_two_block_backbone_gradients_through_the_rows_path(rng):
     cfg = BackboneConfig(
         vocab=VocabSpec(v_text=10, n_codes=5),

@@ -119,6 +119,26 @@ def test_synth_refuses_a_non_finite_setting_and_writes_nothing(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--fs", "-200", "--seconds", "-2"], "fs must be finite and > 0"),
+        (["--fs", "0"], "fs must be finite and > 0"),
+        (["--seconds", "0"], "seconds must be finite and > 0"),
+        (["--seconds", "-2"], "seconds must be finite and > 0"),
+        (["--noise", "-1"], "noise must be finite and >= 0"),
+        (["--fs", "1", "--seconds", "0.4"], "yields 0.4 samples, not at least one"),
+    ],
+    ids=["negative-product", "fs-zero", "seconds-zero", "seconds-negative", "noise-negative", "no-sample"],
+)
+def test_synth_refuses_a_setting_out_of_range_and_writes_nothing(tmp_path, capsys, flags, named):
+    out = tmp_path / "ds"
+    rc = main(["--out", str(out), "synth", "--per-class", "1", "--montage", "synthetic-2", *flags])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_needs_out(env, capsys):
     assert main(env["base"] + ["synth"]) == 2
     assert "--out" in capsys.readouterr().err
@@ -471,6 +491,14 @@ def test_malformed_manifest_offset_is_refused(env, tmp_path, offset):
     ckpt = _edited_checkpoint(tmp_path, env["ckpt_vq"], lambda manifest: manifest["params"][1].update(offset=offset))
     with pytest.raises(DataError, match="offset"):
         load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("dtype", ["<f8", ">f4", None], ids=["float64", "big-endian", "null"])
+def test_a_manifest_dtype_other_than_little_endian_float32_is_refused(env, tmp_path, dtype):
+    ckpt = _edited_checkpoint(tmp_path, env["ckpt_vq"], lambda manifest: manifest.update(dtype=dtype))
+    with pytest.raises(DataError, match="dtype") as refused:
+        load_checkpoint(ckpt)
+    assert refused.value.exit_code == 3
 
 
 def test_tokenize_with_a_malformed_manifest_shape_exits_3(env, tmp_path, capsys):

@@ -68,6 +68,7 @@ def test_embedder_patch_length_mismatch():
         emb(np.zeros((1, 1, 39)))
 
 
+@pytest.mark.usefixtures("float64")
 def test_embedder_gradcheck():
     rng = np.random.default_rng(1)
     emb = TemporalEmbedder(TOY, rng)
@@ -92,6 +93,7 @@ def test_csa_singleton_key_attention_is_one():
     np.testing.assert_allclose(block.attn.weights[0], np.ones((TOY.n_heads, 4, 1)))
 
 
+@pytest.mark.usefixtures("float64")
 def test_csa_identical_keys_degenerate_mixing():
     rng = np.random.default_rng(4)
     block = CsaBlock(TOY, rng)
@@ -104,6 +106,7 @@ def test_csa_identical_keys_degenerate_mixing():
     np.testing.assert_allclose(out_many.data, out_one.data, atol=1e-12)
 
 
+@pytest.mark.usefixtures("float64")
 def test_csa_gradcheck_small():
     rng = np.random.default_rng(5)
     block = CsaBlock(TOY, rng)
@@ -121,6 +124,7 @@ def test_csa_gradcheck_small():
     assert err < 1e-4
 
 
+@pytest.mark.usefixtures("float64")
 def test_attention_rows_are_probability_vectors():
     rng = np.random.default_rng(7)
     enc = DualStreamEncoder(TOY, rng, hierarchy=build_hierarchy(tiny_montage(4)))
@@ -176,6 +180,7 @@ def test_forward_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.usefixtures("float64")
 def test_patch_permutation_equivariance():
     rng = np.random.default_rng(12)
     hier = build_hierarchy(tiny_montage(3))
@@ -196,6 +201,7 @@ def test_patch_permutation_equivariance():
     np.testing.assert_allclose(l.data.reshape(3, 4, 8), l_base[:, perm, :], atol=1e-9)
 
 
+@pytest.mark.usefixtures("float64")
 def test_fusion_zero_projection_leaves_level_mean():
     rng = np.random.default_rng(13)
     hier = build_hierarchy(tiny_montage(3))
@@ -215,6 +221,7 @@ def test_fusion_zero_projection_leaves_level_mean():
     np.testing.assert_allclose(enc(x).data, expect, atol=1e-12)
 
 
+@pytest.mark.usefixtures("float64")
 def test_fusion_additive_structure():
     # H_EEG = proj(concat(G_broadcast, L_final)) + mean(levels 2..4); with a
     # zeroed global half of the projection and zero bias, the fused term is
@@ -244,6 +251,7 @@ def test_fusion_additive_structure():
     np.testing.assert_allclose(cat @ w_local_only.T, l @ w[:, 4:].T, atol=1e-12)
 
 
+@pytest.mark.usefixtures("float64")
 def test_full_encoder_gradcheck():
     rng = np.random.default_rng(15)
     hier = build_hierarchy(tiny_montage(3))

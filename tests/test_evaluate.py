@@ -80,6 +80,7 @@ def multi_setup(tmp_path_factory):
     return data, cfg, ckpt
 
 
+@pytest.mark.usefixtures("float64")
 def test_label_probabilities_match_renormalized_softmax(binary_setup):
     data, cfg, _ = binary_setup
     model = build_model(cfg)

@@ -100,6 +100,7 @@ def test_span_nll_rows_that_underflow_or_peak_at_the_target(upstream):
     assert np.all(np.isfinite(grad))
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("full", [False, True], ids=["span-rows", "all-rows"])
 def test_fd_span_nll(full):
     rng = np.random.default_rng(3)
@@ -150,6 +151,7 @@ def test_loss_dsha_pairs_that_agree_give_signed_zeros_as_the_chain(upstream):
     assert_matches_the_chain(loss_dsha, oracles.loss_dsha, args, upstream)
 
 
+@pytest.mark.usefixtures("float64")
 def test_fd_loss_dsha():
     rng = np.random.default_rng(6)
     x, x_hat, f, f_hat, h, z_q, beta = dsha_args(rng, every_grad=True)

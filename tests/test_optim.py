@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from eeglm import autodiff as ad
 from eeglm.autodiff import Graph, Tensor, backward, mul, sub, sum_
 from eeglm.checkpoint import assign_parameters
 from eeglm.errors import DataError
@@ -117,7 +118,8 @@ def _reference_adamw(params, grads, state, lr, betas, eps, weight_decay, lr_scal
 def test_flat_update_matches_per_tensor_reference_bit_for_bit():
     rng = np.random.default_rng(3)
     shapes = {"w": (4, 3), "b": (4,), "scaled": (2, 5), "idle": (3,), "t": (3, 6)}
-    init = {n: rng.standard_normal(s) for n, s in shapes.items()}
+    # the reference computes at the parameters' dtype
+    init = {n: rng.standard_normal(s).astype(ad.DTYPE) for n, s in shapes.items()}
     tensors = {n: Tensor(a.copy(), requires_grad=True) for n, a in init.items()}
     third = 1.0 / 3.0  # a scale whose product with lr rounds unlike two products
     scales = {"b": third, "scaled": third, "t": third}
@@ -127,9 +129,9 @@ def test_flat_update_matches_per_tensor_reference_bit_for_bit():
     assert opt.lr_runs == [(0, 12, 1.0), (12, 26, third), (26, 29, 1.0), (29, 47, third)]
     ref = dict(init)
     state = {"t": 0, "m": {}, "v": {}}
-    for lr in rng.uniform(1e-4, 1.0, 50):
-        grads = {n: rng.standard_normal(s) for n, s in shapes.items() if n != "idle"}
-        grads["t"] = rng.standard_normal((6, 3)).T  # a non-contiguous gradient
+    for lr in rng.uniform(1e-4, 1.0, 50).tolist():
+        grads = {n: rng.standard_normal(s).astype(ad.DTYPE) for n, s in shapes.items() if n != "idle"}
+        grads["t"] = rng.standard_normal((6, 3)).astype(ad.DTYPE).T  # a non-contiguous gradient
         opt.step(grads, lr=lr)
         _reference_adamw(ref, grads, state, lr, **hyper)
     for name in shapes:
@@ -223,6 +225,7 @@ def test_parameters_written_in_place_stay_in_the_buffer():
         assert np.all(t.data != before[name])
 
 
+@pytest.mark.usefixtures("float64")
 def test_directional_check_leaves_parameters_in_the_buffer():
     rng = np.random.default_rng(1)
     p = Tensor(rng.standard_normal((2, 3)), requires_grad=True)

@@ -49,6 +49,7 @@ def test_calibrate_single_text_row_gets_unit_attention(rng):
     np.testing.assert_allclose(q_calib.data[0], q_calib.data[1], atol=1e-12)
 
 
+@pytest.mark.usefixtures("float64")
 def test_calibrate_identical_text_rows_match_singleton(rng):
     ref = make_refiner()
     row = rng.standard_normal((1, 8))
@@ -71,6 +72,7 @@ def test_calibrate_rejects_width_mismatch():
         ref.calibrate(np.zeros((3, 5)))
 
 
+@pytest.mark.usefixtures("float64")
 def test_calibrate_gradients_match_finite_differences(rng):
     ref = make_refiner(seed=3)
     h_text = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
@@ -88,6 +90,7 @@ def test_calibrate_gradients_match_finite_differences(rng):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("float64")
 def test_aggregate_constant_tokens_reduce_to_value_projection(rng):
     ref = make_refiner(seed=1)
     u = rng.standard_normal(8)
@@ -100,6 +103,7 @@ def test_aggregate_constant_tokens_reduce_to_value_projection(rng):
     np.testing.assert_allclose(weights.sum(axis=2), np.ones((2, 2)), atol=1e-9)
 
 
+@pytest.mark.usefixtures("float64")
 def test_aggregate_attention_rows_sum_to_one(rng):
     ref = make_refiner(seed=2)
     with Graph():
@@ -109,6 +113,7 @@ def test_aggregate_attention_rows_sum_to_one(rng):
     np.testing.assert_allclose(weights.sum(axis=2), np.ones((TOY.n_heads, 2)), atol=1e-9)
 
 
+@pytest.mark.usefixtures("float64")
 def test_aggregate_matches_hand_unrolled_attention(rng):
     cfg = RefinerConfig(n_experts=2, embed_dim=4, n_heads=1, ffn_mult=2)
     ref = make_refiner(cfg, seed=5)
@@ -161,6 +166,7 @@ def test_project_preserves_extent(rng):
     assert out.shape == (2, 8)
 
 
+@pytest.mark.usefixtures("float64")
 def test_project_gradients_match_finite_differences(rng):
     ref = make_refiner(seed=7)
     o_star = Tensor(rng.standard_normal((2, 8)), requires_grad=True)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import recipe
-from eeglm import synth, training
+from eeglm import autodiff as ad, synth, training
 from eeglm.checkpoint import load_checkpoint, save_checkpoint
 from eeglm.config import parse_override, resolve_config
 from eeglm.errors import ConfigError, DataError, MontageError, UsageError
@@ -405,6 +405,80 @@ def test_resume_drops_rows_logged_after_the_checkpoint(tmp_path, data_dir, monke
     assert [int(r[0]) for r in rows] == list(range(1, 13))
 
 
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("stage", ["vq", "cpt", "sft"])
+def test_a_stopped_and_resumed_run_writes_the_bytes_of_a_run_never_stopped(tmp_path, chain, monkeypatch, stage):
+    # stopped after epoch 2's steps are logged but before its checkpoint is
+    # written, then resumed from epoch 1 with the same epochs: every file,
+    # weights, moments, codebook counters and log rows included, comes out the same
+    root, *cfgs = chain
+    cfg = copy.deepcopy(dict(zip(("vq", "cpt", "sft"), cfgs))[stage])
+    cfg["train"]["epochs"] = 4
+    if stage == "vq":  # 32 codes for 4 recordings: some go unused for 2 epochs and are revived
+        cfg["quantizer"].update(num_codes=32, revival_epochs=2)
+    STAGE_RUNNERS[stage](cfg, tmp_path / "whole")
+    real_save = training.save_stage_checkpoint
+
+    def stop_at_epoch_2(run_dir, model, opt, name, epoch, step, extra):
+        if epoch == 2:
+            raise RuntimeError("stopped")
+        return real_save(run_dir, model, opt, name, epoch, step, extra)
+
+    monkeypatch.setattr(training, "save_stage_checkpoint", stop_at_epoch_2)
+    with pytest.raises(RuntimeError, match="stopped"):
+        STAGE_RUNNERS[stage](cfg, tmp_path / "stopped")
+    monkeypatch.setattr(training, "save_stage_checkpoint", real_save)
+    STAGE_RUNNERS[stage](cfg, tmp_path / "stopped", resume=True)
+    whole, resumed = _files(tmp_path / "whole"), _files(tmp_path / "stopped")
+    assert whole.keys() == resumed.keys()
+    assert [name for name in whole if whole[name] != resumed[name]] == []
+
+
+def test_a_vq_resume_refuses_a_checkpoint_without_the_codebook_counters(tmp_path, data_dir):
+    # as a checkpoint written before the counters were saved: --init-from still reads it
+    run = tmp_path / "run"
+    STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 1}), run)
+    manifest = run / "checkpoints" / "epoch_0000" / "manifest.json"
+    old = json.loads(manifest.read_text())
+    del old["dtype"], old["meta"]["epoch_counts"], old["meta"]["unused_epochs"]
+    manifest.write_text(json.dumps(old, indent=1))
+    before = _files(run)
+    with pytest.raises(DataError, match="codebook counter 'epoch_counts'") as refused:
+        STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 2}), run, resume=True)
+    assert refused.value.exit_code == 3 and _files(run) == before
+    cfg = toy_cfg(data_dir, train={"epochs": 1, "init_from": str(manifest.parent)})
+    STAGE_RUNNERS["cpt"]({**cfg, "stage": "cpt"}, tmp_path / "cpt")
+
+
+def test_every_stage_computes_and_stores_float32(tmp_path, data_dir, monkeypatch):
+    # a float64 array that meets a float32 one promotes the node, and every
+    # node and gradient downstream of it: a constant matrix, a cached buffer
+    # or a signal target built in float64 would show here
+    dtypes = set()
+    real_record = ad._record
+
+    def record(out, inputs, vjp):
+        def checked_vjp(g):
+            grads = vjp(g)
+            dtypes.update((f"{vjp.__qualname__} gradient", gin.dtype.name) for gin in grads if gin is not None)
+            return grads
+
+        dtypes.add((vjp.__qualname__, out.data.dtype.name))
+        return real_record(out, inputs, checked_vjp)
+
+    monkeypatch.setattr(ad, "_record", record)
+    init = None
+    for stage in ("vq", "cpt", "sft"):
+        cfg = toy_cfg(data_dir, train={"epochs": 1, "init_from": init})
+        STAGE_RUNNERS[stage]({**cfg, "stage": stage}, tmp_path / stage)
+        init = str(tmp_path / stage / "checkpoints" / "epoch_0000")
+        assert {a.dtype for a in load_checkpoint(init)[0].values()} == {np.dtype(np.float32)}
+    assert len(dtypes) > 20 and {d for _, d in dtypes} == {"float32"}, sorted(dtypes)
+
+
 def test_vq_resume_keeps_the_checkpoints_codebook(tmp_path, data_dir, monkeypatch):
     # only a fresh vq start warm-starts the codebook by k-means
     calls = []
@@ -767,6 +841,7 @@ def test_finetune_merges_previous_adapter(chain):
     assert np.all(wq.lora_b.data == 0.0)  # fresh adapter starts at zero
 
 
+@pytest.mark.usefixtures("float64")
 def test_refiner_moves_at_a_tenth_of_adapter_rate(chain):
     # with unit gradients everywhere, AdamW moves each weight by ~lr * scale
     root, _, _, _ = chain
