@@ -1,5 +1,5 @@
 """Traced memory of the training steps of the README quick start's stages
-and of a 19-channel vq stage.
+and of a 19-channel vq stage, and of eval and of a checkpoint load.
 
 Usage, from the root of an eeglm checkout::
 
@@ -22,8 +22,17 @@ live when the step enters its ``Graph`` (what the stage holds: the model,
 the optimizer state and the stage's data); the traced bytes live when the
 step enters ``backward`` (those and the step's tape); the tape, the second
 less the first; and the step's traced peak, from entering its ``Graph`` to
-the end of the optimizer step. Traced bytes count
-the memory Python and numpy allocate, not the process's resident set.
+the end of the optimizer step.
+
+A second table gives the traced peak of whole runs from the sft checkpoint:
+``eval`` on the quick start's eval set and ``eval-4x`` on a set made with
+the same synth flags and four times the samples per class, each through
+``eeglm.cli.main``, and ``load``, one ``training.load_model``. Each runs once
+untraced first (eval on the larger set), so that first-use allocations and
+the bounded word caches of the profile text stay out of the traced peaks.
+
+Traced bytes count the memory Python and numpy allocate, not the process's
+resident set.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from pathlib import Path
 import recipe
 from eeglm import cli, training
 from eeglm.optim import AdamW
+from eeglm.synth import load_corpus
 
 
 def run(argv: list[str]) -> None:
@@ -82,6 +92,16 @@ def measure(argv: list[str]) -> tuple[int, int, int, int, int]:
     return len(peaks), max(starts), max(at_backward), max(tapes), max(peaks)
 
 
+def traced_peak(call, *args) -> int:
+    """The traced peak of `call(*args)`."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv: list[str] | None = None) -> None:
     synth = recipe.quick_start()[0]
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -113,10 +133,29 @@ def main(argv: list[str] | None = None) -> None:
             run(["--out", str(clean / sample.name), "preprocess", str(sample)])
         shutil.copy(raw / "labels.csv", clean / "labels.csv")
         train("vq-19ch", "vq", clean, None, recipe.WIDE_SET)
+
+        sft = str(work / "sft" / "checkpoints" / "epoch_0000")
+        _, eval_synth, *_, evaluate = recipe.quick_start()
+        evaluate = recipe.replace(evaluate, "--checkpoint", sft)
+        evaluate = recipe.replace(evaluate, "--out", str(work / "report"))
+        per_class = int(recipe.value(eval_synth, "--per-class"))
+        sets = {"eval": work / "eval-data", "eval-4x": work / "eval-data-4x"}
+        argvs = {}
+        for (name, data), n_eval in zip(sets.items(), (per_class, 4 * per_class)):
+            synth_set = recipe.replace(recipe.replace(eval_synth, "--out", str(data)), "--per-class", str(n_eval))
+            run([*extra, *synth_set])
+            argvs[name] = [*extra, *recipe.replace(evaluate, "--data", str(data))]
+        run(argvs["eval-4x"])
+        runs = [(name, len(load_corpus(sets[name])), traced_peak(run, argvs[name])) for name in sets]
+        training.load_model(sft)
+        runs.append(("load", "-", traced_peak(training.load_model, sft)))
     print(f"{'stage':<8} {'steps':>5} {'held_bytes':>11} {'at_backward_bytes':>18} "
           f"{'tape_bytes':>11} {'step_peak_bytes':>16}")
     for name, steps, held, entry, tape, peak in rows:
         print(f"{name:<8} {steps:>5} {held:>11} {entry:>18} {tape:>11} {peak:>16}")
+    print(f"\n{'run':<8} {'samples':>7} {'peak_bytes':>11}")
+    for name, samples, peak in runs:
+        print(f"{name:<8} {samples:>7} {peak:>11}")
 
 
 if __name__ == "__main__":

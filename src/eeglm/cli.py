@@ -244,6 +244,20 @@ COMMANDS = {
 }
 
 NEEDS_OUT = {"synth", "preprocess", "tokenize", "profile", "train", "attn-export"}
+OUT_IS_FILE = {"tokenize", "attn-export"}  # the other commands write --out as a directory
+
+
+def _check_out(command: str, out: str) -> None:
+    """Refuse an --out that cannot be written: a file --out that is a
+    directory, or one under an existing file (of --out, when it names a
+    directory, and its parents, the nearest that exists must be one)."""
+    path = Path(out)
+    if command in OUT_IS_FILE and path.is_dir():
+        raise UsageError(f"--out {out} is a directory, not a file")
+    candidates = path.parents if command in OUT_IS_FILE else (path, *path.parents)
+    nearest = next(p for p in candidates if p.exists())
+    if not nearest.is_dir():
+        raise UsageError(f"--out {out}: {nearest} exists and is not a directory")
 
 
 def _resolve(args) -> dict:
@@ -269,6 +283,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in NEEDS_OUT and not args.out:
             raise UsageError(f"command {args.command!r} needs --out")
+        if args.out:
+            _check_out(args.command, args.out)
         cfg = _resolve(args)
         return COMMANDS[args.command](args, cfg)
     except EeglmError as e:

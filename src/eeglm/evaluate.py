@@ -52,11 +52,11 @@ def evaluate_checkpoint(
         )
     classes = list(model.cfg["data"]["classes"])
     corpus = load_corpus(data_dir, classes=classes)
-    prepared = prepare_sequences(model, corpus, with_answer=True)
     label_tokens = model.tokenizer.ensure_distinct(classes)
 
     per_sample = []
-    for item in prepared:
+    for entry in corpus:  # one sample prepared, scored and dropped at a time
+        (item,) = prepare_sequences(model, [entry], with_answer=True)
         probs = label_probabilities(model, item, label_tokens)
         ordered = np.array([probs[c] for c in classes])
         per_sample.append(
@@ -93,6 +93,7 @@ def evaluate_checkpoint(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(json.dumps(report, indent=2))
+        with open(out / "report.json", "w") as f:
+            json.dump(report, f, indent=2)  # written as encoded, not built as one string first
         (out / "config.json").write_text(json.dumps(model.cfg, indent=2))
     return report

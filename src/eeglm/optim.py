@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -94,11 +95,13 @@ class AdamW:
         `opt.v`, each one flat buffer in parameter order."""
         return {"opt.m": self.m, "opt.v": self.v}
 
-    def load_state(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    def load_state(self, meta: dict, arrays: Mapping[str, np.ndarray]) -> None:
         """Resume after `meta["step"]` steps with the moments `arrays` holds
         under the `state_arrays` names, saved for the parameters that
         `meta["trainable"]` names. Moments of another length, or saved for
-        another trainable set, raise `DataError`."""
+        another trainable set, raise `DataError` before anything is copied.
+        Each moment is looked up once to check its shape and once to copy
+        it, so a checkpoint's entries are held one at a time."""
         for key, buf in self.state_arrays().items():
             got = np.shape(arrays[key]) if key in arrays else "nothing"
             if got != buf.shape:
@@ -108,7 +111,8 @@ class AdamW:
                 f"optimizer state 'opt.m' and 'opt.v' were saved for another trainable set "
                 f"than the {len(self.params)} parameters trained here"
             )
-        self.m[...], self.v[...] = arrays["opt.m"], arrays["opt.v"]
+        for key, buf in self.state_arrays().items():
+            buf[...] = arrays[key]
         self.t = int(meta["step"])
 
 

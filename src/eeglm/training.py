@@ -6,7 +6,7 @@ import csv
 import json
 import math
 import re
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -124,7 +124,7 @@ def _is_adapter(name: str) -> bool:
     return "lora_a" in name or "lora_b" in name
 
 
-def _load_into(model: PipelineModel, arrays: dict[str, np.ndarray]) -> None:
+def _load_into(model: PipelineModel, arrays: Mapping[str, np.ndarray]) -> None:
     """Give a freshly built model the parameter layout `arrays` were saved
     from (a backbone adapter when they hold adapter entries) and load them."""
     if any(map(_is_adapter, arrays)):
@@ -598,7 +598,7 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
         spec.resume(model, meta)
         start_epoch, step, last = meta["epoch"] + 1, meta["step"], meta
         epoch_avgs = list(meta.get("epoch_avg_loss", []))
-    del arrays  # copied into the model and the optimizer; the stage does not hold them
+    del arrays  # the entries' index and open weights.bin: the stage has copied what it needs
     # a run refused on its data (montage, labels, profiles) writes nothing
     items = spec.prepare(model, corpus)
     for sub in ("checkpoints", "artifacts"):

@@ -449,6 +449,7 @@ def test_tokenize_montage_mismatch_exits_3(env, tmp_path):
 
 def test_corrupt_checkpoint_exits_5(env, tmp_path):
     arrays, meta = load_checkpoint(env["ckpt_vq"])
+    arrays = dict(arrays)
     name = next(n for n in arrays if n.startswith("encoder."))
     arrays[name] = np.full_like(arrays[name], np.nan)
     broken = tmp_path / "broken"
@@ -510,6 +511,76 @@ def test_tokenize_with_a_malformed_manifest_shape_exits_3(env, tmp_path, capsys)
     assert rc == 3
     assert "not a list of sizes" in capsys.readouterr().err
     assert not (tmp_path / "t.tok").exists()
+
+
+def _second_entry_at_anothers_offset(manifest):
+    # later entries once won, so the positions read the feed-forward's bytes
+    entries = {e["name"]: e for e in manifest["params"]}
+    second = dict(entries["encoder.positions.table"])
+    second["offset"] = entries["encoder.global_blocks.0.ffn.fc1.w"]["offset"]
+    manifest["params"].append(second)
+
+
+def _entry_at_the_offset_of_the_one_before(manifest):
+    entries = {e["name"]: e for e in manifest["params"]}
+    block1 = entries["encoder.global_blocks.1.ffn.fc1.w"]
+    block1["offset"] = entries["encoder.global_blocks.0.ffn.fc1.w"]["offset"]
+
+
+# each once loaded without complaint, and the first two changed the report
+@pytest.mark.parametrize(
+    "edit, trailing, named",
+    [
+        (_second_entry_at_anothers_offset, 0, "lists entry 'encoder.positions.table' twice"),
+        (_entry_at_the_offset_of_the_one_before, 0,
+         "entry 'encoder.global_blocks.1.ffn.fc1.w' has offset"),
+        (lambda manifest: None, 8, "but its last entry 'opt.v' ends at byte"),
+    ],
+    ids=["duplicate-name", "overlapping-entries", "extra-bytes"],
+)
+def test_eval_refuses_entries_that_do_not_tile_the_weights(env, tmp_path, capsys, edit, trailing, named):
+    ckpt = _edited_checkpoint(tmp_path, env["ckpt_sft"], edit)
+    with open(ckpt / "weights.bin", "ab") as weights:
+        weights.write(bytes(trailing))
+    out = tmp_path / "ev"
+    rc = main(env["base"] + [
+        "--out", str(out), "eval", "--checkpoint", str(ckpt), "--data", str(env["eval_data"]),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: checkpoint {ckpt}: ") and named in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "out, args",
+    [
+        ("file", ["eval", "--checkpoint", "{ckpt_sft}", "--data", "{eval_data}"]),
+        ("file", ["train", "--stage", "vq", "--data", "{data}"]),
+        ("file/ds", ["synth", "--per-class", "1", "--montage", "synthetic-2"]),
+    ],
+    ids=["eval", "train", "synth"],
+)
+def test_an_out_through_an_existing_file_exits_2_before_any_work(env, tmp_path, capsys, out, args):
+    # each once ended in a traceback with exit 1, eval and train after their work
+    (tmp_path / "file").write_text("kept\n")
+    argv = [a.format(**env) for a in args]
+    assert main(env["base"] + ["--out", str(tmp_path / out), *argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --out {tmp_path / out}: {tmp_path / 'file'} exists and is not a directory"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "file"]
+
+
+def test_a_file_out_that_is_a_directory_exits_2(env, tmp_path, capsys):
+    # once a traceback with exit 1 after the tokens were computed
+    rc = main(env["base"] + [
+        "--out", str(tmp_path), "tokenize",
+        "--container", str(env["data"] / "sample_0000"), "--checkpoint", str(env["ckpt_vq"]),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: --out {tmp_path} is a directory, not a file"]
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- profile ------------------------------------------------------------------
@@ -637,6 +708,7 @@ def _old_layout(ckpt: Path, out: Path) -> Path:
     `opt_step`. The weights keep their bytes."""
     weights = (ckpt / "weights.bin").read_bytes()
     arrays, meta = load_checkpoint(ckpt)
+    arrays = dict(arrays)
     names = meta.pop("trainable")
     cuts = np.cumsum([arrays[n].size for n in names])[:-1]
     for key in ("opt.m", "opt.v"):

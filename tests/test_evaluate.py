@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import copy
 import json
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import recipe
+from eeglm import cli
 from eeglm.checkpoint import save_checkpoint
 from eeglm.config import resolve_config
 from eeglm.errors import DataError
@@ -187,3 +191,43 @@ def test_rejects_labels_outside_trained_classes(binary_setup, tmp_path):
     )
     with pytest.raises(DataError, match="not in configured classes"):
         evaluate_checkpoint(ckpt, foreign)
+
+
+# What eval keeps per sample: its report row, its path in the corpus listing
+# and its labels.csv row, about 1.5 KB traced; the bound leaves room for long
+# temporary paths. Eval that prepared every sample before scoring the first
+# held about 13 KB more per sample of the quick start's.
+ROW_BYTES = 3 * 1024
+
+
+def test_eval_traced_peak_grows_by_the_report_rows_alone(quick_start, tmp_path, capsys):
+    assert quick_start.proc.returncode == 0, quick_start.proc.stderr[-2000:]
+    _, synth, *_, evaluate = recipe.quick_start()
+    per_class = int(recipe.value(synth, "--per-class"))
+    sft = quick_start.out / recipe.last_checkpoint("sft")
+    evaluate = recipe.replace(evaluate, "--checkpoint", str(sft))
+
+    def eval_peak(n: int) -> tuple[int, int]:
+        """The traced peak of eval on the recipe's eval set made with `n`
+        samples per class, and the set's size."""
+        data, out = tmp_path / f"eval-{n}", tmp_path / "report"
+        if not data.exists():
+            assert cli.main(recipe.replace(recipe.replace(synth, "--out", str(data)),
+                                           "--per-class", str(n))) == 0
+        argv = recipe.replace(recipe.replace(evaluate, "--out", str(out)), "--data", str(data))
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1], len(load_corpus(data))
+        finally:
+            tracemalloc.stop()
+            shutil.rmtree(out)
+
+    # the larger set runs once first to fill the bounded word caches with
+    # every word of both sets (the smaller set's samples are the first of the
+    # larger one's), so the measured runs add no cache entry
+    eval_peak(4 * per_class)
+    (small, n_small), (large, n_large) = eval_peak(per_class), eval_peak(4 * per_class)
+    capsys.readouterr()
+    assert n_large == 4 * n_small
+    assert large - small <= (n_large - n_small) * ROW_BYTES, (small, large)

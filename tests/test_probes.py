@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +99,11 @@ def test_traced_losses_read_every_row_the_backbone_computes(tmp_path):
     assert counts["backbone.rows_read"] == counts["backbone.rows_computed"]
     # uninstalled: the module attributes are the originals again
     assert training.loss_ntp.__module__ == "eeglm.losses"
+
+
+def test_benchmark_selftest_passes():
+    # a change to a name, signature or call path the probes patch fails here
+    root = PROBES.parents[1]
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")],
+                          cwd=root, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
