@@ -1,5 +1,5 @@
-"""Run the README quick start, a stopped and resumed copy of its training,
-and the other subcommands, then hash every file.
+"""Run the README quick start and the other subcommands, stop and resume
+the quick start's training runs in place, then hash every file.
 
 Usage, from the root of an eeglm checkout::
 
@@ -9,14 +9,22 @@ Usage, from the root of an eeglm checkout::
 The commands come from ``recipe.py``, the table of the README recipe.
 Every command goes through ``eeglm.cli.main`` inside the empty directory
 OUT, with the relative paths the README uses, so two checkouts write the
-same files under the same names. The resumed copy stops each stage after
-the epochs ``recipe.STOPS`` gives and ``--resume``s it to the quick
-start's, in run directories of its own (``resume-vq``, ``resume-cpt``,
-``resume-sft``), each stage starting from the resumed one before it. The
-commands' own output goes to stderr. If a command fails, the script stops
-with its exit code. Otherwise it prints ``sha256  relpath`` for every file
-under OUT, sorted by path, so that ``diff`` of two listings shows whether
-two checkouts write the same bytes.
+same files under the same names. The commands' own output goes to stderr.
+If a command fails, the script stops with its exit code.
+
+Then, for vq, cpt and sft in that order, the script stops the stage's
+finished run where ``recipe.STOPS`` says (after 7, 3 and 4 epochs): it
+deletes the later epoch checkpoints and ``artifacts/summary.json``, and
+leaves the later ``metrics.csv`` rows for ``--resume`` to drop. It runs
+the stage's own command with ``--resume``, and compares every file under
+the run directory with the bytes it held before the stop. If any differs,
+it prints the run directory and the differing paths to stderr and exits 1:
+a resumed run must write the bytes of a run never stopped. This check
+needs no committed listing, so it holds in any environment.
+
+Otherwise the script prints ``sha256  relpath`` for every file under OUT,
+sorted by path, so that ``diff`` of two listings shows whether two
+checkouts write the same bytes.
 
 Some products' bytes depend on the BLAS thread count, so the script sets
 ``OPENBLAS_NUM_THREADS=1`` before it imports eeglm, unless the caller set
@@ -40,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import sys
 import tempfile
 from collections import defaultdict
@@ -62,13 +71,11 @@ from eeglm.cli import main  # noqa: E402
 
 
 def commands() -> list[list[str]]:
-    """The quick start, its stopped and resumed copy, then the other
-    subcommands on the quick start's products."""
+    """The quick start, then the other subcommands on its products."""
     vq, sft = recipe.last_checkpoint("vq"), recipe.last_checkpoint("sft")
     attn = ["attn-export", "--checkpoint", sft, "--container", "clean"]
     return [
         *recipe.quick_start(),
-        *recipe.stopped_and_resumed(),
         ["--out", "clean", "preprocess", "train-data/sample_0000"],
         ["--out", "tokens.txt", "tokenize", "--container", "clean", "--checkpoint", vq],
         [*recipe.SET, "--out", "prof", "profile", "--container", "clean"],
@@ -86,13 +93,45 @@ def header() -> str:
     )
 
 
-def run_commands(out: Path) -> int:
-    """Run every command inside `out`; the first non-zero exit code, or 0."""
+def run_command(argv: list[str]) -> int:
+    """Run one command, its output on stderr; its exit code."""
+    with redirect_stdout(sys.stderr):
+        code = main(argv)
+    if code != 0:
+        print(f"failed with exit code {code}: eeglm {' '.join(argv)}", file=sys.stderr)
+    return code
+
+
+def stop_and_resume(argv: list[str], stop: int) -> int:
+    """Stop the finished run of training command `argv` after `stop` epochs,
+    --resume it with `argv`, and compare every file under its run directory
+    with the bytes it held before the stop: 1 when any differs, after
+    naming the run directory and the differing paths; a failing command's
+    exit code; else 0."""
+    run_dir = Path(recipe.value(argv, "--out"))
+    before = digests(run_dir)
+    for ckpt in run_dir.glob("checkpoints/epoch_*"):
+        if int(ckpt.name.removeprefix("epoch_")) >= stop:
+            shutil.rmtree(ckpt)
+    (run_dir / "artifacts" / "summary.json").unlink()
+    if code := run_command([*argv, "--resume"]):
+        return code
+    differ = sorted({line.split("  ", 1)[1] for line in set(before) ^ set(digests(run_dir))})
+    if differ:
+        print(f"{run_dir}: {len(differ)} file(s) differ after the stop and --resume", file=sys.stderr)
+        print("\n".join(f"  {path}" for path in differ), file=sys.stderr)
+        return 1
+    return 0
+
+
+def run_commands() -> int:
+    """Run every command, then stop and resume each training run, in the
+    current directory; the first non-zero exit code, or 0."""
     for argv in commands():
-        with redirect_stdout(sys.stderr):
-            code = main(argv)
-        if code != 0:
-            print(f"failed with exit code {code}: eeglm {' '.join(argv)}", file=sys.stderr)
+        if code := run_command(argv):
+            return code
+    for argv in recipe.training():
+        if code := stop_and_resume(argv, recipe.STOPS[recipe.value(argv, "--stage")]):
             return code
     return 0
 
@@ -133,7 +172,7 @@ def make_listing(out: Path) -> list[str] | int:
         print(f"{out} is not empty", file=sys.stderr)
         return 2
     os.chdir(out)
-    code = run_commands(out)
+    code = run_commands()
     if code != 0:
         return code
     return [header(), *digests(out)]

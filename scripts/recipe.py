@@ -22,26 +22,24 @@ SET = (
     "--set", "schedule.warmup_steps=20",
 )
 
-# The six commands, in order. "$SET" stands for SET, and "{run}" for the
-# prefix of the run directories the training and eval commands read and
-# write ("run" in the quick start).
+# The six commands, in order. "$SET" stands for SET.
 COMMANDS = (
     ("--seed", SEED, "--out", "train-data", "synth", "--per-class", "8", "--montage", "synthetic-4"),
     ("--seed", "8", "--out", "eval-data", "synth", "--per-class", "4", "--montage", "synthetic-4"),
-    ("--seed", SEED, "--out", "{run}-vq", "$SET",
+    ("--seed", SEED, "--out", "run-vq", "$SET",
      "train", "--stage", "vq", "--data", "train-data", "--epochs", "20"),
-    ("--seed", SEED, "--out", "{run}-cpt", "$SET",
+    ("--seed", SEED, "--out", "run-cpt", "$SET",
      "train", "--stage", "cpt", "--data", "train-data", "--epochs", "8",
-     "--init-from", "{run}-vq/checkpoints/epoch_0019"),
-    ("--seed", SEED, "--out", "{run}-sft", "$SET",
+     "--init-from", "run-vq/checkpoints/epoch_0019"),
+    ("--seed", SEED, "--out", "run-sft", "$SET",
      "train", "--stage", "sft", "--data", "train-data", "--epochs", "10",
-     "--init-from", "{run}-cpt/checkpoints/epoch_0007"),
+     "--init-from", "run-cpt/checkpoints/epoch_0007"),
     ("--seed", SEED, "--out", "report", "$SET",
-     "eval", "--checkpoint", "{run}-sft/checkpoints/epoch_0009", "--data", "eval-data"),
+     "eval", "--checkpoint", "run-sft/checkpoints/epoch_0009", "--data", "eval-data"),
 )
 
-# the epochs after which the stopped copy of the training stops each stage,
-# before it --resumes the stage to the quick start's epochs
+# the epochs after which the digest stops each training stage's finished
+# run, before it --resumes the run to the quick start's epochs in place
 STOPS = {"vq": 7, "cpt": 3, "sft": 4}
 
 # The 19-channel set: the 10-20 montage at 500 Hz, 6 s recordings; trained
@@ -55,12 +53,9 @@ WIDE_SET = (
 )
 
 
-def expand(template: tuple[str, ...], run: str) -> list[str]:
-    """`template` as an argv: SET in place of "$SET", `run` in place of "{run}"."""
-    argv: list[str] = []
-    for arg in template:
-        argv += SET if arg == "$SET" else [arg.replace("{run}", run)]
-    return argv
+def expand(template: tuple[str, ...]) -> list[str]:
+    """`template` as an argv, with SET in place of "$SET"."""
+    return [word for arg in template for word in (SET if arg == "$SET" else (arg,))]
 
 
 def value(argv: list[str], flag: str) -> str:
@@ -74,25 +69,14 @@ def replace(argv: list[str], flag: str, new: str) -> list[str]:
     return [*argv[:i], new, *argv[i + 1:]]
 
 
-def quick_start(run: str = "run") -> list[list[str]]:
-    """The six commands, with run directories `run`-vq, `run`-cpt, `run`-sft."""
-    return [expand(template, run) for template in COMMANDS]
+def quick_start() -> list[list[str]]:
+    """The six commands, with run directories run-vq, run-cpt and run-sft."""
+    return [expand(template) for template in COMMANDS]
 
 
-def training(run: str = "run") -> list[list[str]]:
+def training() -> list[list[str]]:
     """The vq, cpt and sft commands, in that order."""
-    return [argv for argv in quick_start(run) if "train" in argv]
-
-
-def stopped_and_resumed(run: str = "resume") -> list[list[str]]:
-    """The training stopped after STOPS epochs of each stage and resumed to
-    the quick start's: for each stage, its command with the stop as
-    --epochs, then its command with --resume."""
-    commands = []
-    for argv in training(run):
-        stop = replace(argv, "--epochs", str(STOPS[value(argv, "--stage")]))
-        commands += [stop, argv + ["--resume"]]
-    return commands
+    return [argv for argv in quick_start() if "train" in argv]
 
 
 def last_checkpoint(stage: str) -> str:

@@ -159,8 +159,12 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"llm.mode must be 'stub' or 'http', got {cfg['llm']['mode']!r}")
     if cfg["llm"]["mode"] == "http" and not cfg["llm"]["endpoint"]:
         raise ConfigError("llm.mode 'http' needs llm.endpoint")
-    if not cfg["data"]["classes"]:
+    classes = cfg["data"]["classes"]
+    if not classes:
         raise ConfigError("data.classes must name at least one label")
+    twice = [c for i, c in enumerate(classes) if c in classes[:i]]
+    if twice:
+        raise ConfigError(f"data.classes names the label {twice[0]!r} twice")
 
 
 def resolve_config(

@@ -98,21 +98,23 @@ class AdamW:
     def load_state(self, meta: dict, arrays: Mapping[str, np.ndarray]) -> None:
         """Resume after `meta["step"]` steps with the moments `arrays` holds
         under the `state_arrays` names, saved for the parameters that
-        `meta["trainable"]` names. Moments of another length, or saved for
-        another trainable set, raise `DataError` before anything is copied.
-        Each moment is looked up once to check its shape and once to copy
-        it, so a checkpoint's entries are held one at a time."""
+        `meta["trainable"]` names. Moments missing, or saved for another
+        trainable set, raise `DataError` before any is read; a moment of
+        another length raises before it is copied. Each moment is read once,
+        so a checkpoint's entries are held one at a time."""
         for key, buf in self.state_arrays().items():
-            got = np.shape(arrays[key]) if key in arrays else "nothing"
-            if got != buf.shape:
-                raise DataError(f"optimizer state {key!r}: expected shape {buf.shape}, got {got}")
+            if key not in arrays:
+                raise DataError(f"optimizer state {key!r}: expected shape {buf.shape}, got nothing")
         if meta.get("trainable") != list(self.params):
             raise DataError(
                 f"optimizer state 'opt.m' and 'opt.v' were saved for another trainable set "
                 f"than the {len(self.params)} parameters trained here"
             )
         for key, buf in self.state_arrays().items():
-            buf[...] = arrays[key]
+            saved = arrays[key]
+            if saved.shape != buf.shape:
+                raise DataError(f"optimizer state {key!r}: expected shape {buf.shape}, got {saved.shape}")
+            buf[...] = saved
         self.t = int(meta["step"])
 
 

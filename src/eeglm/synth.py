@@ -20,6 +20,13 @@ DATASET_MANIFEST = "dataset.json"
 LABELS_FILE = "labels.csv"
 
 
+def class_tone(label: str) -> float:
+    """The tone frequency of class `label`; ConfigError for a class with none."""
+    if label not in CLASS_TONES:
+        raise ConfigError(f"unknown class {label!r}; valid classes: {sorted(CLASS_TONES)}")
+    return CLASS_TONES[label]
+
+
 def make_recording(
     label: str,
     channels: tuple[str, ...],
@@ -29,9 +36,7 @@ def make_recording(
     noise: float = 0.25,
 ) -> Recording:
     """One sample: class tone + class-neutral slow drift + white noise."""
-    if label not in CLASS_TONES:
-        raise ConfigError(f"unknown class {label!r}; valid classes: {sorted(CLASS_TONES)}")
-    tone = CLASS_TONES[label]
+    tone = class_tone(label)
     t = np.arange(int(round(fs * seconds))) / fs
     if t.size < 1:
         raise ConfigError(f"duration {seconds}s at {fs} Hz yields no samples")
@@ -65,6 +70,8 @@ def make_dataset(
             raise ConfigError(f"{name} must be finite and {'>= 0' if zero_ok else '> 0'}, got {value}")
     if not 0.5 < fs * seconds < np.inf:  # round(fs * seconds) samples, at least one
         raise ConfigError(f"duration {seconds}s at {fs} Hz yields {fs * seconds:g} samples, not at least one")
+    for label in classes:
+        class_tone(label)
     channels = get_montage(montage).labels
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)

@@ -566,12 +566,12 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
     # a resumed run continues its own checkpoint, a fresh one its parent's
     source, want = (latest, spec.name) if resumed else (cfg["train"]["init_from"], spec.parent)
     arrays, meta = load_checkpoint(source) if want and source else ({}, {})
-    if meta.get("stage") != want:
+    # a stage without a parent (vq) must start from no checkpoint at all
+    if meta.get("stage") != want or (source and not want):
         where = "the run's newest checkpoint" if resumed else "train.init_from"
-        got = f"stage {meta.get('stage')!r} in {source}" if source else "no checkpoint"
-        raise ConfigError(
-            f"{spec.name} stage must start from a {want} checkpoint ({where}), got {got}"
-        )
+        got = f"stage {meta.get('stage')!r} in {source}" if meta else source or "no checkpoint"
+        kind = f"a {want}" if want else "no"
+        raise ConfigError(f"{spec.name} stage must start from {kind} checkpoint ({where}), got {got}")
     if resumed:
         stored = meta["config"] if isinstance(meta.get("config"), dict) else {}
         stored, now = ({k: json.dumps(v) for k, v in leaves(c)} for c in (stored, cfg))

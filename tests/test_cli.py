@@ -18,7 +18,7 @@ import pytest
 
 import eeglm
 import recipe
-from eeglm import cli, training
+from eeglm import checkpoint, cli, training
 from eeglm.checkpoint import load_checkpoint, save_checkpoint
 from eeglm.cli import ATTN_HEADER, main
 from eeglm.config import DEFAULTS
@@ -136,6 +136,30 @@ def test_synth_refuses_a_setting_out_of_range_and_writes_nothing(tmp_path, capsy
     rc = main(["--out", str(out), "synth", "--per-class", "1", "--montage", "synthetic-2", *flags])
     assert rc == 2
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_refuses_a_class_with_no_tone_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "ds"
+    rc = main(["--out", str(out), "--set", 'data.classes=["class-a","theta-burst"]',
+               "synth", "--per-class", "1", "--montage", "synthetic-2"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown class 'theta-burst'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_a_label_listed_twice_in_data_classes_exits_2_and_writes_nothing(env, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    args = {
+        "synth": ["synth", "--per-class", "1", "--montage", "synthetic-2"],
+        "train": ["train", "--stage", "vq", "--data", str(env["data"]), "--epochs", "1"],
+    }[command]
+    rc = main(env["base"] + ["--set", 'data.classes=["class-a","class-b","class-a"]',
+                             "--out", str(out), *args])
+    assert rc == 2
+    assert "data.classes names the label 'class-a' twice" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -701,6 +725,39 @@ def test_train_resume_reads_the_checkpoint_once(env, tmp_path, monkeypatch):
     assert loaded == [run / "checkpoints" / "epoch_0000"]
 
 
+def test_train_resume_reads_each_checkpoint_entry_once(env, tmp_path, monkeypatch):
+    run = tmp_path / "run"
+    argv = env["base"] + ["--out", str(run), "train", "--stage", "vq", "--data", str(env["data"])]
+    assert main(argv + ["--epochs", "1"]) == 0
+    names = list(load_checkpoint(run / "checkpoints" / "epoch_0000")[0])
+    reads = []
+    real_getitem = checkpoint.Entries.__getitem__
+
+    def counting_getitem(entries, name):
+        reads.append(name)
+        return real_getitem(entries, name)
+
+    monkeypatch.setattr(checkpoint.Entries, "__getitem__", counting_getitem)
+    assert main(argv + ["--epochs", "2", "--resume"]) == 0
+    assert {"opt.m", "opt.v"} < set(names)
+    assert sorted(reads) == sorted(names)
+
+
+@pytest.mark.parametrize("init_from", ["does/not/exist", "vq-checkpoint"])
+def test_a_fresh_vq_run_refuses_init_from_and_writes_nothing(env, tmp_path, capsys, init_from):
+    # vq has no parent stage; a resumed run may still change train.init_from
+    init_from = str(env["ckpt_vq"]) if init_from == "vq-checkpoint" else init_from
+    run = tmp_path / "run"
+    argv = env["base"] + ["--out", str(run), "train", "--stage", "vq", "--data", str(env["data"])]
+    assert main(argv + ["--epochs", "1", "--init-from", init_from]) == 2
+    err = capsys.readouterr().err
+    assert f"vq stage must start from no checkpoint (train.init_from), got {init_from}" in err
+    assert not run.exists()
+    assert main(argv + ["--epochs", "1"]) == 0
+    assert main(argv + ["--epochs", "2", "--init-from", init_from, "--resume"]) == 0
+    assert json.loads((run / "config.json").read_text())["train"]["init_from"] == init_from
+
+
 def _old_layout(ckpt: Path, out: Path) -> Path:
     """`ckpt` written to `out` as checkpoints were laid out before the moments
     were stored flat: one `opt.m/<name>` and one `opt.v/<name>` entry per
@@ -987,11 +1044,13 @@ def _stored_config(edit):
         (_stored_config(lambda cfg: cfg["encoder"].update(embed_dim="x")), "encoder.embed_dim"),
         (_stored_config(lambda cfg: cfg.update(quantizer=5)), "'quantizer'"),
         (_stored_config(lambda cfg: cfg["encoder"].update(n_heads=3)), "3 heads"),
+        (_stored_config(lambda cfg: cfg["data"].update(classes=["class-a", "class-a"])),
+         "label 'class-a' twice"),
         # a key of an earlier config, written by a checkpoint from before its removal
         (_stored_config(lambda cfg: cfg["quantizer"].update(kmeans_warm_start=True)),
          "unknown config key 'quantizer.kmeans_warm_start'"),
     ],
-    ids=["out-of-bounds", "mistyped", "table-a-number", "heads-do-not-split", "removed-key"],
+    ids=["out-of-bounds", "mistyped", "table-a-number", "heads-do-not-split", "label-twice", "removed-key"],
 )
 def test_tokenize_refuses_a_bad_stored_config(env, tmp_path, capsys, make_ckpt, named):
     ckpt = make_ckpt(tmp_path, env)
@@ -1305,7 +1364,7 @@ def test_main_pins_the_malloc_thresholds(monkeypatch):
 _FAULTS_CHILD = """
 import json, resource, sys
 from pathlib import Path
-from eeglm import cli, training
+from eeglm import checkpoint, cli, training
 mode, argv = sys.argv[1], sys.argv[2:]
 args = cli.build_parser().parse_args(argv)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -21,7 +21,7 @@ from eeglm import autodiff as ad, synth, training
 from eeglm.checkpoint import load_checkpoint, save_checkpoint
 from eeglm.config import parse_override, resolve_config
 from eeglm.errors import ConfigError, DataError, MontageError, UsageError
-from eeglm.optim import AdamW
+from eeglm.optim import AdamW, cosine_schedule
 from eeglm.quantizer import VectorQuantizer
 from eeglm.signal_io import WORK_FS, Recording, preprocess
 from eeglm.synth import make_dataset, make_recording, load_corpus
@@ -294,7 +294,9 @@ def test_resume_refuses_moments_of_another_trainable_set(tmp_path, data_dir, mon
         return real_groups(self, model) + [(lambda n: n.startswith("refiner."), 1.0)]
 
     monkeypatch.setattr(VqStage, "groups", groups_with_refiner)
-    with pytest.raises(DataError, match=r"optimizer state 'opt\.m': expected shape"):
+    # the trainable names are checked before either moment is read
+    another_set = r"optimizer state 'opt\.m' and 'opt\.v' were saved for another trainable set"
+    with pytest.raises(DataError, match=another_set):
         STAGE_RUNNERS["vq"](toy_cfg(data_dir, train={"epochs": 2}), run, resume=True)
     assert (run / "config.json").read_text() == config_before
     assert sorted(p.name for p in (run / "checkpoints").iterdir()) == ["epoch_0000"]
@@ -729,6 +731,29 @@ def test_resume_may_change_the_epochs_and_the_start_checkpoint(tmp_path, chain):
     cfg["train"]["epochs"] = 2
     cfg["train"]["init_from"] = str(root / "vq" / "checkpoints" / "epoch_0000")
     assert STAGE_RUNNERS["cpt"](cfg, run, resume=True)["steps"] == 8
+
+
+@pytest.mark.parametrize("stage", ["vq", "cpt", "sft"])
+def test_a_run_resumed_to_more_epochs_keeps_its_epochs_and_steps_on_the_longer_schedule(tmp_path, chain, stage):
+    # a 1-epoch run resumed to 2: epoch 0's checkpoint and rows keep their
+    # bytes, and epoch 1 steps at the lr of the 2-epoch schedule
+    _, *cfgs = chain
+    cfg = copy.deepcopy(dict(zip(("vq", "cpt", "sft"), cfgs))[stage])
+    run = tmp_path / "run"
+    cfg["train"]["epochs"] = 1
+    STAGE_RUNNERS[stage](cfg, run)
+    before = _files(run)
+    cfg["train"]["epochs"] = 2
+    summary = STAGE_RUNNERS[stage](cfg, run, resume=True)
+    after = _files(run)
+    assert summary["epochs"] == 2 and summary["steps"] == 8
+    assert json.loads(after["config.json"])["train"]["epochs"] == 2
+    kept = [name for name in before if name.startswith("checkpoints/epoch_0000/")]
+    assert len(kept) == 2 and all(after[name] == before[name] for name in kept)
+    assert after["metrics.csv"].startswith(before["metrics.csv"])
+    _, rows = read_metrics(run / "metrics.csv")
+    lr = [cosine_schedule(step, 8, cfg["optimizer"]["lr"], **cfg["schedule"]) for step in range(4, 8)]
+    assert [row[-1] for row in rows[4:]] == lr
 
 
 def test_find_latest_skips_incomplete_checkpoints(tmp_path, data_dir):
