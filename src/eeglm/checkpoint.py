@@ -91,6 +91,9 @@ def load_checkpoint(path: str | Path) -> tuple[Entries, dict]:
     manifest = read_json_object(root / MANIFEST, DataError, "checkpoint manifest")
     if manifest.get("dtype", DTYPE) != DTYPE:  # a manifest without one was written as <f4
         raise DataError(f"checkpoint {root}: dtype {manifest['dtype']!r}, not {DTYPE!r}")
+    meta = manifest.get("meta", {})
+    if not isinstance(meta, dict):
+        raise DataError(f"checkpoint {root}: meta {meta!r} is not a JSON object")
     try:
         weights = open(root / WEIGHTS, "rb", buffering=0)
     except OSError as e:
@@ -100,7 +103,7 @@ def load_checkpoint(path: str | Path) -> tuple[Entries, dict]:
     except BaseException:
         weights.close()
         raise
-    return Entries(weights, index), manifest.get("meta", {})
+    return Entries(weights, index), meta
 
 
 def _index(root: Path, params, size: int) -> dict[str, tuple[list[int], int]]:

@@ -91,6 +91,7 @@ def cmd_tokenize(args, cfg: dict) -> int:
     model, _ = load_model(args.checkpoint)
     rec = load_container(args.container)
     tokens, _ = model.tokenize_recording(rec)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_tokens(args.out, [tokens], model.quantizer.cfg.num_codes)
     print(f"wrote {tokens.indices.size} tokens ({tokens.channels}x{tokens.patches}) to {args.out}")
     return 0

@@ -74,6 +74,10 @@ def make_dataset(
         class_tone(label)
     channels = get_montage(montage).labels
     root = Path(out_dir)
+    if root.is_dir() and any(
+        p.name in (LABELS_FILE, DATASET_MANIFEST) or (p / "manifest.json").is_file() for p in root.iterdir()
+    ):
+        raise ConfigError(f"{root} already holds a dataset: synth into an --out that holds none")
     root.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     names, labels = [], []

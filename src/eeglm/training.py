@@ -573,6 +573,13 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
         kind = f"a {want}" if want else "no"
         raise ConfigError(f"{spec.name} stage must start from {kind} checkpoint ({where}), got {got}")
     if resumed:
+        for key in ("epoch", "step"):
+            if not (type(meta.get(key)) is int and meta[key] >= 0):
+                raise DataError(f"checkpoint {source}: meta {key!r} is {meta.get(key)!r}, not an int >= 0")
+        if not isinstance(meta.get("epoch_avg_loss"), list):
+            raise DataError(
+                f"checkpoint {source}: meta 'epoch_avg_loss' is {meta.get('epoch_avg_loss')!r}, not a list"
+            )
         stored = meta["config"] if isinstance(meta.get("config"), dict) else {}
         stored, now = ({k: json.dumps(v) for k, v in leaves(c)} for c in (stored, cfg))
         changed = sorted({k for k, _ in stored.items() ^ now.items()} - set(RESUMABLE_KEYS))
@@ -597,7 +604,7 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
         opt.load_state(meta, arrays)
         spec.resume(model, meta)
         start_epoch, step, last = meta["epoch"] + 1, meta["step"], meta
-        epoch_avgs = list(meta.get("epoch_avg_loss", []))
+        epoch_avgs = list(meta["epoch_avg_loss"])
     del arrays  # the entries' index and open weights.bin: the stage has copied what it needs
     # a run refused on its data (montage, labels, profiles) writes nothing
     items = spec.prepare(model, corpus)

@@ -7,11 +7,13 @@ import ctypes
 import json
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -22,12 +24,13 @@ from eeglm import checkpoint, cli, training
 from eeglm.checkpoint import load_checkpoint, save_checkpoint
 from eeglm.cli import ATTN_HEADER, main
 from eeglm.config import DEFAULTS
-from eeglm.errors import DataError
 from eeglm.evaluate import BINARY_METRICS
 from eeglm.profiler import StubClient
 from eeglm.signal_io import Recording, load_container, save_container
 from eeglm.synth import make_dataset
 from eeglm.training import load_model, profile_recording
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TOY_CONFIG = {
     "data": {"montage": "synthetic-2", "classes": ["class-a", "class-b"]},
@@ -81,7 +84,9 @@ def env(tmp_path_factory):
         "root": root,
         "data": data,
         "eval_data": eval_data,
+        "sample": data / "sample_0000",
         "ckpt_vq": ckpt_vq,
+        "ckpt_cpt": ckpt_cpt,
         "ckpt_sft": runs["sft"] / "checkpoints" / "epoch_0000",
         "runs": runs,
     }
@@ -108,191 +113,15 @@ def test_synth_layout_seed_and_determinism(env, tmp_path):
     ).read_bytes()
 
 
-@pytest.mark.parametrize("flag", ["--fs", "--seconds", "--noise"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_synth_refuses_a_non_finite_setting_and_writes_nothing(tmp_path, capsys, flag, value):
-    out = tmp_path / "ds"
-    rc = main(["--out", str(out), "synth", "--per-class", "1", "--montage", "synthetic-2",
-               flag, value])
-    assert rc == 2
-    assert f"{flag[2:]} must be finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
-    "flags, named",
-    [
-        (["--fs", "-200", "--seconds", "-2"], "fs must be finite and > 0"),
-        (["--fs", "0"], "fs must be finite and > 0"),
-        (["--seconds", "0"], "seconds must be finite and > 0"),
-        (["--seconds", "-2"], "seconds must be finite and > 0"),
-        (["--noise", "-1"], "noise must be finite and >= 0"),
-        (["--fs", "1", "--seconds", "0.4"], "yields 0.4 samples, not at least one"),
-    ],
-    ids=["negative-product", "fs-zero", "seconds-zero", "seconds-negative", "noise-negative", "no-sample"],
+    "overrides", [list(recipe.SET), ["--set", "optimizer.lr=1"], ["--set", "train.init_from=null"]],
+    ids=["recipe", "an-int-for-a-float", "init-from-null"],
 )
-def test_synth_refuses_a_setting_out_of_range_and_writes_nothing(tmp_path, capsys, flags, named):
-    out = tmp_path / "ds"
-    rc = main(["--out", str(out), "synth", "--per-class", "1", "--montage", "synthetic-2", *flags])
-    assert rc == 2
-    assert named in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_synth_refuses_a_class_with_no_tone_and_writes_nothing(tmp_path, capsys):
-    out = tmp_path / "ds"
-    rc = main(["--out", str(out), "--set", 'data.classes=["class-a","theta-burst"]',
-               "synth", "--per-class", "1", "--montage", "synthetic-2"])
-    assert rc == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: unknown class 'theta-burst'")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["synth", "train"])
-def test_a_label_listed_twice_in_data_classes_exits_2_and_writes_nothing(env, tmp_path, capsys, command):
-    out = tmp_path / "out"
-    args = {
-        "synth": ["synth", "--per-class", "1", "--montage", "synthetic-2"],
-        "train": ["train", "--stage", "vq", "--data", str(env["data"]), "--epochs", "1"],
-    }[command]
-    rc = main(env["base"] + ["--set", 'data.classes=["class-a","class-b","class-a"]',
-                             "--out", str(out), *args])
-    assert rc == 2
-    assert "data.classes names the label 'class-a' twice" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_synth_needs_out(env, capsys):
-    assert main(env["base"] + ["synth"]) == 2
-    assert "--out" in capsys.readouterr().err
-
-
-def test_unknown_override_exits_2(env, tmp_path):
-    rc = main(["--out", str(tmp_path / "x"), "--set", "nope=1", "synth"])
-    assert rc == 2
-
-
-def test_unknown_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize(
-    "overrides, code",
-    [
-        (["--set", 'train.epochs="abc"'], 2),
-        (["--set", "optimizer.lr=null"], 2),
-        (["--set", "train.epochs=2.5"], 2),
-        (["--set", "train.epochs=true"], 2),  # bool is never a number
-        (["--set", 'train.lambda_orth="a"'], 2),
-        (["--set", 'optimizer.betas="x"'], 2),
-        (["--set", "optimizer.betas=[0.9]"], 2),
-        (["--set", "optimizer.betas=[0.9, true]"], 2),
-        (["--set", "data.classes=[1, 2]"], 2),
-        (["--set", "data.montage=4"], 2),
-        (list(recipe.SET), 0),
-        (["--set", "optimizer.lr=1"], 0),  # an int stands for a float
-        (["--set", "train.init_from=null"], 0),
-    ],
-)
-def test_config_values_need_their_defaults_type(tmp_path, overrides, code):
+def test_config_values_of_their_defaults_type_are_taken(tmp_path, overrides):
     rc = main(overrides + [
         "--out", str(tmp_path / "ds"), "synth", "--per-class", "1", "--montage", "synthetic-2",
     ])
-    assert rc == code
-
-
-def _montage_without_zone(root):
-    path = root / "montage.json"
-    path.write_text(json.dumps({"labels": ["A"], "assignments": {"A": {"band": "central"}}}))
-    return ["synth", "--per-class", "1", "--montage", str(path)]
-
-
-def _container_with_bad_samples(root):
-    make_dataset(root / "ds", n_per_class=1, classes=("class-a",), montage="synthetic-2", seed=0)
-    manifest = root / "ds" / "sample_0000" / "manifest.json"
-    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "samples": "many"}))
-    return ["preprocess", str(manifest.parent)]
-
-
-def _checkpoint_manifest(edit):
-    def build(root, env):
-        ckpt = root / "ckpt"
-        arrays, meta = load_checkpoint(env["ckpt_vq"])
-        save_checkpoint(ckpt, arrays, meta)
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        (ckpt / "manifest.json").write_text(json.dumps(edit(manifest)))
-        return ["train", "--stage", "cpt", "--data", str(env["data"]), "--init-from", str(ckpt)]
-
-    return build
-
-
-def _drop_first_offset(manifest):
-    del manifest["params"][0]["offset"]
-    return manifest
-
-
-def _negative_first_offset(manifest):
-    manifest["params"][0]["offset"] = -4
-    return manifest
-
-
-@pytest.mark.parametrize(
-    "make_args",
-    [
-        lambda root, env: _montage_without_zone(root),
-        lambda root, env: _container_with_bad_samples(root),
-        _checkpoint_manifest(lambda manifest: [manifest]),
-        _checkpoint_manifest(_drop_first_offset),
-        _checkpoint_manifest(_negative_first_offset),
-    ],
-    ids=["montage-without-zone", "samples-not-a-number", "manifest-is-a-list",
-         "entry-without-offset", "negative-offset"],
-)
-def test_malformed_json_files_exit_3(env, tmp_path, capsys, make_args):
-    args = make_args(tmp_path, env)
-    assert main(env["base"] + ["--out", str(tmp_path / "out")] + args) == 3
-    assert str(tmp_path) in capsys.readouterr().err  # the message names the file
-
-
-def _montage_file(payload):
-    def build(root):
-        path = root / "montage.json"
-        path.write_text(json.dumps(payload))
-        return ["synth", "--per-class", "1", "--montage", str(path)]
-
-    return build
-
-
-def _container_manifest(edit):
-    def build(root):
-        make_dataset(root / "ds", n_per_class=1, classes=("class-a",), montage="synthetic-2", seed=0)
-        manifest = root / "ds" / "sample_0000" / "manifest.json"
-        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
-        return ["preprocess", str(manifest.parent)]
-
-    return build
-
-
-_TWO_ASSIGNED = {"A": {"band": "central", "zone": "left"}, "B": {"band": "central", "zone": "right"}}
-
-
-@pytest.mark.parametrize(
-    "make_args",
-    [
-        _montage_file({"labels": "AB", "assignments": _TWO_ASSIGNED}),
-        _montage_file(["labels", "assignments"]),
-        _container_manifest(lambda manifest: {**manifest, "channels": "AB"}),
-        _container_manifest(list),  # a JSON array of the manifest's key names
-    ],
-    ids=["montage-labels-a-string", "montage-is-a-list", "channels-a-string", "manifest-is-a-list"],
-)
-def test_montage_and_container_files_need_objects_and_lists(env, tmp_path, capsys, make_args):
-    args = make_args(tmp_path)
-    assert main(env["base"] + ["--out", str(tmp_path / "out")] + args) == 3
-    assert str(tmp_path) in capsys.readouterr().err  # the message names the file
+    assert rc == 0
 
 
 # -- preprocess ---------------------------------------------------------------
@@ -325,120 +154,30 @@ def test_preprocess_notch_zero_disables(env, tmp_path):
     assert json.loads((out / "manifest.json").read_text())["provenance"]["notch"] is None
 
 
-def test_preprocess_csv_requires_rate(env, tmp_path):
-    csv_path = tmp_path / "rec.csv"
-    t = np.arange(500) / 250.0
-    with open(csv_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "X0", "X1"])
-        for i, ti in enumerate(t):
-            w.writerow([ti, np.sin(ti * 20), np.cos(ti * 20)])
-    assert main(env["base"] + ["--out", str(tmp_path / "o1"), "preprocess", str(csv_path)]) == 2
-    assert main(env["base"] + [
-        "--out", str(tmp_path / "o2"), "preprocess", str(csv_path), "--fs", "250",
-    ]) == 0
-
-
-def test_preprocess_nonfinite_csv_exits_3(env, tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("t,X0\n0.0,1.0\n0.004,nan\n")
-    rc = main(env["base"] + ["--out", str(tmp_path / "o"), "preprocess", str(bad), "--fs", "250"])
-    assert rc == 3
-
-
-def _container_with_fs(fs, command):
-    def build(root, env):
-        sample = root / "sample"
-        shutil.copytree(env["data"] / "sample_0000", sample)
-        manifest = sample / "manifest.json"
-        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "fs": fs}))
-        if command == "profile":
-            return ["profile", "--container", str(sample)]
-        return ["preprocess", str(sample)]
-
-    return build
-
-
-def _csv_with(*flags):
-    def build(root, env):
-        path = root / "rec.csv"
-        rows = (f"{i / 250},{np.sin(i / 10)},{np.cos(i / 10)}\n" for i in range(500))
-        path.write_text("t,X0,X1\n" + "".join(rows))
-        return ["preprocess", str(path), *flags]
-
-    return build
-
-
-@pytest.mark.parametrize(
-    "make_args, code",
-    [
-        (_container_with_fs(float("nan"), "preprocess"), 3),
-        (_container_with_fs(float("inf"), "preprocess"), 3),
-        (_container_with_fs(float("nan"), "profile"), 3),
-        (_container_with_fs(float("inf"), "profile"), 3),
-        (_csv_with("--fs", "nan"), 3),
-        (_csv_with("--fs", "inf"), 3),
-        (_csv_with("--fs", "250", "--target-fs", "nan"), 2),
-        (_csv_with("--fs", "250", "--target-fs", "inf"), 2),
-    ],
-    ids=["manifest-nan-preprocess", "manifest-inf-preprocess", "manifest-nan-profile",
-         "manifest-inf-profile", "csv-fs-nan", "csv-fs-inf", "target-fs-nan", "target-fs-inf"],
-)
-def test_nonfinite_sampling_rate_exits_with_its_code(env, tmp_path, capsys, make_args, code):
-    args = make_args(tmp_path, env)
-    assert main(env["base"] + ["--out", str(tmp_path / "out")] + args) == code
-    assert "sampling rate must be positive and finite" in capsys.readouterr().err
-
-
-def _container_at(root: Path, fs: float, samples: int) -> Path:
-    data = np.random.default_rng(0).standard_normal((2, samples))
-    save_container(Recording(channels=("X0", "X1"), fs=fs, data=data), root / "rec")
-    return root / "rec"
-
-
-@pytest.mark.parametrize("fs", [1e12, 3e5])
-def test_preprocess_refuses_a_rate_ratio_no_fraction_holds(env, tmp_path, capsys, fs):
-    # 200/1e12 has no fraction with a denominator up to 1000 but 0; 200/3e5
-    # = 1/1500 would be held as 1/1000, resampled to 300 Hz and labelled 200
-    sample = _container_at(tmp_path, fs, 60_000)
+def test_preprocess_reads_a_csv_at_the_rate_fs_gives(env, tmp_path):
+    _case(env, tmp_path, CSV)
     out = tmp_path / "out"
-    assert main(env["base"] + ["--out", str(out), "preprocess", str(sample)]) == 3
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert f"fs={fs} Hz" in err and "to 200.0 Hz" in err
-    assert not out.exists()
+    assert main(env["base"] + ["--out", str(out), "preprocess", str(tmp_path / "rec.csv"), "--fs", "250"]) == 0
+    assert load_container(out).fs == 200.0
 
 
 def test_preprocess_holds_173_61_hz_as_1061_over_921(env, tmp_path):
     # 200/173.61 = 1.1520074; 1061/921 = 1.1520087 is within 1.2e-6 of it
-    sample = _container_at(tmp_path, 173.61, 1042)
+    _case(env, tmp_path, recording("{case}/rec", 173.61, 1042))
     out = tmp_path / "out"
-    assert main(env["base"] + ["--out", str(out), "preprocess", str(sample)]) == 0
+    assert main(env["base"] + ["--out", str(out), "preprocess", str(tmp_path / "rec")]) == 0
     rec = load_container(out)
     assert rec.fs == 200.0
     assert rec.n_samples == 1200  # floor(1042 * 200 / 173.61)
 
 
-def test_preprocess_refuses_a_one_sample_recording(env, tmp_path, capsys):
-    # the resampler extends past both ends along the line through the first
-    # and last samples; one sample has no such line, which is no filter fault
-    sample = _container_at(tmp_path, 100.0, 1)
-    out = tmp_path / "out"
-    assert main(env["base"] + ["--out", str(out), "preprocess", str(sample)]) == 3
-    err = capsys.readouterr().err
-    assert "1-sample recording at fs=100.0 Hz" in err
-    assert "filter" not in err
-    assert not out.exists()
-
-
 def test_preprocess_resamples_two_samples_at_100_hz_to_four(env, tmp_path):
-    sample = _container_at(tmp_path, 100.0, 2)
+    _case(env, tmp_path, recording("{case}/rec", 100.0, 2))
     out = tmp_path / "out"
-    assert main(env["base"] + ["--out", str(out), "preprocess", str(sample)]) == 0
+    assert main(env["base"] + ["--out", str(out), "preprocess", str(tmp_path / "rec")]) == 0
     rec = load_container(out)
     assert (rec.fs, rec.n_samples) == (200.0, 4)
     assert np.isfinite(rec.data).all()
-
 
 
 # -- tokenize -----------------------------------------------------------------
@@ -461,150 +200,14 @@ def test_tokenize_output_and_determinism(env, tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-def test_tokenize_montage_mismatch_exits_3(env, tmp_path):
-    other = tmp_path / "wide"
-    make_dataset(other, n_per_class=1, classes=("class-a",), montage="synthetic-3", seed=0)
-    rc = main(env["base"] + [
-        "--out", str(tmp_path / "t.tok"), "tokenize",
-        "--container", str(other / "sample_0000"), "--checkpoint", str(env["ckpt_vq"]),
-    ])
-    assert rc == 3
-
-
-def test_corrupt_checkpoint_exits_5(env, tmp_path):
-    arrays, meta = load_checkpoint(env["ckpt_vq"])
-    arrays = dict(arrays)
-    name = next(n for n in arrays if n.startswith("encoder."))
-    arrays[name] = np.full_like(arrays[name], np.nan)
-    broken = tmp_path / "broken"
-    save_checkpoint(broken, arrays, meta)
-    rc = main(env["base"] + [
-        "--out", str(tmp_path / "t.tok"), "tokenize",
-        "--container", str(env["data"] / "sample_0000"), "--checkpoint", str(broken),
-    ])
-    assert rc == 5
-
-
-def _edited_checkpoint(root: Path, ckpt: Path, edit) -> Path:
-    """A copy of `ckpt` under `root` whose manifest `edit` has changed."""
-    copy = root / "ckpt"
-    shutil.copytree(ckpt, copy)
-    manifest = json.loads((copy / "manifest.json").read_text())
-    edit(manifest)
-    (copy / "manifest.json").write_text(json.dumps(manifest))
-    return copy
-
-
-def _with_shape(root: Path, ckpt: Path, shape) -> Path:
-    return _edited_checkpoint(root, ckpt, lambda manifest: manifest["params"][0].update(shape=shape))
-
-
-# each once read as a (2, 5) array or ended in a numpy traceback
-@pytest.mark.parametrize(
-    "shape",
-    [[2, -3], [-2, -3], "ab", [2.5, 2], [[2], 3], [True, 2], 6],
-    ids=["negative", "all-negative", "string", "float", "nested", "bool", "scalar"],
-)
-def test_malformed_manifest_shape_is_refused(env, tmp_path, shape):
-    with pytest.raises(DataError, match="shape"):
-        load_checkpoint(_with_shape(tmp_path, env["ckpt_vq"], shape))
-
-
-# each once read as weights: garbage, or another entry's bytes for "4"
-@pytest.mark.parametrize("offset", [2.5, True, 1, "4"], ids=["float", "bool", "unaligned", "string"])
-def test_malformed_manifest_offset_is_refused(env, tmp_path, offset):
-    ckpt = _edited_checkpoint(tmp_path, env["ckpt_vq"], lambda manifest: manifest["params"][1].update(offset=offset))
-    with pytest.raises(DataError, match="offset"):
-        load_checkpoint(ckpt)
-
-
-@pytest.mark.parametrize("dtype", ["<f8", ">f4", None], ids=["float64", "big-endian", "null"])
-def test_a_manifest_dtype_other_than_little_endian_float32_is_refused(env, tmp_path, dtype):
-    ckpt = _edited_checkpoint(tmp_path, env["ckpt_vq"], lambda manifest: manifest.update(dtype=dtype))
-    with pytest.raises(DataError, match="dtype") as refused:
-        load_checkpoint(ckpt)
-    assert refused.value.exit_code == 3
-
-
-def test_tokenize_with_a_malformed_manifest_shape_exits_3(env, tmp_path, capsys):
-    rc = main(env["base"] + [
-        "--out", str(tmp_path / "t.tok"), "tokenize",
-        "--container", str(env["data"] / "sample_0000"),
-        "--checkpoint", str(_with_shape(tmp_path, env["ckpt_vq"], [2, -3])),
-    ])
-    assert rc == 3
-    assert "not a list of sizes" in capsys.readouterr().err
-    assert not (tmp_path / "t.tok").exists()
-
-
-def _second_entry_at_anothers_offset(manifest):
-    # later entries once won, so the positions read the feed-forward's bytes
-    entries = {e["name"]: e for e in manifest["params"]}
-    second = dict(entries["encoder.positions.table"])
-    second["offset"] = entries["encoder.global_blocks.0.ffn.fc1.w"]["offset"]
-    manifest["params"].append(second)
-
-
-def _entry_at_the_offset_of_the_one_before(manifest):
-    entries = {e["name"]: e for e in manifest["params"]}
-    block1 = entries["encoder.global_blocks.1.ffn.fc1.w"]
-    block1["offset"] = entries["encoder.global_blocks.0.ffn.fc1.w"]["offset"]
-
-
-# each once loaded without complaint, and the first two changed the report
-@pytest.mark.parametrize(
-    "edit, trailing, named",
-    [
-        (_second_entry_at_anothers_offset, 0, "lists entry 'encoder.positions.table' twice"),
-        (_entry_at_the_offset_of_the_one_before, 0,
-         "entry 'encoder.global_blocks.1.ffn.fc1.w' has offset"),
-        (lambda manifest: None, 8, "but its last entry 'opt.v' ends at byte"),
-    ],
-    ids=["duplicate-name", "overlapping-entries", "extra-bytes"],
-)
-def test_eval_refuses_entries_that_do_not_tile_the_weights(env, tmp_path, capsys, edit, trailing, named):
-    ckpt = _edited_checkpoint(tmp_path, env["ckpt_sft"], edit)
-    with open(ckpt / "weights.bin", "ab") as weights:
-        weights.write(bytes(trailing))
-    out = tmp_path / "ev"
-    rc = main(env["base"] + [
-        "--out", str(out), "eval", "--checkpoint", str(ckpt), "--data", str(env["eval_data"]),
-    ])
-    assert rc == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: checkpoint {ckpt}: ") and named in err[0]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "out, args",
-    [
-        ("file", ["eval", "--checkpoint", "{ckpt_sft}", "--data", "{eval_data}"]),
-        ("file", ["train", "--stage", "vq", "--data", "{data}"]),
-        ("file/ds", ["synth", "--per-class", "1", "--montage", "synthetic-2"]),
-    ],
-    ids=["eval", "train", "synth"],
-)
-def test_an_out_through_an_existing_file_exits_2_before_any_work(env, tmp_path, capsys, out, args):
-    # each once ended in a traceback with exit 1, eval and train after their work
-    (tmp_path / "file").write_text("kept\n")
-    argv = [a.format(**env) for a in args]
-    assert main(env["base"] + ["--out", str(tmp_path / out), *argv]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: --out {tmp_path / out}: {tmp_path / 'file'} exists and is not a directory"]
-    assert (tmp_path / "file").read_text() == "kept\n"
-    assert sorted(tmp_path.iterdir()) == [tmp_path / "file"]
-
-
-def test_a_file_out_that_is_a_directory_exits_2(env, tmp_path, capsys):
-    # once a traceback with exit 1 after the tokens were computed
-    rc = main(env["base"] + [
-        "--out", str(tmp_path), "tokenize",
-        "--container", str(env["data"] / "sample_0000"), "--checkpoint", str(env["ckpt_vq"]),
-    ])
-    assert rc == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: --out {tmp_path} is a directory, not a file"]
-    assert list(tmp_path.iterdir()) == []
+def test_tokenize_makes_the_directories_of_a_nested_out(env, tmp_path):
+    # once a traceback with exit 1, after the model had run
+    outs = [tmp_path / "t.tok", tmp_path / "a" / "b" / "t.tok"]
+    for out in outs:
+        assert main(env["base"] + [
+            "--out", str(out), "tokenize", "--container", str(env["sample"]), "--checkpoint", str(env["ckpt_vq"]),
+        ]) == 0
+    assert outs[1].read_bytes() == outs[0].read_bytes()
 
 
 # -- profile ------------------------------------------------------------------
@@ -639,39 +242,6 @@ def test_profile_command_matches_profile_recording(env, tmp_path):
     record = json.loads((out / "profile.json").read_text())
     assert record.pop("_retries") == result.retries
     assert record == result.profile.to_dict()
-
-
-def test_profile_label_leak_exits_2(env, tmp_path, capsys):
-    rc = main(env["base"] + [
-        "--out", str(tmp_path / "p"),
-        "--set", "data.task_description=tell class-a from the rest",
-        "profile", "--container", str(env["data"] / "sample_0000"),
-    ])
-    assert rc == 2
-    assert "leak" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("fs", [0.2, 0.25])
-def test_profile_at_a_rate_with_an_empty_welch_segment_exits_2(env, tmp_path, capsys, fs):
-    # 2 s at these rates rounds to a 0-sample Welch segment
-    sample = tmp_path / "sample"
-    shutil.copytree(env["data"] / "sample_0000", sample)
-    manifest = sample / "manifest.json"
-    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "fs": fs}))
-    out = tmp_path / "p"
-    rc = main(env["base"] + ["--out", str(out), "profile", "--container", str(sample)])
-    assert rc == 2
-    assert "Welch segment" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_profile_unreachable_endpoint_exits_4(env, tmp_path):
-    rc = main(env["base"] + [
-        "--out", str(tmp_path / "p"),
-        "--set", "llm.mode=http", "--set", "llm.endpoint=http://127.0.0.1:9/v1",
-        "profile", "--container", str(env["data"] / "sample_0000"),
-    ])
-    assert rc == 4
 
 
 # -- train / eval -------------------------------------------------------------
@@ -743,21 +313,6 @@ def test_train_resume_reads_each_checkpoint_entry_once(env, tmp_path, monkeypatc
     assert sorted(reads) == sorted(names)
 
 
-@pytest.mark.parametrize("init_from", ["does/not/exist", "vq-checkpoint"])
-def test_a_fresh_vq_run_refuses_init_from_and_writes_nothing(env, tmp_path, capsys, init_from):
-    # vq has no parent stage; a resumed run may still change train.init_from
-    init_from = str(env["ckpt_vq"]) if init_from == "vq-checkpoint" else init_from
-    run = tmp_path / "run"
-    argv = env["base"] + ["--out", str(run), "train", "--stage", "vq", "--data", str(env["data"])]
-    assert main(argv + ["--epochs", "1", "--init-from", init_from]) == 2
-    err = capsys.readouterr().err
-    assert f"vq stage must start from no checkpoint (train.init_from), got {init_from}" in err
-    assert not run.exists()
-    assert main(argv + ["--epochs", "1"]) == 0
-    assert main(argv + ["--epochs", "2", "--init-from", init_from, "--resume"]) == 0
-    assert json.loads((run / "config.json").read_text())["train"]["init_from"] == init_from
-
-
 def _old_layout(ckpt: Path, out: Path) -> Path:
     """`ckpt` written to `out` as checkpoints were laid out before the moments
     were stored flat: one `opt.m/<name>` and one `opt.v/<name>` entry per
@@ -775,20 +330,6 @@ def _old_layout(ckpt: Path, out: Path) -> Path:
     save_checkpoint(out, arrays, meta)
     assert (out / "weights.bin").read_bytes() == weights
     return out
-
-
-def test_resume_from_an_old_layout_checkpoint_exits_3_and_changes_nothing(env, tmp_path, capsys):
-    run = tmp_path / "run"
-    argv = env["base"] + ["--out", str(run), "train", "--stage", "vq", "--data", str(env["data"])]
-    assert main(argv + ["--epochs", "1"]) == 0
-    ckpt = run / "checkpoints" / "epoch_0000"
-    _old_layout(ckpt, ckpt)
-    before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
-    capsys.readouterr()
-    assert main(argv + ["--epochs", "2", "--resume"]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "optimizer state 'opt.m'" in err[0]
-    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
 
 def test_old_layout_checkpoints_still_start_a_stage_and_serve_every_reader(env, tmp_path):
@@ -820,34 +361,22 @@ def test_old_layout_checkpoints_still_start_a_stage_and_serve_every_reader(env, 
     assert old == new
 
 
-def test_train_keeps_one_run_per_directory_with_exit_2(env, tmp_path, capsys):
-    run = tmp_path / "run"
-    argv = env["base"] + ["--out", str(run), "train", "--stage", "vq", "--data", str(env["data"])]
-    assert main(argv + ["--epochs", "1"]) == 0
-    before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
-    capsys.readouterr()
-    assert main(argv + ["--epochs", "1"]) == 2
-    assert f"{run} already holds a run" in capsys.readouterr().err
-    assert main(["--set", "optimizer.lr=0.5"] + argv + ["--epochs", "2", "--resume"]) == 2
-    assert "but optimizer.lr differ" in capsys.readouterr().err
-    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+@pytest.mark.parametrize("init_from", ["does/not/exist", "{ckpt_vq}"], ids=["missing", "vq-checkpoint"])
+def test_a_resumed_vq_run_may_change_init_from(env, tmp_path, init_from):
+    # a fresh vq run refuses any train.init_from (rows vq-init-from-*); a resumed one never reads it
+    init_from = init_from.format(**env)
+    paths, run = _case(env, tmp_path, RUN), tmp_path / "run"
+    assert main(env["base"] + [*_args(paths, RESUME), "--init-from", init_from]) == 0
+    assert json.loads((run / "config.json").read_text())["train"]["init_from"] == init_from
+    assert (run / "checkpoints" / "epoch_0002" / "manifest.json").is_file()
 
 
-def test_resume_with_fewer_epochs_than_the_run_holds_exits_2_and_changes_nothing(
-    env, tmp_path, capsys
-):
-    run = tmp_path / "run"
-    argv = env["base"] + ["--out", str(run), "train", "--stage", "vq", "--data", str(env["data"])]
-    assert main(argv + ["--epochs", "2"]) == 0
-    before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
-    capsys.readouterr()
-    assert main(argv + ["--epochs", "1", "--resume"]) == 2
-    assert "asks for 1 epoch(s), fewer than the 2 that" in capsys.readouterr().err
-    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
-    # a finished run resumed with its own epochs writes its summary again, to the same bytes
+def test_a_finished_run_resumed_with_its_own_epochs_writes_the_same_bytes(env, tmp_path):
+    paths, run = _case(env, tmp_path, RUN), tmp_path / "run"
+    before = _tree(run)
     (run / "artifacts" / "summary.json").unlink()
-    assert main(argv + ["--epochs", "2", "--resume"]) == 0
-    assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+    assert main(env["base"] + [*_args(paths, VQ), "--epochs", "2", "--resume"]) == 0
+    assert _tree(run) == before
 
 
 def test_a_recording_that_vanishes_mid_run_exits_3_and_the_run_resumes(
@@ -882,139 +411,6 @@ def test_a_recording_that_vanishes_mid_run_exits_3_and_the_run_resumes(
     assert (run / "checkpoints" / "epoch_0001" / "manifest.json").is_file()
 
 
-def test_train_missing_data_exits_3(env, tmp_path):
-    rc = main(env["base"] + [
-        "--out", str(tmp_path / "run"), "train", "--stage", "vq",
-        "--data", str(tmp_path / "absent"),
-    ])
-    assert rc == 3
-
-
-def _foreign_argv(env, root, command):
-    """`command` run on a 3-channel dataset against the 2-channel config."""
-    data = root / "wide"
-    make_dataset(data, n_per_class=1, classes=("class-a", "class-b"), montage="synthetic-3", seed=0)
-    sample = str(data / "sample_0000")
-    ckpt_cpt = env["runs"]["cpt"] / "checkpoints" / "epoch_0000"
-    return {
-        "vq": ["train", "--stage", "vq", "--data", str(data)],
-        "cpt": ["train", "--stage", "cpt", "--data", str(data), "--init-from", str(env["ckpt_vq"])],
-        "sft": ["train", "--stage", "sft", "--data", str(data), "--init-from", str(ckpt_cpt)],
-        "eval": ["eval", "--checkpoint", str(env["ckpt_sft"]), "--data", str(data)],
-        "tokenize": ["tokenize", "--container", sample, "--checkpoint", str(env["ckpt_vq"])],
-        "profile": ["profile", "--container", sample],
-        "attn-export": ["attn-export", "--checkpoint", str(env["ckpt_sft"]), "--container", sample],
-    }[command]
-
-
-@pytest.mark.parametrize(
-    "command", ["vq", "cpt", "sft", "eval", "tokenize", "profile", "attn-export"]
-)
-def test_every_command_refuses_a_foreign_montage_with_exit_3(env, tmp_path, capsys, command):
-    out = tmp_path / "out"
-    rc = main(env["base"] + ["--out", str(out)] + _foreign_argv(env, tmp_path, command))
-    assert rc == 3
-    assert "do not match the montage" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("montage", ["file", "builtin-1020"])
-def test_train_vq_refuses_a_foreign_montage_and_writes_nothing(env, tmp_path, capsys, montage):
-    if montage == "file":
-        # as many channels as the data, under other names
-        montage = tmp_path / "montage.json"
-        montage.write_text(json.dumps({"labels": ["A", "B"], "assignments": _TWO_ASSIGNED}))
-    run = tmp_path / "run"
-    rc = main(env["base"] + [
-        "--set", f"data.montage={montage}",
-        "--out", str(run), "train", "--stage", "vq", "--data", str(env["data"]),
-    ])
-    assert rc == 3
-    assert "do not match the montage" in capsys.readouterr().err
-    assert not run.exists()
-
-
-def test_train_sft_refuses_a_foreign_label_before_tokenizing(env, tmp_path, capsys, monkeypatch):
-    from eeglm.training import PipelineModel
-
-    data = tmp_path / "data"
-    shutil.copytree(env["data"], data)
-    labels = (data / "labels.csv").read_text().splitlines()
-    name = labels[-1].split(",")[0]
-    (data / "labels.csv").write_text("\n".join(labels[:-1] + [f"{name},class-z"]) + "\n")
-    calls = []
-    real_tokenize = PipelineModel.tokenize_recording
-
-    def counting_tokenize(self, rec):
-        calls.append(rec)
-        return real_tokenize(self, rec)
-
-    monkeypatch.setattr(PipelineModel, "tokenize_recording", counting_tokenize)
-    run = tmp_path / "run"
-    rc = main(env["base"] + [
-        "--out", str(run), "train", "--stage", "sft", "--data", str(data),
-        "--init-from", str(env["runs"]["cpt"] / "checkpoints" / "epoch_0000"),
-    ])
-    assert rc == 3
-    assert f"'class-z' of sample {name!r} not in configured classes" in capsys.readouterr().err
-    assert calls == []
-    assert not run.exists()
-
-
-@pytest.mark.parametrize(
-    "override, heads",
-    [("encoder.n_heads=3", 3), ("refiner.n_heads=3", 3), ("backbone.n_heads=3", 3),
-     ("encoder.n_heads=0", 0)],
-)
-def test_train_refuses_heads_that_do_not_split_the_features(env, tmp_path, capsys, override, heads):
-    run = tmp_path / "run"
-    rc = main(env["base"] + [
-        "--out", str(run), "--set", override, "train", "--stage", "vq", "--data", str(env["data"]),
-    ])
-    assert rc == 2
-    assert f"not divisible by {heads} heads" in capsys.readouterr().err
-    assert not run.exists()
-
-
-# Each case ended in a traceback, trained without complaint, or failed (exit
-# 5) after writing its run directory before every number had its bound.
-OUT_OF_BOUNDS = [
-    ("vq", ["--set", "refiner.ffn_mult=-1"], "refiner.ffn_mult"),
-    ("vq", ["--seed", "-1"], "seed"),
-    ("vq", ["--set", "encoder.ffn_mult=0"], "encoder.ffn_mult"),
-    ("vq", ["--set", "optimizer.eps=-1"], "optimizer.eps"),
-    ("vq", ["--set", "optimizer.betas=[2,0.5]"], "optimizer.betas"),
-    ("vq", ["--set", "schedule.warmup_steps=-5"], "schedule.warmup_steps"),
-    ("vq", ["--set", "quantizer.beta=-1"], "quantizer.beta"),
-    ("vq", ["--set", "quantizer.revival_epochs=0"], "quantizer.revival_epochs"),
-    ("vq", ["--set", "backbone.max_len=0"], "backbone.max_len"),
-    ("vq", ["--set", "backbone.embed_dim=0"], "backbone.embed_dim"),
-    ("vq", ["--set", "lora.alpha=-3"], "lora.alpha"),
-    ("vq", ["--set", "train.star_lr_scale=-1"], "train.star_lr_scale"),
-    ("vq", ["--set", "optimizer.recon_lr_scale=0"], "optimizer.recon_lr_scale"),
-    ("vq", ["--set", "schedule.min_lr=-1"], "schedule.min_lr"),
-    ("vq", ["--set", "train.lambda_orth=Infinity"], "train.lambda_orth"),
-    ("vq", ["--set", "optimizer.lr=NaN"], "optimizer.lr"),
-    ("vq", ["--set", "optimizer.clip_norm=NaN"], "optimizer.clip_norm"),
-    ("vq", ["--set", "quantizer.beta=NaN"], "quantizer.beta"),
-    ("cpt", ["--set", "optimizer.betas=[0.9,1.0]"], "optimizer.betas"),
-]
-
-
-@pytest.mark.parametrize(
-    "stage, args, key", OUT_OF_BOUNDS, ids=[" ".join(a) for _, a, _ in OUT_OF_BOUNDS]
-)
-def test_train_refuses_config_values_outside_their_bounds(env, tmp_path, capsys, stage, args, key):
-    run = tmp_path / "run"
-    init = ["--init-from", str(env["ckpt_vq"])] if stage == "cpt" else []
-    rc = main(env["base"] + args + [
-        "--out", str(run), "train", "--stage", stage, "--data", str(env["data"]), *init,
-    ])
-    assert rc == 2
-    assert key in capsys.readouterr().err
-    assert not run.exists()
-
-
 def test_train_runs_with_every_zero_allowed_value_at_zero(env, tmp_path):
     zeros = ["--seed", "0"]
     for key in ("quantizer.beta", "optimizer.weight_decay", "schedule.warmup_steps",
@@ -1030,45 +426,21 @@ def test_train_runs_with_every_zero_allowed_value_at_zero(env, tmp_path):
     ]) == 0
 
 
-def _stored_config(edit):
-    def build(root, env):
-        return _edited_checkpoint(root, env["ckpt_vq"], lambda manifest: edit(manifest["meta"]["config"]))
-
-    return build
-
-
-@pytest.mark.parametrize(
-    "make_ckpt, named",
-    [
-        (_stored_config(lambda cfg: cfg["refiner"].update(ffn_mult=-1)), "refiner.ffn_mult"),
-        (_stored_config(lambda cfg: cfg["encoder"].update(embed_dim="x")), "encoder.embed_dim"),
-        (_stored_config(lambda cfg: cfg.update(quantizer=5)), "'quantizer'"),
-        (_stored_config(lambda cfg: cfg["encoder"].update(n_heads=3)), "3 heads"),
-        (_stored_config(lambda cfg: cfg["data"].update(classes=["class-a", "class-a"])),
-         "label 'class-a' twice"),
-        # a key of an earlier config, written by a checkpoint from before its removal
-        (_stored_config(lambda cfg: cfg["quantizer"].update(kmeans_warm_start=True)),
-         "unknown config key 'quantizer.kmeans_warm_start'"),
-    ],
-    ids=["out-of-bounds", "mistyped", "table-a-number", "heads-do-not-split", "label-twice", "removed-key"],
-)
-def test_tokenize_refuses_a_bad_stored_config(env, tmp_path, capsys, make_ckpt, named):
-    ckpt = make_ckpt(tmp_path, env)
-    rc = main(env["base"] + [
-        "--out", str(tmp_path / "t.tok"), "tokenize",
-        "--container", str(env["data"] / "sample_0000"), "--checkpoint", str(ckpt),
-    ])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert str(ckpt) in err and named in err
-    assert not (tmp_path / "t.tok").exists()
+def test_train_sft_checks_its_labels_before_it_tokenizes(env, tmp_path, monkeypatch):
+    # the refusal itself is the row sft-foreign-label
+    calls = []
+    real_tokenize = training.PipelineModel.tokenize_recording
+    monkeypatch.setattr(training.PipelineModel, "tokenize_recording",
+                        lambda model, rec: calls.append(rec) or real_tokenize(model, rec))
+    paths = _case(env, tmp_path, *FOREIGN_LABEL)
+    assert main(env["base"] + _args(paths, SFT_FOREIGN_LABEL)) == 3
+    assert calls == []
 
 
 def test_stored_config_missing_keys_take_the_defaults(env, tmp_path):
-    def drop(cfg):
-        del cfg["refiner"]["n_heads"], cfg["quantizer"]["revival_epochs"]
-
-    model, _ = load_model(_stored_config(drop)(tmp_path, env))
+    _case(env, tmp_path, CKPT_VQ, edit(MANIFEST, ("meta", "config", "refiner", "n_heads"), DELETE),
+          edit(MANIFEST, ("meta", "config", "quantizer", "revival_epochs"), DELETE))
+    model, _ = load_model(tmp_path / "ckpt")
     assert model.cfg["refiner"]["n_heads"] == DEFAULTS["refiner"]["n_heads"]
     assert model.refiner.cfg.n_heads == DEFAULTS["refiner"]["n_heads"]
     assert model.quantizer.cfg.revival_epochs == DEFAULTS["quantizer"]["revival_epochs"]
@@ -1076,37 +448,14 @@ def test_stored_config_missing_keys_take_the_defaults(env, tmp_path):
 
 def test_init_from_reads_a_checkpoint_whose_config_holds_a_removed_key(env, tmp_path):
     # --init-from reads the weights and the stage, not the stored config
-    old = _stored_config(lambda cfg: cfg["quantizer"].update(kmeans_warm_start=True))
+    _case(env, tmp_path, CKPT_VQ, edit(MANIFEST, ("meta", "config", "quantizer", "kmeans_warm_start"), True))
     rc = main(env["base"] + [
         "--out", str(tmp_path / "cpt"), "train", "--stage", "cpt", "--data", str(env["data"]),
-        "--init-from", str(old(tmp_path, env)), "--epochs", "1",
+        "--init-from", str(tmp_path / "ckpt"), "--epochs", "1",
     ])
     assert rc == 0
     weights = Path("checkpoints", "epoch_0000", "weights.bin")
     assert (tmp_path / "cpt" / weights).read_bytes() == (env["runs"]["cpt"] / weights).read_bytes()
-
-
-# each a switch of an earlier config whose one value in use became a constant
-REMOVED_KEYS = ["quantizer.kmeans_warm_start", "train.class_balancing", "backbone.tied_head"]
-
-
-@pytest.mark.parametrize("key", REMOVED_KEYS)
-@pytest.mark.parametrize("command", ["eval", "attn-export"])
-def test_sft_checkpoint_whose_config_holds_a_removed_key_is_refused(env, tmp_path, capsys, command, key):
-    section, name = key.split(".")
-    ckpt = _edited_checkpoint(
-        tmp_path, env["ckpt_sft"], lambda manifest: manifest["meta"]["config"][section].update({name: True})
-    )
-    out = tmp_path / "out"
-    source = ["--data", str(env["eval_data"])] if command == "eval" else [
-        "--container", str(env["data"] / "sample_0000")
-    ]
-    rc = main(env["base"] + ["--out", str(out), command, "--checkpoint", str(ckpt)] + source)
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert str(ckpt) in err and f"unknown config key '{key}'" in err
-    assert not out.exists()
-
 
 
 def test_eval_report_shape(env, tmp_path, capsys):
@@ -1120,44 +469,6 @@ def test_eval_report_shape(env, tmp_path, capsys):
     report = json.loads((tmp_path / "ev" / "report.json").read_text())
     assert report["n_samples"] == 4
     assert report["metrics"] == printed["metrics"]
-
-
-def test_eval_refuses_a_labels_file_that_names_a_sample_twice(env, tmp_path, capsys):
-    data = tmp_path / "data"
-    shutil.copytree(env["eval_data"], data)
-    with open(data / "labels.csv", "a") as f:
-        f.write("sample_0000,class-b\n")
-    out = tmp_path / "ev"
-    rc = main(env["base"] + [
-        "--out", str(out), "eval", "--checkpoint", str(env["ckpt_sft"]), "--data", str(data),
-    ])
-    assert rc == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert str(data / "labels.csv") in err[0] and "'sample_0000' twice" in err[0]
-    assert not out.exists()
-
-
-def test_eval_refuses_a_label_row_without_a_container(env, tmp_path, capsys):
-    data = tmp_path / "data"
-    shutil.copytree(env["eval_data"], data)
-    shutil.rmtree(data / "sample_0003")
-    out = tmp_path / "ev"
-    rc = main(env["base"] + [
-        "--out", str(out), "eval", "--checkpoint", str(env["ckpt_sft"]), "--data", str(data),
-    ])
-    assert rc == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert f"label file {data / 'labels.csv'} names sample 'sample_0003' on line 5" in err[0]
-    assert not out.exists()
-
-
-def test_eval_rejects_vq_checkpoint(env):
-    rc = main(env["base"] + [
-        "eval", "--checkpoint", str(env["ckpt_vq"]), "--data", str(env["eval_data"]),
-    ])
-    assert rc == 3
 
 
 # -- attn-export ---------------------------------------------------------------
@@ -1206,62 +517,491 @@ def test_attn_export_stub_profile_fallback(env, tmp_path):
     assert len(read_attn(out)) == 8
 
 
-def test_attn_export_bad_profile_exits_3(env, tmp_path):
-    sample = env["data"] / "sample_0000"
-    not_json = tmp_path / "broken.json"
-    not_json.write_text("{nope")
-    rc = main(env["base"] + [
-        "--out", str(tmp_path / "x.csv"), "attn-export",
-        "--checkpoint", str(env["ckpt_sft"]), "--container", str(sample),
-        "--profile", str(not_json),
-    ])
-    assert rc == 3
-    empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps({"unrelated": 1}))
-    rc = main(env["base"] + [
-        "--out", str(tmp_path / "y.csv"), "attn-export",
-        "--checkpoint", str(env["ckpt_sft"]), "--container", str(sample),
-        "--profile", str(empty),
-    ])
-    assert rc == 3
+# -- refused inputs ------------------------------------------------------------
+#
+# Every input the CLI refuses, one row each, and one check for all of them:
+# the exit code of README's table (never 1), one `error:` line on stderr that
+# holds the row's fragment, and every file under the case's directory and the
+# toy chain kept as it was, with none added. A row's setup writes the bad
+# input under the case's directory; its argv and fragment name paths as
+# "{case}/..." and by the keys of `env`.
+
+DELETE = object()  # an `edit` value that removes the key
 
 
-@pytest.mark.parametrize("damage", ["one-key", "numbers"])
-def test_attn_export_refuses_a_profile_missing_a_key_or_with_a_non_string_field(
-    env, tmp_path, capsys, damage
-):
-    sample = env["data"] / "sample_0000"
-    assert main(env["base"] + ["--out", str(tmp_path / "prof"), "profile",
-                               "--container", str(sample)]) == 0
-    profile = tmp_path / "prof" / "profile.json"
-    record = json.loads(profile.read_text())
-    if damage == "one-key":
-        record = {"Feature Summary": record["Feature Summary"]}
-    else:
-        record = {k: 5 for k in record}
-    profile.write_text(json.dumps(record))
+def _path(env, template: str) -> Path:
+    return Path(template.format(**env))
+
+
+def copy(src: str, dst: str):
+    """Copy the file or directory `src` to `dst`."""
+    def step(env):
+        source, target = _path(env, src), _path(env, dst)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        (shutil.copytree if source.is_dir() else shutil.copy)(source, target)
+    return step
+
+
+def edit(path: str, keys: tuple, value):
+    """Set the entry at `keys` of the JSON file `path` (the document itself
+    for no keys) to `value`; to `value(entry)` for a callable, and remove
+    it for DELETE."""
+    def step(env):
+        file = _path(env, path)
+        box = [json.loads(file.read_text())]
+        *parents, last = (0, *keys)
+        node = box
+        for key in parents:
+            node = node[key]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value(node[last]) if callable(value) else value
+        file.write_text(json.dumps(box[0]))
+    return step
+
+
+def write(path: str, data: str | bytes, mode: str = "w"):
+    """Write `data` to the file `path` in `mode`: "a" or "ab" appends, "r+b"
+    overwrites its first bytes."""
+    def step(env):
+        file = _path(env, path)
+        file.parent.mkdir(parents=True, exist_ok=True)
+        with open(file, mode) as f:
+            f.write(data)
+    return step
+
+
+def remove(path: str):
+    def step(env):
+        target = _path(env, path)
+        if target.is_dir():
+            shutil.rmtree(target)
+        else:
+            target.unlink()
+    return step
+
+
+def run(*argv: str):
+    """Run a command, which must succeed."""
+    def step(env):
+        assert main(env["base"] + _args(env, argv)) == 0
+    return step
+
+
+def recording(path: str, fs: float, samples: int):
+    """A 2-channel container of `samples` random samples at `fs`."""
+    def step(env):
+        data = np.random.default_rng(0).standard_normal((2, samples))
+        save_container(Recording(("X0", "X1"), fs, data), _path(env, path))
+    return step
+
+
+def old_layout(path: str):
+    """Rewrite the checkpoint `path` in place in the old moments layout."""
+    return lambda env: _old_layout(_path(env, path), _path(env, path))
+
+
+def _case(env: dict, case: Path, *setup) -> dict:
+    """`env` with the case's directory as "case", after its setup ran."""
+    env = {**env, "case": case}
+    for step in setup:
+        step(env)
+    return env
+
+
+def _args(env: dict, argv) -> list[str]:
+    return [a.format(**env) for a in argv]
+
+
+def _tree(root: Path) -> dict:
+    """Every path under `root`: a file's bytes, None for a directory."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+class Refusal(NamedTuple):
+    id: str
+    code: int
+    fragment: str | tuple  # or several, each of which the line holds
+    argv: list
+    setup: tuple = ()
+    parser: bool = False  # refused by argparse, which prints its usage first
+
+
+def synth(out="{case}/ds", per_class="1", montage="synthetic-2"):
+    return ["--out", out, "synth", "--per-class", per_class, "--montage", montage]
+
+
+def train(stage, data="{data}", init_from=None, out="{case}/run"):
+    init = ["--init-from", init_from] if init_from else []
+    return ["--out", out, "train", "--stage", stage, "--data", data, *init]
+
+
+def tokenize(container="{sample}", checkpoint="{case}/ckpt", out="{case}/t.tok"):
+    return ["--out", out, "tokenize", "--container", container, "--checkpoint", checkpoint]
+
+
+def evaluate(checkpoint="{case}/ckpt", data="{eval_data}", out="{case}/ev"):
+    return ["--out", out, "eval", "--checkpoint", checkpoint, "--data", data]
+
+
+def attn_export(checkpoint="{ckpt_sft}", container="{sample}", profile=None):
+    extra = ["--profile", profile] if profile else []
+    return ["--out", "{case}/x.csv", "attn-export", "--checkpoint", checkpoint, "--container", container, *extra]
+
+
+def preprocess(source, *flags):
+    return ["--out", "{case}/out", "preprocess", source, *flags]
+
+
+def profile(container="{sample}"):
+    return ["--out", "{case}/p", "profile", "--container", container]
+
+
+SYNTH, VQ = synth(), train("vq")
+RESUME = [*VQ, "--epochs", "3", "--resume"]
+
+# setups: copies under {case} of the toy chain's files, and the files they edit
+MANIFEST = "{case}/ckpt/manifest.json"  # of the copy CKPT_VQ or CKPT_SFT makes
+CKPT_VQ, CKPT_SFT = copy("{ckpt_vq}", "{case}/ckpt"), copy("{ckpt_sft}", "{case}/ckpt")
+CONTAINER = "{case}/sample/manifest.json"  # of the copy SAMPLE makes
+SAMPLE = copy("{sample}", "{case}/sample")
+NEWEST = "{case}/run/checkpoints/epoch_0001/manifest.json"  # of the copy RUN makes
+RUN = copy("{runs[vq]}", "{case}/run")  # the toy chain's finished 2-epoch vq run
+CSV = write("{case}/rec.csv", "t,X0,X1\n" + "".join(
+    f"{i / 250},{np.sin(i / 10)},{np.cos(i / 10)}\n" for i in range(500)
+))
+WIDE = run(*synth("{case}/wide", montage="synthetic-3"))  # 3 channels against the 2 configured
+WIDE_SAMPLE = "{case}/wide/sample_0000"
+FOREIGN_LABEL = (copy("{data}", "{case}/data"), write(
+    "{case}/data/labels.csv",
+    "name,label\nsample_0000,class-a\nsample_0001,class-b\nsample_0002,class-a\nsample_0003,class-z\n",
+))
+SFT_FOREIGN_LABEL = train("sft", "{case}/data", "{ckpt_cpt}")
+MONTAGE_FILE = "{case}/montage.json"
+TWO_ASSIGNED = {"A": {"band": "central", "zone": "left"}, "B": {"band": "central", "zone": "right"}}
+
+
+def montage_file(payload):
+    return write(MONTAGE_FILE, json.dumps(payload))
+
+
+def _second_entry_at_anothers_offset(params):
+    # later entries once won, so the positions read the feed-forward's bytes
+    entries = {e["name"]: e for e in params}
+    offset = entries["encoder.global_blocks.0.ffn.fc1.w"]["offset"]
+    return params + [{**entries["encoder.positions.table"], "offset": offset}]
+
+
+def _entry_at_the_offset_of_the_one_before(params):
+    entries = {e["name"]: e for e in params}
+    entries["encoder.global_blocks.1.ffn.fc1.w"]["offset"] = entries["encoder.global_blocks.0.ffn.fc1.w"]["offset"]
+    return params
+
+
+# values of another type than their default's
+MISTYPED = [
+    ('train.epochs="abc"', "train.epochs"),
+    ("optimizer.lr=null", "optimizer.lr"),
+    ("train.epochs=2.5", "train.epochs"),
+    ("train.epochs=true", "train.epochs"),  # bool is never a number
+    ('train.lambda_orth="a"', "train.lambda_orth"),
+    ('optimizer.betas="x"', "optimizer.betas"),
+    ("optimizer.betas=[0.9]", "optimizer.betas"),
+    ("optimizer.betas=[0.9, true]", "optimizer.betas"),
+    ("data.classes=[1, 2]", "data.classes"),
+    ("data.montage=4", "data.montage"),
+]
+
+# each once ended in a traceback, trained without complaint, or failed (exit
+# 5) after writing its run directory before every number had its bound
+OUT_OF_BOUNDS = [
+    "refiner.ffn_mult=-1", "encoder.ffn_mult=0", "optimizer.eps=-1", "optimizer.betas=[2,0.5]",
+    "schedule.warmup_steps=-5", "quantizer.beta=-1", "quantizer.revival_epochs=0", "backbone.max_len=0",
+    "backbone.embed_dim=0", "lora.alpha=-3", "train.star_lr_scale=-1", "optimizer.recon_lr_scale=0",
+    "schedule.min_lr=-1", "train.lambda_orth=Infinity", "optimizer.lr=NaN", "optimizer.clip_norm=NaN",
+    "quantizer.beta=NaN",
+]
+
+# each once read as a (2, 5) array or ended in a numpy traceback
+SHAPES = {"negative": [2, -3], "all-negative": [-2, -3], "string": "ab", "float": [2.5, 2],
+          "nested": [[2], 3], "bool": [True, 2], "scalar": 6}
+# each once read as weights: garbage, or another entry's bytes for "4"
+OFFSETS = {"float": 2.5, "bool": True, "unaligned": 1, "string": "4"}
+
+# a stored config the model cannot be built from: (id, keys, value, named)
+STORED_CONFIGS = [
+    ("out-of-bounds", ("refiner", "ffn_mult"), -1, "refiner.ffn_mult"),
+    ("mistyped", ("encoder", "embed_dim"), "x", "config key 'encoder.embed_dim' must match the type of 16"),
+    ("table-a-number", ("quantizer",), 5, "config key 'quantizer' must be a table"),
+    ("heads-do-not-split", ("encoder", "n_heads"), 3, "feature dim 8 not divisible by 3 heads"),
+    ("label-twice", ("data", "classes"), ["class-a", "class-a"], "data.classes names the label 'class-a' twice"),
+    # a key of an earlier config, written by a checkpoint from before its removal
+    ("removed-key", ("quantizer", "kmeans_warm_start"), True, "unknown config key 'quantizer.kmeans_warm_start'"),
+]
+
+# each a switch of an earlier config whose one value in use became a constant
+REMOVED_KEYS = ["quantizer.kmeans_warm_start", "train.class_balancing", "backbone.tied_head"]
+
+# the newest checkpoint's metadata damaged, each once a traceback with exit 1: (id, keys, value, named)
+DAMAGED_META = [
+    ("without-epoch", ("meta", "epoch"), DELETE, "meta 'epoch' is None, not an int >= 0"),
+    ("epoch-a-string", ("meta", "epoch"), "x", "meta 'epoch' is 'x', not an int >= 0"),
+    ("step-null", ("meta", "step"), None, "meta 'step' is None, not an int >= 0"),
+    ("step-negative", ("meta", "step"), -1, "meta 'step' is -1, not an int >= 0"),
+    ("epoch-avg-loss-a-number", ("meta", "epoch_avg_loss"), 5, "meta 'epoch_avg_loss' is 5, not a list"),
+    ("meta-a-string", ("meta",), "x", "meta 'x' is not a JSON object"),
+]
+
+FOREIGN_MONTAGE = {
+    "vq": train("vq", "{case}/wide"),
+    "cpt": train("cpt", "{case}/wide", "{ckpt_vq}"),
+    "sft": train("sft", "{case}/wide", "{ckpt_cpt}"),
+    "eval": evaluate("{ckpt_sft}", "{case}/wide"),
+    "tokenize": tokenize(WIDE_SAMPLE, "{ckpt_vq}"),
+    "profile": profile(WIDE_SAMPLE),
+    "attn-export": attn_export(container=WIDE_SAMPLE),
+}
+
+EVAL_DATA, EVAL_COPY = copy("{eval_data}", "{case}/data"), evaluate("{ckpt_sft}", "{case}/data")
+LABELS = "label file {case}/data/labels.csv"  # of the copy EVAL_DATA makes
+ATTN_PROFILE = attn_export(profile="{case}/profile.json")
+BAD_CONFIG = "checkpoint {case}/ckpt holds a bad config: "
+OUT_A_FILE = "--out {case}/file: {case}/file exists and is not a directory"
+HOLDS_A_DATASET = "{case}/ds already holds a dataset"
+BAD_RATE = "sampling rate must be positive and finite"
+NOT_THE_MONTAGE = "do not match the montage"
+
+REFUSED = [
+    # -- argv and config
+    Refusal("unknown-subcommand", 2, "invalid choice: 'frobnicate'", ["frobnicate"], parser=True),
+    Refusal("synth-without-out", 2, "command 'synth' needs --out", ["synth"]),
+    Refusal("unknown-override", 2, "unknown config key 'nope'", ["--set", "nope=1", *SYNTH]),
+    *(Refusal(f"set-{spec}", 2, key, ["--set", spec, *SYNTH]) for spec, key in MISTYPED),
+    Refusal("synth-label-twice", 2, "data.classes names the label 'class-a' twice",
+            ["--set", 'data.classes=["class-a","class-b","class-a"]', *SYNTH]),
+    Refusal("train-label-twice", 2, "data.classes names the label 'class-a' twice",
+            ["--set", 'data.classes=["class-a","class-b","class-a"]', *VQ, "--epochs", "1"]),
+    *(Refusal(f"train-{spec}", 2, spec.split("=")[0], ["--set", spec, *VQ]) for spec in OUT_OF_BOUNDS),
+    Refusal("train-seed-negative", 2, "seed", ["--seed", "-1", *VQ]),
+    Refusal("train-cpt-optimizer.betas=[0.9,1.0]", 2, "optimizer.betas",
+            ["--set", "optimizer.betas=[0.9,1.0]", *train("cpt", init_from="{ckpt_vq}")]),
+    *(Refusal(f"train-{spec}", 2, f"not divisible by {spec[-1]} heads", ["--set", spec, *VQ])
+      for spec in ("encoder.n_heads=3", "refiner.n_heads=3", "backbone.n_heads=3", "encoder.n_heads=0")),
+    # each once ended in a traceback with exit 1, eval and train after their work
+    Refusal("out-through-a-file-eval", 2, OUT_A_FILE, evaluate("{ckpt_sft}", out="{case}/file"),
+            (write("{case}/file", "kept\n"),)),
+    Refusal("out-through-a-file-train", 2, OUT_A_FILE, train("vq", out="{case}/file"),
+            (write("{case}/file", "kept\n"),)),
+    Refusal("out-through-a-file-synth", 2, "--out {case}/file/ds: {case}/file exists and is not a directory",
+            synth("{case}/file/ds"), (write("{case}/file", "kept\n"),)),
+    # once a traceback with exit 1 after the tokens were computed
+    Refusal("tokenize-out-a-directory", 2, "--out {case} is a directory, not a file",
+            tokenize(checkpoint="{ckpt_vq}", out="{case}")),
+    Refusal("config-file-not-json", 2, "{case}/config.json", ["--config", "{case}/config.json", *SYNTH],
+            (write("{case}/config.json", "{nope"),)),
+    Refusal("config-file-a-list", 2, "{case}/config.json", ["--config", "{case}/config.json", *SYNTH],
+            (write("{case}/config.json", "[]"),)),
+    Refusal("train-unknown-stage", 2, "invalid choice: 'pretrain'", train("pretrain"), parser=True),
+    Refusal("tokenize-without-checkpoint", 2, "the following arguments are required: --checkpoint",
+            tokenize()[:-2], parser=True),
+    Refusal("synth-per-class-not-an-int", 2, "invalid int value: 'two'", synth(per_class="two"), parser=True),
+    # -- synth
+    Refusal("synth-per-class-zero", 2, "n_per_class must be >= 1", synth(per_class="0")),
+    Refusal("synth-unknown-montage", 3, "cannot read montage file nope", synth(montage="nope")),
+    *(Refusal(f"synth-{flag}-{value}", 2, f"{flag} must be finite", [*SYNTH, f"--{flag}", value])
+      for value in ("nan", "inf") for flag in ("fs", "seconds", "noise")),
+    Refusal("synth-negative-product", 2, "fs must be finite and > 0", [*SYNTH, "--fs", "-200", "--seconds", "-2"]),
+    Refusal("synth-fs-zero", 2, "fs must be finite and > 0", [*SYNTH, "--fs", "0"]),
+    Refusal("synth-seconds-zero", 2, "seconds must be finite and > 0", [*SYNTH, "--seconds", "0"]),
+    Refusal("synth-seconds-negative", 2, "seconds must be finite and > 0", [*SYNTH, "--seconds", "-2"]),
+    Refusal("synth-noise-negative", 2, "noise must be finite and >= 0", [*SYNTH, "--noise", "-1"]),
+    Refusal("synth-no-sample", 2, "yields 0.4 samples, not at least one", [*SYNTH, "--fs", "1", "--seconds", "0.4"]),
+    Refusal("synth-class-without-a-tone", 2, "unknown class 'theta-burst'",
+            ["--set", 'data.classes=["class-a","theta-burst"]', *SYNTH]),
+    # each once exited 0, leaving labels.csv and dataset.json naming fewer samples than the containers
+    Refusal("synth-into-a-dataset", 2, HOLDS_A_DATASET, SYNTH, (run(*synth(per_class="2")),)),
+    Refusal("synth-into-a-labels-file", 2, HOLDS_A_DATASET, SYNTH, (write("{case}/ds/labels.csv", "name,label\n"),)),
+    Refusal("synth-into-a-dataset-manifest", 2, HOLDS_A_DATASET, SYNTH, (write("{case}/ds/dataset.json", "{}"),)),
+    Refusal("synth-into-a-container", 2, HOLDS_A_DATASET, SYNTH, (copy("{sample}", "{case}/ds/sample_0000"),)),
+    # -- montage files and recordings
+    Refusal("montage-without-zone", 3, MONTAGE_FILE, synth(montage=MONTAGE_FILE),
+            (montage_file({"labels": ["A"], "assignments": {"A": {"band": "central"}}}),)),
+    Refusal("montage-labels-a-string", 3, MONTAGE_FILE, synth(montage=MONTAGE_FILE),
+            (montage_file({"labels": "AB", "assignments": TWO_ASSIGNED}),)),
+    Refusal("montage-a-list", 3, MONTAGE_FILE, synth(montage=MONTAGE_FILE),
+            (montage_file(["labels", "assignments"]),)),
+    Refusal("montage-unknown-band", 3, "electrode 'A' has unknown band 'sideways'", synth(montage=MONTAGE_FILE),
+            (montage_file({"labels": ["A"], "assignments": {"A": {"band": "sideways", "zone": "left"}}}),)),
+    Refusal("montage-duplicate-label", 3, "duplicate electrode labels: ['A']", synth(montage=MONTAGE_FILE),
+            (montage_file({"labels": ["A", "A"], "assignments": TWO_ASSIGNED}),)),
+    Refusal("container-samples-a-string", 3, "{case}/sample", preprocess("{case}/sample"),
+            (SAMPLE, edit(CONTAINER, ("samples",), "many"))),
+    Refusal("container-channels-a-string", 3, "{case}/sample", preprocess("{case}/sample"),
+            (SAMPLE, edit(CONTAINER, ("channels",), "AB"))),
+    Refusal("container-manifest-a-list", 3, "{case}/sample", preprocess("{case}/sample"),
+            (SAMPLE, edit(CONTAINER, (), list))),  # a JSON array of the manifest's key names
+    *(Refusal(f"container-fs-{value}-{command}", 3, BAD_RATE, read("{case}/sample"),
+              (SAMPLE, edit(CONTAINER, ("fs",), float(value))))
+      for command, read in (("preprocess", preprocess), ("profile", profile)) for value in ("nan", "inf")),
+    Refusal("preprocess-csv-without-fs", 2, "CSV ingest needs an explicit sampling rate",
+            preprocess("{case}/rec.csv"), (CSV,)),
+    *(Refusal(f"preprocess-csv-fs-{value}", 3, BAD_RATE, preprocess("{case}/rec.csv", "--fs", value), (CSV,))
+      for value in ("nan", "inf")),
+    *(Refusal(f"preprocess-target-fs-{value}", 2, BAD_RATE,
+              preprocess("{case}/rec.csv", "--fs", "250", "--target-fs", value), (CSV,)) for value in ("nan", "inf")),
+    Refusal("preprocess-csv-a-nan", 3, "{case}/bad.csv", preprocess("{case}/bad.csv", "--fs", "250"),
+            (write("{case}/bad.csv", "t,X0\n0.0,1.0\n0.004,nan\n"),)),
+    Refusal("preprocess-csv-a-short-row", 3, "{case}/bad.csv", preprocess("{case}/bad.csv", "--fs", "250"),
+            (write("{case}/bad.csv", "t,X0,X1\n0.0,1.0,2.0\n0.004,1.0\n"),)),
+    Refusal("preprocess-csv-a-word", 3, "{case}/bad.csv: malformed CSV", preprocess("{case}/bad.csv", "--fs", "250"),
+            (write("{case}/bad.csv", "t,X0\n0,abc\n0.004,1\n"),)),
+    Refusal("preprocess-csv-empty", 3, "{case}/bad.csv: empty file", preprocess("{case}/bad.csv", "--fs", "250"),
+            (write("{case}/bad.csv", ""),)),
+    Refusal("preprocess-band-crossed", 2, "band edges must satisfy 0 < low < high < fs/2",
+            preprocess("{sample}", "--low", "80", "--high", "10")),
+    *(Refusal(f"preprocess-notch-{notch}", 2, f"notch {notch} Hz must lie inside the pass band",
+              preprocess("{sample}", "--notch", notch)) for notch in ("150.0", "-5.0", "nan")),
+    Refusal("container-signal-cut-short", 3, "extent mismatch in {case}/sample/signal.bin",
+            preprocess("{case}/sample"), (SAMPLE, write("{case}/sample/signal.bin", bytes(100), "wb"))),
+    Refusal("container-signal-too-long", 3, "extent mismatch in {case}/sample/signal.bin",
+            preprocess("{case}/sample"), (SAMPLE, write("{case}/sample/signal.bin", bytes(3200), "ab"))),
+    Refusal("container-dtype-f64le", 3, "unsupported dtype 'f64le'", preprocess("{case}/sample"),
+            (SAMPLE, edit(CONTAINER, ("dtype",), "f64le"))),
+    # 200/1e12 has no fraction with a denominator up to 1000 but 0; 200/3e5
+    # = 1/1500 would be held as 1/1000, resampled to 300 Hz and labelled 200
+    *(Refusal(f"preprocess-fs-{fs:g}", 3, f"cannot resample fs={fs} Hz to 200.0 Hz", preprocess("{case}/rec"),
+              (recording("{case}/rec", fs, 60_000),)) for fs in (1e12, 3e5)),
+    # the resampler extends past both ends along the line through the first
+    # and last samples; one sample has no such line, which is no filter fault
+    Refusal("preprocess-one-sample", 3, "cannot resample a 1-sample recording at fs=100.0 Hz: the end extension "
+            "is the line through its first and last samples, which needs 2", preprocess("{case}/rec"),
+            (recording("{case}/rec", 100.0, 1),)),
+    *(Refusal(f"foreign-montage-{command}", 3, NOT_THE_MONTAGE, argv, (WIDE,))
+      for command, argv in FOREIGN_MONTAGE.items()),
+    Refusal("tokenize-a-19-channel-recording", 3, NOT_THE_MONTAGE, tokenize(WIDE_SAMPLE, "{ckpt_vq}"),
+            (run(*synth("{case}/wide", montage="builtin-1020")),)),
+    # as many channels as the data, under other names
+    Refusal("vq-a-montage-file-of-other-names", 3, NOT_THE_MONTAGE, ["--set", f"data.montage={MONTAGE_FILE}", *VQ],
+            (montage_file({"labels": ["A", "B"], "assignments": TWO_ASSIGNED}),)),
+    Refusal("vq-montage-builtin-1020", 3, NOT_THE_MONTAGE, ["--set", "data.montage=builtin-1020", *VQ]),
+    # -- datasets
+    Refusal("train-missing-data", 3, "{case}/absent", train("vq", "{case}/absent")),
+    Refusal("sft-foreign-label", 3, "'class-z' of sample 'sample_0003' not in configured classes",
+            SFT_FOREIGN_LABEL, FOREIGN_LABEL),
+    Refusal("eval-labels-name-a-sample-twice", 3, f"{LABELS} names sample 'sample_0000' twice", EVAL_COPY,
+            (EVAL_DATA, write("{case}/data/labels.csv", "sample_0000,class-b\n", "a"))),
+    Refusal("eval-label-without-a-container", 3, f"{LABELS} names sample 'sample_0003' on line 5", EVAL_COPY,
+            (EVAL_DATA, remove("{case}/data/sample_0003"))),
+    Refusal("eval-labels-without-a-header", 3, f"{LABELS} must start with a 'name,label' header", EVAL_COPY,
+            (EVAL_DATA, write("{case}/data/labels.csv", "sample_0000,class-a\n"))),
+    Refusal("eval-label-row-of-three-fields", 3, "malformed label row", EVAL_COPY,
+            (EVAL_DATA, write("{case}/data/labels.csv", "sample_0000,class-a,x\n", "a"))),
+    # -- checkpoints
+    Refusal("checkpoint-without-weights", 3, "cannot read checkpoint weights in {case}/ckpt", tokenize(),
+            (CKPT_VQ, remove("{case}/ckpt/weights.bin"))),
+    Refusal("checkpoint-entry-past-the-end", 3, "weights.bin holds", tokenize(),
+            (CKPT_VQ, edit(MANIFEST, ("params", -1, "shape"), [10**6]))),
+    *(Refusal(f"checkpoint-shape-{name}", 3, "shape", train("cpt", init_from="{case}/ckpt"),
+              (CKPT_VQ, edit(MANIFEST, ("params", 0, "shape"), shape))) for name, shape in SHAPES.items()),
+    Refusal("tokenize-checkpoint-shape-negative", 3, "not a list of sizes", tokenize(),
+            (CKPT_VQ, edit(MANIFEST, ("params", 0, "shape"), [2, -3]))),
+    *(Refusal(f"checkpoint-offset-{name}", 3, "offset", attn_export("{case}/ckpt"),
+              (CKPT_SFT, edit(MANIFEST, ("params", 1, "offset"), offset))) for name, offset in OFFSETS.items()),
+    *(Refusal(f"checkpoint-dtype-{name}", 3, "dtype", evaluate(), (CKPT_SFT, edit(MANIFEST, ("dtype",), dtype)))
+      for name, dtype in (("float64", "<f8"), ("big-endian", ">f4"), ("null", None))),
+    Refusal("init-from-manifest-a-list", 3, "{case}/ckpt", train("cpt", init_from="{case}/ckpt"),
+            (CKPT_VQ, edit(MANIFEST, (), lambda manifest: [manifest]))),
+    Refusal("init-from-entry-without-offset", 3, "{case}/ckpt", train("cpt", init_from="{case}/ckpt"),
+            (CKPT_VQ, edit(MANIFEST, ("params", 0, "offset"), DELETE))),
+    Refusal("init-from-negative-offset", 3, "{case}/ckpt", train("cpt", init_from="{case}/ckpt"),
+            (CKPT_VQ, edit(MANIFEST, ("params", 0, "offset"), -4))),
+    # each once loaded without complaint, and the first two changed the report
+    Refusal("eval-duplicate-entry", 3,
+            "checkpoint {case}/ckpt: the manifest lists entry 'encoder.positions.table' twice", evaluate(),
+            (CKPT_SFT, edit(MANIFEST, ("params",), _second_entry_at_anothers_offset))),
+    Refusal("eval-overlapping-entries", 3,
+            "checkpoint {case}/ckpt: entry 'encoder.global_blocks.1.ffn.fc1.w' has offset", evaluate(),
+            (CKPT_SFT, edit(MANIFEST, ("params",), _entry_at_the_offset_of_the_one_before))),
+    Refusal("eval-extra-bytes", 3,
+            ("checkpoint {case}/ckpt: weights.bin holds", "bytes, but its last entry 'opt.v' ends at byte"), evaluate(),
+            (CKPT_SFT, write("{case}/ckpt/weights.bin", bytes(8), "ab"))),
+    Refusal("eval-a-vq-checkpoint", 3, "evaluation needs a supervised fine-tuning checkpoint, got stage 'vq'",
+            ["eval", "--checkpoint", "{ckpt_vq}", "--data", "{eval_data}"]),
+    Refusal("tokenize-non-finite-weights", 5, "non-finite", tokenize(),
+            (CKPT_VQ, write("{case}/ckpt/weights.bin", np.full(16, np.nan, "<f4").tobytes(), "r+b"))),
+    Refusal("tokenize-meta-a-string", 3, "checkpoint {case}/ckpt: meta 'x' is not a JSON object", tokenize(),
+            (CKPT_VQ, edit(MANIFEST, ("meta",), "x"))),
+    *(Refusal(f"tokenize-stored-config-{name}", 3, f"{BAD_CONFIG}{named}", tokenize(),
+              (CKPT_VQ, edit(MANIFEST, ("meta", "config", *keys), value)))
+      for name, keys, value, named in STORED_CONFIGS),
+    *(Refusal(f"{command}-stored-config-{key}", 3,
+              f"{BAD_CONFIG}unknown config key '{key}'", argv,
+              (CKPT_SFT, edit(MANIFEST, ("meta", "config", *key.split(".")), True)))
+      for command, argv in (("eval", evaluate()), ("attn-export", attn_export("{case}/ckpt")))
+      for key in REMOVED_KEYS),
+    # -- training runs: a fresh vq run, and the toy chain's vq run copied and resumed
+    *(Refusal(f"vq-init-from-{name}", 2, f"vq stage must start from no checkpoint (train.init_from), got {init_from}",
+              [*VQ, "--epochs", "1", "--init-from", init_from])
+      for name, init_from in (("a-missing-path", "does/not/exist"), ("a-vq-checkpoint", "{ckpt_vq}"))),
+    Refusal("train-into-a-run", 2, "{case}/run already holds a run", [*VQ, "--epochs", "1"], (RUN,)),
+    Refusal("resume-changing-lr", 2, "but optimizer.lr differ", ["--set", "optimizer.lr=0.5", *RESUME], (RUN,)),
+    Refusal("resume-with-fewer-epochs", 2, "asks for 1 epoch(s), fewer than the 2 that",
+            [*VQ, "--epochs", "1", "--resume"], (RUN,)),
+    Refusal("resume-an-old-layout-checkpoint", 3, "optimizer state 'opt.m'", RESUME,
+            (RUN, old_layout("{case}/run/checkpoints/epoch_0001"))),
+    *(Refusal(f"resume-{name}", 3, f"checkpoint {{case}}/run/checkpoints/epoch_0001: {named}", RESUME,
+              (RUN, edit(NEWEST, keys, value))) for name, keys, value, named in DAMAGED_META),
+    # -- profiles
+    Refusal("profile-label-leak", 2, "would leak into the prompt",
+            ["--set", "data.task_description=tell class-a from the rest", *profile()]),
+    # 2 s at these rates rounds to a 0-sample Welch segment
+    *(Refusal(f"profile-fs-{fs}", 2, "Welch segment", profile("{case}/sample"),
+              (SAMPLE, edit(CONTAINER, ("fs",), fs)))
+      for fs in (0.2, 0.25)),
+    Refusal("profile-unreachable-endpoint", 4, "profile endpoint unreachable",
+            ["--set", "llm.mode=http", "--set", "llm.endpoint=http://127.0.0.1:9/v1", *profile()]),
+    Refusal("attn-profile-not-json", 3, "{case}/profile.json", ATTN_PROFILE,
+            (write("{case}/profile.json", "{nope"),)),
+    Refusal("attn-profile-an-unrelated-key", 3, "{case}/profile.json", ATTN_PROFILE,
+            (write("{case}/profile.json", json.dumps({"unrelated": 1})),)),
+    *(Refusal(f"attn-profile-{name}", 3, "profile file {case}/profile.json", ATTN_PROFILE,
+              (write("{case}/profile.json", json.dumps(payload)),))
+      for name, payload in (("a-string", "Feature Summary"), ("a-number", 7))),
+    # a profile the profile command wrote, then damaged
+    *(Refusal(f"attn-profile-{name}", 3, "profile file {case}/p/profile.json",
+              attn_export(profile="{case}/p/profile.json"),
+              (run(*profile()), edit("{case}/p/profile.json", (), change))) for name, change in [
+        ("with-one-key", lambda record: {"Feature Summary": record["Feature Summary"]}),
+        ("of-numbers", lambda record: dict.fromkeys(record, 5)),
+    ]),
+]
+
+
+@pytest.mark.parametrize("case", REFUSED, ids=[case.id for case in REFUSED])
+def test_a_refused_input_exits_with_its_code_one_error_line_and_no_output(env, tmp_path, capsys, case):
+    paths = _case(env, tmp_path, *case.setup)
+    before = _tree(tmp_path), _tree(env["root"])
     capsys.readouterr()
-    out = tmp_path / "x.csv"
-    rc = main(env["base"] + [
-        "--out", str(out), "attn-export", "--checkpoint", str(env["ckpt_sft"]),
-        "--container", str(sample), "--profile", str(profile),
-    ])
-    assert rc == 3
-    assert str(profile) in capsys.readouterr().err
-    assert not out.exists()
+    argv = env["base"] + _args(paths, case.argv)
+    if case.parser:  # usage lines, then "eeglm: error: ..." or "eeglm <command>: error: ..."
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code, prefix, err = exc.value.code, r"eeglm( [\w-]+)?: error: ", capsys.readouterr().err.splitlines()[-1:]
+    else:
+        code, prefix, err = main(argv), "error: ", capsys.readouterr().err.splitlines()
+    assert code == case.code != 1
+    fragments = (case.fragment,) if isinstance(case.fragment, str) else case.fragment
+    assert len(err) == 1 and re.match(prefix, err[0]) and all(f.format(**paths) in err[0] for f in fragments), err
+    assert (_tree(tmp_path), _tree(env["root"])) == before
 
 
-@pytest.mark.parametrize("payload", ["Feature Summary", 7], ids=["string", "number"])
-def test_attn_export_profile_must_be_an_object(env, tmp_path, capsys, payload):
-    profile = tmp_path / "profile.json"
-    profile.write_text(json.dumps(payload))
-    rc = main(env["base"] + [
-        "--out", str(tmp_path / "x.csv"), "attn-export",
-        "--checkpoint", str(env["ckpt_sft"]), "--container", str(env["data"] / "sample_0000"),
-        "--profile", str(profile),
-    ])
-    assert rc == 3
-    assert str(profile) in capsys.readouterr().err
+def test_the_refused_inputs_use_the_exit_codes_readme_gives():
+    section = (ROOT / "README.md").read_text().split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    documented = {int(code) for code in re.findall(r"^\| (\d+) \|", section, re.M)}
+    used = {case.code for case in REFUSED}
+    assert used <= documented
+    assert {code for code in documented if 2 <= code <= 5} <= used
 
 
 IMPORT_PATH_PROBE = """
