@@ -26,10 +26,9 @@ Otherwise the script prints ``sha256  relpath`` for every file under OUT,
 sorted by path, so that ``diff`` of two listings shows whether two
 checkouts write the same bytes.
 
-Some products' bytes depend on the BLAS thread count, so the script sets
-``OPENBLAS_NUM_THREADS=1`` before it imports eeglm, unless the caller set
-it. The listing's first line records what the bytes depend on besides the
-code: ``OPENBLAS_NUM_THREADS=<value> numpy=<version> scipy=<version>
+``eeglm.cli.main`` runs OpenBLAS on one thread, so the bytes do not
+depend on ``OPENBLAS_NUM_THREADS``. The listing's first line records what
+they may depend on besides the code: ``numpy=<version> scipy=<version>
 simd=<targets>``, where the targets are numpy's active SIMD dispatch
 targets (``NPY_DISABLE_CPU_FEATURES`` removes some).
 
@@ -55,19 +54,16 @@ from collections import defaultdict
 from contextlib import redirect_stdout
 from pathlib import Path
 
-# before numpy loads: OpenBLAS reads its thread count once, at import
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy  # noqa: E402
-import scipy  # noqa: E402
+import numpy
+import scipy
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 except ImportError:  # numpy < 2
     from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-import recipe  # noqa: E402
-from eeglm.cli import main  # noqa: E402
+import recipe
+from eeglm.cli import main
 
 
 def commands() -> list[list[str]]:
@@ -87,10 +83,7 @@ def commands() -> list[list[str]]:
 def header() -> str:
     """The listing's first line: the environment the bytes depend on."""
     simd = ",".join(f for f in __cpu_dispatch__ if __cpu_features__[f])
-    return (
-        f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']} "
-        f"numpy={numpy.__version__} scipy={scipy.__version__} simd={simd}"
-    )
+    return f"numpy={numpy.__version__} scipy={scipy.__version__} simd={simd}"
 
 
 def run_command(argv: list[str]) -> int:

@@ -11,10 +11,6 @@ and every run; the eval data keep the recipe's seed 8. It prints one line
 per seed, the seed and the balanced accuracy of ``report/report.json``,
 and last how many seeds reached 1.0. The commands' own output goes to
 stderr; if one fails, the script stops with its exit code.
-
-Like ``quickstart_digest.py``, it sets ``OPENBLAS_NUM_THREADS=1`` before it
-imports eeglm, unless the caller set it, since the bytes a run writes, and
-so a seed's accuracy, depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -26,11 +22,8 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
-# before numpy loads: OpenBLAS reads its thread count once, at import
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import recipe  # noqa: E402
-from eeglm.cli import main  # noqa: E402
+import recipe
+from eeglm.cli import main
 
 SEEDS = range(1, 13)
 

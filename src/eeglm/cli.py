@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -38,6 +39,46 @@ def _pin_malloc_thresholds() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     for param, value in MALLOC_THRESHOLDS:
         mallopt(param, value)
+
+
+# OpenBLAS's thread-count setters, under the names its builds export (numpy's
+# wheels bundle scipy-openblas64); the getter twins are perfbench/envinfo.py's
+BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+@functools.cache
+def _blas_thread_setter():
+    """The first of BLAS_THREAD_SETTERS that numpy's multiarray extension
+    resolves, through the OpenBLAS it links; None without one."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for name in BLAS_THREAD_SETTERS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            return setter
+    return None
+
+
+def _pin_blas_threads() -> None:
+    """Run OpenBLAS on one thread, whatever OPENBLAS_NUM_THREADS says. The
+    pipeline's matrices are too small for a second thread to pay: it costs
+    memory, stalls a step for milliseconds when the other core is busy, and
+    splits a product differently, which changes the bytes a run writes.
+    No-op where numpy's BLAS has no such setter."""
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(1)
 
 
 def _echo_config(out_dir: Path, cfg: dict) -> None:
@@ -279,6 +320,7 @@ def _resolve(args) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     _pin_malloc_thresholds()
+    _pin_blas_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,9 @@ def label_probabilities(
     slot = span_rows(item.seq, "answer")[:1]
     row = model.backbone.logits(item.seq, sem, rows=slot).data[0]
     scores = row[list(label_tokens.values())].astype(np.float64)  # renormalised in float64
-    scores = np.exp(scores - scores.max())
+    # libm's exp per label: numpy's float64 exp takes another path on AVX-512,
+    # which would make report.json depend on the CPU
+    scores = np.array([math.exp(s) for s in (scores - scores.max()).tolist()])
     scores /= scores.sum()
     return dict(zip(label_tokens, scores.tolist()))
 

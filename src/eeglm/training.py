@@ -402,6 +402,16 @@ class StageSpec:
     def resume(self, model: PipelineModel, meta: dict) -> None:
         """Restore what a resumed run needs from `meta` besides the parameters and moments."""
 
+    def is_epoch_avg(self, entry) -> bool:
+        """Whether `entry` has the form of one epoch's average in
+        `epoch_avg_loss`: a dict of the `avg_keys`, else the total, each a
+        finite number."""
+        if not self.avg_keys:
+            return type(entry) in (int, float) and math.isfinite(entry)
+        return isinstance(entry, dict) and sorted(entry) == sorted(self.avg_keys) and all(
+            type(v) in (int, float) and math.isfinite(v) for v in entry.values()
+        )
+
     def summary(self, epoch_avgs: list, last: dict) -> dict:
         """Extra summary entries; `last` is the newest checkpoint's metadata
         (at least `epoch_avg_loss` and the `end_epoch` extras)."""
@@ -576,10 +586,10 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
         for key in ("epoch", "step"):
             if not (type(meta.get(key)) is int and meta[key] >= 0):
                 raise DataError(f"checkpoint {source}: meta {key!r} is {meta.get(key)!r}, not an int >= 0")
-        if not isinstance(meta.get("epoch_avg_loss"), list):
-            raise DataError(
-                f"checkpoint {source}: meta 'epoch_avg_loss' is {meta.get('epoch_avg_loss')!r}, not a list"
-            )
+        avgs, n = meta.get("epoch_avg_loss"), meta["epoch"] + 1
+        if not (isinstance(avgs, list) and len(avgs) == n and all(map(spec.is_epoch_avg, avgs))):
+            entry = f"dict(s) of finite {', '.join(spec.avg_keys)}" if spec.avg_keys else "finite number(s)"
+            raise DataError(f"checkpoint {source}: meta 'epoch_avg_loss' is {avgs!r}, not a list of {n} {entry}")
         stored = meta["config"] if isinstance(meta.get("config"), dict) else {}
         stored, now = ({k: json.dumps(v) for k, v in leaves(c)} for c in (stored, cfg))
         changed = sorted({k for k, _ in stored.items() ^ now.items()} - set(RESUMABLE_KEYS))

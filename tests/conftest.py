@@ -33,13 +33,13 @@ def float64(monkeypatch):
 @pytest.fixture(scope="session")
 def quick_start(tmp_path_factory) -> SimpleNamespace:
     """`scripts/quickstart_digest.py OUT`, run once for the session in a
-    subprocess with one OpenBLAS thread: the README quick start and the
-    other subcommands in the empty directory OUT, then each training run
-    stopped and resumed in place to the bytes it held. Holds `out`, the
-    finished process `proc` (its stdout is the listing) and its wall time
-    `seconds`."""
+    subprocess at the host's BLAS thread count, which `cli.main` pins to
+    one: the README quick start and the other subcommands in the empty
+    directory OUT, then each training run stopped and resumed in place to
+    the bytes it held. Holds `out`, the finished process `proc` (its stdout
+    is the listing) and its wall time `seconds`."""
     out = tmp_path_factory.mktemp("quick-start")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     argv = [sys.executable, str(ROOT / "scripts" / "quickstart_digest.py"), str(out)]
     t0 = time.perf_counter()
     proc = subprocess.run(argv, env=env, capture_output=True, text=True)

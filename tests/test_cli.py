@@ -753,6 +753,31 @@ DAMAGED_META = [
     ("meta-a-string", ("meta",), "x", "meta 'x' is not a JSON object"),
 ]
 
+# each stage's toy run copied under {case}: its setup, its newest checkpoint and its --resume
+RESUMABLE = {
+    "vq": (RUN, "{case}/run/checkpoints/epoch_0001", RESUME),
+    **{stage: (copy(f"{{runs[{stage}]}}", "{case}/run"), "{case}/run/checkpoints/epoch_0000",
+               [*train(stage), "--epochs", "2", "--resume"]) for stage in ("cpt", "sft")},
+}
+CPT_AVGS = "dict(s) of finite total, text, eeg, orth"
+
+# the newest checkpoint's epoch_avg_loss not one entry per epoch of the form
+# its stage writes: each was once resumed past, ["x", 1.0] into a traceback
+# with exit 1 from vq's summary after config.json was written: (stage, id, value, named)
+EPOCH_AVGS = [
+    ("vq", "a-string", ["x", 1.0], "is ['x', 1.0], not a list of 2 finite number(s)"),
+    ("vq", "one-short", [1.0], "is [1.0], not a list of 2 finite number(s)"),
+    ("vq", "infinite", [1.0, float("inf")], "is [1.0, inf], not a list of 2 finite number(s)"),
+    ("vq", "a-bool", [1.0, True], "is [1.0, True], not a list of 2 finite number(s)"),
+    ("cpt", "numbers", [1.0], f"is [1.0], not a list of 1 {CPT_AVGS}"),
+    ("cpt", "empty", [], f"is [], not a list of 1 {CPT_AVGS}"),
+    ("cpt", "without-orth", [{"total": 1.0, "text": 1.0, "eeg": 0.0}], f"not a list of 1 {CPT_AVGS}"),
+    ("cpt", "a-string-total", [{"total": "x", "text": 1.0, "eeg": 0.0, "orth": 0.0}], f"not a list of 1 {CPT_AVGS}"),
+    ("sft", "a-string", ["x"], "is ['x'], not a list of 1 finite number(s)"),
+    ("sft", "nan", [float("nan")], "is [nan], not a list of 1 finite number(s)"),
+    ("sft", "a-dict", [{"total": 1.0}], "not a list of 1 finite number(s)"),
+]
+
 FOREIGN_MONTAGE = {
     "vq": train("vq", "{case}/wide"),
     "cpt": train("cpt", "{case}/wide", "{ckpt_vq}"),
@@ -952,6 +977,9 @@ REFUSED = [
             (RUN, old_layout("{case}/run/checkpoints/epoch_0001"))),
     *(Refusal(f"resume-{name}", 3, f"checkpoint {{case}}/run/checkpoints/epoch_0001: {named}", RESUME,
               (RUN, edit(NEWEST, keys, value))) for name, keys, value, named in DAMAGED_META),
+    *(Refusal(f"resume-{stage}-epoch-avg-loss-{name}", 3, (f"checkpoint {ckpt}: meta 'epoch_avg_loss' ", named),
+              argv, (setup, edit(f"{ckpt}/manifest.json", ("meta", "epoch_avg_loss"), value)))
+      for stage, name, value, named in EPOCH_AVGS for setup, ckpt, argv in [RESUMABLE[stage]]),
     # -- profiles
     Refusal("profile-label-leak", 2, "would leak into the prompt",
             ["--set", "data.task_description=tell class-a from the rest", *profile()]),
@@ -1027,10 +1055,15 @@ print(json.dumps({"same_erf": autodiff._erf is scipy.special.erf,
 """
 
 
-def _probe(code, *args):
+def _child_env(**env_vars) -> dict:
+    """The environment, with `env_vars`, of a child python that imports this eeglm."""
     src = str(Path(eeglm.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _probe(code, *args, **env_vars):
+    out = subprocess.run([sys.executable, "-c", code, *args], env=_child_env(**env_vars),
+                         capture_output=True, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
 
@@ -1127,9 +1160,7 @@ def test_cli_training_steps_reuse_their_freed_heap(tmp_path):
     assert main(recipe.replace(synth, "--per-class", "2")) == 0
     assert main(quick + ["--out", str(vq), "train", "--stage", "vq", "--data", str(data),
                          "--epochs", "1"]) == 0
-    src = str(Path(eeglm.__file__).parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env(OPENBLAS_NUM_THREADS="1")
     per_step = {}
     for mode in ("library", "cli"):
         argv = quick + ["--out", str(tmp_path / mode), "train", "--stage", "cpt",
@@ -1139,3 +1170,89 @@ def test_cli_training_steps_reuse_their_freed_heap(tmp_path):
                              capture_output=True, text=True, check=True)
         per_step[mode] = float(out.stdout.split()[-1])
     assert per_step["cli"] <= per_step["library"] / 4, per_step
+
+
+# -- BLAS threads ------------------------------------------------------------
+
+BLAS_THREADS_PROBE = """
+import ctypes, json, numpy
+from eeglm import cli
+umath = getattr(numpy, "_core", None) or numpy.core
+lib = ctypes.CDLL(umath._multiarray_umath.__file__)
+names = [name.replace("_set_", "_get_") for name in cli.BLAS_THREAD_SETTERS]
+get = next(filter(None, (getattr(lib, name, None) for name in names)), lambda: None)
+before = get()
+cli.main(["synth"])  # refused for want of --out, after the pin is set
+print(json.dumps({"before": before, "after": get()}))
+"""
+
+
+def test_main_runs_blas_on_one_thread_whatever_the_environment_asks():
+    probe = _probe(BLAS_THREADS_PROBE, OPENBLAS_NUM_THREADS="2")
+    if probe["after"] is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread getter")
+    assert probe["after"] == 1, probe
+
+
+class FakeSetter:
+    """Stands in for OpenBLAS's thread setter: records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, n):
+        self.calls.append(n)
+
+
+@pytest.fixture
+def blas_lookup():
+    """The setter lookup runs afresh in the test, and again after it."""
+    cli._blas_thread_setter.cache_clear()
+    yield
+    cli._blas_thread_setter.cache_clear()
+
+
+def test_blas_pin_looks_the_setter_up_once_and_sets_one_thread(monkeypatch, blas_lookup):
+    lib, opened = SimpleNamespace(openblas_set_num_threads=FakeSetter()), []
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: opened.append(name) or lib)
+    cli._pin_blas_threads()
+    cli._pin_blas_threads()
+    assert len(opened) == 1 and "_multiarray_umath" in opened[0]
+    assert lib.openblas_set_num_threads.argtypes == (ctypes.c_int,)
+    assert lib.openblas_set_num_threads.calls == [1, 1]
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_library], ids=["no-setter", "oserror"])
+def test_blas_pin_does_nothing_without_a_setter(monkeypatch, blas_lookup, cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cli._pin_blas_threads()
+    assert cli._blas_thread_setter() is None
+
+
+# a vq run, then a cpt run from its last checkpoint, in the current directory
+_CHAIN_CHILD = """
+import sys
+from eeglm import cli
+data, argv = sys.argv[1], sys.argv[2:]
+train = [*argv, "train", "--data", data, "--epochs", "2", "--stage"]
+vq = cli.main(["--out", "vq", *train, "vq"])
+sys.exit(vq or cli.main(["--out", "cpt", *train, "cpt", "--init-from", "vq/checkpoints/epoch_0001"]))
+"""
+
+
+def test_cli_runs_write_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # the quick-start sizes: their products are large enough for OpenBLAS
+    # to split them over two threads, which once changed cpt's metrics.csv
+    data = tmp_path / "data"
+    synth = recipe.replace(recipe.quick_start()[0], "--out", str(data))
+    assert main(recipe.replace(synth, "--per-class", "2")) == 0
+    trees = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads-{threads}"
+        cwd.mkdir()
+        subprocess.run([sys.executable, "-c", _CHAIN_CHILD, str(data), "--seed", recipe.SEED, *recipe.SET],
+                       cwd=cwd, env=_child_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
+                       check=True)
+        trees[threads] = {p.relative_to(cwd): b for p, b in _tree(cwd).items()}
+    assert {p.parts[0] for p in trees["1"]} == {"vq", "cpt"}
+    assert [p for p in trees["1"].keys() | trees["2"].keys() if trees["1"].get(p) != trees["2"].get(p)] == []
