@@ -19,7 +19,7 @@ order, the numpy expressions of the chain of smaller ops it stands for:
   scaled dot-product attention and the output projection, with adapters
   and causal masking;
 - `conv1d`: one im2col matrix product forward, two backward;
-- `mix`: a constant matrix along the leading axis (reshape, matmul, reshape).
+- `mix`: a constant matrix along one axis (reshape, matmul, reshape).
 
 `eeglm.losses` builds its span and reconstruction losses as such nodes too.
 A node keeps only what its vjp reads, and rebuilds what is cheap to
@@ -31,6 +31,12 @@ vjps reach it, so `backward` sums an input's gradient in the same order
 (for self-attention: value, then key, then query projection). Heads are
 split and merged by numpy reshapes and transposes inside the node, so the
 tape records no view op for the head layout.
+
+`linear`, `ffn`, `attention_layer`, `conv1d` and `mix` take leading axes
+that index a batch (of recordings, in the encoder). Each member of a batch
+gets its own matrix products, as one stacked `np.matmul`, never one product
+over the merged batch: OpenBLAS picks its kernel by matrix shape, so a
+merged product would give other bits than the member alone.
 
 Operations validate shapes eagerly and raise instead of producing NaN/Inf;
 each leaves only finite values behind, in arrays of its inputs' dtype.
@@ -412,18 +418,22 @@ def _swap_last(arr: Array) -> Array:
     return arr.swapaxes(-1, -2)
 
 
-def mix(mat: Array, x) -> Tensor:
-    """The constant (n_out, n_in) matrix `mat` applied along x's leading
-    axis of length n_in: out[i] = sum_j mat[i, j] * x[j]. One node with x as
-    its only input; values and gradient are those of the chain that flattens
-    x to (n_in, -1), multiplies by `mat` as a tensor and restores the shape."""
+def mix(mat: Array, x, lead: int = 0) -> Tensor:
+    """The constant (n_out, n_in) matrix `mat` applied along axis `lead` of
+    x, of length n_in: out[..., i, :] = sum_j mat[i, j] * x[..., j, :]. One
+    node with x as its only input; values and gradient are those of the
+    chain that flattens x to (n_in, -1), multiplies by `mat` as a tensor and
+    restores the shape. The `lead` axes before it index a batch: each index
+    has its own product, in one stacked matmul."""
     x = as_tensor(x)
-    if x.data.shape[:1] != mat.shape[1:]:
-        raise ShapeError(f"mix of a {mat.shape} matrix needs x led by its width, got {x.data.shape}")
+    shape = x.data.shape
+    if shape[lead : lead + 1] != mat.shape[1:]:
+        raise ShapeError(f"mix of a {mat.shape} matrix needs x's axis {lead} of its width, got {shape}")
     n_out, n_in = mat.shape
+    batch = shape[:lead]
     mat = mat.astype(x.data.dtype, copy=False)
-    out = Tensor._wrap(np.matmul(mat, x.data.reshape(n_in, -1)).reshape((n_out,) + x.data.shape[1:]))
-    return _record(out, (x,), lambda g: (np.matmul(mat.T, g.reshape(n_out, -1)).reshape(x.data.shape),))
+    out = Tensor._wrap(np.matmul(mat, x.data.reshape(batch + (n_in, -1))).reshape(batch + (n_out,) + shape[lead + 1 :]))
+    return _record(out, (x,), lambda g: (np.matmul(mat.T, g.reshape(batch + (n_out, -1))).reshape(shape),))
 
 
 def _weight_grad(x: Array, g: Array, w: Tensor) -> Array | None:
@@ -562,42 +572,44 @@ def _causal_mask(n: int, dtype) -> Array:
 def _attend(q: Array, k: Array, v: Array, n_heads: int, causal: bool, positions):
     """Multi-head scaled dot-product attention on arrays.
 
-    q is (Tq, E), k and v are (Tk, E); E splits into `n_heads` heads of
+    q is (..., Tq, E), k and v are (..., Tk, E), with the same leading axes,
+    each index of which attends on its own; E splits into `n_heads` heads of
     width E/n_heads, scaled by 1/sqrt(E/n_heads). Returns the heads' mixed
-    values merged back to (Tq, E), the softmax weights (n_heads, Tq, Tk),
-    and `grads(g, need_q, need_k, need_v)`, which gives (gq, gk, gv) for an
+    values merged back to (..., Tq, E), the softmax weights (..., n_heads,
+    Tq, Tk), and `grads(g, need_q, need_k, need_v)`, which gives (gq, gk, gv) for an
     output gradient g, None where not needed. With `causal`, the query at
     position p sees keys j <= p (a -1e9 additive mask); `positions` gives
     the Tq query positions, 0..Tq-1 by default, so a subset of a sequence's
     queries can attend to all of its keys. The gradient works from the saved
     softmax output, as FlashAttention's backward does (Dao et al. 2022),
     without tiling. The softmax and its vjp run in place on one
-    (n_heads, Tq, Tk) buffer each; forward and vjp apply the same IEEE
+    (..., n_heads, Tq, Tk) buffer each; forward and vjp apply the same IEEE
     operations, in the same order, as the unfused chain that splits the
     heads with reshape and transpose, then runs matmul, mul, add, softmax
     and matmul and merges them back.
     """
     if (
-        q.ndim != 2
-        or k.ndim != 2
+        q.ndim < 2
+        or k.ndim != q.ndim
         or k.shape != v.shape
-        or q.shape[1] != k.shape[1]
+        or q.shape[:-2] != k.shape[:-2]
+        or q.shape[-1] != k.shape[-1]
         or n_heads < 1
-        or q.shape[1] % n_heads != 0
+        or q.shape[-1] % n_heads != 0
     ):
         raise ShapeError(
-            f"attention over {n_heads} heads needs 2-D q (Tq, E) and k, v (Tk, E) "
+            f"attention over {n_heads} heads needs q (..., Tq, E) and k, v (..., Tk, E) "
             f"with E divisible by the heads; got q {q.shape}, k {k.shape}, v {v.shape}"
         )
-    (tq, e), tk = q.shape, k.shape[0]
+    lead, (tq, e), tk = q.shape[:-2], q.shape[-2:], k.shape[-2]
     dh = e // n_heads
     scale = 1.0 / math.sqrt(dh)
 
     def split(x: Array, t: int) -> Array:
-        return x.reshape((t, n_heads, dh)).transpose(1, 0, 2)
+        return x.reshape(lead + (t, n_heads, dh)).swapaxes(-3, -2)
 
     def merge(x: Array, t: int) -> Array:
-        return x.transpose(1, 0, 2).reshape((t, e))
+        return x.swapaxes(-3, -2).reshape(lead + (t, e))
 
     qh, kh, vh = split(q, tq), split(k, tk), split(v, tk)
     w = np.matmul(qh, _swap_last(kh))
@@ -641,7 +653,9 @@ def attention_layer(
     `query` and the key and value projections `wk`, `wv` of `key_value`.
 
     Each projection is (w, b, lora) as `linear` takes it. Returns the output
-    (Tq, E) and the softmax weights (n_heads, Tq, Tk) as a plain array.
+    (..., Tq, E) and the softmax weights (..., n_heads, Tq, Tk) as a plain
+    array; leading axes, the same on `query` and `key_value`, index a batch
+    whose members attend on their own, one stacked matmul per product.
     Values and gradients are those of the chain of four `linear` nodes and
     one attention node, bit for bit, and every intermediate passes the
     finiteness check its own node would. Self-attention passes one tensor
@@ -722,24 +736,25 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _im2col(x: Array, k: int, stride: int, padding: int, lout: int) -> Array:
-    """The (Cin*K, N*Lout) im2col columns of x (N, Cin, L), laid out as
-    numpy's einsum lays them out for "nilk,oik->nol" (read transposed from
-    (N*Lout, K) rows when Cin is 1)."""
-    n, cin, length = x.shape
-    xp = np.zeros((n, cin, length + 2 * padding), dtype=x.dtype)
-    xp[:, :, padding : padding + length] = x
-    # the windows, win[n, i, l, j] = xp[n, i, l*stride + j], as a read-only view
-    sn, si, sl = xp.strides
+    """The (..., Cin*K, N*Lout) im2col columns of x (..., N, Cin, L), one
+    matrix per leading index, laid out as numpy's einsum lays them out for
+    "nilk,oik->nol" (read transposed from (N*Lout, K) rows when Cin is 1)."""
+    lead, (n, cin, length) = x.shape[:-3], x.shape[-3:]
+    xp = np.zeros(lead + (n, cin, length + 2 * padding), dtype=x.dtype)
+    xp[..., padding : padding + length] = x
+    # the windows, win[..., n, i, l, j] = xp[..., n, i, l*stride + j], as a read-only view
+    *sb, sn, si, sl = xp.strides
     win = np.lib.stride_tricks.as_strided(
-        xp, (n, cin, lout, k), (sn, si, stride * sl, sl), writeable=False
+        xp, lead + (n, cin, lout, k), (*sb, sn, si, stride * sl, sl), writeable=False
     )
     if cin == 1:
-        return np.ascontiguousarray(win[:, 0]).reshape(n * lout, k).T
-    return win.transpose(1, 3, 0, 2).reshape(cin * k, n * lout)
+        return _swap_last(np.ascontiguousarray(win[..., 0, :, :]).reshape(lead + (n * lout, k)))
+    b = len(lead)
+    return win.transpose(*range(b), b + 1, b + 3, b, b + 2).reshape(lead + (cin * k, n * lout))
 
 
 def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """1-D cross-correlation: x (N, Cin, L) with kernels w (Cout, Cin, K).
+    """1-D cross-correlation: x (..., N, Cin, L) with kernels w (Cout, Cin, K).
 
     The forward is one im2col matrix product, (Cout, Cin*K) kernels times
     (Cin*K, N*Lout) columns, and the weight and input gradients are one
@@ -749,12 +764,14 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     encoder's three convs (checked for N from 1 to 120). Where einsum
     leaves BLAS for its own loop, on some geometries with an axis of
     length 1 (Cin, Cout, K, N or Lout), the two can differ by a few units
-    in the last place of the largest value.
+    in the last place of the largest value. Leading axes of x index a batch
+    whose members each get their own products, in one stacked matmul; the
+    weight gradient sums theirs.
     """
     x, w = as_tensor(x), as_tensor(w)
-    if x.data.ndim != 3 or w.data.ndim != 3:
-        raise ShapeError(f"conv1d needs 3-D x and w, got {x.data.shape}, {w.data.shape}")
-    n, cin, length = x.data.shape
+    if x.data.ndim < 3 or w.data.ndim != 3:
+        raise ShapeError(f"conv1d needs x (..., N, Cin, L) and 3-D w, got {x.data.shape}, {w.data.shape}")
+    lead, (n, cin, length) = x.data.shape[:-3], x.data.shape[-3:]
     cout, cin_w, k = w.data.shape
     if cin != cin_w:
         raise ShapeError(f"conv1d channel mismatch: x {x.data.shape} vs w {w.data.shape}")
@@ -771,26 +788,24 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     out_data = np.matmul(kernels, _im2col(x.data, k, stride, padding, lout))
     if b is not None:
         out_data += b.data[:, None]
-    out = Tensor._wrap(out_data.reshape(cout, n, lout).transpose(1, 0, 2))
+    out = Tensor._wrap(out_data.reshape(lead + (cout, n, lout)).swapaxes(-3, -2))
 
     def vjp(g: Array):
-        g_rows = np.transpose(g, (0, 2, 1)).reshape(n * lout, cout)
+        g_rows = _swap_last(g).reshape(lead + (n * lout, cout))
         dw = np.matmul(_im2col(x.data, k, stride, padding, lout), g_rows)
-        dw = dw.reshape(cin, k, cout).transpose(2, 0, 1)
+        dw = _unbroadcast(dw, (cin * k, cout)).reshape(cin, k, cout).transpose(2, 0, 1)
         dx = None
         if x.requires_grad:
-            g_cols = np.transpose(g, (1, 0, 2)).reshape(cout, n * lout)
-            dcols = np.matmul(np.transpose(kernels), g_cols).reshape(cin, k, n, lout)
-            dxp = np.zeros((n, cin, length + 2 * padding), dtype=dcols.dtype)
+            g_cols = g.swapaxes(-3, -2).reshape(lead + (cout, n * lout))
+            dcols = np.matmul(np.transpose(kernels), g_cols).reshape(lead + (cin, k, n, lout))
+            dxp = np.zeros(lead + (n, cin, length + 2 * padding), dtype=dcols.dtype)
             # by tap, highest first: each position sums its terms in ascending
             # output order, the order of a loop over output positions
             for j in range(k - 1, -1, -1):
-                dxp[:, :, j : j + stride * (lout - 1) + 1 : stride] += np.transpose(
-                    dcols[:, j], (1, 0, 2)
-                )
-            dx = dxp[:, :, padding : padding + length] if padding else dxp
+                dxp[..., j : j + stride * (lout - 1) + 1 : stride] += dcols[..., j, :, :].swapaxes(-3, -2)
+            dx = dxp[..., padding : padding + length] if padding else dxp
         if b is not None:
-            return dx, dw, g.sum(axis=(0, 2))
+            return dx, dw, g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,))
         return dx, dw
 
     return _record(out, inputs, vjp)

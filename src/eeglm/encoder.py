@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .nn import Embedding, FeedForward, LayerNorm, Linear, Module, MultiHeadAttention
 from .topology import BthHierarchy, build_hierarchy, get_montage
 
@@ -52,14 +52,14 @@ class TemporalEmbedder(Module):
         self.patch_len = cfg.patch_len
 
     def __call__(self, patches: np.ndarray) -> Tensor:
-        c, p, w = patches.shape
+        *lead, c, p, w = patches.shape
         if w != self.patch_len:
             raise ConfigError(f"patch length {w} does not match embedder ({self.patch_len})")
-        x = Tensor(patches.reshape(c * p, 1, w))
+        x = Tensor(patches.reshape((*lead, c * p, 1, w)))
         x = ad.gelu(ad.conv1d(x, self.conv1_w, self.conv1_b, stride=8, padding=7))
         x = ad.gelu(ad.conv1d(x, self.conv2_w, self.conv2_b, stride=1, padding=1))
         x = ad.gelu(ad.conv1d(x, self.conv3_w, self.conv3_b, stride=1, padding=1))
-        flat = ad.reshape(x, (c, p, x.shape[1] * x.shape[2]))
+        flat = ad.reshape(x, (*lead, c, p, x.shape[-2] * x.shape[-1]))
         return self.proj(flat)
 
 
@@ -79,8 +79,8 @@ class CsaBlock(Module):
 
 def _flat(level: Tensor) -> Tensor:
     # a node per use: each use's gradient terms sum here before the level's (vq's bytes depend on that order)
-    n, p, e = level.shape
-    return ad.reshape(level, (n * p, e))
+    *lead, n, p, e = level.shape
+    return ad.reshape(level, (*lead, n * p, e))
 
 
 class DualStreamEncoder(Module):
@@ -99,17 +99,23 @@ class DualStreamEncoder(Module):
         self.fuse_proj = Linear(2 * cfg.embed_dim, cfg.embed_dim, rng)
 
     def pool_levels(self, features: Tensor) -> list[Tensor]:
-        """Mean-pool C x P x E features into all five hierarchy levels."""
-        return [ad.mix(self.hierarchy.mean_matrix(level), features) for level in range(1, 6)]
+        """Mean-pool (..., C, P, E) features into all five hierarchy levels."""
+        lead = len(features.shape) - 3
+        return [ad.mix(self.hierarchy.mean_matrix(level), features, lead) for level in range(1, 6)]
 
     def broadcast_mean_234(self, levels: list[Tensor]) -> Tensor:
         """Unweighted mean of levels 2..4 broadcast back to channels."""
-        full = [ad.mix(self.hierarchy.member_matrix(level), levels[level - 1]) for level in (2, 3, 4)]
+        lead = len(levels[0].shape) - 3
+        full = [ad.mix(self.hierarchy.member_matrix(level), levels[level - 1], lead) for level in (2, 3, 4)]
         return ad.mul(ad.add(ad.add(full[0], full[1]), full[2]), 1.0 / 3.0)
 
     def __call__(self, patches: np.ndarray) -> Tensor:
-        """Encode one recording's (C, P, W) patch array into H_EEG, C x P x E."""
-        c, p, _ = patches.shape
+        """Encode one recording's (C, P, W) patch array into H_EEG, C x P x E,
+        or a (B, C, P, W) stack of B recordings into B x C x P x E, with the
+        bits each recording gets alone."""
+        if patches.ndim not in (3, 4):
+            raise ShapeError(f"encoder needs (C, P, W) or (B, C, P, W) patches, got {patches.shape}")
+        *lead, c, p, _ = patches.shape
         if p > self.cfg.max_patches:
             raise ConfigError(f"{p} patches exceed configured maximum {self.cfg.max_patches}")
         e = self.cfg.embed_dim
@@ -131,7 +137,7 @@ class DualStreamEncoder(Module):
         # fusion: broadcast the (1 x P x E) global stream to channels,
         # concatenate with the local stream, project 2E -> E, then add the
         # channel-broadcast mean of the intermediate levels 2..4
-        g_broad = ad.mix(self.hierarchy.member_matrix(1), ad.reshape(g, (1, p, e)))
-        l_full = ad.reshape(l, (c, p, e))
+        g_broad = ad.mix(self.hierarchy.member_matrix(1), ad.reshape(g, (*lead, 1, p, e)), len(lead))
+        l_full = ad.reshape(l, (*lead, c, p, e))
         fused = self.fuse_proj(ad.concat([g_broad, l_full], axis=-1))
         return ad.add(fused, self.broadcast_mean_234(levels))

@@ -43,6 +43,51 @@ def _binary_mapping(classes: list[str], y_labels: list[str]) -> list[str]:
     return list(classes)
 
 
+# samples encoded and quantized per encoder call; at most the quick start's
+# 12-sample eval set, so that its peak memory holds a full chunk, as a larger
+# set's does
+EVAL_CHUNK = 8
+
+
+def sample_row(item: PreparedSequence, probs: dict[str, float], classes: list[str]) -> dict:
+    """A sample's report row: its label, prediction and class probabilities."""
+    ordered = np.array([probs[c] for c in classes])
+    return {
+        "name": item.name,
+        "label": item.label,
+        "prediction": classes[int(np.argmax(ordered))],
+        "probabilities": {c: float(p) for c, p in zip(classes, ordered)},
+    }
+
+
+def build_report(cfg: dict, per_sample: list[dict]) -> dict:
+    """The task-shaped report of the rows `sample_row` gives."""
+    classes = list(cfg["data"]["classes"])
+    y_labels = [row["label"] for row in per_sample]
+    if len(classes) == 2:
+        order = _binary_mapping(classes, y_labels)
+        positive = order[1]
+    else:
+        order = classes
+        positive = None
+    index = {c: i for i, c in enumerate(order)}
+    y_true = np.array([index[row["label"]] for row in per_sample])
+    y_pred = np.array([index[row["prediction"]] for row in per_sample])
+    scores = np.array([[row["probabilities"][c] for c in order] for row in per_sample])
+    batch = EvalBatch(y_true=y_true, y_pred=y_pred, scores=scores, n_classes=len(order))
+    wanted = BINARY_METRICS if len(classes) == 2 else MULTICLASS_METRICS
+    report = {
+        "task": cfg["data"]["dataset_name"],
+        "n_samples": len(per_sample),
+        "classes": order,
+        "metrics": {k: getattr(metrics, k)(batch) for k in wanted},
+        "per_sample": per_sample,
+    }
+    if positive is not None:
+        report["positive_class"] = positive
+    return report
+
+
 def evaluate_checkpoint(
     checkpoint: str | Path, data_dir: str | Path, out_dir: str | Path | None = None
 ) -> dict:
@@ -58,41 +103,13 @@ def evaluate_checkpoint(
     label_tokens = model.tokenizer.ensure_distinct(classes)
 
     per_sample = []
-    for entry in corpus:  # one sample prepared, scored and dropped at a time
-        (item,) = prepare_sequences(model, [entry], with_answer=True)
-        probs = label_probabilities(model, item, label_tokens)
-        ordered = np.array([probs[c] for c in classes])
-        per_sample.append(
-            {
-                "name": item.name,
-                "label": item.label,
-                "prediction": classes[int(np.argmax(ordered))],
-                "probabilities": {c: float(p) for c, p in zip(classes, ordered)},
-            }
-        )
+    for start in range(0, len(corpus), EVAL_CHUNK):  # one chunk prepared, scored and dropped at a time
+        chunk = list(corpus[start : start + EVAL_CHUNK])
+        tokenized = model.tokenize_recordings([rec for _, rec, _ in chunk])
+        for item in prepare_sequences(model, chunk, with_answer=True, tokenized=tokenized):
+            per_sample.append(sample_row(item, label_probabilities(model, item, label_tokens), classes))
 
-    y_labels = [row["label"] for row in per_sample]
-    if len(classes) == 2:
-        order = _binary_mapping(classes, y_labels)
-        positive = order[1]
-    else:
-        order = classes
-        positive = None
-    index = {c: i for i, c in enumerate(order)}
-    y_true = np.array([index[row["label"]] for row in per_sample])
-    y_pred = np.array([index[row["prediction"]] for row in per_sample])
-    scores = np.array([[row["probabilities"][c] for c in order] for row in per_sample])
-    batch = EvalBatch(y_true=y_true, y_pred=y_pred, scores=scores, n_classes=len(order))
-    wanted = BINARY_METRICS if len(classes) == 2 else MULTICLASS_METRICS
-    report = {
-        "task": model.cfg["data"]["dataset_name"],
-        "n_samples": len(per_sample),
-        "classes": order,
-        "metrics": {k: getattr(metrics, k)(batch) for k in wanted},
-        "per_sample": per_sample,
-    }
-    if positive is not None:
-        report["positive_class"] = positive
+    report = build_report(model.cfg, per_sample)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -48,19 +48,21 @@ class TokenSequence:
 
 
 def nearest_indices(rows: np.ndarray, codebook: np.ndarray) -> np.ndarray:
-    """Exact nearest codebook row per input row; ties take the lowest index."""
-    if rows.shape[1] != codebook.shape[1]:
+    """Exact nearest codebook row per input row of (..., N, D) rows; ties
+    take the lowest index. Leading axes index a batch, each member with its
+    own distance product (one stacked matmul), so it gets its bits alone."""
+    if rows.ndim < 2 or rows.shape[-1] != codebook.shape[1]:
         raise ShapeError(
-            f"row width {rows.shape[1]} != codebook width {codebook.shape[1]}"
+            f"rows {rows.shape} are not (..., N, {codebook.shape[1]}), the codebook width"
         )
     # ||h - v||^2 = ||h||^2 - 2 h.v + ||v||^2; argmin returns the first
     # (lowest) index among exact ties
     d2 = (
-        np.sum(rows * rows, axis=1, keepdims=True)
+        np.sum(rows * rows, axis=-1, keepdims=True)
         - 2.0 * rows @ codebook.T
         + np.sum(codebook * codebook, axis=1)[None, :]
     )
-    return np.argmin(d2, axis=1)
+    return np.argmin(d2, axis=-1)
 
 
 class VectorQuantizer(Module):
@@ -113,22 +115,28 @@ class VectorQuantizer(Module):
                     dist[far] = 0.0
         self.codebook.data[...] = centers  # in place: the optimizer owns the codebook
 
-    def __call__(self, h_eeg: Tensor) -> tuple[TokenSequence, Tensor, Tensor, Tensor]:
+    def __call__(self, h_eeg: Tensor) -> tuple[TokenSequence | list[TokenSequence], Tensor, Tensor, Tensor]:
         """Quantize C x P x E features.
 
         Returns (tokens, z_up, h_down, z_q): the token sequence, the
         up-projected straight-through features (C*P x E), and the
         pre/post-quantization rows at width D for the commitment loss.
+        B x C x P x E features of B recordings give a list of B token
+        sequences and arrays led by B, each recording's bits as it gets
+        them alone.
         """
-        c, p, e = h_eeg.shape
-        rows = ad.reshape(h_eeg, (c * p, e))
+        *lead, c, p, e = h_eeg.shape
+        rows = ad.reshape(h_eeg, (*lead, c * p, e))
         h_down = self.down(rows)
         idx = self.quantize_rows(h_down.data)
         np.add.at(self.epoch_counts, idx, 1)
         z_q = ad.take(self.codebook, idx)
         z_st = ad.straight_through(h_down, z_q)
         z_up = self.up(z_st)
-        tokens = TokenSequence(indices=idx, channels=c, patches=p)
+        if lead:
+            tokens = [TokenSequence(indices=i, channels=c, patches=p) for i in idx]
+        else:
+            tokens = TokenSequence(indices=idx, channels=c, patches=p)
         return tokens, z_up, h_down, z_q
 
     # ---- health and revival ----

@@ -153,6 +153,11 @@ def load_csv(path: str | Path, fs: float) -> Recording:
             names = [h.strip() for h in header.split(",")]
             if len(names) < 2:
                 raise DataError(f"{p}: need a time column plus at least one channel")
+            if "" in names[1:]:
+                raise DataError(f"{p}: header column {names.index('', 1) + 1} has no channel label")
+            twice = [n for i, n in enumerate(names[1:], 1) if n in names[1:i]]
+            if twice:
+                raise DataError(f"{p}: header names channel {twice[0]!r} twice")
             rows = np.loadtxt(f, delimiter=",", ndmin=2)
     except OSError as e:
         raise DataError(f"cannot read {p}: {e}") from e

@@ -88,6 +88,19 @@ class PipelineModel:
         tokens, _, _, z_q = self.quantizer(self.encoder(self.patch(rec)))
         return tokens, z_q.data.copy()
 
+    def tokenize_recordings(self, recs: Sequence[Recording]) -> list[tuple[TokenSequence, np.ndarray]]:
+        """`tokenize_recording` of each recording, to the bit, with one
+        encoder and one quantizer call per patch shape among them. Every
+        recording's montage is checked before any is encoded."""
+        patches = [self.patch(rec) for rec in recs]
+        out: list = [None] * len(recs)
+        for shape in dict.fromkeys(x.shape for x in patches):
+            members = [i for i, x in enumerate(patches) if x.shape == shape]
+            tokens, _, _, z_q = self.quantizer(self.encoder(np.stack([patches[i] for i in members])))
+            for i, tok, rows in zip(members, tokens, z_q.data):
+                out[i] = tok, rows.copy()
+        return out
+
 
 def build_model(cfg: dict) -> PipelineModel:
     """Construct the full bundle from a resolved config, seeded by cfg['seed']."""
@@ -203,17 +216,20 @@ def prepare_sequences(
     model: PipelineModel,
     corpus: Sequence[tuple[str, Recording, str | None]],
     with_answer: bool,
+    tokenized: Sequence[tuple[TokenSequence, np.ndarray]] | None = None,
 ) -> list[PreparedSequence]:
     """Tokenize, profile, and assemble every sample once (frozen-stage work).
     With `with_answer`, every label must be one of the configured classes,
-    as `load_corpus(..., classes=...)` checks."""
+    as `load_corpus(..., classes=...)` checks. `tokenized` holds each
+    sample's (tokens, z_q) when the caller has them; otherwise each
+    recording is tokenized here by `tokenize_recording`."""
     cfg = model.cfg
     client = make_llm_client(cfg["llm"])
     model.tokenizer.ensure_distinct(cfg["data"]["classes"])
     instr_ids = model.tokenizer.encode(cfg["data"]["instruction"]) if with_answer else None
     out = []
-    for name, rec, label in corpus:
-        tokens, z_q = model.tokenize_recording(rec)
+    for i, (name, rec, label) in enumerate(corpus):
+        tokens, z_q = model.tokenize_recording(rec) if tokenized is None else tokenized[i]
         _, _, result = profile_recording(rec, model, name, client)
         text = result.profile.flat_text()
         answer_ids = model.tokenizer.encode(label) if with_answer else None
@@ -611,7 +627,10 @@ def _train(spec_cls: type[StageSpec], cfg: dict, run_dir: str | Path, resume: bo
     opt = AdamW(trainable, lr_scales=lr_scales, **hyper)
     start_epoch, step, epoch_avgs, last = 0, 0, [], {}
     if resumed:
-        opt.load_state(meta, arrays)
+        try:
+            opt.load_state(meta, arrays)
+        except DataError as e:
+            raise DataError(f"checkpoint {source}: {e}") from e
         spec.resume(model, meta)
         start_epoch, step, last = meta["epoch"] + 1, meta["step"], meta
         epoch_avgs = list(meta["epoch_avg_loss"])

@@ -18,6 +18,9 @@ filters are held to. `gelu` is gelu's value chain on `scipy.special.erf`,
 which `ad.gelu` and `ad.ffn` must match to the bit however they load erf.
 `hashed_embed` is `HashedTextEmbedder.embed` as one scalar update per word
 and hash, which the vectorised embedder must match to the bit.
+`evaluate_one_at_a_time` is eval as it ran before it batched the encoder:
+each sample tokenized by `tokenize_recording`, then prepared and scored on
+its own; `evaluate_checkpoint`'s report must equal its report to the byte.
 """
 
 from __future__ import annotations
@@ -33,9 +36,12 @@ import scipy.special
 from eeglm import autodiff as ad
 from eeglm.autodiff import Tensor
 from eeglm.errors import MontageError, ShapeError
+from eeglm.evaluate import build_report, label_probabilities, sample_row
 from eeglm.hashing import fnv1a_64
 from eeglm.signal_io import DEFAULT_BAND, WORK_FS, Recording, robust_scale
+from eeglm.synth import load_corpus
 from eeglm.topology import BthHierarchy
+from eeglm.training import load_model, prepare_sequences
 
 
 def tanh(a) -> Tensor:
@@ -269,3 +275,15 @@ def hashed_embed(text: str, dim: int, n_hashes: int = 4) -> np.ndarray:
     rows /= n_hashes
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     return rows / np.maximum(norms, 1e-12)
+
+
+def evaluate_one_at_a_time(checkpoint, data_dir) -> dict:
+    """The eval report with every sample tokenized, prepared and scored on its own."""
+    model, _ = load_model(checkpoint)
+    classes = list(model.cfg["data"]["classes"])
+    label_tokens = model.tokenizer.ensure_distinct(classes)
+    rows = []
+    for entry in load_corpus(data_dir, classes=classes):
+        (item,) = prepare_sequences(model, [entry], with_answer=True)
+        rows.append(sample_row(item, label_probabilities(model, item, label_tokens), classes))
+    return build_report(model.cfg, rows)

@@ -645,12 +645,12 @@ def test_attention_rejects_mismatched_shapes():
 @pytest.mark.parametrize(
     "shapes, n_heads",
     [
-        (((2, 3, 4), (2, 5, 4), (2, 5, 4)), 1),  # leading head axes are not an input layout
+        (((2, 3, 4), (3, 5, 4), (3, 5, 4)), 1),  # queries and keys of batches that differ
         (((6,), (5, 6), (5, 6)), 1),
         (((3, 6), (5, 6), (5, 6)), 4),  # 6 features do not split into 4 heads
         (((3, 6), (5, 6), (5, 6)), 0),
     ],
-    ids=["3-d", "1-d-query", "indivisible", "no-heads"],
+    ids=["batches-differ", "1-d-query", "indivisible", "no-heads"],
 )
 def test_attention_needs_token_matrices_that_split_into_the_heads(shapes, n_heads):
     q, k, v = (t(np.zeros(s)) for s in shapes)
@@ -979,3 +979,100 @@ def test_fd_mix(x_shape):
 def test_mix_refuses_a_leading_axis_other_than_the_matrix_width():
     with pytest.raises(ShapeError, match=r"\(3, 4\).*\(5, 2\)"):
         ad.mix(np.ones((3, 4)), t(np.zeros((5, 2))))
+
+
+# ---------------------------------------------------------------------------
+# batch axes: each member of a batch gets the bits it gets alone
+# ---------------------------------------------------------------------------
+
+def _assert_batch_is_its_members(op, batched, shared, seed):
+    """op over `batched` inputs, whose leading axis indexes the batch's
+    members, and `shared` ones, under the loss sum(out * g) for a random g:
+    the output and the batched inputs' gradients equal a loop over the
+    members to the bit, and a shared input's gradient is the members' summed."""
+    with ad.Graph():
+        out = op(*batched, *shared)
+        g = np.random.default_rng(seed).standard_normal(out.shape).astype(out.data.dtype)
+        grads = ad.backward(ad.sum_(ad.mul(out, g)), wrt=[*batched, *shared])
+    summed = [np.zeros_like(x.data) for x in shared]
+    for i in range(out.shape[0]):
+        xs = [t(x.data[i]) for x in batched]
+        with ad.Graph():
+            out_i = op(*xs, *shared)
+            member = ad.backward(ad.sum_(ad.mul(out_i, g[i])), wrt=[*xs, *shared])
+        assert out.data[i].tobytes() == out_i.data.tobytes()
+        for x, x_i in zip(batched, xs):
+            assert grads[x][i].tobytes() == member[x_i].tobytes()
+        for total, x in zip(summed, shared):
+            total += member[x]
+    for total, x in zip(summed, shared):  # summed in another order
+        np.testing.assert_allclose(grads[x], total, rtol=1e-4, atol=1e-5)
+
+
+@pytest.mark.parametrize("b", [1, 3, 8])
+@pytest.mark.parametrize("n, cin, length, cout, k, stride, padding", [
+    (8, 1, 200, 16, 15, 8, 7), (8, 16, 25, 16, 3, 1, 1), (38, 16, 25, 16, 3, 1, 1), (2, 3, 200, 4, 15, 8, 7),
+])
+def test_batched_conv1d_is_a_loop_over_its_members_to_the_bit(b, n, cin, length, cout, k, stride, padding):
+    rng = np.random.default_rng(60)
+    x = t(rng.standard_normal((b, n, cin, length)))
+    w, bias = t(rng.standard_normal((cout, cin, k))), t(rng.standard_normal(cout))
+    op = lambda x_, w_, b_: ad.conv1d(x_, w_, b_, stride=stride, padding=padding)
+    _assert_batch_is_its_members(op, [x], [w, bias], seed=61)
+
+
+@pytest.mark.parametrize("name", [n for n in HIERARCHY_MATRICES if n.startswith(("synthetic-4", "builtin"))])
+def test_batched_mix_is_a_loop_over_its_members_to_the_bit(name):
+    mat = HIERARCHY_MATRICES[name]
+    x = t(np.random.default_rng(63).standard_normal((3, mat.shape[1], 2, 8)))
+    _assert_batch_is_its_members(lambda x_: ad.mix(mat, x_, lead=x_.data.ndim - 3), [x], [], seed=64)
+
+
+@pytest.mark.parametrize("name", list(ATTENTION_CASES))
+def test_batched_attention_layer_is_a_loop_over_its_members_to_the_bit(name):
+    # at a width where one product over the merged batch changes bits
+    self_attn, lora, positions = ATTENTION_CASES[name]
+    rng = np.random.default_rng(65)
+    projs = [_affine(rng, (32, 32), lora) for _ in range(4)]
+    kv = t(rng.standard_normal((8, 6, 32)))
+    query = t(rng.standard_normal((8, 3 if positions else 4, 32)))
+    params = [p for proj in projs for p in _affine_tensors(proj)]
+
+    def op(*xs):
+        q, k = (xs[0], xs[0]) if self_attn else xs[:2]
+        return ad.attention_layer(q, k, *projs, 2, positions is not None, positions)[0]
+
+    _assert_batch_is_its_members(op, [kv] if self_attn else [query, kv], params, seed=66)
+
+
+@pytest.mark.usefixtures("float64")
+def test_fd_batched_conv1d():
+    def fn(ts):
+        out = ad.conv1d(ts[0], ts[1], ts[2], stride=2, padding=3)
+        return ad.sum_(ad.mul(out, out))
+
+    _fd_case(fn, [(2, 2, 2, 11), (3, 2, 5), (3,)], seed=69, tol=1e-5)
+
+
+@pytest.mark.usefixtures("float64")
+def test_fd_batched_mix():
+    mat = np.random.default_rng(70).uniform(-1, 1, (3, 4))
+    _fd_case(lambda ts: ad.sum_(tanh(ad.mix(mat, ts[0], lead=1))), [(2, 4, 3)], seed=71)
+
+
+@pytest.mark.usefixtures("float64")
+@pytest.mark.parametrize("self_attn", [False, True], ids=["cross", "self"])
+def test_fd_batched_attention_layer(self_attn):
+    rng = np.random.default_rng(72)
+    kv = t(rng.uniform(-1, 1, (2, 5, 8)))
+    query = kv if self_attn else t(rng.uniform(-1, 1, (2, 3, 8)))
+    wq, wk, wv, wo = projs = [_affine(rng, (8, 8), lora=True) for _ in range(4)]
+    leaves = list(dict.fromkeys([query, kv])) + [p for proj in projs for p in _affine_tensors(proj) if p is not wk[1]]
+    weights = t(rng.uniform(-1, 1, query.shape), rg=False)
+
+    def fn(_):
+        out, _w = ad.attention_layer(query, kv, wq, wk, wv, wo, 2)
+        return ad.sum_(ad.mul(tanh(out), weights))
+
+    err = check_gradients(fn, leaves)
+    assert err < 1e-6, f"relative error {err}"

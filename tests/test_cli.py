@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import eeglm
+import oracles
 import recipe
 from eeglm import checkpoint, cli, training
 from eeglm.checkpoint import load_checkpoint, save_checkpoint
@@ -471,6 +472,22 @@ def test_eval_report_shape(env, tmp_path, capsys):
     assert report["metrics"] == printed["metrics"]
 
 
+def test_eval_report_equals_the_one_sample_at_a_time_oracle_to_the_byte(env, tmp_path):
+    # 10 samples, so two chunks, and 3 s recordings among 2 s ones, so two
+    # patch shapes in each chunk
+    data, longer = tmp_path / "data", tmp_path / "longer"
+    make_dataset(data, n_per_class=5, classes=("class-a", "class-b"), montage="synthetic-2", seconds=2.0, seed=4)
+    make_dataset(longer, n_per_class=2, classes=("class-a", "class-b"), montage="synthetic-2", seconds=3.0, seed=5)
+    for i, name in enumerate(("sample_0001", "sample_0006", "sample_0008")):
+        shutil.rmtree(data / name)
+        shutil.copytree(longer / f"sample_{i:04d}", data / name)
+    argv = ["--out", str(tmp_path / "ev"), "eval", "--checkpoint", str(env["ckpt_sft"]), "--data", str(data)]
+    assert main(env["base"] + argv) == 0
+    oracle = oracles.evaluate_one_at_a_time(env["ckpt_sft"], data)
+    assert oracle["n_samples"] == 10
+    assert (tmp_path / "ev" / "report.json").read_text() == json.dumps(oracle, indent=2)
+
+
 # -- attn-export ---------------------------------------------------------------
 
 
@@ -789,6 +806,15 @@ FOREIGN_MONTAGE = {
 }
 
 EVAL_DATA, EVAL_COPY = copy("{eval_data}", "{case}/data"), evaluate("{ckpt_sft}", "{case}/data")
+# 10 samples, the 10th (in eval's second chunk) of 3 channels against the 2 configured
+MIXED_MONTAGES = (run(*synth("{case}/data", per_class="5")), WIDE, remove("{case}/data/sample_0009"),
+                  copy(WIDE_SAMPLE, "{case}/data/sample_0009"))
+MIXED_MONTAGE_READERS = {
+    "eval": EVAL_COPY,
+    "vq": train("vq", "{case}/data"),
+    "cpt": train("cpt", "{case}/data", "{ckpt_vq}"),
+    "sft": train("sft", "{case}/data", "{ckpt_cpt}"),
+}
 LABELS = "label file {case}/data/labels.csv"  # of the copy EVAL_DATA makes
 ATTN_PROFILE = attn_export(profile="{case}/profile.json")
 BAD_CONFIG = "checkpoint {case}/ckpt holds a bad config: "
@@ -883,8 +909,19 @@ REFUSED = [
             (write("{case}/bad.csv", "t,X0\n0,abc\n0.004,1\n"),)),
     Refusal("preprocess-csv-empty", 3, "{case}/bad.csv: empty file", preprocess("{case}/bad.csv", "--fs", "250"),
             (write("{case}/bad.csv", ""),)),
-    Refusal("preprocess-band-crossed", 2, "band edges must satisfy 0 < low < high < fs/2",
-            preprocess("{sample}", "--low", "80", "--high", "10")),
+    *(Refusal(f"preprocess-csv-header-{name}", 3, f"{{case}}/bad.csv: {named}", preprocess("{case}/bad.csv", "--fs", "250"),
+              (write("{case}/bad.csv", f"{header}\n0.0,1.0,2.0\n0.004,1.0,2.0\n"),)) for name, header, named in [
+        ("of-time-alone", "t", "need a time column plus at least one channel"),
+        ("without-a-label", "t,,X1", "header column 2 has no channel label"),
+        ("of-a-blank-label", "t,X0, ", "header column 3 has no channel label"),
+        ("naming-a-label-twice", "t,X0,X0", "header names channel 'X0' twice"),
+    ]),
+    *(Refusal(f"preprocess-band-{name}", 2, "band edges must satisfy 0 < low < high < fs/2",
+              preprocess("{sample}", *flags)) for name, flags in [
+        ("crossed", ("--low", "80", "--high", "10")),
+        *((f"low-{low}", ("--low", low)) for low in ("0", "-5", "nan")),
+        *((f"high-{high}", ("--high", high)) for high in ("100", "150", "nan", "inf")),  # fs/2 is 100
+    ]),
     *(Refusal(f"preprocess-notch-{notch}", 2, f"notch {notch} Hz must lie inside the pass band",
               preprocess("{sample}", "--notch", notch)) for notch in ("150.0", "-5.0", "nan")),
     Refusal("container-signal-cut-short", 3, "extent mismatch in {case}/sample/signal.bin",
@@ -922,6 +959,8 @@ REFUSED = [
             (EVAL_DATA, write("{case}/data/labels.csv", "sample_0000,class-a\n"))),
     Refusal("eval-label-row-of-three-fields", 3, "malformed label row", EVAL_COPY,
             (EVAL_DATA, write("{case}/data/labels.csv", "sample_0000,class-a,x\n", "a"))),
+    *(Refusal(f"mixed-montages-{command}", 3, NOT_THE_MONTAGE, argv, MIXED_MONTAGES)
+      for command, argv in MIXED_MONTAGE_READERS.items()),
     # -- checkpoints
     Refusal("checkpoint-without-weights", 3, "cannot read checkpoint weights in {case}/ckpt", tokenize(),
             (CKPT_VQ, remove("{case}/ckpt/weights.bin"))),
@@ -977,6 +1016,11 @@ REFUSED = [
             (RUN, old_layout("{case}/run/checkpoints/epoch_0001"))),
     *(Refusal(f"resume-{name}", 3, f"checkpoint {{case}}/run/checkpoints/epoch_0001: {named}", RESUME,
               (RUN, edit(NEWEST, keys, value))) for name, keys, value, named in DAMAGED_META),
+    # each stage's newest checkpoint naming a parameter its stage does not train
+    *(Refusal(f"resume-{stage}-trainable-names-an-unknown-parameter", 3,
+              (f"checkpoint {ckpt}", "saved for another trainable set"), argv,
+              (setup, edit(f"{ckpt}/manifest.json", ("meta", "trainable"), lambda names: names + ["encoder.nope"])))
+      for stage, (setup, ckpt, argv) in RESUMABLE.items()),
     *(Refusal(f"resume-{stage}-epoch-avg-loss-{name}", 3, (f"checkpoint {ckpt}: meta 'epoch_avg_loss' ", named),
               argv, (setup, edit(f"{ckpt}/manifest.json", ("meta", "epoch_avg_loss"), value)))
       for stage, name, value, named in EPOCH_AVGS for setup, ckpt, argv in [RESUMABLE[stage]]),

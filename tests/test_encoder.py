@@ -267,8 +267,9 @@ def test_full_encoder_gradcheck():
     assert err < 1e-4
 
 
-def _chain_mix(mat, x):
-    """ad.mix as the reshape -> matmul(Tensor(mat)) -> reshape chain."""
+def _chain_mix(mat, x, lead=0):
+    """ad.mix of one recording's features as the reshape -> matmul(Tensor(mat)) -> reshape chain."""
+    assert lead == 0
     n_out, n_in = mat.shape
     flat = ad.reshape(x, (n_in, -1))
     return ad.reshape(matmul(Tensor(mat), flat), (n_out,) + x.shape[1:])
@@ -320,3 +321,27 @@ def test_encoder_values_and_gradients_equal_the_chain_pooling_to_the_bit(montage
     assert g_fused.keys() == g_chain.keys()
     for name in g_fused:
         assert np.array_equal(g_fused[name], g_chain[name]), name
+
+
+@pytest.mark.parametrize("b", [1, 3, 8])
+@pytest.mark.parametrize("montage, embed_dim, p", [
+    ("synthetic-4", 16, 2),  # the quick start's encoder and recordings
+    ("synthetic-4", 32, 2),  # widths at which a product over the merged batch changes bits
+    ("builtin-1020", 16, 6),  # the 19-channel set's recordings
+])
+def test_batched_encoder_gives_each_recording_its_own_bits(b, montage, embed_dim, p):
+    cfg = EncoderConfig(embed_dim=embed_dim, n_heads=2, ffn_mult=4, patch_len=200, max_patches=8, montage=montage)
+    enc = DualStreamEncoder(cfg, np.random.default_rng(19))
+    c = enc.hierarchy.montage.n_channels
+    patches = np.random.default_rng(20).standard_normal((b, c, p, 200))
+    batched = enc(patches).data
+    assert batched.shape == (b, c, p, embed_dim)
+    for i in range(b):
+        assert batched[i].tobytes() == enc(patches[i]).data.tobytes()
+
+
+def test_encoder_refuses_patches_that_are_neither_one_recording_nor_a_stack():
+    enc = DualStreamEncoder(TOY, np.random.default_rng(21), hierarchy=build_hierarchy(tiny_montage(2)))
+    for shape in ((2, 40), (1, 2, 2, 2, 40)):
+        with pytest.raises(ShapeError, match="patches"):
+            enc(np.zeros(shape))

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import importlib.util
+import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -99,6 +102,43 @@ def test_traced_losses_read_every_row_the_backbone_computes(tmp_path):
     assert counts["backbone.rows_read"] == counts["backbone.rows_computed"]
     # uninstalled: the module attributes are the originals again
     assert training.loss_ntp.__module__ == "eeglm.losses"
+
+
+def test_the_call_counts_the_benchmark_reads(tmp_path):
+    # the benchmark's tokenize rate divides by the tokenize_recording calls,
+    # which cpt and sft make once per recording; eval encodes and quantizes
+    # its samples in chunks, and makes none (the names resolve: above)
+    cfg = _toy_cfg(tmp_path / "data", train={"epochs": 1})
+    counts, parent = {}, None
+    for stage in ("vq", "cpt", "sft"):
+        stage_cfg = copy.deepcopy(cfg)
+        stage_cfg["train"]["init_from"] = parent
+        counts[stage] = _traced(training.STAGE_RUNNERS[stage], stage_cfg, tmp_path / stage)
+        parent = str(tmp_path / stage / "checkpoints" / "epoch_0000")
+    for stage in ("cpt", "sft"):
+        assert counts[stage]["training.tokenize.calls"] == 2, stage  # the two training recordings
+        assert counts[stage]["encoder.forward.calls"] == 2, stage
+
+    make_dataset(tmp_path / "eval", n_per_class=5, classes=("class-a", "class-b"),
+                 montage="synthetic-2", seconds=2.0, seed=4)
+    got = _traced(evaluate.evaluate_checkpoint, parent, tmp_path / "eval")
+    n, chunks = 10, math.ceil(10 / evaluate.EVAL_CHUNK)
+    assert chunks == 2
+    assert got["encoder.forward.calls"] == got["quantizer.forward.calls"] == chunks
+    assert got["training.prepare.calls"] == chunks
+    assert got["training.tokenize.calls"] == 0
+    assert got["evaluate.score.calls"] == n
+
+
+def _traced(fn, *args) -> Counter:
+    """The tracer's counts over one call of `fn`."""
+    tracer = probes.Tracer()
+    tracer.install()
+    try:
+        fn(*args)
+    finally:
+        tracer.uninstall()
+    return tracer.counts
 
 
 def test_benchmark_selftest_passes():

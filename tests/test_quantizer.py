@@ -7,7 +7,7 @@ import pytest
 
 from eeglm import autodiff as ad
 from eeglm.autodiff import Graph, Tensor, backward
-from eeglm.errors import DataError
+from eeglm.errors import DataError, ShapeError
 from eeglm.quantizer import (
     QuantizerConfig,
     TokenSequence,
@@ -63,6 +63,39 @@ def test_quantization_idempotent():
     idx = nearest_indices(rows, cb)
     again = nearest_indices(cb[idx], cb)
     np.testing.assert_array_equal(idx, again)
+
+
+@pytest.mark.parametrize("b", [1, 3, 8])
+def test_batched_nearest_indices_are_a_loop_over_the_members(b):
+    # codes a rounding error apart, so that the argmin follows the last bits,
+    # at a width where one product over the merged batch changes them
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal(32).astype(np.float32)
+    cb = base + 1e-6 * rng.standard_normal((64, 32)).astype(np.float32)
+    rows = base + 1e-6 * rng.standard_normal((b, 8, 32)).astype(np.float32)
+    got = nearest_indices(rows, cb)
+    assert got.shape == (b, 8)
+    for i in range(b):
+        assert got[i].tobytes() == nearest_indices(rows[i], cb).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(8,), (2, 5)], ids=["1-d", "other-width"])
+def test_nearest_indices_refuse_rows_that_are_not_n_by_the_code_width(shape):
+    with pytest.raises(ShapeError, match="codebook width"):
+        nearest_indices(np.zeros(shape), np.zeros((4, 8)))
+
+
+def test_quantizer_gives_a_batch_one_token_sequence_per_recording():
+    q = VectorQuantizer(QuantizerConfig(num_codes=8, code_dim=4, beta=0.25, revival_epochs=2), 6,
+                        np.random.default_rng(4))
+    h = Tensor(np.random.default_rng(5).standard_normal((3, 2, 5, 6)))
+    tokens, z_up, h_down, z_q = q(h)
+    assert [(s.channels, s.patches) for s in tokens] == [(2, 5)] * 3
+    assert (z_up.shape, h_down.shape, z_q.shape) == ((3, 10, 6), (3, 10, 4), (3, 10, 4))
+    for i, seq in enumerate(tokens):
+        alone = q(Tensor(h.data[i]))
+        assert seq.indices.tobytes() == alone[0].indices.tobytes()
+        assert z_q.data[i].tobytes() == alone[3].data.tobytes()
 
 
 def test_quant_loss_values():

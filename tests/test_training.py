@@ -120,6 +120,41 @@ def test_tokenize_recording_rejects_foreign_montage(data_dir):
         model.tokenize_recording(rec)
 
 
+def _quick_start_recordings(quick_start, model) -> list[Recording]:
+    """The quick start's 12 eval recordings with 3 s and 5 s recordings of its
+    montage between them: 2, 3 and 5 patches."""
+    assert quick_start.proc.returncode == 0, quick_start.proc.stderr[-2000:]
+    recs = [rec for _, rec, _ in load_corpus(quick_start.out / "eval-data")]
+    channels, rng = model.encoder.hierarchy.montage.labels, np.random.default_rng(3)
+    for i, seconds in ((1, 3.0), (4, 5.0), (5, 3.0), (9, 3.0), (12, 5.0)):
+        recs.insert(i, make_recording("class-b", channels, rng, seconds=seconds))
+    return recs
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8])
+def test_tokenize_recordings_gives_each_recording_its_own_bits(quick_start, chunk):
+    model, _ = load_model(quick_start.out / recipe.last_checkpoint("sft"))
+    recs = _quick_start_recordings(quick_start, model)
+    alone = [model.tokenize_recording(rec) for rec in recs]
+    batched = [got for s in range(0, len(recs), chunk) for got in model.tokenize_recordings(recs[s : s + chunk])]
+    assert len(batched) == len(alone) == 17
+    for (tokens, z_q), (want_tokens, want_z_q) in zip(batched, alone):
+        assert (tokens.channels, tokens.patches) == (want_tokens.channels, want_tokens.patches)
+        assert tokens.indices.dtype == want_tokens.indices.dtype
+        assert tokens.indices.tobytes() == want_tokens.indices.tobytes()
+        assert (z_q.dtype, z_q.shape) == (want_z_q.dtype, want_z_q.shape)
+        assert z_q.tobytes() == want_z_q.tobytes()
+
+
+def test_tokenize_recordings_checks_every_montage_before_it_encodes(data_dir, monkeypatch):
+    model = build_model(toy_cfg(data_dir))
+    recs = [rec for _, rec, _ in load_corpus(data_dir)]
+    recs.append(Recording(channels=("A", "B"), fs=200.0, data=np.zeros((2, 400))))
+    monkeypatch.setattr(type(model.encoder), "__call__", None)
+    with pytest.raises(MontageError, match="do not match"):
+        model.tokenize_recordings(recs)
+
+
 def test_prepare_sequences_supervised(data_dir):
     model = build_model(toy_cfg(data_dir))
     corpus = load_corpus(data_dir, classes=toy_cfg(data_dir)["data"]["classes"])
